@@ -391,12 +391,11 @@ def depth_bin_cross_entropy(
     """
     total = 0.0
     count = 0
-    for dist, pts in zip(dists, sparse):
+    for ci, (dist, pts) in enumerate(zip(dists, sparse)):
         if dist is None or pts is None or len(pts) == 0:
             continue
         pts = as_tensor(pts).reshape(-1, 3)
-        us = pts[:, 0].astype(np.int64)
-        vs = pts[:, 1].astype(np.int64)
+        us, vs = _sparse_pixels(pts, dist.probs.shape[:2], ci)
         target = np.argmin(np.abs(pts[:, 2][:, None] - dist.bins[None, :]), axis=1)
         p = dist.probs[vs, us, target]
         total += float(np.sum(-np.log(np.clip(p, 1e-12, None))))
@@ -469,6 +468,28 @@ def pretrain_loss_with_depth_grad(
     return total, breakdown, grads
 
 
+def _sparse_pixels(
+    pts: np.ndarray, shape: tuple[int, int], camera: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Integer pixel columns and rows of sparse (u, v, depth) samples.
+
+    Raises ValueError naming the camera and the first offending sample
+    when u or v is not an integer inside [0, W) x [0, H).
+    """
+    h, w = shape
+    u, v = pts[:, 0], pts[:, 1]
+    integral = (u == np.floor(u)) & (v == np.floor(v))
+    inside = (u >= 0) & (u < w) & (v >= 0) & (v < h)
+    bad = ~(integral & inside)
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        raise ValueError(
+            f"camera {camera}: sparse depth sample {k} at pixel (u={u[k]!r}, v={v[k]!r}) "
+            f"is not an integer pixel of the {w}x{h} image"
+        )
+    return u.astype(np.int64), v.astype(np.int64)
+
+
 def _depth_l1(depths, sparse, with_grad):
     grads = [np.zeros_like(d.depth) for d in depths]
     count = 0
@@ -482,8 +503,7 @@ def _depth_l1(depths, sparse, with_grad):
         if pts is None or len(pts) == 0:
             continue
         pts = as_tensor(pts).reshape(-1, 3)
-        us = pts[:, 0].astype(np.int64)
-        vs = pts[:, 1].astype(np.int64)
+        us, vs = _sparse_pixels(pts, dm.depth.shape, ci)
         diff = dm.depth[vs, us] - pts[:, 2]
         total += float(np.sum(np.abs(diff)))
         if with_grad:

@@ -149,10 +149,15 @@ class ExperimentConfig:
 
 
 def worker_count() -> int:
+    """The per-camera worker cap from OCCGEOM_THREADS (1 when unset)."""
+    raw = os.environ.get("OCCGEOM_THREADS", "1")
     try:
-        return max(1, int(os.environ.get("OCCGEOM_THREADS", "1")))
+        workers = int(raw)
     except ValueError:
-        return 1
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"OCCGEOM_THREADS must be a positive integer, got {raw!r}")
+    return workers
 
 
 def _camera_map(fn, items):
@@ -309,16 +314,19 @@ def cmd_selftrain(cfg: ExperimentConfig, scene_dir: str) -> dict:
             sparse.append(None)
     sigma = _init_sigma(cfg, bundle)
     spec = bundle.spec
+    # sample positions never depend on sigma: one plan per view serves
+    # every forward render and adjoint of the run
+    plans = _camera_map(
+        lambda cam: renderer.RayPlan(
+            spec, cam, res, cfg.render.t_near, cfg.render.t_far, cfg.render.samples
+        ),
+        views,
+    )
 
     def forward(sig):
         fld = DensityField(sig, spec)
-        depths = _camera_map(
-            lambda cam: renderer.render_view(
-                fld, cam, res, cfg.render.t_near, cfg.render.t_far, cfg.render.samples
-            ),
-            views,
-        )
-        return fld, depths
+        rendered = _camera_map(lambda plan: plan.render(fld), plans)
+        return [dm for dm, _ in rendered], [rows for _, rows in rendered]
 
     def gt_depth_error(depths):
         errs = []
@@ -336,7 +344,7 @@ def cmd_selftrain(cfg: ExperimentConfig, scene_dir: str) -> dict:
     initial_err = None
 
     for step in range(cfg.optimize.steps + 1):
-        fld, depths = forward(sigma)
+        depths, rows_per_view = forward(sigma)
         if step == 0:
             initial_err = gt_depth_error(depths)
         last = step == cfg.optimize.steps
@@ -371,10 +379,7 @@ def cmd_selftrain(cfg: ExperimentConfig, scene_dir: str) -> dict:
             break
         sig_grad = np.zeros_like(sigma)
         grad_views = _camera_map(
-            lambda iv: renderer.render_view_grad_sigma(
-                fld, views[iv], grads[iv], res, cfg.render.t_near, cfg.render.t_far,
-                cfg.render.samples,
-            ),
+            lambda iv: plans[iv].grad_sigma(rows_per_view[iv], grads[iv]),
             list(range(n_cam)),
         )
         for g in grad_views:
@@ -387,11 +392,11 @@ def cmd_selftrain(cfg: ExperimentConfig, scene_dir: str) -> dict:
         w.writerow(_TRACE_COLUMNS)
         for row in rows:
             w.writerow([row[0]] + [f"{v:.9g}" for v in row[1:]])
-    _, final_depths = forward(sigma)
-    for i, dm in enumerate(final_depths):
+    # the last step rendered the final sigma and made no update after it
+    for i, dm in enumerate(depths):
         renderer.save_depth_pfm(dm, os.path.join(cfg.output_dir, f"final_cam{i}.pfm"))
     sigma.astype(np.float32).tofile(os.path.join(cfg.output_dir, "sigma_final.raw"))
-    final_err = gt_depth_error(final_depths)
+    final_err = gt_depth_error(depths)
     report = {
         "initial_total": rows[0][-1],
         "final_total": rows[-1][-1],

@@ -12,13 +12,14 @@ finite-difference checks.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .camera import Camera, pixel_directions
 from .formats import write_pfm, write_pgm16, write_pgm8
-from .tensor import _trilinear_parts, as_tensor, trilinear_sample
+from .tensor import _trilinear_corners, _trilinear_in_box, as_tensor, trilinear_sample
 from .view_transform import VoxelGridSpec
 
 DEFAULT_RESOLUTION = (180, 320)
@@ -184,6 +185,152 @@ def _view_rays(cam: Camera, resolution: tuple[int, int]) -> tuple[np.ndarray, np
     return pose.translation.copy(), dirs
 
 
+def _midpoint_samples(
+    t_near: float, t_far: float, samples: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Shared sample distances [S] and spacings [S] of every ray in a view."""
+    if not 0 < t_near < t_far:
+        raise ValueError(f"need 0 < t_near < t_far, got [{t_near}, {t_far}]")
+    if samples < 2:
+        raise ValueError(f"need at least 2 samples, got {samples}")
+    step = (t_far - t_near) / samples
+    t = t_near + (np.arange(samples) + 0.5) * step
+    return t, np.full(samples, step)
+
+
+@dataclass(frozen=True)
+class PlanChunk:
+    """The in-grid ray samples of one block of consecutive pixels.
+
+    Samples sit in the block's dense [R x S] row order; only those inside
+    the trilinear sampling box are kept, since every other sample reads
+    exactly zero density.
+    """
+
+    start: int  # first pixel of the block (row-major)
+    stop: int
+    samples: int  # S, samples per ray
+    cols: np.ndarray  # [M] flat positions of the kept samples in [R x S]
+    idx: np.ndarray  # [M x 8] flat corner indices into the density grid
+    wgt: np.ndarray  # [M x 8] trilinear weights
+
+    def gather(self, sigma_flat: np.ndarray) -> np.ndarray:
+        """Density rows [R x S] of the block; zero outside the grid."""
+        rows = np.zeros((self.stop - self.start) * self.samples)
+        rows[self.cols] = np.sum(sigma_flat[self.idx] * self.wgt, axis=1)
+        return rows.reshape(self.stop - self.start, self.samples)
+
+    def scatter(self, out: np.ndarray, per_sample: np.ndarray) -> None:
+        """Adjoint of gather: add per-sample values [R x S] into the flat
+        grid `out`, corner by corner in sample order."""
+        y = per_sample.reshape(-1)[self.cols]
+        np.add.at(out, self.idx.ravel(), (y[:, None] * self.wgt).ravel())
+
+
+def _plan_chunks(
+    spec: VoxelGridSpec, cam: Camera, resolution: tuple[int, int], t: np.ndarray
+) -> Iterator[PlanChunk]:
+    """Build a view's sampling plan block by block, in pixel order."""
+    origin, dirs = _view_rays(cam, resolution)
+    n = dirs.shape[0]
+    for start in range(0, n, _RAY_CHUNK):
+        stop = min(start + _RAY_CHUNK, n)
+        pos = origin + t[None, :, None] * dirs[start:stop, None, :]
+        coords = spec.world_to_grid(pos.reshape(-1, 3))
+        cols = np.flatnonzero(_trilinear_in_box(spec.dims, coords))
+        idx, wgt = _trilinear_corners(spec.dims, coords[cols])
+        yield PlanChunk(start, stop, t.size, cols, idx, wgt)
+
+
+def _render_chunks(
+    field: DensityField,
+    chunks: Iterable[PlanChunk],
+    resolution: tuple[int, int],
+    t: np.ndarray,
+    deltas: np.ndarray,
+    rows_out: list | None = None,
+) -> DepthMap:
+    """Forward render over plan chunks; appends each block's density rows
+    to `rows_out` when given."""
+    h, w = resolution
+    depth = np.empty(h * w)
+    opacity = np.empty(h * w)
+    sigma_flat = field.sigma.ravel()
+    for chunk in chunks:
+        rows = chunk.gather(sigma_flat)
+        d, o, _ = _render_batch(rows, t[None, :], deltas[None, :])
+        depth[chunk.start : chunk.stop] = d
+        opacity[chunk.start : chunk.stop] = o
+        if rows_out is not None:
+            rows_out.append(rows)
+    depth = depth.reshape(h, w)
+    opacity = opacity.reshape(h, w)
+    return DepthMap(depth=depth, valid=opacity > 0.5, opacity=opacity)
+
+
+def _grad_chunks(
+    chunk_rows: Iterable[tuple[PlanChunk, np.ndarray]],
+    grad_depth: np.ndarray,
+    spec: VoxelGridSpec,
+    resolution: tuple[int, int],
+    t: np.ndarray,
+    deltas: np.ndarray,
+) -> np.ndarray:
+    """Adjoint over (plan chunk, forward density rows) pairs."""
+    grad_depth = as_tensor(grad_depth)
+    if grad_depth.shape != tuple(resolution):
+        raise ValueError(f"grad_depth {grad_depth.shape} vs resolution {tuple(resolution)}")
+    gflat = grad_depth.ravel()
+    out = np.zeros(int(np.prod(spec.dims)))
+    for chunk, rows in chunk_rows:
+        dsig = _depth_grad_batch(rows, t[None, :], deltas[None, :])
+        chunk.scatter(out, dsig * gflat[chunk.start : chunk.stop, None])
+    return out.reshape(spec.dims)
+
+
+class RayPlan:
+    """Sparse sampling operator of one view, reusable across density fields.
+
+    Sample positions depend on the grid spec, camera, resolution, range and
+    sample count, never on sigma, so a plan built once serves every forward
+    render and adjoint of that view. It holds the corners and weights of
+    every in-grid sample of the view; `render_view` streams the same plan
+    block by block instead, to bound memory on one-shot renders.
+    """
+
+    def __init__(
+        self,
+        spec: VoxelGridSpec,
+        cam: Camera,
+        resolution: tuple[int, int] = DEFAULT_RESOLUTION,
+        t_near: float = DEFAULT_T_NEAR,
+        t_far: float = DEFAULT_T_FAR,
+        samples: int = DEFAULT_SAMPLES,
+    ):
+        self.spec = spec
+        self.resolution = tuple(resolution)
+        self.t, self.deltas = _midpoint_samples(t_near, t_far, samples)
+        self.chunks = tuple(_plan_chunks(spec, cam, self.resolution, self.t))
+
+    def render(self, field: DensityField) -> tuple[DepthMap, list[np.ndarray]]:
+        """render_view through the plan, plus the per-block density rows
+        that `grad_sigma` needs."""
+        grids = [(s.dims, s.voxel_size, tuple(s.origin)) for s in (field.spec, self.spec)]
+        if grids[0] != grids[1]:
+            raise ValueError(f"density field grid {grids[0]} differs from the plan's {grids[1]}")
+        rows: list[np.ndarray] = []
+        dm = _render_chunks(field, self.chunks, self.resolution, self.t, self.deltas, rows)
+        return dm, rows
+
+    def grad_sigma(self, rows: list[np.ndarray], grad_depth: np.ndarray) -> np.ndarray:
+        """render_view_grad_sigma from the rows of this plan's forward render."""
+        if len(rows) != len(self.chunks):
+            raise ValueError(f"{len(rows)} density row blocks for {len(self.chunks)} chunks")
+        return _grad_chunks(
+            zip(self.chunks, rows), grad_depth, self.spec, self.resolution, self.t, self.deltas
+        )
+
+
 def render_view(
     field: DensityField,
     cam: Camera,
@@ -196,30 +343,12 @@ def render_view(
 
     Intrinsics are rescaled when `resolution` differs from their native
     size. Pixels are processed in fixed-order chunks, so the result is
-    deterministic and identical to per-ray rendering.
+    deterministic and identical to per-ray rendering. The sampling plan is
+    built and used one chunk at a time and never held whole.
     """
-    if not 0 < t_near < t_far:
-        raise ValueError(f"need 0 < t_near < t_far, got [{t_near}, {t_far}]")
-    if samples < 2:
-        raise ValueError(f"need at least 2 samples, got {samples}")
-    h, w = resolution
-    origin, dirs = _view_rays(cam, resolution)
-    step = (t_far - t_near) / samples
-    t = t_near + (np.arange(samples) + 0.5) * step
-    deltas = np.full(samples, step)
-    n = h * w
-    depth = np.empty(n)
-    opacity = np.empty(n)
-    for start in range(0, n, _RAY_CHUNK):
-        stop = min(start + _RAY_CHUNK, n)
-        pos = origin + t[None, :, None] * dirs[start:stop, None, :]
-        sig = sample_density(field, pos.reshape(-1, 3)).reshape(stop - start, samples)
-        d, o, _ = _render_batch(sig, t[None, :], deltas[None, :])
-        depth[start:stop] = d
-        opacity[start:stop] = o
-    depth = depth.reshape(h, w)
-    opacity = opacity.reshape(h, w)
-    return DepthMap(depth=depth, valid=opacity > 0.5, opacity=opacity)
+    t, deltas = _midpoint_samples(t_near, t_far, samples)
+    chunks = _plan_chunks(field.spec, cam, resolution, t)
+    return _render_chunks(field, chunks, resolution, t, deltas)
 
 
 def render_view_grad_sigma(
@@ -238,27 +367,13 @@ def render_view_grad_sigma(
     interpolation weights. Must be called with the same view parameters as
     the forward render.
     """
-    h, w = resolution
-    grad_depth = as_tensor(grad_depth)
-    if grad_depth.shape != (h, w):
-        raise ValueError(f"grad_depth {grad_depth.shape} vs resolution {(h, w)}")
-    origin, dirs = _view_rays(cam, resolution)
-    step = (t_far - t_near) / samples
-    t = t_near + (np.arange(samples) + 0.5) * step
-    deltas = np.full(samples, step)
-    gflat = grad_depth.ravel()
-    out = np.zeros(int(np.prod(field.spec.dims)))
-    n = h * w
-    for start in range(0, n, _RAY_CHUNK):
-        stop = min(start + _RAY_CHUNK, n)
-        pos = origin + t[None, :, None] * dirs[start:stop, None, :]
-        coords = field.spec.world_to_grid(pos.reshape(-1, 3))
-        sig, _, idx, wgt = _trilinear_parts(field.sigma, coords)
-        sig = sig.reshape(stop - start, samples)
-        dsig = _depth_grad_batch(sig, t[None, :], deltas[None, :])
-        per_sample = (dsig * gflat[start:stop, None]).reshape(-1)
-        np.add.at(out, idx.ravel(), (per_sample[:, None] * wgt).ravel())
-    return out.reshape(field.spec.dims)
+    t, deltas = _midpoint_samples(t_near, t_far, samples)
+    sigma_flat = field.sigma.ravel()
+    chunk_rows = (
+        (chunk, chunk.gather(sigma_flat))
+        for chunk in _plan_chunks(field.spec, cam, resolution, t)
+    )
+    return _grad_chunks(chunk_rows, grad_depth, field.spec, resolution, t, deltas)
 
 
 def save_depth_pfm(dm: DepthMap, path) -> None:

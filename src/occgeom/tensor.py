@@ -135,8 +135,8 @@ def trilinear_sample(vol: Array, xyz: Array) -> tuple[Array, Array]:
 
 def _trilinear_parts(vol: Array, xyz: Array) -> tuple[Array, Array, Array, Array]:
     """trilinear_sample plus the flat corner indices [N x 8] and weights
-    [N x 8] needed for adjoint scattering. Corner indices of out-of-range
-    corners are 0 with weight forced to 0."""
+    [N x 8] needed for adjoint scattering. Out-of-range corners carry weight
+    0 (and a clipped index), as do all corners of out-of-box positions."""
     vol = as_tensor(vol)
     xyz = as_tensor(xyz)
     if xyz.ndim != 2 or xyz.shape[1] != 3:
@@ -144,8 +144,33 @@ def _trilinear_parts(vol: Array, xyz: Array) -> tuple[Array, Array, Array, Array
     channelled = vol.ndim == 4
     if not channelled and vol.ndim != 3:
         raise ValueError(f"trilinear_sample expects 3-D or 4-D volume, got {vol.shape}")
-    dims = np.array(vol.shape[1:] if channelled else vol.shape)
-    valid = np.all((xyz >= -0.5) & (xyz <= dims - 0.5), axis=1)
+    dims = vol.shape[1:] if channelled else vol.shape
+    valid = _trilinear_in_box(dims, xyz)
+    idx, wgt = _trilinear_corners(dims, xyz)
+    wgt *= valid[:, None]
+    if channelled:
+        corners = vol.reshape(vol.shape[0], -1).T[idx]  # N x 8 x C
+        vals = np.einsum("nkc,nk->nc", corners, wgt)
+    else:
+        vals = np.sum(vol.ravel()[idx] * wgt, axis=1)
+    return vals, valid, idx, wgt
+
+
+def _trilinear_in_box(dims: tuple[int, ...], xyz: Array) -> Array:
+    """[N] bool: positions inside [-0.5, dim-0.5] on every axis, the only
+    places where trilinear sampling can be nonzero."""
+    return np.all((xyz >= -0.5) & (xyz <= np.array(dims) - 0.5), axis=1)
+
+
+def _trilinear_corners(dims: tuple[int, ...], xyz: Array) -> tuple[Array, Array]:
+    """Flat corner indices [N x 8] and trilinear weights [N x 8] of grid
+    coordinates xyz [N x 3] on an [X x Y x Z] grid of extent `dims`.
+
+    Corners outside the grid get weight 0 and a clipped index. Positions
+    are not checked against the sampling box; callers mask or pre-filter
+    them with _trilinear_in_box.
+    """
+    dims = np.array(dims)
     lo = np.floor(xyz).astype(np.int64)
     f = xyz - lo
     n = xyz.shape[0]
@@ -167,21 +192,14 @@ def _trilinear_parts(vol: Array, xyz: Array) -> tuple[Array, Array, Array, Array
                     & (cy >= 0) & (cy < dims[1])
                     & (cz >= 0) & (cz < dims[2])
                 )
-                w = wx * wy * wz * inside * valid
-                flat = (
+                idx[:, k] = (
                     np.clip(cx, 0, dims[0] - 1) * strides[0]
                     + np.clip(cy, 0, dims[1] - 1) * strides[1]
                     + np.clip(cz, 0, dims[2] - 1)
                 )
-                idx[:, k] = flat
-                wgt[:, k] = w
+                wgt[:, k] = wx * wy * wz * inside
                 k += 1
-    if channelled:
-        corners = vol.reshape(vol.shape[0], -1).T[idx]  # N x 8 x C
-        vals = np.einsum("nkc,nk->nc", corners, wgt)
-    else:
-        vals = np.sum(vol.ravel()[idx] * wgt, axis=1)
-    return vals, valid, idx, wgt
+    return idx, wgt
 
 
 def conv3d(x: Array, w: Array, stride: int = 1) -> Array:

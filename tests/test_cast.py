@@ -14,6 +14,7 @@ from occgeom.cast import (
     cast_loss,
     cast_loss_with_depth_grad,
     depth_bin_cross_entropy,
+    depth_l1_loss,
     make_warp_context,
     photometric_loss,
     photometric_loss_grad,
@@ -377,6 +378,20 @@ class TestPretrainLoss:
         wrong = depth_bin_cross_entropy([dist], [np.array([[0, 0, bins[0]]])])
         assert right == pytest.approx(0.0, abs=1e-12)
         assert wrong > 10.0
+
+    @pytest.mark.parametrize(
+        "u, v", [(-1, 3), (5, 30), (2.5, 3)], ids=["negative", "out-of-range", "fractional"]
+    )
+    def test_bad_sparse_pixel_rejected(self, u, v):
+        h, w = 30, 40
+        dm = DepthMap(depth=np.ones((h, w)), valid=np.ones((h, w), bool), opacity=np.ones((h, w)))
+        bins = uniform_depth_bins(4, 1.0, 9.0)
+        dist = DepthDistribution(bins, np.full((h, w, 4), 0.25))
+        pts = np.array([[1.0, 1.0, 2.0], [u, v, 2.0]])
+        with pytest.raises(ValueError, match=r"camera 1: sparse depth sample 1 at pixel"):
+            depth_l1_loss([dm, dm], [None, pts])
+        with pytest.raises(ValueError, match=r"camera 1: sparse depth sample 1 at pixel"):
+            depth_bin_cross_entropy([None, dist], [None, pts])
 
     def test_gradient_descent_reduces_loss(self):
         # small optimization through the full chain with a tiny step size:

@@ -332,10 +332,27 @@ class TestMain:
         assert "error" in payload and "message" in payload
 
     def test_worker_env_cap(self, monkeypatch):
+        monkeypatch.delenv("OCCGEOM_THREADS", raising=False)
+        assert cli.worker_count() == 1
         monkeypatch.setenv("OCCGEOM_THREADS", "3")
         assert cli.worker_count() == 3
+        for bad in ("bogus", "0", "-2", "1.5", ""):
+            monkeypatch.setenv("OCCGEOM_THREADS", bad)
+            with pytest.raises(ValueError, match="OCCGEOM_THREADS"):
+                cli.worker_count()
+
+    def test_malformed_worker_env_is_a_structured_error(self, tmp_path, monkeypatch, capsys):
+        scene_dir = str(tmp_path / "scene")
+        assert main(["--out", scene_dir, "gen", "scene.dims=[16,16,8]",
+                     "scene.image_size=[16,24]"]) == 0
+        capsys.readouterr()
         monkeypatch.setenv("OCCGEOM_THREADS", "bogus")
-        assert cli.worker_count() == 1
+        code = main(["--out", str(tmp_path / "r"), "render", "--scene-dir", scene_dir,
+                     "render.resolution=[16,24]", "render.S=16"])
+        assert code == 1
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == "ValueError"
+        assert "OCCGEOM_THREADS" in payload["message"]
 
 
 class TestDeterminism:

@@ -6,9 +6,14 @@ from helpers import level_camera_mount
 
 from occgeom.camera import Camera, Intrinsics, Pose, ray
 from occgeom.renderer import (
+    _RAY_CHUNK,
     DensityField,
     DepthMap,
+    RayPlan,
     RaySamples,
+    _depth_grad_batch,
+    _render_batch,
+    _view_rays,
     depth_grad_sigma,
     render_depth,
     render_view,
@@ -16,7 +21,7 @@ from occgeom.renderer import (
     sample_density,
     sample_ray,
 )
-from occgeom.tensor import grad_check
+from occgeom.tensor import _trilinear_parts, grad_check, trilinear_sample
 from occgeom.view_transform import VoxelGridSpec
 
 STRAIGHT = (np.zeros(3), np.array([0.0, 0.0, 1.0]))
@@ -257,6 +262,129 @@ class TestRenderView:
 
         err = grad_check(objective, field.sigma.ravel(), g.ravel(), eps=1e-6)
         assert err < 1e-4
+
+
+def dense_render(field, cam, res, t_near, t_far, s, grad_map):
+    """Reference: trilinear-sample all S samples of every ray, render, and
+    scatter the adjoint over every corner with np.add.at in sample order.
+
+    Returns (depth, opacity, dL/dsigma) for the depth cotangent grad_map.
+    """
+    origin, dirs = _view_rays(cam, res)
+    step = (t_far - t_near) / s
+    t = t_near + (np.arange(s) + 0.5) * step
+    deltas = np.full(s, step)
+    pos = origin + t[None, :, None] * dirs[:, None, :]
+    coords = field.spec.world_to_grid(pos.reshape(-1, 3))
+    sig, _ = trilinear_sample(field.sigma, coords)
+    sig = sig.reshape(-1, s)
+    depth, opacity, _ = _render_batch(sig, t[None, :], deltas[None, :])
+    _, _, idx, wgt = _trilinear_parts(field.sigma, coords)
+    dsig = _depth_grad_batch(sig, t[None, :], deltas[None, :])
+    per_sample = (dsig * grad_map.reshape(-1)[:, None]).reshape(-1)
+    grad = np.zeros(field.sigma.size)
+    np.add.at(grad, idx.ravel(), (per_sample[:, None] * wgt).ravel())
+    return depth.reshape(res), opacity.reshape(res), grad.reshape(field.sigma.shape)
+
+
+class TestRayPlan:
+    SPEC = VoxelGridSpec((6, 6, 4), np.zeros(3), 0.5)
+    # 4608 rays: two plan chunks, the second partial
+    RES = (48, 96)
+
+    def camera(self, yaw=0.3, offset=(-0.4, 1.5, 1.0)):
+        h, w = self.RES
+        intr = Intrinsics(fx=40.0, fy=40.0, cx=(w - 1) / 2, cy=(h - 1) / 2, width=w, height=h)
+        return Camera(intr, level_camera_mount(yaw, offset))
+
+    def test_matches_dense_reference_bitwise(self):
+        assert self.RES[0] * self.RES[1] > _RAY_CHUNK
+        rng = np.random.default_rng(5)
+        cam = self.camera()
+        plan = RayPlan(self.SPEC, cam, self.RES, 0.5, 5.0, 24)
+        assert len(plan.chunks) == 2
+        for _ in range(2):  # one plan, two different density fields
+            field = DensityField(rng.uniform(0, 3, self.SPEC.dims), self.SPEC)
+            grad_map = rng.normal(size=self.RES)
+            depth, opacity, grad = dense_render(field, cam, self.RES, 0.5, 5.0, 24, grad_map)
+            assert np.count_nonzero(opacity) > 100
+            dm = render_view(field, cam, self.RES, 0.5, 5.0, 24)
+            g = render_view_grad_sigma(field, cam, grad_map, self.RES, 0.5, 5.0, 24)
+            pdm, rows = plan.render(field)
+            pg = plan.grad_sigma(rows, grad_map)
+            for got in (dm, pdm):
+                assert np.array_equal(got.depth, depth)
+                assert np.array_equal(got.opacity, opacity)
+                assert np.array_equal(got.valid, opacity > 0.5)
+            assert np.array_equal(g, grad)
+            assert np.array_equal(pg, grad)
+
+    def test_keeps_samples_on_the_box_faces(self):
+        # the center ray runs along +x through cell centers in y and z, and
+        # its samples land exactly on grid x = -0.5 and x = dim - 0.5
+        spec = VoxelGridSpec((4, 3, 3), np.zeros(3), 1.0)
+        intr = Intrinsics(fx=4.0, fy=4.0, cx=2.0, cy=1.0, width=5, height=3)
+        cam = Camera(intr, level_camera_mount(0.0, [-2.0, 1.5, 1.5]))
+        sigma = np.random.default_rng(6).uniform(1, 2, spec.dims)
+        field = DensityField(sigma, spec)
+        t_near, s = 1.5, 6  # unit spacing: t = 2, 3, ..., 7
+        plan = RayPlan(spec, cam, (3, 5), t_near, t_near + s, s)
+        center = 1 * 5 + 2
+        origin, dirs = _view_rays(cam, (3, 5))
+        coords = spec.world_to_grid(origin + plan.t[:, None] * dirs[center])
+        assert coords[0, 0] == -0.5 and coords[4, 0] == 3.5
+        assert np.all(coords[:, 1:] == 1.0)
+        dm, rows = plan.render(field)
+        assert rows[0][center, 0] == 0.5 * sigma[0, 1, 1]
+        assert rows[0][center, 4] == 0.5 * sigma[3, 1, 1]
+        assert rows[0][center, 5] == 0.0
+        grad_map = np.random.default_rng(7).normal(size=(3, 5))
+        depth, opacity, grad = dense_render(field, cam, (3, 5), t_near, t_near + s, s, grad_map)
+        assert np.array_equal(dm.depth, depth) and np.array_equal(dm.opacity, opacity)
+        assert np.array_equal(plan.grad_sigma(rows, grad_map), grad)
+
+    def test_camera_missing_the_grid(self):
+        # looking away from the grid: no sample is ever inside the box
+        cam = self.camera(yaw=np.pi, offset=(-1.0, 1.5, 1.0))
+        field = DensityField(np.full(self.SPEC.dims, 5.0), self.SPEC)
+        plan = RayPlan(self.SPEC, cam, self.RES, 0.5, 5.0, 24)
+        assert all(c.cols.size == 0 for c in plan.chunks)
+        grad_map = np.random.default_rng(8).normal(size=self.RES)
+        for dm, g in (
+            (render_view(field, cam, self.RES, 0.5, 5.0, 24),
+             render_view_grad_sigma(field, cam, grad_map, self.RES, 0.5, 5.0, 24)),
+            (plan.render(field)[0], plan.grad_sigma(plan.render(field)[1], grad_map)),
+        ):
+            assert np.all(dm.depth == 0.0) and np.all(dm.opacity == 0.0)
+            assert not dm.valid.any()
+            assert np.all(g == 0.0)
+
+    def test_corner_operator_adjoint_identity(self):
+        # <gather(v), y> == <v, scatter(y)> for every chunk of the plan
+        rng = np.random.default_rng(9)
+        plan = RayPlan(self.SPEC, self.camera(), self.RES, 0.5, 5.0, 24)
+        for chunk in plan.chunks:
+            v = rng.normal(size=self.SPEC.dims).ravel()
+            y = rng.normal(size=(chunk.stop - chunk.start, 24))
+            scattered = np.zeros(v.size)
+            chunk.scatter(scattered, y)
+            lhs = float(np.sum(chunk.gather(v) * y))
+            rhs = float(np.dot(v, scattered))
+            assert chunk.cols.size > 0
+            assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs))
+
+    def test_rejects_mismatched_inputs(self):
+        plan = RayPlan(self.SPEC, self.camera(), self.RES, 0.5, 5.0, 24)
+        other = VoxelGridSpec(self.SPEC.dims, np.ones(3), 0.5)
+        with pytest.raises(ValueError, match="grid"):
+            plan.render(DensityField(np.zeros(self.SPEC.dims), other))
+        _, rows = plan.render(DensityField(np.zeros(self.SPEC.dims), self.SPEC))
+        with pytest.raises(ValueError):
+            plan.grad_sigma(rows[:1], np.zeros(self.RES))
+        with pytest.raises(ValueError):
+            plan.grad_sigma(rows, np.zeros((2, 2)))
+        with pytest.raises(ValueError):
+            RayPlan(self.SPEC, self.camera(), self.RES, 5.0, 0.5, 24)
 
 
 class TestExports:
