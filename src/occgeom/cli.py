@@ -384,6 +384,8 @@ def cmd_selftrain(cfg: ExperimentConfig, scene_dir: str) -> dict:
         )
         for g in grad_views:
             sig_grad += g
+        if not np.all(np.isfinite(sig_grad)):
+            raise RuntimeError(f"selftrain diverged at step {step}: non-finite gradient")
         sigma = np.clip(sigma - cfg.optimize.step_size * sig_grad, 0.0, None)
 
     os.makedirs(cfg.output_dir, exist_ok=True)

@@ -26,7 +26,11 @@ DEFAULT_RESOLUTION = (180, 320)
 DEFAULT_T_NEAR = 1.0
 DEFAULT_T_FAR = 45.0
 DEFAULT_SAMPLES = 152
-_RAY_CHUNK = 4096  # rays processed per block; bounds sampling memory
+# ray samples (rays x S) per block. The block's dense [rays x S] render and
+# adjoint temporaries stay near 256 KiB, which glibc serves from its heap
+# and reuses across blocks; much larger ones are mapped and faulted in
+# afresh on every block.
+_BLOCK_SAMPLES = 32768
 
 
 @dataclass(frozen=True)
@@ -227,19 +231,61 @@ class PlanChunk:
         np.add.at(out, self.idx.ravel(), (y[:, None] * self.wgt).ravel())
 
 
+def _box_sample_ranges(
+    spec: VoxelGridSpec, origin: np.ndarray, dirs: np.ndarray, t: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per ray, the range [first, stop) of sample indices that can fall
+    inside the trilinear sampling box, world [origin, origin + dims *
+    voxel_size] or grid [-0.5, dim - 0.5]; no other sample can read a
+    nonzero density.
+
+    A slab test gives each ray's entry and exit distance. The box is
+    widened by a slack far above rounding error and the range by one
+    sample on each side, so rounding can add candidates but never drop a
+    sample that the exact in-box test would keep. An axis along which the
+    ray does not move contributes no bound when the origin lies within that
+    slab, and empties the range when it does not.
+    """
+    extent = np.asarray(spec.dims) * spec.voxel_size
+    slack = 1e-9 * (np.abs(spec.origin).max() + extent.max() + np.abs(origin).max() + t[-1])
+    lo = spec.origin - slack
+    hi = spec.origin + extent + slack
+    still = dirs == 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_lo = (lo - origin) / dirs
+        t_hi = (hi - origin) / dirs
+    enter = np.where(still, -np.inf, np.minimum(t_lo, t_hi)).max(axis=1)
+    exit_ = np.where(still, np.inf, np.maximum(t_lo, t_hi)).min(axis=1)
+    exit_[np.any(still & ((origin < lo) | (origin > hi)), axis=1)] = -np.inf
+    first = np.maximum(np.searchsorted(t, enter, side="left") - 1, 0)
+    stop = np.minimum(np.searchsorted(t, exit_, side="right") + 1, t.size)
+    return first, np.maximum(stop, first)
+
+
 def _plan_chunks(
     spec: VoxelGridSpec, cam: Camera, resolution: tuple[int, int], t: np.ndarray
 ) -> Iterator[PlanChunk]:
-    """Build a view's sampling plan block by block, in pixel order."""
+    """Build a view's sampling plan block by block, in pixel order.
+
+    Positions are made only for the samples in each ray's box range, with
+    the same arithmetic as for all samples, and the exact in-box test then
+    picks the kept ones; the plan equals one built from every sample.
+    """
     origin, dirs = _view_rays(cam, resolution)
-    n = dirs.shape[0]
-    for start in range(0, n, _RAY_CHUNK):
-        stop = min(start + _RAY_CHUNK, n)
-        pos = origin + t[None, :, None] * dirs[start:stop, None, :]
-        coords = spec.world_to_grid(pos.reshape(-1, 3))
-        cols = np.flatnonzero(_trilinear_in_box(spec.dims, coords))
-        idx, wgt = _trilinear_corners(spec.dims, coords[cols])
-        yield PlanChunk(start, stop, t.size, cols, idx, wgt)
+    first, stop = _box_sample_ranges(spec, origin, dirs, t)
+    n, s = dirs.shape[0], t.size
+    block = max(1, _BLOCK_SAMPLES // s)
+    for start in range(0, n, block):
+        end = min(start + block, n)
+        count = stop[start:end] - first[start:end]
+        ray = np.repeat(np.arange(end - start), count)
+        # sample index: position within the ray's run plus the run's start
+        k = np.arange(ray.size) - np.repeat(np.cumsum(count) - count - first[start:end], count)
+        pos = origin + t[k][:, None] * dirs[start + ray]
+        coords = spec.world_to_grid(pos)
+        keep = _trilinear_in_box(spec.dims, coords)
+        idx, wgt = _trilinear_corners(spec.dims, coords[keep])
+        yield PlanChunk(start, end, s, (ray * s + k)[keep], idx, wgt)
 
 
 def _render_chunks(

@@ -503,11 +503,25 @@ def save_scene(bundle: SceneBundle, directory) -> None:
         formats.write_pgm8(base + "_valid.pgm", np.where(dm.valid, 255, 0).astype(np.uint8))
 
 
+def _read_raw_grid(directory, name: str, dims: tuple[int, int, int]) -> np.ndarray:
+    """One byte per voxel, checked against the grid's voxel count."""
+    path = os.path.join(directory, name)
+    data = np.fromfile(path, dtype=np.uint8)
+    if data.size != int(np.prod(dims)):
+        raise ValueError(
+            f"{path}: {data.size} bytes, expected {int(np.prod(dims))} for grid dims {dims}"
+        )
+    return data.reshape(dims)
+
+
 def load_scene(directory) -> SceneBundle:
     """Load a persisted bundle.
 
     Images come back 8-bit quantized and depths float32-rounded; opacity is
-    reconstructed as the validity indicator.
+    reconstructed as the validity indicator. Raises ValueError naming the
+    file when a raw grid's byte count differs from the voxel count, an
+    image or depth map differs from `image_size`, or a label exceeds
+    `num_classes` (the free label).
     """
     with open(os.path.join(directory, "scene.json")) as f:
         meta = json.load(f)
@@ -516,30 +530,37 @@ def load_scene(directory) -> SceneBundle:
         np.array(meta["spec"]["origin"]),
         meta["spec"]["voxel_size"],
     )
-    labels = (
-        np.fromfile(os.path.join(directory, "grid.raw"), dtype=np.uint8)
-        .reshape(spec.dims)
-        .astype(np.int64)
-    )
-    visible = (
-        np.fromfile(os.path.join(directory, "visible.raw"), dtype=np.uint8)
-        .reshape(spec.dims)
-        .astype(bool)
-    )
+    labels = _read_raw_grid(directory, "grid.raw", spec.dims).astype(np.int64)
+    num_classes = meta["num_classes"]
+    if labels.max() > num_classes:
+        raise ValueError(
+            f"{os.path.join(directory, 'grid.raw')}: label {labels.max()} "
+            f"above num_classes {num_classes}"
+        )
+    visible = _read_raw_grid(directory, "visible.raw", spec.dims).astype(bool)
     rig = rig_from_json(meta["rig"])
-    grid = SemanticOccupancy.from_labels(labels, meta["num_classes"])
-    density = DensityField(meta["sigma_occ"] * (labels != meta["num_classes"]), spec)
+    grid = SemanticOccupancy.from_labels(labels, num_classes)
+    density = DensityField(meta["sigma_occ"] * (labels != num_classes), spec)
     images = {}
     gt_depths = {}
     h, w = meta["image_size"]
+
+    def read(reader, path):
+        data = reader(path)
+        if data.shape[:2] != (h, w):
+            raise ValueError(
+                f"{path}: image shape {data.shape[:2]} differs from image_size {(h, w)}"
+            )
+        return data
+
     for t in rig.timestamps():
         for ci in range(len(rig.cameras)):
-            images[(ci, t)] = formats.read_ppm(
-                os.path.join(directory, "images", f"cam{ci}_t{t}.ppm")
+            images[(ci, t)] = read(
+                formats.read_ppm, os.path.join(directory, "images", f"cam{ci}_t{t}.ppm")
             )
             base = os.path.join(directory, "depths", f"cam{ci}_t{t}")
-            depth = formats.read_pfm(base + ".pfm")
-            valid = formats.read_pgm(base + "_valid.pgm") > 0
+            depth = read(formats.read_pfm, base + ".pfm")
+            valid = read(formats.read_pgm, base + "_valid.pgm") > 0
             gt_depths[(ci, t)] = DepthMap(
                 depth=depth, valid=valid, opacity=valid.astype(np.float64)
             )

@@ -178,6 +178,16 @@ class TestSsim:
         with pytest.raises(ValueError):
             ssim(np.zeros((3, 3, 1)), np.zeros((3, 4, 1)))
 
+    @pytest.mark.parametrize("window", [1, 3, 5, 7])
+    def test_box_mean_self_adjoint(self, window):
+        # <B x, y> == <x, B y>: the SSIM gradient applies B as its own adjoint
+        rng = np.random.default_rng(window)
+        for shape in ((9, 11), (6, 13, 3)):
+            x, y = rng.normal(size=shape), rng.normal(size=shape)
+            lhs = float(np.sum(cast._box_mean(x, window) * y))
+            rhs = float(np.sum(x * cast._box_mean(y, window)))
+            assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs))
+
 
 class TestPhotometricLoss:
     def test_identical_zero(self):

@@ -207,7 +207,8 @@ class TestSelftrain:
         scene = cmd_gen(cfg)
         cfg.output_dir = str(tmp_path / "train")
         cmd_selftrain(cfg, scene)
-        rows = list(csv.reader(open(tmp_path / "train" / "trace.csv")))
+        with open(tmp_path / "train" / "trace.csv", newline="") as f:
+            rows = list(csv.reader(f))
         assert rows[0] == cli._TRACE_COLUMNS
         assert len(rows) == 2
         assert rows[1][0] == "0"
@@ -220,6 +221,26 @@ class TestSelftrain:
         assert rep["final_total"] < rep["initial_total"]
         assert (tmp_path / "train" / "final_cam0.pfm").exists()
         assert (tmp_path / "train" / "sigma_final.raw").exists()
+
+    def test_non_finite_gradient_is_divergence(self, tmp_path, monkeypatch):
+        # a NaN depth cotangent at step 1 stops the run there, instead of
+        # surfacing one step later as an invalid density
+        cfg = make_cfg(tmp_path, "scene", **{"optimize.steps": 3})
+        scene = cmd_gen(cfg)
+        cfg.output_dir = str(tmp_path / "train")
+        real = cli.cast_mod.pretrain_loss_with_depth_grad
+        calls = []
+
+        def poisoned(*args, **kwargs):
+            total, parts, grads = real(*args, **kwargs)
+            calls.append(total)
+            if len(calls) == 2:
+                grads[0][...] = np.nan
+            return total, parts, grads
+
+        monkeypatch.setattr(cli.cast_mod, "pretrain_loss_with_depth_grad", poisoned)
+        with pytest.raises(RuntimeError, match="diverged at step 1: non-finite gradient"):
+            cmd_selftrain(cfg, scene)
 
     def test_resolution_must_match_scene(self, tmp_path):
         cfg = make_cfg(tmp_path, "scene")
@@ -243,7 +264,8 @@ class TestSelftrain:
         cfg.output_dir = str(tmp_path / "train")
         rep = cmd_selftrain(cfg, scene)
         assert rep["initial_depth_err"] is None  # nothing valid at start
-        rows = list(csv.reader(open(tmp_path / "train" / "trace.csv")))
+        with open(tmp_path / "train" / "trace.csv", newline="") as f:
+            rows = list(csv.reader(f))
         header = rows[0]
         l_rd = [float(r[header.index("L_rd")]) for r in rows[1:]]
         assert l_rd[-1] <= 0.5 * l_rd[0]
@@ -261,7 +283,8 @@ class TestEval:
         assert r.iou == 1.0 and r.miou == 1.0
         out = capsys.readouterr().out
         assert "IoU: 1" in out and "mIoU: 1" in out
-        rows = list(csv.reader(open(tmp_path / "eval" / "metrics.csv")))
+        with open(tmp_path / "eval" / "metrics.csv", newline="") as f:
+            rows = list(csv.reader(f))
         assert rows[-1][0] == "mIoU"
 
     def test_all_free_scores_zero(self, tmp_path):

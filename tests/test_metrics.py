@@ -180,7 +180,8 @@ class TestCsvExport:
         r = evaluate(random_grid(rng), random_grid(rng))
         path = tmp_path / "metrics.csv"
         write_csv(r, path, class_names={0: "crate"})
-        rows = list(csv.reader(open(path)))
+        with open(path, newline="") as f:
+            rows = list(csv.reader(f))
         assert rows[0] == ["class", "tp", "fp", "fn", "iou"]
         assert rows[1][0] == "crate"
         assert rows[-2][0] == "IoU"

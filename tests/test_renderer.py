@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
-from helpers import level_camera_mount
+from helpers import level_camera_mount, rotation_from_angles
 
 from occgeom.camera import Camera, Intrinsics, Pose, ray
 from occgeom.renderer import (
-    _RAY_CHUNK,
+    _BLOCK_SAMPLES,
+    _box_sample_ranges,
     DensityField,
     DepthMap,
     RayPlan,
@@ -21,7 +22,13 @@ from occgeom.renderer import (
     sample_density,
     sample_ray,
 )
-from occgeom.tensor import _trilinear_parts, grad_check, trilinear_sample
+from occgeom.tensor import (
+    _trilinear_corners,
+    _trilinear_in_box,
+    _trilinear_parts,
+    grad_check,
+    trilinear_sample,
+)
 from occgeom.view_transform import VoxelGridSpec
 
 STRAIGHT = (np.zeros(3), np.array([0.0, 0.0, 1.0]))
@@ -289,7 +296,7 @@ def dense_render(field, cam, res, t_near, t_far, s, grad_map):
 
 class TestRayPlan:
     SPEC = VoxelGridSpec((6, 6, 4), np.zeros(3), 0.5)
-    # 4608 rays: two plan chunks, the second partial
+    # 4608 rays at S=24: four blocks of 1365 rays, the last partial
     RES = (48, 96)
 
     def camera(self, yaw=0.3, offset=(-0.4, 1.5, 1.0)):
@@ -298,11 +305,12 @@ class TestRayPlan:
         return Camera(intr, level_camera_mount(yaw, offset))
 
     def test_matches_dense_reference_bitwise(self):
-        assert self.RES[0] * self.RES[1] > _RAY_CHUNK
+        block, rays = _BLOCK_SAMPLES // 24, self.RES[0] * self.RES[1]
+        assert rays > block
         rng = np.random.default_rng(5)
         cam = self.camera()
         plan = RayPlan(self.SPEC, cam, self.RES, 0.5, 5.0, 24)
-        assert len(plan.chunks) == 2
+        assert len(plan.chunks) == (rays + block - 1) // block
         for _ in range(2):  # one plan, two different density fields
             field = DensityField(rng.uniform(0, 3, self.SPEC.dims), self.SPEC)
             grad_map = rng.normal(size=self.RES)
@@ -373,6 +381,28 @@ class TestRayPlan:
             assert chunk.cols.size > 0
             assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs))
 
+    def test_directional_derivative_matches_adjoint(self):
+        # central difference of sum(g * depth(sigma + eps v)) along v against
+        # <render_view_grad_sigma(g), v>, over every block of the view
+        rng = np.random.default_rng(10)
+        cam = self.camera()
+        sigma = rng.uniform(0.5, 3.0, self.SPEC.dims)
+        v = rng.normal(size=self.SPEC.dims)
+        grad_map = rng.normal(size=self.RES)
+
+        def objective(eps):
+            field = DensityField(sigma + eps * v, self.SPEC)
+            return float(np.sum(render_view(field, cam, self.RES, 0.5, 5.0, 24).depth * grad_map))
+
+        eps = 1e-5
+        fd = (objective(eps) - objective(-eps)) / (2 * eps)
+        g = render_view_grad_sigma(
+            DensityField(sigma, self.SPEC), cam, grad_map, self.RES, 0.5, 5.0, 24
+        )
+        jvp = float(np.sum(g * v))
+        assert abs(jvp) > 1.0
+        assert abs(fd - jvp) <= 1e-8 * abs(jvp)
+
     def test_rejects_mismatched_inputs(self):
         plan = RayPlan(self.SPEC, self.camera(), self.RES, 0.5, 5.0, 24)
         other = VoxelGridSpec(self.SPEC.dims, np.ones(3), 0.5)
@@ -385,6 +415,107 @@ class TestRayPlan:
             plan.grad_sigma(rows, np.zeros((2, 2)))
         with pytest.raises(ValueError):
             RayPlan(self.SPEC, self.camera(), self.RES, 5.0, 0.5, 24)
+
+
+def unclipped_plan(spec, cam, res, t):
+    """Reference: the kept sample positions, corners and weights found by
+    testing every sample of the view against the trilinear box."""
+    origin, dirs = _view_rays(cam, res)
+    pos = origin + t[None, :, None] * dirs[:, None, :]
+    coords = spec.world_to_grid(pos.reshape(-1, 3))
+    cols = np.flatnonzero(_trilinear_in_box(spec.dims, coords))
+    idx, wgt = _trilinear_corners(spec.dims, coords[cols])
+    return cols, idx, wgt
+
+
+class TestRayClipping:
+    """Each ray is clipped to the grid box before sampling; the plan and
+    every render must equal those built from all samples of the view."""
+
+    SPEC = VoxelGridSpec((6, 5, 4), np.array([0.3, -0.2, 0.1]), 0.5)
+    RES = (12, 16)
+
+    def camera(self, yaw, offset, res=RES, pitch=0.0):
+        h, w = res
+        intr = Intrinsics(fx=12.0, fy=12.0, cx=(w - 1) / 2, cy=(h - 1) / 2, width=w, height=h)
+        mount = level_camera_mount(yaw, offset)
+        tilt = rotation_from_angles(0.0, pitch)
+        return Camera(intr, Pose(tilt @ mount.rotation, mount.translation))
+
+    def check(self, spec, cam, res, t_near, t_far, s, seed):
+        """Assert the plan and both render paths equal the unclipped
+        reference bitwise; returns the number of kept samples."""
+        rng = np.random.default_rng(seed)
+        plan = RayPlan(spec, cam, res, t_near, t_far, s)
+        cols, idx, wgt = unclipped_plan(spec, cam, res, plan.t)
+        got_cols = np.concatenate([c.start * s + c.cols for c in plan.chunks])
+        assert np.array_equal(got_cols, cols)
+        assert np.array_equal(np.concatenate([c.idx for c in plan.chunks]), idx)
+        assert np.array_equal(np.concatenate([c.wgt for c in plan.chunks]), wgt)
+        field = DensityField(rng.uniform(0.2, 3.0, spec.dims), spec)
+        grad_map = rng.normal(size=res)
+        depth, opacity, grad = dense_render(field, cam, res, t_near, t_far, s, grad_map)
+        dm = render_view(field, cam, res, t_near, t_far, s)
+        g = render_view_grad_sigma(field, cam, grad_map, res, t_near, t_far, s)
+        pdm, rows = plan.render(field)
+        for got in (dm, pdm):
+            assert np.array_equal(got.depth, depth)
+            assert np.array_equal(got.opacity, opacity)
+        assert np.array_equal(g, grad)
+        assert np.array_equal(plan.grad_sigma(rows, grad_map), grad)
+        origin, dirs = _view_rays(cam, res)
+        first, stop = _box_sample_ranges(spec, origin, dirs, plan.t)
+        # only the one-sample margin on each side is generated in vain
+        assert cols.size <= np.sum(stop - first) <= cols.size + 2 * dirs.shape[0]
+        return cols.size
+
+    def test_seeded_random_cameras(self):
+        # cameras around and inside the grid, aimed roughly at its center
+        rng = np.random.default_rng(11)
+        center = self.SPEC.origin + 0.5 * np.asarray(self.SPEC.dims) * self.SPEC.voxel_size
+        for trial in range(8):
+            offset = rng.uniform([-2.0, -2.0, -1.0], [5.0, 4.5, 3.0])
+            to_center = center - offset
+            yaw = np.arctan2(to_center[1], to_center[0]) + rng.uniform(-0.5, 0.5)
+            cam = self.camera(yaw, offset, pitch=rng.uniform(-0.4, 0.4))
+            assert self.check(self.SPEC, cam, self.RES, 0.3, 8.0, 40, trial) > 0
+
+    def test_camera_inside_the_grid(self):
+        cam = self.camera(0.7, [1.8, 1.1, 1.2])
+        assert self.check(self.SPEC, cam, self.RES, 0.05, 4.0, 32, 12) > 0
+
+    @pytest.mark.parametrize("z", [0.1, np.nextafter(0.1, -1.0), 0.1 - 1e-6, 2.1])
+    def test_axis_aligned_rays(self, z):
+        # level mount at yaw 0: the middle image row has a zero z direction
+        # component and the middle column a zero y component. With the
+        # origin on the z = 0.1 face, one ulp below it (the exact test still
+        # keeps that row) and clearly outside, the row must match the
+        # unclipped reference.
+        res = (9, 11)
+        cam = self.camera(0.0, [-1.0, 0.9, z], res)
+        _, dirs = _view_rays(cam, res)
+        assert np.all(dirs[4 * 11 : 5 * 11, 2] == 0.0) and np.all(dirs[5::11, 1] == 0.0)
+        self.check(self.SPEC, cam, res, 0.5, 6.0, 30, 13)
+
+    def test_origin_one_ulp_outside_keeps_the_face_samples(self):
+        res = (9, 11)
+        cam = self.camera(0.0, [-1.0, 0.9, np.nextafter(0.1, -1.0)], res)
+        dm = render_view(
+            DensityField(np.ones(self.SPEC.dims), self.SPEC), cam, res, 0.5, 6.0, 30
+        )
+        assert np.all(dm.opacity[4] > 0)
+
+    def test_camera_facing_away(self):
+        cam = self.camera(np.pi, [-1.0, 1.0, 1.0])
+        assert self.check(self.SPEC, cam, self.RES, 0.3, 8.0, 40, 14) == 0
+
+    @pytest.mark.parametrize("t_near, kept_any", [(2.0, True), (5.0, False)])
+    def test_t_near_beyond_the_box(self, t_near, kept_any):
+        # the grid spans 1.3 to 4.3 m ahead: t_near = 2 starts inside it,
+        # t_near = 5 beyond it
+        cam = self.camera(0.0, [-1.0, 1.0, 1.1])
+        kept = self.check(self.SPEC, cam, self.RES, t_near, t_near + 6.0, 30, 15)
+        assert (kept > 0) == kept_any
 
 
 class TestExports:

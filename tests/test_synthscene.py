@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from occgeom import formats
 from occgeom.camera import Camera, camera_pose_at
 from occgeom.cast import PhotometricConfig, make_warp_context, photometric_loss, warp_image
 from occgeom.renderer import render_view
@@ -274,6 +275,39 @@ class TestPersistence:
             np.testing.assert_allclose(
                 dm1.depth[dm1.valid], dm0.depth[dm0.valid], rtol=1e-6
             )
+
+    @pytest.fixture
+    def saved(self, tmp_path):
+        save_scene(bundle(seed=9, preset="boxes"), tmp_path / "scene")
+        return tmp_path / "scene"
+
+    @pytest.mark.parametrize("name", ["grid.raw", "visible.raw"])
+    def test_raw_grid_size_mismatch_rejected(self, saved, name):
+        raw = (saved / name).read_bytes()
+        (saved / name).write_bytes(raw[:-1])
+        with pytest.raises(ValueError, match=f"{name}: {len(raw) - 1} bytes, expected {len(raw)}"):
+            load_scene(saved)
+
+    @pytest.mark.parametrize(
+        "rel, write",
+        [
+            ("images/cam1_t0.ppm", lambda p: formats.write_ppm(p, np.zeros((24, 39, 3)))),
+            ("depths/cam0_t1.pfm", lambda p: formats.write_pfm(p, np.zeros((23, 40)))),
+            ("depths/cam0_t0_valid.pgm", lambda p: formats.write_pgm8(p, np.zeros((40, 24), "u1"))),
+        ],
+        ids=["ppm", "pfm", "pgm"],
+    )
+    def test_image_shape_mismatch_rejected(self, saved, rel, write):
+        write(saved / rel)
+        with pytest.raises(ValueError, match=f"{rel.split('/')[-1]}: image shape .* image_size"):
+            load_scene(saved)
+
+    def test_label_above_num_classes_rejected(self, saved):
+        labels = np.frombuffer((saved / "grid.raw").read_bytes(), np.uint8).copy()
+        labels[5] = 7
+        (saved / "grid.raw").write_bytes(labels.tobytes())
+        with pytest.raises(ValueError, match="grid.raw: label 7 above num_classes 4"):
+            load_scene(saved)
 
     def test_saved_bytes_deterministic(self, tmp_path):
         b = bundle(seed=10, preset="corridor")
