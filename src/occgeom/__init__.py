@@ -10,7 +10,13 @@ Subpackages by concern:
   metrics         occupancy IoU / mIoU
   synthscene      procedural test worlds and first-hit oracles
   cli             the `occgeom` command line
+
+Importing the package fixes glibc's malloc thresholds (see `_malloc`).
 """
+
+from . import _malloc
+
+_malloc.fix_thresholds()
 
 from .camera import Camera, CameraRig, Intrinsics, Pose
 from .cast import PhotometricConfig, WarpContext
