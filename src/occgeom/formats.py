@@ -2,12 +2,43 @@
 
 PFM is written little-endian (scale -1.0) with rows bottom-to-top per the
 format convention; PGM/PPM are the binary (P5/P6) variants, big-endian for
-16-bit PGM. All writers are byte-deterministic.
+16-bit PGM. All writers are byte-deterministic. Readers check the header
+and that the payload holds exactly the pixels it declares, and raise a
+ValueError naming the file otherwise.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+
+def _read_size(f, path) -> tuple[int, int]:
+    """Width and height from the next header line; both must be positive."""
+    line = f.readline()
+    try:
+        w, h = (int(x) for x in line.split())
+    except ValueError:
+        raise ValueError(f"{path}: bad size line {line!r}") from None
+    if w <= 0 or h <= 0:
+        raise ValueError(f"{path}: width and height must be positive, got {w} x {h}")
+    return w, h
+
+
+def _read_number(f, path, kind, what: str):
+    """The next header line as a number of type `kind`."""
+    line = f.readline()
+    try:
+        return kind(line)
+    except ValueError:
+        raise ValueError(f"{path}: bad {what} line {line!r}") from None
+
+
+def _read_payload(f, path, nbytes: int) -> bytes:
+    """The rest of the file, which must be exactly nbytes long."""
+    data = f.read()
+    if len(data) != nbytes:
+        raise ValueError(f"{path}: payload is {len(data)} bytes, expected {nbytes}")
+    return data
 
 
 def write_pfm(path, data: np.ndarray) -> None:
@@ -26,10 +57,12 @@ def read_pfm(path) -> np.ndarray:
     with open(path, "rb") as f:
         if f.readline().strip() != b"Pf":
             raise ValueError(f"{path} is not a grayscale PFM")
-        w, h = (int(x) for x in f.readline().split())
-        scale = float(f.readline())
+        w, h = _read_size(f, path)
+        scale = _read_number(f, path, float, "scale")
+        if not (np.isfinite(scale) and scale != 0.0):
+            raise ValueError(f"{path}: PFM scale must be finite and nonzero, got {scale}")
         dtype = "<f4" if scale < 0 else ">f4"
-        data = np.frombuffer(f.read(4 * w * h), dtype=dtype).reshape(h, w)
+        data = np.frombuffer(_read_payload(f, path, 4 * w * h), dtype=dtype).reshape(h, w)
     return data[::-1].astype(np.float64)
 
 
@@ -57,10 +90,13 @@ def read_pgm(path) -> np.ndarray:
     with open(path, "rb") as f:
         if f.readline().strip() != b"P5":
             raise ValueError(f"{path} is not a binary PGM")
-        w, h = (int(x) for x in f.readline().split())
-        maxval = int(f.readline())
-        dtype = ">u2" if maxval > 255 else np.uint8
-        return np.frombuffer(f.read(), dtype=dtype).reshape(h, w).astype(np.int64)
+        w, h = _read_size(f, path)
+        maxval = _read_number(f, path, int, "maxval")
+        if not 0 < maxval <= 65535:
+            raise ValueError(f"{path}: PGM maxval must be in 1..65535, got {maxval}")
+        dtype = np.dtype(">u2" if maxval > 255 else np.uint8)
+        data = _read_payload(f, path, dtype.itemsize * w * h)
+    return np.frombuffer(data, dtype=dtype).reshape(h, w).astype(np.int64)
 
 
 def write_ppm(path, rgb: np.ndarray) -> None:
@@ -80,8 +116,9 @@ def read_ppm(path) -> np.ndarray:
     with open(path, "rb") as f:
         if f.readline().strip() != b"P6":
             raise ValueError(f"{path} is not a binary PPM")
-        w, h = (int(x) for x in f.readline().split())
-        if int(f.readline()) != 255:
-            raise ValueError("only 8-bit PPM supported")
-        data = np.frombuffer(f.read(), dtype=np.uint8).reshape(h, w, 3)
+        w, h = _read_size(f, path)
+        maxval = _read_number(f, path, int, "maxval")
+        if maxval != 255:
+            raise ValueError(f"{path}: only 8-bit PPM (maxval 255) supported, got {maxval}")
+        data = np.frombuffer(_read_payload(f, path, 3 * w * h), dtype=np.uint8).reshape(h, w, 3)
     return data.astype(np.float64) / 255.0

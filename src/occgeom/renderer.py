@@ -115,14 +115,19 @@ def sample_density(field: DensityField, positions: np.ndarray) -> np.ndarray:
 def _render_batch(
     sigma: np.ndarray, t: np.ndarray, deltas: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Transmittance-weighted depth for [R x S] density rows.
+    """Transmittance-weighted depth for [R x W] density rows: the first W of
+    the S samples in t and deltas, every later sample of zero density.
 
     Returns (depth [R], opacity [R], weights [R x S]).
     """
-    a = sigma * deltas
+    w = sigma.shape[-1]
+    a = sigma * deltas[..., :w]
     prefix = np.cumsum(a, axis=-1)
     transmittance = np.exp(-(prefix - a))  # T_i excludes the i-th interval
-    weights = transmittance * (1.0 - np.exp(-a))
+    weights = np.zeros(sigma.shape[:-1] + t.shape[-1:])
+    np.multiply(transmittance, 1.0 - np.exp(-a), out=weights[..., :w])
+    # sum whole rows: numpy's pairwise summation groups a row cut to the
+    # first W columns differently, and the depth would change in its last bits
     depth = np.sum(weights * t, axis=-1)
     opacity = np.sum(weights, axis=-1)
     return depth, opacity, weights
@@ -146,12 +151,16 @@ def render_depth(
 def _depth_grad_batch(
     sigma: np.ndarray, t: np.ndarray, deltas: np.ndarray
 ) -> np.ndarray:
-    """d(depth)/d(sigma_k) for [R x S] density rows.
+    """d(depth)/d(sigma_k) [R x W] for [R x W] density rows, the first W of
+    the S samples in t and deltas as in _render_batch.
 
     From the chain rule through the weights:
         d depth / d sigma_k = delta_k * (T_k e^{-sigma_k delta_k} t_k
                                          - sum_{i>k} w_i t_i).
+    Samples past W have zero weight, so the tail sum over the first W
+    samples is exact.
     """
+    t, deltas = t[..., : sigma.shape[-1]], deltas[..., : sigma.shape[-1]]
     a = sigma * deltas
     prefix = np.cumsum(a, axis=-1)
     transmittance = np.exp(-(prefix - a))
@@ -206,29 +215,39 @@ def _midpoint_samples(
 class PlanChunk:
     """The in-grid ray samples of one block of consecutive pixels.
 
-    Samples sit in the block's dense [R x S] row order; only those inside
-    the trilinear sampling box are kept, since every other sample reads
-    exactly zero density.
+    Only samples inside the trilinear sampling box are kept, since every
+    other sample reads exactly zero density. The block's live window is its
+    first `width` samples per ray, 1 + the largest kept sample index (0 when
+    none is kept); kept samples sit in the dense [R x width] row order.
+    Densities are read from, and adjoints added into, the flat zero-padded
+    grid of tensor._trilinear_corners: sigma inside a zero shell one cell
+    thick.
     """
 
     start: int  # first pixel of the block (row-major)
     stop: int
-    samples: int  # S, samples per ray
-    cols: np.ndarray  # [M] flat positions of the kept samples in [R x S]
-    idx: np.ndarray  # [M x 8] flat corner indices into the density grid
+    width: int  # live samples per ray
+    cols: np.ndarray  # [M] flat positions of the kept samples in [R x width]
+    idx: np.ndarray  # [M x 8] flat corner indices into the padded grid
     wgt: np.ndarray  # [M x 8] trilinear weights
 
-    def gather(self, sigma_flat: np.ndarray) -> np.ndarray:
-        """Density rows [R x S] of the block; zero outside the grid."""
-        rows = np.zeros((self.stop - self.start) * self.samples)
-        rows[self.cols] = np.sum(sigma_flat[self.idx] * self.wgt, axis=1)
-        return rows.reshape(self.stop - self.start, self.samples)
+    def gather(self, sigma_pad: np.ndarray) -> np.ndarray:
+        """Density rows [R x width] of the block from the flat padded grid;
+        zero outside the grid."""
+        rows = np.zeros((self.stop - self.start) * self.width)
+        rows[self.cols] = np.sum(sigma_pad[self.idx] * self.wgt, axis=1)
+        return rows.reshape(self.stop - self.start, self.width)
 
     def scatter(self, out: np.ndarray, per_sample: np.ndarray) -> None:
-        """Adjoint of gather: add per-sample values [R x S] into the flat
-        grid `out`, corner by corner in sample order."""
+        """Adjoint of gather: add per-sample values [R x width] into the flat
+        padded grid `out`, corner by corner in sample order."""
         y = per_sample.reshape(-1)[self.cols]
         np.add.at(out, self.idx.ravel(), (y[:, None] * self.wgt).ravel())
+
+
+def _padded_grid(dims: tuple[int, ...]) -> np.ndarray:
+    """A zero [(X+2) x (Y+2) x (Z+2)] grid for a density grid of `dims`."""
+    return np.zeros(tuple(d + 2 for d in dims))
 
 
 def _box_sample_ranges(
@@ -284,26 +303,27 @@ def _plan_chunks(
         pos = origin + t[k][:, None] * dirs[start + ray]
         coords = spec.world_to_grid(pos)
         keep = _trilinear_in_box(spec.dims, coords)
+        ray, k = ray[keep], k[keep]
+        width = int(k.max()) + 1 if k.size else 0
         idx, wgt = _trilinear_corners(spec.dims, coords[keep])
-        yield PlanChunk(start, end, s, (ray * s + k)[keep], idx, wgt)
+        yield PlanChunk(start, end, width, ray * width + k, idx, wgt)
 
 
 def _render_chunks(
-    field: DensityField,
+    sigma_pad: np.ndarray,
     chunks: Iterable[PlanChunk],
     resolution: tuple[int, int],
     t: np.ndarray,
     deltas: np.ndarray,
     rows_out: list | None = None,
 ) -> DepthMap:
-    """Forward render over plan chunks; appends each block's density rows
-    to `rows_out` when given."""
+    """Forward render over plan chunks from the flat padded density grid;
+    appends each block's density rows to `rows_out` when given."""
     h, w = resolution
     depth = np.empty(h * w)
     opacity = np.empty(h * w)
-    sigma_flat = field.sigma.ravel()
     for chunk in chunks:
-        rows = chunk.gather(sigma_flat)
+        rows = chunk.gather(sigma_pad)
         d, o, _ = _render_batch(rows, t[None, :], deltas[None, :])
         depth[chunk.start : chunk.stop] = d
         opacity[chunk.start : chunk.stop] = o
@@ -327,11 +347,12 @@ def _grad_chunks(
     if grad_depth.shape != tuple(resolution):
         raise ValueError(f"grad_depth {grad_depth.shape} vs resolution {tuple(resolution)}")
     gflat = grad_depth.ravel()
-    out = np.zeros(int(np.prod(spec.dims)))
+    out = _padded_grid(spec.dims)
+    flat = out.ravel()
     for chunk, rows in chunk_rows:
         dsig = _depth_grad_batch(rows, t[None, :], deltas[None, :])
-        chunk.scatter(out, dsig * gflat[chunk.start : chunk.stop, None])
-    return out.reshape(spec.dims)
+        chunk.scatter(flat, dsig * gflat[chunk.start : chunk.stop, None])
+    return out[1:-1, 1:-1, 1:-1].copy()
 
 
 class RayPlan:
@@ -341,7 +362,9 @@ class RayPlan:
     sample count, never on sigma, so a plan built once serves every forward
     render and adjoint of that view. It holds the corners and weights of
     every in-grid sample of the view; `render_view` streams the same plan
-    block by block instead, to bound memory on one-shot renders.
+    block by block instead, to bound memory on one-shot renders. Each
+    render copies sigma into one padded grid the plan keeps, so one plan
+    must not render two fields at the same time.
     """
 
     def __init__(
@@ -357,6 +380,7 @@ class RayPlan:
         self.resolution = tuple(resolution)
         self.t, self.deltas = _midpoint_samples(t_near, t_far, samples)
         self.chunks = tuple(_plan_chunks(spec, cam, self.resolution, self.t))
+        self._sigma_pad = _padded_grid(spec.dims)
 
     def render(self, field: DensityField) -> tuple[DepthMap, list[np.ndarray]]:
         """render_view through the plan, plus the per-block density rows
@@ -365,7 +389,9 @@ class RayPlan:
         if grids[0] != grids[1]:
             raise ValueError(f"density field grid {grids[0]} differs from the plan's {grids[1]}")
         rows: list[np.ndarray] = []
-        dm = _render_chunks(field, self.chunks, self.resolution, self.t, self.deltas, rows)
+        self._sigma_pad[1:-1, 1:-1, 1:-1] = field.sigma
+        sigma_pad = self._sigma_pad.ravel()
+        dm = _render_chunks(sigma_pad, self.chunks, self.resolution, self.t, self.deltas, rows)
         return dm, rows
 
     def grad_sigma(self, rows: list[np.ndarray], grad_depth: np.ndarray) -> np.ndarray:
@@ -394,7 +420,8 @@ def render_view(
     """
     t, deltas = _midpoint_samples(t_near, t_far, samples)
     chunks = _plan_chunks(field.spec, cam, resolution, t)
-    return _render_chunks(field, chunks, resolution, t, deltas)
+    sigma_pad = np.pad(field.sigma, 1).ravel()
+    return _render_chunks(sigma_pad, chunks, resolution, t, deltas)
 
 
 def render_view_grad_sigma(
@@ -414,9 +441,9 @@ def render_view_grad_sigma(
     the forward render.
     """
     t, deltas = _midpoint_samples(t_near, t_far, samples)
-    sigma_flat = field.sigma.ravel()
+    sigma_pad = np.pad(field.sigma, 1).ravel()
     chunk_rows = (
-        (chunk, chunk.gather(sigma_flat))
+        (chunk, chunk.gather(sigma_pad))
         for chunk in _plan_chunks(field.spec, cam, resolution, t)
     )
     return _grad_chunks(chunk_rows, grad_depth, field.spec, resolution, t, deltas)

@@ -154,25 +154,48 @@ def _trilinear_in_box(dims, xyz: Array) -> Array:
 
 
 def _trilinear_corners(dims: tuple[int, ...], xyz: Array) -> tuple[Array, Array]:
-    """Flat corner indices [N x 8] and trilinear weights [N x 8] of grid
-    coordinates xyz [N x 3] on an [X x Y x Z] grid of extent `dims`, as
-    _trilinear_parts gives them, without sampling a volume."""
-    _, _, idx, wgt = _trilinear(dims, xyz)
-    return idx, wgt
+    """Corner indices [N x 8] and trilinear weights [N x 8] of grid
+    coordinates xyz [N x 3], all inside [-0.5, dim-0.5] (see
+    _trilinear_in_box), on an [X x Y x Z] grid of extent `dims`.
+
+    Indices address the flat zero-padded [(X+2) x (Y+2) x (Z+2)] grid, with
+    cell (x, y, z) at (x+1, y+1, z+1); a corner past the grid's edge reads
+    the zero shell, so no clipping or bound masks are needed. Corners come
+    in _trilinear's (dx, dy, dz) order, and every corner inside the grid
+    gets the weight _trilinear_parts gives it, bit for bit.
+    """
+    sx, sy = (dims[1] + 2) * (dims[2] + 2), dims[2] + 2
+    lo = np.floor(xyz)
+    f = xyz - lo
+    g = 1.0 - f
+    cell = lo.astype(np.int64)
+    # floor(xyz) >= -1, so the low corner's padded cell is floor(xyz) + 1
+    base = cell[:, 0] * sx + cell[:, 1] * sy + cell[:, 2] + (sx + sy + 1)
+    offsets = [dx * sx + dy * sy + dz for dx in (0, 1) for dy in (0, 1) for dz in (0, 1)]
+    wgt = np.empty((xyz.shape[0], 8))
+    k = 0
+    for dx in (0, 1):
+        wx = f[:, 0] if dx else g[:, 0]
+        for dy in (0, 1):
+            wxy = wx * (f[:, 1] if dy else g[:, 1])
+            for dz in (0, 1):
+                np.multiply(wxy, f[:, 2] if dz else g[:, 2], out=wgt[:, k])
+                k += 1
+    return base[:, None] + np.array(offsets), wgt
 
 
 def _trilinear(
-    dims: tuple[int, ...], xyz: Array, vol: Array | None = None
-) -> tuple[Array | None, Array, Array, Array]:
-    """The trilinear kernel behind _trilinear_parts and _trilinear_corners:
-    box flags, corner indices and weights, then the gather from `vol`
-    (values are None without one).
+    dims: tuple[int, ...], xyz: Array, vol: Array
+) -> tuple[Array, Array, Array, Array]:
+    """The trilinear kernel behind _trilinear_parts: box flags, corner
+    indices and weights, then the gather from `vol`.
 
     The gather stays in this frame, after the corner loop, while the loop's
     arrays are still alive. Peak RSS of the in-process occupancy pipeline
-    depends on this allocation order: with the gather moved after the
-    corner arrays were freed, glibc's heap fragmented after some tens of
-    operations and peak RSS rose by about 31 MB in some runs only.
+    (trilinear_sample through view_transform.upsample_trilinear) depends on
+    this allocation order: with the gather moved after the corner arrays
+    were freed, glibc's heap fragmented after some tens of operations and
+    peak RSS rose by about 31 MB in some runs only.
     """
     dims = np.array(dims)
     valid = _trilinear_in_box(dims, xyz)
@@ -206,9 +229,7 @@ def _trilinear(
                 idx[:, k] = flat
                 wgt[:, k] = w
                 k += 1
-    if vol is None:
-        vals = None
-    elif vol.ndim == 4:
+    if vol.ndim == 4:
         corners = vol.reshape(vol.shape[0], -1).T[idx]  # N x 8 x C
         vals = np.einsum("nkc,nk->nc", corners, wgt)
     else:

@@ -57,3 +57,52 @@ class TestPpm:
         p = tmp_path / "q.ppm"
         formats.write_ppm(p, img)
         assert np.array_equal(formats.read_ppm(p), img)
+
+
+WRITERS = {
+    "pfm": (formats.write_pfm, formats.read_pfm, np.zeros((5, 7)), 4 * 35),
+    "pgm16": (formats.write_pgm16, formats.read_pgm, np.zeros((5, 7), np.uint16), 2 * 35),
+    "pgm8": (formats.write_pgm8, formats.read_pgm, np.zeros((5, 7), np.uint8), 35),
+    "ppm": (formats.write_ppm, formats.read_ppm, np.zeros((5, 7, 3)), 3 * 35),
+}
+
+
+class TestMalformed:
+    @pytest.mark.parametrize("kind", sorted(WRITERS))
+    def test_truncated_payload_names_the_file(self, tmp_path, kind):
+        write, read, data, nbytes = WRITERS[kind]
+        p = tmp_path / f"cut.{kind}"
+        write(p, data)
+        p.write_bytes(p.read_bytes()[:-3])
+        message = f"cut.{kind}: payload is {nbytes - 3} bytes, expected {nbytes}"
+        with pytest.raises(ValueError, match=message):
+            read(p)
+
+    @pytest.mark.parametrize("kind", sorted(WRITERS))
+    def test_trailing_bytes_rejected(self, tmp_path, kind):
+        write, read, data, nbytes = WRITERS[kind]
+        p = tmp_path / f"long.{kind}"
+        write(p, data)
+        p.write_bytes(p.read_bytes() + b"\0")
+        with pytest.raises(ValueError, match=f"payload is {nbytes + 1} bytes, expected {nbytes}"):
+            read(p)
+
+    @pytest.mark.parametrize(
+        "head, read, message",
+        [
+            (b"Pf\n0 2\n-1.0\n", formats.read_pfm, "width and height must be positive"),
+            (b"Pf\n3 -2\n-1.0\n", formats.read_pfm, "width and height must be positive"),
+            (b"Pf\n3\n-1.0\n", formats.read_pfm, "bad size line"),
+            (b"Pf\n3 2\nabc\n", formats.read_pfm, "bad scale line"),
+            (b"Pf\n3 2\n0.0\n", formats.read_pfm, "PFM scale must be finite and nonzero"),
+            (b"P5\n3 2\n0\n", formats.read_pgm, "PGM maxval must be in 1..65535"),
+            (b"P5\n3 2\n70000\n", formats.read_pgm, "PGM maxval must be in 1..65535"),
+            (b"P6\n3 2\n65535\n", formats.read_ppm, "only 8-bit PPM"),
+            (b"P6\n3 x\n255\n", formats.read_ppm, "bad size line"),
+        ],
+    )
+    def test_bad_header_names_the_file(self, tmp_path, head, read, message):
+        p = tmp_path / "bad.img"
+        p.write_bytes(head + bytes(24))
+        with pytest.raises(ValueError, match=f"bad.img: {message}"):
+            read(p)

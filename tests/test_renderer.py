@@ -345,7 +345,8 @@ class TestRayPlan:
         dm, rows = plan.render(field)
         assert rows[0][center, 0] == 0.5 * sigma[0, 1, 1]
         assert rows[0][center, 4] == 0.5 * sigma[3, 1, 1]
-        assert rows[0][center, 5] == 0.0
+        # t = 7 lies past the box for every ray: no block keeps sample 5
+        assert rows[0].shape == (15, 5)
         grad_map = np.random.default_rng(7).normal(size=(3, 5))
         depth, opacity, grad = dense_render(field, cam, (3, 5), t_near, t_near + s, s, grad_map)
         assert np.array_equal(dm.depth, depth) and np.array_equal(dm.opacity, opacity)
@@ -368,12 +369,14 @@ class TestRayPlan:
             assert np.all(g == 0.0)
 
     def test_corner_operator_adjoint_identity(self):
-        # <gather(v), y> == <v, scatter(y)> for every chunk of the plan
+        # <gather(v), y> == <v, scatter(y)> for every chunk of the plan, with
+        # v on the whole padded grid, its zero shell included
         rng = np.random.default_rng(9)
         plan = RayPlan(self.SPEC, self.camera(), self.RES, 0.5, 5.0, 24)
+        padded = int(np.prod([d + 2 for d in self.SPEC.dims]))
         for chunk in plan.chunks:
-            v = rng.normal(size=self.SPEC.dims).ravel()
-            y = rng.normal(size=(chunk.stop - chunk.start, 24))
+            v = rng.normal(size=padded)
+            y = rng.normal(size=(chunk.stop - chunk.start, chunk.width))
             scattered = np.zeros(v.size)
             chunk.scatter(scattered, y)
             lhs = float(np.sum(chunk.gather(v) * y))
@@ -448,8 +451,15 @@ class TestRayClipping:
         rng = np.random.default_rng(seed)
         plan = RayPlan(spec, cam, res, t_near, t_far, s)
         cols, idx, wgt = unclipped_plan(spec, cam, res, plan.t)
-        got_cols = np.concatenate([c.start * s + c.cols for c in plan.chunks])
+        # kept samples sit in each block's [R x width] window: back to [N x S]
+        got_cols = np.concatenate(
+            [(c.start + c.cols // c.width) * s + c.cols % c.width if c.width else c.cols
+             for c in plan.chunks]
+        )
         assert np.array_equal(got_cols, cols)
+        for c in plan.chunks:  # the window ends at the block's last kept sample
+            last = (c.cols % c.width).max() if c.cols.size else -1
+            assert c.width == last + 1
         assert np.array_equal(np.concatenate([c.idx for c in plan.chunks]), idx)
         assert np.array_equal(np.concatenate([c.wgt for c in plan.chunks]), wgt)
         field = DensityField(rng.uniform(0.2, 3.0, spec.dims), spec)
@@ -504,6 +514,20 @@ class TestRayClipping:
             DensityField(np.ones(self.SPEC.dims), self.SPEC), cam, res, 0.5, 6.0, 30
         )
         assert np.all(dm.opacity[4] > 0)
+
+    def test_live_window_of_rays_that_exit_early(self):
+        # inside the grid, just under its top face and pitched up: every ray
+        # leaves the box within its first 21 of S = 60 samples, and the rays
+        # of the first block leave it before their first sample
+        spec = VoxelGridSpec((6, 6, 4), np.zeros(3), 0.5)
+        res, s = (36, 40), 60
+        intr = Intrinsics(fx=30.0, fy=30.0, cx=19.5, cy=17.5, width=40, height=36)
+        mount = level_camera_mount(0.3, [1.4, 1.5, 1.9])
+        tilt = rotation_from_angles(0.0, -0.6)
+        cam = Camera(intr, Pose(tilt @ mount.rotation, mount.translation))
+        plan = RayPlan(spec, cam, res, 0.2, 6.0, s)
+        assert [c.width for c in plan.chunks] == [0, 5, 21]
+        assert self.check(spec, cam, res, 0.2, 6.0, s, 16) > 0
 
     def test_camera_facing_away(self):
         cam = self.camera(np.pi, [-1.0, 1.0, 1.0])

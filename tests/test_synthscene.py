@@ -1,5 +1,7 @@
 """Tests for the synthetic worlds and first-hit oracles."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -300,6 +302,19 @@ class TestPersistence:
     def test_image_shape_mismatch_rejected(self, saved, rel, write):
         write(saved / rel)
         with pytest.raises(ValueError, match=f"{rel.split('/')[-1]}: image shape .* image_size"):
+            load_scene(saved)
+
+    @pytest.mark.parametrize(
+        "rel, pixel_bytes",
+        [("images/cam1_t0.ppm", 3), ("depths/cam0_t1.pfm", 4), ("depths/cam1_t1_valid.pgm", 1)],
+    )
+    def test_truncated_image_rejected(self, saved, rel, pixel_bytes):
+        raw = (saved / rel).read_bytes()
+        (saved / rel).write_bytes(raw[:-3])
+        h, w = json.loads((saved / "scene.json").read_text())["image_size"]
+        n = h * w * pixel_bytes
+        name = rel.split("/")[-1]
+        with pytest.raises(ValueError, match=f"{name}: payload is {n - 3} bytes, expected {n}"):
             load_scene(saved)
 
     def test_label_above_num_classes_rejected(self, saved):

@@ -104,6 +104,30 @@ class TestBilinearSample:
                     (vh - vl)[0] / (2 * eps), grad[k], atol=1e-6
                 )
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_gradient_property_away_from_seams(self, seed):
+        # inside one pixel cell the sample is bilinear in (u, v), so a central
+        # difference along any direction equals the analytic derivative up to
+        # rounding; points keep 0.01 px from the seams and the image edge
+        rng = np.random.default_rng(40 + seed)
+        h, w, c = rng.integers(2, 12, size=3)
+        img = rng.normal(size=(h, w, c))
+        n = 64
+        cell = np.stack([rng.integers(0, w - 1, n), rng.integers(0, h - 1, n)], axis=1)
+        uv = cell + rng.uniform(0.01, 0.99, size=(n, 2))
+        d = rng.uniform(-1.0, 1.0, size=(n, 2))
+        eps = 1e-6
+        hi, ok_hi = tensor.bilinear_sample(img, uv + eps * d)
+        lo, ok_lo = tensor.bilinear_sample(img, uv - eps * d)
+        assert ok_hi.all() and ok_lo.all()
+        du, dv = tensor.bilinear_sample_grad(img, uv)
+        np.testing.assert_allclose(
+            (hi - lo) / (2 * eps), du * d[:, :1] + dv * d[:, 1:], rtol=0, atol=1e-8
+        )
+        outside = np.array([[-0.5, 0.5], [w - 0.5, 0.5], [0.5, -0.5], [0.5, h - 0.5]])
+        du, dv = tensor.bilinear_sample_grad(img, outside)
+        assert np.all(du == 0.0) and np.all(dv == 0.0)
+
 
 class TestTrilinearSample:
     def test_center_exact(self):
@@ -132,6 +156,44 @@ class TestTrilinearSample:
             single, ok2 = tensor.trilinear_sample(vol[c], pts)
             np.testing.assert_allclose(vals[:, c], single, atol=1e-14)
             assert np.array_equal(ok, ok2)
+
+
+class TestTrilinearCorners:
+    """The ray plan's padded-grid corner kernel against _trilinear_parts."""
+
+    CORNERS = np.array([(dx, dy, dz) for dx in (0, 1) for dy in (0, 1) for dz in (0, 1)])
+
+    @pytest.mark.parametrize("dims", [(3, 4, 5), (1, 2, 6), (6, 1, 1)])
+    def test_matches_trilinear_parts(self, dims):
+        rng = np.random.default_rng(sum(dims))
+        n, top = 500, np.asarray(dims) - 0.5
+        # per axis: the low face, the high face, a cell center or anywhere
+        kind = rng.integers(0, 4, size=(n, 3))
+        xyz = np.select(
+            [kind == 0, kind == 1, kind == 2],
+            [np.full((n, 3), -0.5), np.broadcast_to(top, (n, 3)),
+             rng.integers(0, dims, size=(n, 3)).astype(float)],
+            rng.uniform(-0.5, top, size=(n, 3)),
+        )
+        assert tensor._trilinear_in_box(dims, xyz).all()
+        vol = rng.uniform(size=dims)
+        vals, _, idx, wgt = tensor._trilinear_parts(vol, xyz)
+        pidx, pwgt = tensor._trilinear_corners(dims, xyz)
+        padded = tuple(d + 2 for d in dims)
+        assert pidx.min() >= 0 and pidx.max() < np.prod(padded)
+        cell = np.stack(np.unravel_index(pidx, padded), axis=-1) - 1  # [n x 8 x 3]
+        assert np.array_equal(cell, np.floor(xyz)[:, None, :] + self.CORNERS)
+        inside = np.all((cell >= 0) & (cell < dims), axis=-1)
+        assert inside.any() and not inside.all()
+        # in-range corners: the same cell with a bit-equal weight
+        assert np.array_equal(np.ravel_multi_index(tuple(cell[inside].T), dims), idx[inside])
+        assert np.array_equal(pwgt[inside].view(np.int64), wgt[inside].view(np.int64))
+        # out-of-range corners: the zero shell, which _trilinear_parts weighs 0
+        assert np.all(np.any((cell == -1) | (cell == dims), axis=-1)[~inside])
+        assert np.all(wgt[~inside] == 0.0)
+        # the plan's gather from the padded volume is trilinear_sample, bitwise
+        gathered = np.sum(np.pad(vol, 1).ravel()[pidx] * pwgt, axis=1)
+        assert np.array_equal(gathered, vals)
 
 
 class TestConv3d:
