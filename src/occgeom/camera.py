@@ -44,11 +44,6 @@ class Intrinsics:
                 f"{self.width}x{self.height} image"
             )
 
-    def matrix(self) -> np.ndarray:
-        return np.array(
-            [[self.fx, 0.0, self.cx], [0.0, self.fy, self.cy], [0.0, 0.0, 1.0]]
-        )
-
     def scaled(self, width: int, height: int) -> "Intrinsics":
         """Intrinsics for the same lens resampled to width x height.
 

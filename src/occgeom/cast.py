@@ -85,40 +85,67 @@ def _target_geometry(k_tgt: Intrinsics, shape: tuple[int, int]) -> np.ndarray:
     return hvec / np.linalg.norm(hvec, axis=1, keepdims=True)
 
 
-def _warp_core(
-    src_img: np.ndarray,
-    target_depth: DepthMap,
-    ctx: WarpContext,
-    k_src: Intrinsics,
-    k_tgt: Intrinsics,
-    with_grad: bool,
-):
-    src_img = as_tensor(src_img)
-    h, w = target_depth.depth.shape
-    units = _target_geometry(k_tgt, (h, w))
-    depth = target_depth.depth.ravel()
-    p_tgt = depth[:, None] * units  # rendered depth is ray distance
+@dataclass(frozen=True)
+class PairGeometry:
+    """The depth-independent part of one context warp."""
+
+    ctx: WarpContext
+    k_src: Intrinsics
+    inv: Pose  # target-camera coords -> source-camera coords
+    units: np.ndarray  # unit target ray per pixel, [H*W x 3]
+    dp_dd: np.ndarray  # d(p_src)/d(depth) per pixel, [H*W x 3]
+
+
+def _pair_geometry(ctx: WarpContext, k_src: Intrinsics, units: np.ndarray) -> PairGeometry:
     inv = ctx.pose.inverse()
-    p_src = inv.apply(p_tgt)
+    return PairGeometry(ctx, k_src, inv, units, units @ inv.rotation.T)
+
+
+def _warp_core(src_img: np.ndarray, target_depth: DepthMap, geom: PairGeometry, with_grad: bool):
+    """(recon, valid, drecon or None): every target pixel is projected, but
+    sampled (and differentiated) only where the warp is valid; other pixels
+    stay 0.
+
+    The validity test repeats bilinear_sample's bound comparisons, and each
+    kept pixel sees the same float operations as a full-image warp, so the
+    result is bit-identical to sampling everything and masking afterwards.
+    """
+    src_img = as_tensor(src_img)
+    if src_img.ndim != 3:
+        raise ValueError(f"warp expects an H x W x C source image, got {src_img.shape}")
+    sh, sw, c = src_img.shape
+    h, w = target_depth.depth.shape
+    k = geom.k_src
+    p_src = geom.inv.apply(target_depth.depth.ravel()[:, None] * geom.units)
     z = p_src[:, 2]
     front = z > 1e-9
     zsafe = np.where(front, z, 1.0)
-    u = k_src.fx * p_src[:, 0] / zsafe + k_src.cx
-    v = k_src.fy * p_src[:, 1] / zsafe + k_src.cy
-    uv = np.stack([u, v], axis=1)
-    samples, in_bounds = bilinear_sample(src_img, uv)
-    valid = target_depth.valid.ravel() & front & in_bounds
-    recon = np.where(valid[:, None], samples, 0.0).reshape(h, w, -1)
-    if not with_grad:
-        return recon, valid.reshape(h, w)
-    # chain rule: d(recon)/d(depth) through the source projection and sampler
-    dp_dd = units @ inv.rotation.T  # d(p_src)/d(depth), per pixel
-    du_dd = k_src.fx * (dp_dd[:, 0] * zsafe - p_src[:, 0] * dp_dd[:, 2]) / zsafe**2
-    dv_dd = k_src.fy * (dp_dd[:, 1] * zsafe - p_src[:, 1] * dp_dd[:, 2]) / zsafe**2
-    gu, gv = bilinear_sample_grad(src_img, uv)
-    drecon = gu * du_dd[:, None] + gv * dv_dd[:, None]
-    drecon = np.where(valid[:, None], drecon, 0.0).reshape(h, w, -1)
-    return recon, valid.reshape(h, w), drecon
+    u = k.fx * p_src[:, 0] / zsafe + k.cx
+    v = k.fy * p_src[:, 1] / zsafe + k.cy
+    valid = (
+        target_depth.valid.ravel() & front
+        & (u >= 0.0) & (u <= sw - 1.0) & (v >= 0.0) & (v <= sh - 1.0)
+    )
+    idx = np.flatnonzero(valid)
+    recon = np.zeros((h * w, c))
+    drecon = np.zeros((h * w, c)) if with_grad else None
+    if idx.size:
+        uv = np.stack([u[idx], v[idx]], axis=1)
+        recon[idx], _ = bilinear_sample(src_img, uv)
+        if with_grad:
+            # chain rule: d(recon)/d(depth) through the source projection and sampler
+            p, dp, zv = p_src[idx], geom.dp_dd[idx], z[idx]
+            du_dd = k.fx * (dp[:, 0] * zv - p[:, 0] * dp[:, 2]) / zv**2
+            dv_dd = k.fy * (dp[:, 1] * zv - p[:, 1] * dp[:, 2]) / zv**2
+            gu, gv = bilinear_sample_grad(src_img, uv)
+            drecon[idx] = gu * du_dd[:, None] + gv * dv_dd[:, None]
+    if with_grad:
+        drecon = drecon.reshape(h, w, c)
+    return recon.reshape(h, w, c), valid.reshape(h, w), drecon
+
+
+def _one_shot_geometry(target_depth, ctx, k_src, k_tgt) -> PairGeometry:
+    return _pair_geometry(ctx, k_src, _target_geometry(k_tgt, target_depth.depth.shape))
 
 
 def warp_image(
@@ -138,7 +165,8 @@ def warp_image(
     Returns:
         (recon [H x W x C], valid [H x W] bool)
     """
-    return _warp_core(src_img, target_depth, ctx, k_src, k_tgt, with_grad=False)
+    geom = _one_shot_geometry(target_depth, ctx, k_src, k_tgt)
+    return _warp_core(src_img, target_depth, geom, with_grad=False)[:2]
 
 
 def warp_image_with_grad(
@@ -149,7 +177,8 @@ def warp_image_with_grad(
     k_tgt: Intrinsics,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """warp_image plus d(recon)/d(target depth), [H x W x C]."""
-    return _warp_core(src_img, target_depth, ctx, k_src, k_tgt, with_grad=True)
+    geom = _one_shot_geometry(target_depth, ctx, k_src, k_tgt)
+    return _warp_core(src_img, target_depth, geom, with_grad=True)
 
 
 def _box_mean(x: np.ndarray, window: int) -> np.ndarray:
@@ -191,17 +220,18 @@ def ssim(a: np.ndarray, b: np.ndarray, window: int = 3) -> np.ndarray:
 
 
 def _ssim_backward(
-    a: np.ndarray, b: np.ndarray, grad_map: np.ndarray, window: int
+    a: np.ndarray, b: np.ndarray, grad_map: np.ndarray, window: int, stats, s
 ) -> np.ndarray:
     """Adjoint of ssim() w.r.t. its second argument.
 
-    grad_map is dL/d(ssim map); returns dL/db. Derived by differentiating
-    the windowed statistics; every window sum reduces to one more box
-    filter, which is self-adjoint under zero padding.
+    grad_map is dL/d(ssim map); returns dL/db. `stats` is
+    _ssim_stats(a, b, window) and `s` the ssim map made from them, both
+    shared with the forward pass. Derived by differentiating the windowed
+    statistics; every window sum reduces to one more box filter, which is
+    self-adjoint under zero padding.
     """
-    mu_a, mu_b, a1, a2, b1, b2 = _ssim_stats(a, b, window)
+    mu_a, mu_b, a1, a2, b1, b2 = stats
     d = b1 * b2
-    s = (a1 * a2) / d
     t_const = (mu_a * (a2 - a1) - s * mu_b * (b2 - b1)) / d
     t_a = a1 / d
     t_b = -s * b1 / d
@@ -210,6 +240,33 @@ def _ssim_backward(
         + a * _box_mean(grad_map * t_a, window)
         + b * _box_mean(grad_map * t_b, window)
     )
+
+
+def _photometric(ref, recon, valid, cfg: PhotometricConfig, with_grad: bool):
+    """photometric_loss and, with_grad, photometric_loss_grad from one set of
+    SSIM statistics. Returns (None, None) when no pixel is valid."""
+    ref = as_tensor(ref)
+    recon = as_tensor(recon)
+    if ref.shape != recon.shape:
+        raise ValueError(f"shape mismatch: {ref.shape} vs {recon.shape}")
+    mask = np.asarray(valid, dtype=bool)
+    n = int(mask.sum()) * ref.shape[2]
+    if n == 0:
+        return None, None
+    m = mask[:, :, None]
+    x = ref * m
+    y = recon * m
+    stats = _ssim_stats(x, y, cfg.ssim_window)
+    _, _, a1, a2, b1, b2 = stats
+    smap = (a1 * a2) / (b1 * b2)
+    per = 0.5 * cfg.alpha * (1.0 - smap) + (1.0 - cfg.alpha) * np.abs(x - y)
+    loss = float(np.sum(per * m) / n)
+    if not with_grad:
+        return loss, None
+    grad_smap = np.where(m, -0.5 * cfg.alpha / n, 0.0)
+    g = _ssim_backward(x, y, grad_smap, cfg.ssim_window, stats, smap)
+    g += np.where(m, (1.0 - cfg.alpha) / n * np.sign(y - x), 0.0)
+    return loss, g * m
 
 
 def photometric_loss(
@@ -222,40 +279,19 @@ def photometric_loss(
     pixels are excluded from the mean. With no valid pixels the loss is 0
     and a RuntimeWarning is emitted.
     """
-    ref = as_tensor(ref)
-    recon = as_tensor(recon)
-    if ref.shape != recon.shape:
-        raise ValueError(f"shape mismatch: {ref.shape} vs {recon.shape}")
-    mask = np.asarray(valid, dtype=bool)
-    n = int(mask.sum()) * ref.shape[2]
-    if n == 0:
+    loss, _ = _photometric(ref, recon, valid, cfg, with_grad=False)
+    if loss is None:
         warnings.warn("photometric loss over empty valid set; returning 0", RuntimeWarning)
         return 0.0
-    m = mask[:, :, None]
-    x = ref * m
-    y = recon * m
-    smap = ssim(x, y, cfg.ssim_window)
-    per = 0.5 * cfg.alpha * (1.0 - smap) + (1.0 - cfg.alpha) * np.abs(x - y)
-    return float(np.sum(per * m) / n)
+    return loss
 
 
 def photometric_loss_grad(
     ref: np.ndarray, recon: np.ndarray, valid: np.ndarray, cfg: PhotometricConfig
 ) -> np.ndarray:
     """d(photometric_loss)/d(recon), [H x W x C]; zero where invalid."""
-    ref = as_tensor(ref)
-    recon = as_tensor(recon)
-    mask = np.asarray(valid, dtype=bool)
-    n = int(mask.sum()) * ref.shape[2]
-    if n == 0:
-        return np.zeros_like(recon)
-    m = mask[:, :, None]
-    x = ref * m
-    y = recon * m
-    grad_smap = np.where(m, -0.5 * cfg.alpha / n, 0.0)
-    g = _ssim_backward(x, y, grad_smap, cfg.ssim_window)
-    g += np.where(m, (1.0 - cfg.alpha) / n * np.sign(y - x), 0.0)
-    return g * m
+    _, g = _photometric(ref, recon, valid, cfg, with_grad=True)
+    return np.zeros_like(as_tensor(recon)) if g is None else g
 
 
 def _ring_neighbors(i: int, n: int) -> list[int]:
@@ -289,11 +325,63 @@ def context_pairs(rig: CameraRig) -> list[tuple[str, tuple[int, int], tuple[int,
     return pairs
 
 
+class ContextPlan:
+    """Depth-independent geometry of every context pair of a rig.
+
+    The counterpart of renderer.RayPlan for the context loss: built once
+    from (rig, target resolution), it holds per pair of context_pairs(rig)
+    the WarpContext, the source intrinsics, the inverse context pose, the
+    unit target rays and their derivative in the source frame. Each loss
+    evaluation then only projects the new depths and samples the pixels
+    whose warp is valid.
+    """
+
+    def __init__(self, rig: CameraRig, resolution: tuple[int, int]):
+        h, w = (int(r) for r in resolution)
+        self.rig = rig
+        self.resolution = (h, w)
+        units = [_target_geometry(c.intrinsics, (h, w)) for c in rig.cameras]
+        self.pairs = [
+            _pair_geometry(
+                make_warp_context(rig, kind, src, tgt),
+                rig.cameras[src[0]].intrinsics,
+                units[tgt[0]],
+            )
+            for kind, src, tgt in context_pairs(rig)
+        ]
+        self.n_pairs = {k: sum(g.ctx.kind == k for g in self.pairs) for k in KINDS}
+
+    def check(self, depths: Sequence[DepthMap]) -> None:
+        """Raise ValueError unless `depths` holds one map per camera at the
+        plan's resolution."""
+        n = len(self.rig.cameras)
+        if len(depths) != n:
+            raise ValueError(f"{len(depths)} depth maps for {n} cameras")
+        h, w = self.resolution
+        for i, dm in enumerate(depths):
+            if dm.depth.shape != (h, w):
+                dh, dw = dm.depth.shape
+                raise ValueError(
+                    f"camera {i}: depth map is {dw}x{dh}, the context plan is {w}x{h}"
+                )
+
+
+def _context_plan(rig, depths, plan) -> ContextPlan:
+    if plan is None:
+        if len(depths) != len(rig.cameras):
+            raise ValueError(f"{len(depths)} depth maps for {len(rig.cameras)} cameras")
+        return ContextPlan(rig, depths[0].depth.shape)
+    if plan.rig is not rig:
+        raise ValueError("the context plan was built for another rig")
+    return plan
+
+
 def cast_loss(
     rig: CameraRig,
     images: Mapping[tuple[int, int], np.ndarray],
     depths: Sequence[DepthMap],
     cfg: PhotometricConfig,
+    plan: ContextPlan | None = None,
 ) -> tuple[float, dict]:
     """Total context-aware self-training loss and its breakdown.
 
@@ -301,9 +389,13 @@ def cast_loss(
     timestamp. Each context term averages its pair losses; with a single
     camera the spatial terms are zero and flagged inactive in the
     breakdown. The breakdown dict is JSON-ready:
-    {"L_t", "L_sp", "L_spt", "total", "active_pairs"}.
+    {"L_t", "L_sp", "L_spt", "total", "active_pairs", "empty_pairs",
+    "valid_px_t", "valid_px_sp", "valid_px_spt"}; a pair is empty when no
+    target pixel warps validly, and valid_px_* sums the valid pixels over
+    each kind's pairs. `plan` is a ContextPlan of `rig` at the depth
+    resolution; without one a one-shot plan is built.
     """
-    total, breakdown, _ = _cast_core(rig, images, depths, cfg, with_grad=False)
+    total, breakdown, _ = _loss_core(rig, images, depths, cfg, plan, with_grad=False)
     return total, breakdown
 
 
@@ -312,63 +404,70 @@ def cast_loss_with_depth_grad(
     images: Mapping[tuple[int, int], np.ndarray],
     depths: Sequence[DepthMap],
     cfg: PhotometricConfig,
+    plan: ContextPlan | None = None,
 ) -> tuple[float, dict, list[np.ndarray]]:
     """cast_loss plus d(total)/d(rendered depth) per camera, each [H x W]."""
-    return _cast_core(rig, images, depths, cfg, with_grad=True)
+    return _loss_core(rig, images, depths, cfg, plan, with_grad=True)
 
 
-def _cast_core(rig, images, depths, cfg, with_grad):
-    n = len(rig.cameras)
-    if len(depths) != n:
-        raise ValueError(f"{len(depths)} depth maps for {n} cameras")
-    ts = rig.timestamps()
-    t_ref = ts[-1]
-    pairs = context_pairs(rig)
-    sums = {"temporal": 0.0, "spatial": 0.0, "spatial_temporal": 0.0}
-    counts = {"temporal": 0, "spatial": 0, "spatial_temporal": 0}
+def _cast_terms(plan, images, depths, cfg, with_grad):
+    plan.check(depths)
     lam = {
         "temporal": cfg.lambda_t,
         "spatial": cfg.lambda_sp,
         "spatial_temporal": cfg.lambda_spt,
     }
-    n_pairs = {k: sum(1 for p in pairs if p[0] == k) for k in sums}
-    grads = [np.zeros_like(depths[i].depth) for i in range(n)] if with_grad else None
+    sums = dict.fromkeys(KINDS, 0.0)
+    valid_px = dict.fromkeys(KINDS, 0)
+    grads = [np.zeros_like(dm.depth) for dm in depths] if with_grad else None
     active = 0
-    for kind, src, tgt in pairs:
+    for geom in plan.pairs:
+        kind, src, tgt = geom.ctx.kind, geom.ctx.source, geom.ctx.target
         if src not in images or tgt not in images:
             raise KeyError(f"missing image for frame {src if src not in images else tgt}")
-        ctx = make_warp_context(rig, kind, src, tgt)
-        k_src = rig.cameras[src[0]].intrinsics
-        k_tgt = rig.cameras[tgt[0]].intrinsics
-        dm = depths[tgt[0]]
-        ref = images[tgt]
-        if with_grad:
-            recon, valid, drecon = warp_image_with_grad(
-                images[src], dm, ctx, k_src, k_tgt
-            )
-        else:
-            recon, valid = warp_image(images[src], dm, ctx, k_src, k_tgt)
-        pair_loss = photometric_loss(ref, recon, valid, cfg)
+        recon, valid, drecon = _warp_core(images[src], depths[tgt[0]], geom, with_grad)
+        n_valid = int(valid.sum())
+        valid_px[kind] += n_valid
+        if n_valid == 0:  # an empty pair adds 0 to its term
+            continue
+        active += 1
+        pair_loss, gl = _photometric(images[tgt], recon, valid, cfg, with_grad)
         sums[kind] += pair_loss
-        if np.any(valid):
-            active += 1
-        if with_grad and np.any(valid):
-            gl = photometric_loss_grad(ref, recon, valid, cfg)
-            grads[tgt[0]] += (lam[kind] / n_pairs[kind]) * np.sum(gl * drecon, axis=2)
-    terms = {
-        k: (sums[k] / n_pairs[k] if n_pairs[k] else 0.0) for k in sums
-    }
-    total = sum(lam[k] * terms[k] for k in terms)
-    breakdown = {
-        "L_t": terms["temporal"],
-        "L_sp": terms["spatial"],
-        "L_spt": terms["spatial_temporal"],
-        "total": total,
+        if with_grad:
+            grads[tgt[0]] += (lam[kind] / plan.n_pairs[kind]) * np.sum(gl * drecon, axis=2)
+    terms = {k: (sums[k] / plan.n_pairs[k] if plan.n_pairs[k] else 0.0) for k in KINDS}
+    total = sum(lam[k] * terms[k] for k in KINDS)
+    counts = {
         "active_pairs": active,
+        "empty_pairs": len(plan.pairs) - active,
+        "valid_px_t": valid_px["temporal"],
+        "valid_px_sp": valid_px["spatial"],
+        "valid_px_spt": valid_px["spatial_temporal"],
     }
+    return total, terms, counts, grads
+
+
+def _loss_core(rig, images, depths, cfg, plan, with_grad, pretrain=None):
+    """The context loss, or with pretrain=(sparse, depth_dists) the
+    pretraining objective, with its breakdown and, with_grad, its
+    per-camera depth gradients."""
+    if pretrain is not None:
+        sparse, depth_dists = pretrain
+        dists = depth_dists if depth_dists is not None else [None] * len(rig.cameras)
+        l_ed = depth_bin_cross_entropy(dists, sparse)
+        l_rd, rd_grads = _depth_l1(depths, sparse, with_grad)
+    plan = _context_plan(rig, depths, plan)
+    l_cast, terms, counts, grads = _cast_terms(plan, images, depths, cfg, with_grad)
+    parts = {
+        "L_t": terms["temporal"], "L_sp": terms["spatial"], "L_spt": terms["spatial_temporal"]
+    }
+    if pretrain is None:
+        return l_cast, {**parts, "total": l_cast, **counts}, grads
+    total = l_ed + l_rd + l_cast
+    breakdown = {"L_ed": l_ed, "L_rd": l_rd, **parts, "L_cast": l_cast, "total": total, **counts}
     if with_grad:
-        return total, breakdown, grads
-    return total, breakdown, None
+        grads = [rd + cg for rd, cg in zip(rd_grads, grads)]
+    return total, breakdown, grads
 
 
 def depth_l1_loss(
@@ -410,29 +509,20 @@ def pretrain_loss(
     sparse: Sequence[np.ndarray | None],
     cfg: PhotometricConfig,
     depth_dists: Sequence[DepthDistribution | None] | None = None,
+    plan: ContextPlan | None = None,
 ) -> tuple[float, dict]:
     """Pretraining objective: depth-bin CE + rendered-depth L1 + context loss.
 
     `sparse` carries per-camera [(u, v, depth)] supervision at the latest
     timestamp (empty/None entries contribute nothing); `depth_dists`
     optionally supplies per-camera explicit depth distributions for the CE
-    term. Returns (total, breakdown).
+    term; `plan` is passed on to the context loss. Returns (total,
+    breakdown); the breakdown adds "L_ed", "L_rd" and "L_cast" to
+    cast_loss's keys.
     """
-    dists = depth_dists if depth_dists is not None else [None] * len(rig.cameras)
-    l_ed = depth_bin_cross_entropy(dists, sparse)
-    l_rd, _ = _depth_l1(depths, sparse, with_grad=False)
-    l_cast, cast_parts = cast_loss(rig, images, depths, cfg)
-    total = l_ed + l_rd + l_cast
-    breakdown = {
-        "L_ed": l_ed,
-        "L_rd": l_rd,
-        "L_t": cast_parts["L_t"],
-        "L_sp": cast_parts["L_sp"],
-        "L_spt": cast_parts["L_spt"],
-        "L_cast": l_cast,
-        "total": total,
-        "active_pairs": cast_parts["active_pairs"],
-    }
+    total, breakdown, _ = _loss_core(
+        rig, images, depths, cfg, plan, False, (sparse, depth_dists)
+    )
     return total, breakdown
 
 
@@ -443,29 +533,14 @@ def pretrain_loss_with_depth_grad(
     sparse: Sequence[np.ndarray | None],
     cfg: PhotometricConfig,
     depth_dists: Sequence[DepthDistribution | None] | None = None,
+    plan: ContextPlan | None = None,
 ) -> tuple[float, dict, list[np.ndarray]]:
     """pretrain_loss plus d(total)/d(rendered depth) per camera.
 
     The CE term does not depend on the rendered depth, so its gradient
     contribution is zero.
     """
-    dists = depth_dists if depth_dists is not None else [None] * len(rig.cameras)
-    l_ed = depth_bin_cross_entropy(dists, sparse)
-    l_rd, rd_grads = _depth_l1(depths, sparse, with_grad=True)
-    l_cast, cast_parts, cast_grads = cast_loss_with_depth_grad(rig, images, depths, cfg)
-    grads = [rd + cg for rd, cg in zip(rd_grads, cast_grads)]
-    total = l_ed + l_rd + l_cast
-    breakdown = {
-        "L_ed": l_ed,
-        "L_rd": l_rd,
-        "L_t": cast_parts["L_t"],
-        "L_sp": cast_parts["L_sp"],
-        "L_spt": cast_parts["L_spt"],
-        "L_cast": l_cast,
-        "total": total,
-        "active_pairs": cast_parts["active_pairs"],
-    }
-    return total, breakdown, grads
+    return _loss_core(rig, images, depths, cfg, plan, True, (sparse, depth_dists))
 
 
 def _sparse_pixels(

@@ -322,6 +322,8 @@ def cmd_selftrain(cfg: ExperimentConfig, scene_dir: str) -> dict:
         ),
         views,
     )
+    # likewise the context pairs' warp geometry never depends on depth
+    ctx_plan = cast_mod.ContextPlan(rig, res)
 
     def forward(sig):
         fld = DensityField(sig, spec)
@@ -350,12 +352,12 @@ def cmd_selftrain(cfg: ExperimentConfig, scene_dir: str) -> dict:
         last = step == cfg.optimize.steps
         if last:
             total, parts = cast_mod.pretrain_loss(
-                rig, bundle.images, depths, sparse, cfg.cast
+                rig, bundle.images, depths, sparse, cfg.cast, plan=ctx_plan
             )
             grads = None
         else:
             total, parts, grads = cast_mod.pretrain_loss_with_depth_grad(
-                rig, bundle.images, depths, sparse, cfg.cast
+                rig, bundle.images, depths, sparse, cfg.cast, plan=ctx_plan
             )
         if not np.isfinite(total):
             raise RuntimeError(

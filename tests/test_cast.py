@@ -1,6 +1,7 @@
 """Tests for the context-aware photometric self-training losses."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -291,7 +292,10 @@ class TestCastLoss:
         depths = [b.gt_depths[(i, 1)] for i in range(2)]
         _, bd = cast_loss(b.rig, b.images, depths, CFG)
         parsed = json.loads(json.dumps(bd))
-        assert set(parsed) == {"L_t", "L_sp", "L_spt", "total", "active_pairs"}
+        assert set(parsed) == {
+            "L_t", "L_sp", "L_spt", "total", "active_pairs", "empty_pairs",
+            "valid_px_t", "valid_px_sp", "valid_px_spt",
+        }
 
     def test_perturbed_density_increases_loss(self):
         b = boxes_bundle(seed=10)
@@ -431,3 +435,292 @@ class TestPretrainLoss:
             sigma = np.clip(sigma - 1e-2 * g, 0.0, None)
         assert all(b2 <= a2 + 1e-12 for a2, b2 in zip(losses, losses[1:]))
         assert losses[-1] < losses[0]
+
+
+# -- context plan: equivalence with the full-image warp ----------------------
+
+
+def reference_warp(src_img, dm, ctx, k_src, k_tgt, with_grad):
+    """Warp every target pixel, sample the whole image, then mask with
+    np.where: the arithmetic the context plan must reproduce bit for bit."""
+    h, w = dm.depth.shape
+    units = cast._target_geometry(k_tgt, (h, w))
+    inv = ctx.pose.inverse()
+    p_src = inv.apply(dm.depth.ravel()[:, None] * units)
+    z = p_src[:, 2]
+    front = z > 1e-9
+    zsafe = np.where(front, z, 1.0)
+    u = k_src.fx * p_src[:, 0] / zsafe + k_src.cx
+    v = k_src.fy * p_src[:, 1] / zsafe + k_src.cy
+    uv = np.stack([u, v], axis=1)
+    samples, in_bounds = cast.bilinear_sample(src_img, uv)
+    valid = dm.valid.ravel() & front & in_bounds
+    recon = np.where(valid[:, None], samples, 0.0).reshape(h, w, -1)
+    if not with_grad:
+        return recon, valid.reshape(h, w), None
+    dp_dd = units @ inv.rotation.T
+    du_dd = k_src.fx * (dp_dd[:, 0] * zsafe - p_src[:, 0] * dp_dd[:, 2]) / zsafe**2
+    dv_dd = k_src.fy * (dp_dd[:, 1] * zsafe - p_src[:, 1] * dp_dd[:, 2]) / zsafe**2
+    gu, gv = cast.bilinear_sample_grad(src_img, uv)
+    drecon = gu * du_dd[:, None] + gv * dv_dd[:, None]
+    drecon = np.where(valid[:, None], drecon, 0.0).reshape(h, w, -1)
+    return recon, valid.reshape(h, w), drecon
+
+
+def reference_cast(rig, images, depths, cfg, with_grad):
+    """Every pair warped in full and scored by separate photometric_loss and
+    photometric_loss_grad calls, empty pairs included."""
+    pairs = cast.context_pairs(rig)
+    lam = {"temporal": cfg.lambda_t, "spatial": cfg.lambda_sp,
+           "spatial_temporal": cfg.lambda_spt}
+    sums = dict.fromkeys(cast.KINDS, 0.0)
+    valid_px = dict.fromkeys(cast.KINDS, 0)
+    n_pairs = {k: sum(1 for p in pairs if p[0] == k) for k in cast.KINDS}
+    grads = [np.zeros_like(dm.depth) for dm in depths]
+    active = 0
+    for kind, src, tgt in pairs:
+        ctx = make_warp_context(rig, kind, src, tgt)
+        k_src = rig.cameras[src[0]].intrinsics
+        k_tgt = rig.cameras[tgt[0]].intrinsics
+        recon, valid, drecon = reference_warp(
+            images[src], depths[tgt[0]], ctx, k_src, k_tgt, with_grad
+        )
+        if valid.any():
+            sums[kind] += photometric_loss(images[tgt], recon, valid, cfg)
+        else:
+            with pytest.warns(RuntimeWarning):
+                sums[kind] += photometric_loss(images[tgt], recon, valid, cfg)
+        valid_px[kind] += int(valid.sum())
+        if valid.any():
+            active += 1
+            if with_grad:
+                gl = photometric_loss_grad(images[tgt], recon, valid, cfg)
+                grads[tgt[0]] += (lam[kind] / n_pairs[kind]) * np.sum(gl * drecon, axis=2)
+    terms = {k: (sums[k] / n_pairs[k] if n_pairs[k] else 0.0) for k in cast.KINDS}
+    total = sum(lam[k] * terms[k] for k in cast.KINDS)
+    breakdown = {
+        "L_t": terms["temporal"], "L_sp": terms["spatial"],
+        "L_spt": terms["spatial_temporal"], "total": total,
+        "active_pairs": active, "empty_pairs": len(pairs) - active,
+        "valid_px_t": valid_px["temporal"], "valid_px_sp": valid_px["spatial"],
+        "valid_px_spt": valid_px["spatial_temporal"],
+    }
+    return total, breakdown, grads
+
+
+def rendered_depths(b, seed, n_cams):
+    """Depths rendered from a seeded perturbation of the true density."""
+    rng = np.random.default_rng(seed)
+    sigma = np.clip(b.density_gt.sigma + rng.uniform(-5, 5, b.spec.dims), 0.0, None)
+    fld = DensityField(sigma, b.spec)
+    views = [Camera(b.rig.cameras[i].intrinsics, camera_pose_at(b.rig, i, 1))
+             for i in range(n_cams)]
+    return [render_view(fld, v, (36, 64), 1.0, 16.0, 64) for v in views]
+
+
+def assert_same_result(got, want, with_grad):
+    assert got[0] == want[0]
+    assert got[1] == want[1]
+    if with_grad:
+        assert len(got[2]) == len(want[2])
+        for g, r in zip(got[2], want[2]):
+            assert np.array_equal(g, r)
+
+
+def no_depth(dm):
+    return DepthMap(depth=np.zeros_like(dm.depth), valid=np.zeros_like(dm.valid),
+                    opacity=np.zeros_like(dm.opacity))
+
+
+class TestContextPlan:
+    @pytest.mark.parametrize("with_grad", [False, True], ids=["loss", "grad"])
+    @pytest.mark.parametrize(
+        "n_cams, active", [(2, 2), (4, 17)], ids=["2-camera", "4-camera"]
+    )
+    def test_matches_full_warp_reference_bitwise(self, n_cams, active, with_grad):
+        # 2-camera ring: the spatial pairs never overlap (4 of 6 empty);
+        # 4-camera ring: 17 of 20 pairs overlap and the spatial terms count
+        b = boxes_bundle(seed=11, n_cams=n_cams)
+        depths = [b.gt_depths[(i, 1)] for i in range(n_cams)]
+        plan = cast.ContextPlan(b.rig, (36, 64))
+        fn = cast_loss_with_depth_grad if with_grad else cast_loss
+        want = reference_cast(b.rig, b.images, depths, CFG, with_grad)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an empty pair is counted, not warned
+            got = fn(b.rig, b.images, depths, CFG, plan=plan)
+            one_shot = fn(b.rig, b.images, depths, CFG)
+        assert_same_result(got, want, with_grad)
+        assert_same_result(one_shot, want, with_grad)
+        assert got[1]["active_pairs"] == active
+        assert got[1]["empty_pairs"] == len(plan.pairs) - active
+        if n_cams == 4:
+            assert got[1]["L_sp"] > 0.0 and got[1]["L_spt"] > 0.0
+
+    @pytest.mark.parametrize("with_grad", [False, True], ids=["loss", "grad"])
+    def test_one_plan_reused_on_three_depth_sets(self, with_grad):
+        b = boxes_bundle(seed=11, n_cams=4)
+        plan = cast.ContextPlan(b.rig, (36, 64))
+        sparse = [sparse_lidar(b.gt_depths[(i, 1)], 100, seed=i) for i in range(4)]
+        fn = pretrain_loss_with_depth_grad if with_grad else pretrain_loss
+        for seed in (1, 2, 3):
+            depths = rendered_depths(b, seed, 4)
+            cast_ref = reference_cast(b.rig, b.images, depths, CFG, with_grad)
+            l_rd = depth_l1_loss(depths, sparse)
+            got = fn(b.rig, b.images, depths, sparse, CFG, plan=plan)
+            assert got[1]["L_rd"] == l_rd
+            assert got[1]["L_cast"] == cast_ref[0]
+            assert got[0] == 0.0 + l_rd + cast_ref[0]
+            assert {k: got[1][k] for k in cast_ref[1] if k != "total"} == {
+                k: v for k, v in cast_ref[1].items() if k != "total"
+            }
+            if with_grad:
+                _, rd_grads = cast._depth_l1(depths, sparse, with_grad=True)
+                for g, rd, cg in zip(got[2], rd_grads, cast_ref[2]):
+                    assert np.array_equal(g, rd + cg)
+
+    @pytest.mark.parametrize("with_grad", [False, True], ids=["loss", "grad"])
+    def test_all_invalid_depths(self, with_grad):
+        b = boxes_bundle(seed=11)
+        depths = [no_depth(b.gt_depths[(i, 1)]) for i in range(2)]
+        plan = cast.ContextPlan(b.rig, (36, 64))
+        fn = cast_loss_with_depth_grad if with_grad else cast_loss
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = fn(b.rig, b.images, depths, CFG, plan=plan)
+        assert_same_result(got, reference_cast(b.rig, b.images, depths, CFG, with_grad),
+                           with_grad)
+        assert got[0] == 0.0
+        assert got[1]["active_pairs"] == 0 and got[1]["empty_pairs"] == 6
+        assert got[1]["valid_px_t"] == 0
+
+    def test_photometric_grad_matches_two_pass_formula(self):
+        # the shared statistics must give what recomputing them gives
+        b = boxes_bundle(seed=11)
+        ref, recon = b.images[(0, 1)], b.images[(0, 0)]
+        valid = b.gt_depths[(0, 1)].valid
+        m = valid[:, :, None]
+        x, y = ref * m, recon * m
+        n = int(valid.sum()) * 3
+        grad_smap = np.where(m, -0.5 * CFG.alpha / n, 0.0)
+        mu_a, mu_b, a1, a2, b1, b2 = cast._ssim_stats(x, y, CFG.ssim_window)
+        d = b1 * b2
+        s = (a1 * a2) / d
+        t_const = (mu_a * (a2 - a1) - s * mu_b * (b2 - b1)) / d
+        bm = lambda t: cast._box_mean(t, CFG.ssim_window)  # noqa: E731
+        want = 2.0 * (bm(grad_smap * t_const) + x * bm(grad_smap * (a1 / d))
+                      + y * bm(grad_smap * (-s * b1 / d)))
+        want += np.where(m, (1.0 - CFG.alpha) / n * np.sign(y - x), 0.0)
+        assert np.array_equal(photometric_loss_grad(ref, recon, valid, CFG), want * m)
+        assert photometric_loss(ref, recon, valid, CFG) == float(
+            np.sum((0.5 * CFG.alpha * (1.0 - ssim(x, y)) + (1 - CFG.alpha) * np.abs(x - y))
+                   * m) / n
+        )
+
+    def test_rejects_wrong_resolution(self):
+        b = boxes_bundle(seed=11)
+        plan = cast.ContextPlan(b.rig, (36, 64))
+        small = DepthMap(depth=np.ones((24, 40)), valid=np.ones((24, 40), bool),
+                         opacity=np.ones((24, 40)))
+        depths = [b.gt_depths[(0, 1)], small]
+        both_sides = r"camera 1: depth map is 40x24, the context plan is 64x36$"
+        with pytest.raises(ValueError, match=both_sides):
+            cast_loss(b.rig, b.images, depths, CFG, plan=plan)
+        with pytest.raises(ValueError, match=r"camera 1: depth map is 40x24"):
+            pretrain_loss_with_depth_grad(b.rig, b.images, depths, [None, None], CFG, plan=plan)
+
+    def test_rejects_wrong_depth_count(self):
+        b = boxes_bundle(seed=11)
+        plan = cast.ContextPlan(b.rig, (36, 64))
+        three = [b.gt_depths[(i % 2, 1)] for i in range(3)]
+        for depths, n in ((three, 3), (three[:1], 1)):
+            with pytest.raises(ValueError, match=rf"^{n} depth maps for 2 cameras$"):
+                cast_loss_with_depth_grad(b.rig, b.images, depths, CFG, plan=plan)
+            with pytest.raises(ValueError, match=rf"^{n} depth maps for 2 cameras$"):
+                cast_loss(b.rig, b.images, depths, CFG)
+
+    def test_rejects_plan_of_another_rig(self):
+        b = boxes_bundle(seed=11)
+        other = cast.ContextPlan(boxes_bundle(seed=12).rig, (36, 64))
+        depths = [b.gt_depths[(i, 1)] for i in range(2)]
+        with pytest.raises(ValueError, match="another rig"):
+            cast_loss(b.rig, b.images, depths, CFG, plan=other)
+
+
+class TestSubsetWarp:
+    """The plan's warp samples only valid pixels; on the pixels a full warp
+    would mask away it must still agree with that warp bit for bit."""
+
+    H, W = 9, 11
+    INTR = Intrinsics(fx=8.0, fy=8.0, cx=5.0, cy=4.0, width=11, height=9)
+
+    def check(self, src, dm, ctx, k_src):
+        for with_grad in (False, True):
+            want = reference_warp(src, dm, ctx, k_src, self.INTR, with_grad)
+            fn = warp_image_with_grad if with_grad else warp_image
+            got = fn(src, dm, ctx, k_src, self.INTR)
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
+            if with_grad:
+                assert np.array_equal(got[2], want[2])
+        return want[1]
+
+    def depth(self, value=6.0, valid=None):
+        shape = (self.H, self.W)
+        return DepthMap(
+            depth=np.full(shape, value) + np.linspace(0.0, 1.0, self.H * self.W).reshape(shape),
+            valid=np.ones(shape, bool) if valid is None else valid,
+            opacity=np.ones(shape),
+        )
+
+    @pytest.mark.parametrize(
+        "yaw, offset", [(np.pi, [0.5, 0.0, 1.0]), (0.5 * np.pi, [0.0, 0.0, 6.3])],
+        ids=["turned-away", "sideways-in-the-scene"],
+    )
+    def test_pixels_behind_the_source_camera(self, yaw, offset):
+        # a source camera behind every target point, or in the middle of
+        # them looking sideways; with z clamped to 1 some of the points
+        # behind it would land inside the image
+        from helpers import rotation_from_angles
+
+        rot = rotation_from_angles(0.0, yaw)  # about the camera's y axis
+        ctx = WarpContext("spatial", (1, 0), (0, 0), Pose(rot, np.array(offset)))
+        src = smooth_image(self.H, self.W)
+        dm = self.depth()
+        p_src = ctx.pose.inverse().apply(
+            dm.depth.ravel()[:, None] * cast._target_geometry(self.INTR, (self.H, self.W))
+        )
+        behind = p_src[:, 2] <= 1e-9
+        assert behind.any()
+        u = self.INTR.fx * p_src[:, 0] + self.INTR.cx
+        v = self.INTR.fy * p_src[:, 1] + self.INTR.cy
+        assert np.any(behind & (u >= 0) & (u <= self.W - 1) & (v >= 0) & (v <= self.H - 1))
+        valid = self.check(src, dm, ctx, self.INTR)
+        assert not np.any(valid.ravel() & behind)
+
+    @pytest.mark.parametrize("cx, cy", [(10.0, 8.0), (0.0, 0.0), (10.0, 0.0)])
+    def test_projections_exactly_on_the_image_border(self, cx, cy):
+        # identity context: the target's center column and row have zero
+        # ray offset, so they project exactly onto the source principal
+        # point, put on u = W-1 / v = H-1 (or 0)
+        k_src = Intrinsics(fx=8.0, fy=8.0, cx=cx, cy=cy, width=self.W, height=self.H)
+        ctx = WarpContext("spatial", (1, 0), (0, 0), Pose.identity())
+        valid = self.check(smooth_image(self.H, self.W), self.depth(), ctx, k_src)
+        col, row = int(self.INTR.cx), int(self.INTR.cy)
+        assert valid[:, col].any() and valid[row, :].any()
+        assert valid[row, col]  # exactly on the corner (cx, cy)
+        # one pixel further out the projection leaves the image
+        assert not valid[:, col + (1 if cx > 0 else -1)].any()
+        assert not valid[row + (1 if cy > 0 else -1), :].any()
+
+    def test_invalid_target_pixels(self):
+        # holes in the target depth whose depths would otherwise warp fine
+        rng = np.random.default_rng(3)
+        holes = rng.uniform(size=(self.H, self.W)) < 0.4
+        dm = self.depth(valid=~holes)
+        ctx = WarpContext("spatial", (1, 0), (0, 0),
+                          Pose(np.eye(3), np.array([0.3, -0.2, 0.1])))
+        valid = self.check(smooth_image(self.H, self.W), dm, ctx, self.INTR)
+        assert valid.any()
+        assert not np.any(valid & holes)
+        full = self.depth()
+        assert np.any(self.check(smooth_image(self.H, self.W), full, ctx, self.INTR) & holes)
