@@ -4,6 +4,8 @@ Conventions, fixed once and used everywhere:
   * camera frame: x right, y down, z forward; depth is the camera-frame z.
   * pixel coordinates: u along columns (x), v along rows (y); pixel centers
     at integer coordinates.
+  * pixel rays (pixel_grid, camera_rays, view_rays) and the pinhole
+    projection (pinhole) are written once here; other modules call them.
   * Camera.pose maps camera coordinates into the rig anchor frame (the ego
     body); with an identity ego pose that anchor IS the world frame.
   * CameraRig.ego_poses[t] maps ego coordinates at timestamp t into world
@@ -141,6 +143,18 @@ def camera_pose_at(rig: CameraRig, cam: int, timestamp: int) -> Pose:
     return rig.ego_poses[timestamp].compose(rig.cameras[cam].pose)
 
 
+def pinhole(intr: Intrinsics, points_cam: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pinhole projection of [N x 3] camera-frame points: (u [N], v [N],
+    front [N]). front marks camera-frame z > 1e-9; the other points are
+    projected with z taken as 1, so their u and v stay finite."""
+    z = points_cam[:, 2]
+    front = z > 1e-9
+    zsafe = np.where(front, z, 1.0)
+    u = intr.fx * points_cam[:, 0] / zsafe + intr.cx
+    v = intr.fy * points_cam[:, 1] / zsafe + intr.cy
+    return u, v, front
+
+
 def project_points(
     intr: Intrinsics, pose: Pose, points_world: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -152,11 +166,7 @@ def project_points(
     """
     p = as_tensor(points_world).reshape(-1, 3)
     cam_pts = pose.inverse().apply(p)
-    z = cam_pts[:, 2]
-    front = z > 1e-9
-    zsafe = np.where(front, z, 1.0)
-    u = intr.fx * cam_pts[:, 0] / zsafe + intr.cx
-    v = intr.fy * cam_pts[:, 1] / zsafe + intr.cy
+    u, v, front = pinhole(intr, cam_pts)
     uv = np.stack([np.where(front, u, 0.0), np.where(front, v, 0.0)], axis=1)
     visible = (
         front
@@ -165,7 +175,7 @@ def project_points(
         & (uv[:, 1] >= 0.0)
         & (uv[:, 1] <= intr.height - 1.0)
     )
-    return uv, z, visible
+    return uv, cam_pts[:, 2], visible
 
 
 def project(cam: Camera, point_world) -> tuple[np.ndarray, float, bool]:
@@ -180,18 +190,19 @@ def unproject(cam: Camera, uv, depth: float) -> np.ndarray:
     if depth <= 0:
         raise ValueError(f"unproject needs depth > 0, got {depth}")
     intr, pose = cam
-    u, v = float(uv[0]), float(uv[1])
-    p_cam = np.array(
-        [(u - intr.cx) / intr.fx * depth, (v - intr.cy) / intr.fy * depth, depth]
-    )
-    return pose.apply(p_cam)
+    return pose.apply(camera_rays(intr, uv)[0] * depth)
 
 
-def pixel_directions(intr: Intrinsics, pose: Pose, uvs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unit world-frame ray directions for [N x 2] pixel coords, plus the
-    camera-frame direction norms |h| (needed to convert z-depth to ray length)."""
+def pixel_grid(h: int, w: int) -> np.ndarray:
+    """(u, v) of every pixel of an h x w image, [h*w x 2] in row-major order."""
+    us, vs = np.meshgrid(np.arange(w, dtype=np.float64), np.arange(h, dtype=np.float64))
+    return np.stack([us.ravel(), vs.ravel()], axis=1)
+
+
+def camera_rays(intr: Intrinsics, uvs: np.ndarray) -> np.ndarray:
+    """Camera-frame rays through [N x 2] pixel coords, scaled to z = 1, [N x 3]."""
     uvs = as_tensor(uvs).reshape(-1, 2)
-    h = np.stack(
+    return np.stack(
         [
             (uvs[:, 0] - intr.cx) / intr.fx,
             (uvs[:, 1] - intr.cy) / intr.fy,
@@ -199,9 +210,33 @@ def pixel_directions(intr: Intrinsics, pose: Pose, uvs: np.ndarray) -> tuple[np.
         ],
         axis=1,
     )
+
+
+def unit_camera_rays(intr: Intrinsics, uvs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """camera_rays scaled to unit length, plus their z = 1 lengths |h|
+    (a camera-frame depth times |h| is the distance along the ray)."""
+    h = camera_rays(intr, uvs)
     norms = np.linalg.norm(h, axis=1)
-    d_world = (h / norms[:, None]) @ pose.rotation.T
-    return d_world, norms
+    return h / norms[:, None], norms
+
+
+def pixel_directions(intr: Intrinsics, pose: Pose, uvs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit world-frame ray directions for [N x 2] pixel coords, plus the
+    camera-frame direction norms |h| (needed to convert z-depth to ray length)."""
+    units, norms = unit_camera_rays(intr, uvs)
+    return units @ pose.rotation.T, norms
+
+
+def view_rays(cam: Camera, resolution: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """The origin [3] and the unit world directions [H*W x 3] of every
+    pixel of a view at resolution (H, W), in row-major order. Intrinsics
+    are rescaled when the resolution differs from their native size."""
+    intr, pose = cam
+    h, w = resolution
+    if (intr.height, intr.width) != (h, w):
+        intr = intr.scaled(w, h)
+    dirs, _ = pixel_directions(intr, pose, pixel_grid(h, w))
+    return pose.translation.copy(), dirs
 
 
 def ray(cam: Camera, uv) -> tuple[np.ndarray, np.ndarray]:

@@ -76,13 +76,7 @@ def make_warp_context(
 
 def _target_geometry(k_tgt: Intrinsics, shape: tuple[int, int]) -> np.ndarray:
     """Unit target-camera-frame direction per pixel, [H*W x 3]."""
-    h, w = shape
-    us, vs = np.meshgrid(np.arange(w, dtype=np.float64), np.arange(h, dtype=np.float64))
-    hvec = np.stack(
-        [(us - k_tgt.cx) / k_tgt.fx, (vs - k_tgt.cy) / k_tgt.fy, np.ones((h, w))],
-        axis=-1,
-    ).reshape(-1, 3)
-    return hvec / np.linalg.norm(hvec, axis=1, keepdims=True)
+    return cam_mod.unit_camera_rays(k_tgt, cam_mod.pixel_grid(*shape))[0]
 
 
 @dataclass(frozen=True)
@@ -117,11 +111,7 @@ def _warp_core(src_img: np.ndarray, target_depth: DepthMap, geom: PairGeometry, 
     h, w = target_depth.depth.shape
     k = geom.k_src
     p_src = geom.inv.apply(target_depth.depth.ravel()[:, None] * geom.units)
-    z = p_src[:, 2]
-    front = z > 1e-9
-    zsafe = np.where(front, z, 1.0)
-    u = k.fx * p_src[:, 0] / zsafe + k.cx
-    v = k.fy * p_src[:, 1] / zsafe + k.cy
+    u, v, front = cam_mod.pinhole(k, p_src)
     valid = (
         target_depth.valid.ravel() & front
         & (u >= 0.0) & (u <= sw - 1.0) & (v >= 0.0) & (v <= sh - 1.0)
@@ -134,7 +124,8 @@ def _warp_core(src_img: np.ndarray, target_depth: DepthMap, geom: PairGeometry, 
         recon[idx], _ = bilinear_sample(src_img, uv)
         if with_grad:
             # chain rule: d(recon)/d(depth) through the source projection and sampler
-            p, dp, zv = p_src[idx], geom.dp_dd[idx], z[idx]
+            p, dp = p_src[idx], geom.dp_dd[idx]
+            zv = p[:, 2]
             du_dd = k.fx * (dp[:, 0] * zv - p[:, 0] * dp[:, 2]) / zv**2
             dv_dd = k.fy * (dp[:, 1] * zv - p[:, 1] * dp[:, 2]) / zv**2
             gu, gv = bilinear_sample_grad(src_img, uv)

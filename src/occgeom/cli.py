@@ -14,7 +14,7 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -141,11 +141,6 @@ class ExperimentConfig:
         cfg.render.validate()
         cfg.optimize.validate()
         return cfg
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["render"]["S"] = d["render"].pop("samples")
-        return d
 
 
 def worker_count() -> int:
@@ -282,7 +277,7 @@ def _init_sigma(cfg: ExperimentConfig, bundle: synthscene.SceneBundle) -> np.nda
     return np.clip(gt + noise, 0.0, None)
 
 
-_TRACE_COLUMNS = ["step", "L_ed", "L_rd", "L_t", "L_sp", "L_spt", "L_cast", "total"]
+_TRACE_COLUMNS = ["step", "L_rd", "L_t", "L_sp", "L_spt", "L_cast", "total"]
 
 
 def cmd_selftrain(cfg: ExperimentConfig, scene_dir: str) -> dict:
@@ -364,8 +359,8 @@ def cmd_selftrain(cfg: ExperimentConfig, scene_dir: str) -> dict:
                 f"selftrain diverged at step {step}: total loss is {total}"
             )
         rows.append(
-            [step, parts["L_ed"], parts["L_rd"], parts["L_t"], parts["L_sp"],
-             parts["L_spt"], parts["L_cast"], total]
+            [step, parts["L_rd"], parts["L_t"], parts["L_sp"], parts["L_spt"],
+             parts["L_cast"], total]
         )
         moving.append(total)
         if len(moving) > 10:

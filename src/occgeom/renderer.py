@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .camera import Camera, pixel_directions
+from .camera import Camera, view_rays
 from .formats import write_pfm, write_pgm16, write_pgm8
 from .tensor import _trilinear_corners, _trilinear_in_box, as_tensor, trilinear_sample
 from .view_transform import VoxelGridSpec
@@ -94,15 +94,9 @@ def sample_ray(
     ray: tuple[np.ndarray, np.ndarray], t_near: float, t_far: float, count: int
 ) -> RaySamples:
     """Midpoint-rule samples: t_i = t_near + (i - 0.5) * (t_far - t_near) / S."""
-    if not 0 < t_near < t_far:
-        raise ValueError(f"need 0 < t_near < t_far, got [{t_near}, {t_far}]")
-    if count < 2:
-        raise ValueError(f"need at least 2 samples, got {count}")
+    t, deltas = _midpoint_samples(t_near, t_far, count)
     origin, direction = as_tensor(ray[0]).reshape(3), as_tensor(ray[1]).reshape(3)
-    step = (t_far - t_near) / count
-    t = t_near + (np.arange(count) + 0.5) * step
-    positions = origin + t[:, None] * direction
-    return RaySamples(t, positions, np.full(count, step))
+    return RaySamples(t, origin + t[:, None] * direction, deltas)
 
 
 def sample_density(field: DensityField, positions: np.ndarray) -> np.ndarray:
@@ -133,18 +127,24 @@ def _render_batch(
     return depth, opacity, weights
 
 
-def render_depth(
+def _ray_rows(
     sigma_at: np.ndarray, samples: RaySamples
-) -> tuple[float, float, np.ndarray]:
-    """Render one ray. Returns (depth, opacity, weights [S])."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One ray's densities, checked against its samples, and its sample
+    distances and spacings, each as a [1 x S] row."""
     sig = as_tensor(sigma_at).reshape(-1)
     if sig.shape != samples.t_values.shape:
         raise ValueError(f"{sig.size} densities for {samples.t_values.size} samples")
     if np.any(sig < 0):
         raise ValueError("density must be nonnegative")
-    depth, opacity, weights = _render_batch(
-        sig[None, :], samples.t_values[None, :], samples.deltas[None, :]
-    )
+    return sig[None, :], samples.t_values[None, :], samples.deltas[None, :]
+
+
+def render_depth(
+    sigma_at: np.ndarray, samples: RaySamples
+) -> tuple[float, float, np.ndarray]:
+    """Render one ray. Returns (depth, opacity, weights [S])."""
+    depth, opacity, weights = _render_batch(*_ray_rows(sigma_at, samples))
     return float(depth[0]), float(opacity[0]), weights[0]
 
 
@@ -172,30 +172,7 @@ def _depth_grad_batch(
 
 def depth_grad_sigma(sigma_at: np.ndarray, samples: RaySamples) -> np.ndarray:
     """Analytic gradient of render_depth's depth w.r.t. each density sample."""
-    sig = as_tensor(sigma_at).reshape(-1)
-    if sig.shape != samples.t_values.shape:
-        raise ValueError(f"{sig.size} densities for {samples.t_values.size} samples")
-    if np.any(sig < 0):
-        raise ValueError("density must be nonnegative")
-    return _depth_grad_batch(
-        sig[None, :], samples.t_values[None, :], samples.deltas[None, :]
-    )[0]
-
-
-def _pixel_grid(resolution: tuple[int, int]) -> np.ndarray:
-    h, w = resolution
-    us, vs = np.meshgrid(np.arange(w, dtype=np.float64), np.arange(h, dtype=np.float64))
-    return np.stack([us.ravel(), vs.ravel()], axis=1)
-
-
-def _view_rays(cam: Camera, resolution: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """Unit world directions for every pixel of a view, plus the origin."""
-    intr, pose = cam
-    h, w = resolution
-    if (intr.height, intr.width) != (h, w):
-        intr = intr.scaled(w, h)
-    dirs, _ = pixel_directions(intr, pose, _pixel_grid(resolution))
-    return pose.translation.copy(), dirs
+    return _depth_grad_batch(*_ray_rows(sigma_at, samples))[0]
 
 
 def _midpoint_samples(
@@ -290,7 +267,7 @@ def _plan_chunks(
     the same arithmetic as for all samples, and the exact in-box test then
     picks the kept ones; the plan equals one built from every sample.
     """
-    origin, dirs = _view_rays(cam, resolution)
+    origin, dirs = view_rays(cam, resolution)
     first, stop = _box_sample_ranges(spec, origin, dirs, t)
     n, s = dirs.shape[0], t.size
     block = max(1, _BLOCK_SAMPLES // s)

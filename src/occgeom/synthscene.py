@@ -22,9 +22,12 @@ from .camera import (
     Intrinsics,
     Pose,
     camera_pose_at,
-    pixel_directions,
+    pinhole,
+    pixel_grid,
     rig_from_json,
     rig_to_json,
+    unit_camera_rays,
+    view_rays,
 )
 from .occ_encdec import SemanticOccupancy
 from .renderer import DensityField, DepthMap
@@ -92,7 +95,8 @@ def _traverse(
 ):
     """Amanatides-Woo DDA over all rays at once.
 
-    origins and dirs are [N x 3] with unit directions; returns
+    dirs are [N x 3] unit directions and origins either [N x 3] or one
+    shared [3] origin; returns
     (depth [N], hit [N] bool, hit_idx [N x 3]). depth is the metric ray
     distance to the entry face of the first occupied voxel (0 when the ray
     starts inside one). When `visible` is given, every traversed voxel up
@@ -103,7 +107,7 @@ def _traverse(
     vs = spec.voxel_size
     lo = spec.origin
     hi = lo + dims * vs
-    n = origins.shape[0]
+    n = dirs.shape[0]
     with np.errstate(divide="ignore", invalid="ignore"):
         t1 = (lo - origins) / dirs
         t2 = (hi - origins) / dirs
@@ -150,18 +154,6 @@ def _traverse(
     return depth, hit, hit_idx
 
 
-def _view_rays(cam: Camera, resolution: tuple[int, int]):
-    intr, pose = cam
-    h, w = resolution
-    if (intr.height, intr.width) != (h, w):
-        intr = intr.scaled(w, h)
-    us, vs = np.meshgrid(np.arange(w, dtype=np.float64), np.arange(h, dtype=np.float64))
-    uvs = np.stack([us.ravel(), vs.ravel()], axis=1)
-    dirs, _ = pixel_directions(intr, pose, uvs)
-    origins = np.broadcast_to(pose.translation, dirs.shape).copy()
-    return origins, dirs
-
-
 def raymarch_depth_oracle(
     grid: SemanticOccupancy,
     spec: VoxelGridSpec,
@@ -171,8 +163,8 @@ def raymarch_depth_oracle(
 ) -> DepthMap:
     """Exact first-hit depth by DDA voxel traversal (the rendering oracle)."""
     occ = grid.labels != grid.num_classes
-    origins, dirs = _view_rays(cam, resolution)
-    depth, hit, _ = _traverse(occ, spec, origins, dirs, visible)
+    origin, dirs = view_rays(cam, resolution)
+    depth, hit, _ = _traverse(occ, spec, origin, dirs, visible)
     h, w = resolution
     return DepthMap(
         depth=depth.reshape(h, w),
@@ -195,8 +187,8 @@ def synthesize_image(
     mild attenuation, which keeps cross-camera photometric residuals small.
     """
     occ = grid.labels != grid.num_classes
-    origins, dirs = _view_rays(cam, resolution)
-    depth, hit, hit_idx = _traverse(occ, spec, origins, dirs)
+    origin, dirs = view_rays(cam, resolution)
+    depth, hit, hit_idx = _traverse(occ, spec, origin, dirs)
     tt = np.clip((dirs[:, 2] + 1.0) * 0.5, 0.0, 1.0)[:, None]
     img = (1.0 - tt) * _SKY_HORIZON + tt * _SKY_ZENITH
     if np.any(hit):
@@ -207,7 +199,7 @@ def synthesize_image(
         )
         # the smooth component is a function of the struck surface point, so
         # reprojections between cameras stay photometrically consistent
-        pts = origins[hit] + depth[hit, None] * dirs[hit]
+        pts = origin + depth[hit, None] * dirs[hit]
         tex_smooth = _surface_texture(pts)
         shade = 1.0 / (1.0 + 0.008 * depth[hit])[:, None]
         img[hit] = (
@@ -256,20 +248,11 @@ def covisibility_mask(
     k_tgt = bundle.rig.cameras[target[0]].intrinsics
     k_src = bundle.rig.cameras[source[0]].intrinsics
     h, w = bundle.image_size
-    us, vs = np.meshgrid(np.arange(w, dtype=np.float64), np.arange(h, dtype=np.float64))
-    hvec = np.stack(
-        [(us - k_tgt.cx) / k_tgt.fx, (vs - k_tgt.cy) / k_tgt.fy, np.ones((h, w))],
-        axis=-1,
-    ).reshape(-1, 3)
-    unit = hvec / np.linalg.norm(hvec, axis=1, keepdims=True)
-    p_tgt = bundle.gt_depths[target].depth.ravel()[:, None] * unit
+    units, _ = unit_camera_rays(k_tgt, pixel_grid(h, w))
+    p_tgt = bundle.gt_depths[target].depth.ravel()[:, None] * units
     p_src = source_to_target.inverse().apply(p_tgt)
     d_src = np.linalg.norm(p_src, axis=1)
-    z = p_src[:, 2]
-    front = z > 1e-9
-    zs = np.where(front, z, 1.0)
-    uf = k_src.fx * p_src[:, 0] / zs + k_src.cx
-    vf = k_src.fy * p_src[:, 1] / zs + k_src.cy
+    uf, vf, front = pinhole(k_src, p_src)
     sdm = bundle.gt_depths[source]
     ok = front.copy()
     for cu in (np.floor, np.ceil):

@@ -19,21 +19,6 @@ def as_tensor(x) -> Array:
     return np.asarray(x, dtype=np.float64)
 
 
-def matmul(a: Array, b: Array) -> Array:
-    """Matrix product of a [m x k] and b [k x n].
-
-    Raises ValueError when either operand is not 2-D or the inner
-    dimensions disagree.
-    """
-    a = as_tensor(a)
-    b = as_tensor(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError(f"matmul expects 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"matmul inner dimensions differ: {a.shape} vs {b.shape}")
-    return a @ b
-
-
 def softmax(x: Array, axis: int = -1) -> Array:
     """Numerically stable softmax along `axis` (max-subtraction).
 
@@ -55,6 +40,31 @@ def softmax(x: Array, axis: int = -1) -> Array:
     return np.divide(e, s, out=np.zeros_like(e), where=s > 0)
 
 
+def _bilinear_corners(img: Array, uv: Array):
+    """The kernel of bilinear_sample and bilinear_sample_grad: validates
+    img [H x W x C] and uv [N x 2], and returns (valid [N], fu [N x 1],
+    fv [N x 1], corners), where corners are the four neighbor values
+    (i00, i01, i10, i11) [N x C] at rows v0, v0, v1, v1 and columns u0, u1,
+    u0, u1, clipped into the image."""
+    img = as_tensor(img)
+    uv = as_tensor(uv)
+    if img.ndim != 3:
+        raise ValueError(f"bilinear sampling expects an H x W x C image, got {img.shape}")
+    if uv.ndim != 2 or uv.shape[1] != 2:
+        raise ValueError(f"bilinear sampling expects N x 2 coordinates, got {uv.shape}")
+    h, w = img.shape[:2]
+    u, v = uv[:, 0], uv[:, 1]
+    valid = (u >= 0.0) & (u <= w - 1.0) & (v >= 0.0) & (v <= h - 1.0)
+    u0 = np.floor(u)
+    v0 = np.floor(v)
+    u0i = np.clip(u0.astype(np.int64), 0, w - 1)
+    v0i = np.clip(v0.astype(np.int64), 0, h - 1)
+    u1i = np.minimum(u0i + 1, w - 1)
+    v1i = np.minimum(v0i + 1, h - 1)
+    corners = (img[v0i, u0i], img[v0i, u1i], img[v1i, u0i], img[v1i, u1i])
+    return valid, (u - u0)[:, None], (v - v0)[:, None], corners
+
+
 def bilinear_sample(img: Array, uv: Array) -> tuple[Array, Array]:
     """Bilinearly sample img [H x W x C] at continuous pixel coords uv [N x 2].
 
@@ -66,25 +76,9 @@ def bilinear_sample(img: Array, uv: Array) -> tuple[Array, Array]:
     Returns:
         (values [N x C], valid [N] bool)
     """
-    img = as_tensor(img)
-    uv = as_tensor(uv)
-    if img.ndim != 3:
-        raise ValueError(f"bilinear_sample expects H x W x C image, got {img.shape}")
-    if uv.ndim != 2 or uv.shape[1] != 2:
-        raise ValueError(f"bilinear_sample expects N x 2 coordinates, got {uv.shape}")
-    h, w = img.shape[:2]
-    u, v = uv[:, 0], uv[:, 1]
-    valid = (u >= 0.0) & (u <= w - 1.0) & (v >= 0.0) & (v <= h - 1.0)
-    u0 = np.floor(u)
-    v0 = np.floor(v)
-    fu = (u - u0)[:, None]
-    fv = (v - v0)[:, None]
-    u0i = np.clip(u0.astype(np.int64), 0, w - 1)
-    v0i = np.clip(v0.astype(np.int64), 0, h - 1)
-    u1i = np.minimum(u0i + 1, w - 1)
-    v1i = np.minimum(v0i + 1, h - 1)
-    top = img[v0i, u0i] * (1.0 - fu) + img[v0i, u1i] * fu
-    bot = img[v1i, u0i] * (1.0 - fu) + img[v1i, u1i] * fu
+    valid, fu, fv, (i00, i01, i10, i11) = _bilinear_corners(img, uv)
+    top = i00 * (1.0 - fu) + i01 * fu
+    bot = i10 * (1.0 - fu) + i11 * fu
     out = top * (1.0 - fv) + bot * fv
     out[~valid] = 0.0
     return out, valid
@@ -96,21 +90,7 @@ def bilinear_sample_grad(img: Array, uv: Array) -> tuple[Array, Array]:
     Returns (d/du [N x C], d/dv [N x C]); zero for out-of-bounds samples.
     At the image's outer edge the one-sided kink is resolved toward zero.
     """
-    img = as_tensor(img)
-    uv = as_tensor(uv)
-    h, w = img.shape[:2]
-    u, v = uv[:, 0], uv[:, 1]
-    valid = (u >= 0.0) & (u <= w - 1.0) & (v >= 0.0) & (v <= h - 1.0)
-    u0 = np.floor(u)
-    v0 = np.floor(v)
-    fu = (u - u0)[:, None]
-    fv = (v - v0)[:, None]
-    u0i = np.clip(u0.astype(np.int64), 0, w - 1)
-    v0i = np.clip(v0.astype(np.int64), 0, h - 1)
-    u1i = np.minimum(u0i + 1, w - 1)
-    v1i = np.minimum(v0i + 1, h - 1)
-    i00, i01 = img[v0i, u0i], img[v0i, u1i]
-    i10, i11 = img[v1i, u0i], img[v1i, u1i]
+    valid, fu, fv, (i00, i01, i10, i11) = _bilinear_corners(img, uv)
     du = (i01 - i00) * (1.0 - fv) + (i11 - i10) * fv
     dv = (i10 - i00) * (1.0 - fu) + (i11 - i01) * fu
     du[~valid] = 0.0

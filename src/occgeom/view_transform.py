@@ -144,12 +144,8 @@ def lift(
         raise ValueError(
             f"intrinsics are {intr.width}x{intr.height} but features are {w}x{h}"
         )
-    cd = dist.bins.size
-    us, vs = np.meshgrid(np.arange(w), np.arange(h))
-    dirs = np.stack(
-        [(us - intr.cx) / intr.fx, (vs - intr.cy) / intr.fy, np.ones((h, w))], axis=-1
-    )  # H x W x 3, unit z
-    positions = dirs[:, :, None, :] * dist.bins[None, None, :, None]
+    rays = cam_mod.camera_rays(intr, cam_mod.pixel_grid(h, w))  # [H*W x 3], unit z
+    positions = rays[:, None, :] * dist.bins[None, :, None]
     feats = dist.probs[:, :, :, None] * features[:, :, None, :]
     return positions.reshape(-1, 3), feats.reshape(-1, cf)
 

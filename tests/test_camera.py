@@ -12,12 +12,17 @@ from occgeom.camera import (
     Intrinsics,
     Pose,
     camera_pose_at,
+    camera_rays,
+    pinhole,
+    pixel_directions,
+    pixel_grid,
     project,
     ray,
     relative_pose,
     rig_from_json,
     rig_to_json,
     unproject,
+    view_rays,
 )
 
 INTR = Intrinsics(fx=100.0, fy=100.0, cx=50.0, cy=50.0, width=101, height=101)
@@ -86,6 +91,22 @@ class TestProjectUnproject:
             np.testing.assert_allclose(uv2, uv, atol=1e-9)
             assert d2 == pytest.approx(d, abs=1e-9)
 
+    @pytest.mark.parametrize("z", [0.5, 3.0, 20.0])
+    def test_pinhole_inverts_camera_rays(self, z):
+        rng = np.random.default_rng(6)
+        uv = rng.uniform([0, 0], [100, 100], size=(50, 2))
+        u, v, front = pinhole(INTR, camera_rays(INTR, uv) * z)
+        assert front.all()
+        np.testing.assert_allclose(np.stack([u, v], axis=1), uv, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("z", [1e-9, 0.0, -1.0])
+    def test_pinhole_behind_is_finite(self, z):
+        rng = np.random.default_rng(7)
+        uv = rng.uniform([0, 0], [100, 100], size=(50, 2))
+        u, v, front = pinhole(INTR, camera_rays(INTR, uv) * z)
+        assert not front.any()
+        assert np.all(np.isfinite(u)) and np.all(np.isfinite(v))
+
     def test_unproject_nonpositive_depth(self):
         cam = Camera(INTR, Pose.identity())
         with pytest.raises(ValueError):
@@ -115,6 +136,17 @@ class TestRay:
         origin, d = ray(cam, uv)
         t = np.dot(p - origin, d)
         np.testing.assert_allclose(origin + t * d, p, atol=1e-9)
+
+    @pytest.mark.parametrize("resolution", [(101, 101), (24, 40), (7, 130)])
+    def test_view_rays_cover_pixels_in_row_major_order(self, resolution):
+        h, w = resolution
+        grid = pixel_grid(h, w)
+        assert np.array_equal(grid, np.stack([np.tile(np.arange(w), h), np.repeat(np.arange(h), w)], 1))
+        pose = random_pose(np.random.default_rng(8))
+        origin, dirs = view_rays(Camera(INTR, pose), resolution)
+        intr = INTR if resolution == (INTR.height, INTR.width) else INTR.scaled(w, h)
+        assert np.array_equal(dirs, pixel_directions(intr, pose, grid)[0])
+        assert np.array_equal(origin, pose.translation)
 
 
 class TestRelativePose:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from helpers import level_camera_mount, rotation_from_angles
 
-from occgeom.camera import Camera, Intrinsics, Pose, ray
+from occgeom.camera import Camera, Intrinsics, Pose, ray, view_rays
 from occgeom.renderer import (
     _BLOCK_SAMPLES,
     _box_sample_ranges,
@@ -14,7 +14,6 @@ from occgeom.renderer import (
     RaySamples,
     _depth_grad_batch,
     _render_batch,
-    _view_rays,
     depth_grad_sigma,
     render_depth,
     render_view,
@@ -277,7 +276,7 @@ def dense_render(field, cam, res, t_near, t_far, s, grad_map):
 
     Returns (depth, opacity, dL/dsigma) for the depth cotangent grad_map.
     """
-    origin, dirs = _view_rays(cam, res)
+    origin, dirs = view_rays(cam, res)
     step = (t_far - t_near) / s
     t = t_near + (np.arange(s) + 0.5) * step
     deltas = np.full(s, step)
@@ -338,7 +337,7 @@ class TestRayPlan:
         t_near, s = 1.5, 6  # unit spacing: t = 2, 3, ..., 7
         plan = RayPlan(spec, cam, (3, 5), t_near, t_near + s, s)
         center = 1 * 5 + 2
-        origin, dirs = _view_rays(cam, (3, 5))
+        origin, dirs = view_rays(cam, (3, 5))
         coords = spec.world_to_grid(origin + plan.t[:, None] * dirs[center])
         assert coords[0, 0] == -0.5 and coords[4, 0] == 3.5
         assert np.all(coords[:, 1:] == 1.0)
@@ -423,7 +422,7 @@ class TestRayPlan:
 def unclipped_plan(spec, cam, res, t):
     """Reference: the kept sample positions, corners and weights found by
     testing every sample of the view against the trilinear box."""
-    origin, dirs = _view_rays(cam, res)
+    origin, dirs = view_rays(cam, res)
     pos = origin + t[None, :, None] * dirs[:, None, :]
     coords = spec.world_to_grid(pos.reshape(-1, 3))
     cols = np.flatnonzero(_trilinear_in_box(spec.dims, coords))
@@ -473,7 +472,7 @@ class TestRayClipping:
             assert np.array_equal(got.opacity, opacity)
         assert np.array_equal(g, grad)
         assert np.array_equal(plan.grad_sigma(rows, grad_map), grad)
-        origin, dirs = _view_rays(cam, res)
+        origin, dirs = view_rays(cam, res)
         first, stop = _box_sample_ranges(spec, origin, dirs, plan.t)
         # only the one-sample margin on each side is generated in vain
         assert cols.size <= np.sum(stop - first) <= cols.size + 2 * dirs.shape[0]
@@ -503,7 +502,7 @@ class TestRayClipping:
         # unclipped reference.
         res = (9, 11)
         cam = self.camera(0.0, [-1.0, 0.9, z], res)
-        _, dirs = _view_rays(cam, res)
+        _, dirs = view_rays(cam, res)
         assert np.all(dirs[4 * 11 : 5 * 11, 2] == 0.0) and np.all(dirs[5::11, 1] == 0.0)
         self.check(self.SPEC, cam, res, 0.5, 6.0, 30, 13)
 

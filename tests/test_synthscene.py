@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from occgeom import formats
-from occgeom.camera import Camera, camera_pose_at
+from occgeom.camera import Camera, camera_pose_at, view_rays
 from occgeom.cast import PhotometricConfig, make_warp_context, photometric_loss, warp_image
 from occgeom.renderer import render_view
 from occgeom.synthscene import (
+    _traverse,
     build_scene,
     load_scene,
     raymarch_depth_oracle,
@@ -131,6 +132,20 @@ class TestRaymarchOracle:
         dm = raymarch_depth_oracle(b.grid, SPEC, cam, b.image_size)
         assert np.array_equal(dm.depth, b.gt_depths[(1, 0)].depth)
         assert np.array_equal(dm.valid, b.gt_depths[(1, 0)].valid)
+
+    @pytest.mark.parametrize("preset", ["corridor", "boxes", "random_blobs"])
+    def test_shared_origin_traverses_like_per_ray_origins(self, preset):
+        b = bundle(seed=4, preset=preset)
+        occ = b.grid.labels != b.grid.num_classes
+        cam = Camera(b.rig.cameras[0].intrinsics, camera_pose_at(b.rig, 0, 1))
+        origin, dirs = view_rays(cam, (30, 50))
+        runs = []
+        for origins in (origin, np.broadcast_to(origin, dirs.shape).copy()):
+            visible = np.zeros(SPEC.dims, dtype=bool)
+            runs.append((*_traverse(occ, SPEC, origins, dirs, visible), visible))
+        for shared, per_ray in zip(*runs):
+            assert np.array_equal(shared, per_ray)
+        assert runs[0][1].any() and runs[0][3].any()
 
 
 class TestSynthesizeImage:

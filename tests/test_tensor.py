@@ -6,24 +6,6 @@ import pytest
 from occgeom import tensor
 
 
-class TestMatmul:
-    def test_identity(self):
-        a = np.arange(9.0).reshape(3, 3)
-        assert np.array_equal(tensor.matmul(np.eye(3), a), a)
-
-    def test_hand_product(self):
-        out = tensor.matmul([[1, 2], [3, 4]], [[0, 1], [1, 0]])
-        assert np.array_equal(out, [[2, 1], [4, 3]])
-
-    def test_zero_annihilator(self):
-        a = np.arange(6.0).reshape(2, 3)
-        assert np.array_equal(tensor.matmul(a, np.zeros((3, 4))), np.zeros((2, 4)))
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            tensor.matmul(np.ones((2, 3)), np.ones((2, 3)))
-
-
 class TestSoftmax:
     def test_uniform(self):
         np.testing.assert_allclose(tensor.softmax(np.zeros(3)), np.full(3, 1 / 3))
@@ -85,6 +67,20 @@ class TestBilinearSample:
         vals, _ = tensor.bilinear_sample(img, np.stack([u0 + f, np.full(10, v)], axis=1))
         expect = np.outer(1 - f, img[3, 2]) + np.outer(f, img[3, 3])
         np.testing.assert_allclose(vals, expect, atol=1e-12)
+
+    @pytest.mark.parametrize("fn", [tensor.bilinear_sample, tensor.bilinear_sample_grad])
+    @pytest.mark.parametrize(
+        "img_shape, uv",
+        [
+            ((4, 5), np.full((3, 2), 1.5)),  # image without a channel axis
+            ((4, 5, 2), np.full((3, 3), 1.5)),  # a third coordinate column
+            ((4, 5, 2), np.full(2, 1.5)),  # one point not stacked as [1 x 2]
+        ],
+        ids=["2d-image", "3-columns", "1d-coordinates"],
+    )
+    def test_rejects_bad_shapes(self, fn, img_shape, uv):
+        with pytest.raises(ValueError, match="bilinear sampling expects"):
+            fn(np.ones(img_shape), uv)
 
     def test_gradient_matches_finite_difference(self):
         rng = np.random.default_rng(3)
