@@ -15,7 +15,6 @@ Conventions, fixed once and used everywhere:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -327,12 +326,3 @@ def rig_from_json(d: dict) -> CameraRig:
     ego = {int(e["timestamp"]): _pose_from_json(e) for e in d["ego_poses"]}
     return CameraRig(cams, ego)
 
-
-def save_rig(rig: CameraRig, path) -> None:
-    with open(path, "w") as f:
-        json.dump(rig_to_json(rig), f, indent=2, sort_keys=True)
-
-
-def load_rig(path) -> CameraRig:
-    with open(path) as f:
-        return rig_from_json(json.load(f))

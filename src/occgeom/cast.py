@@ -4,8 +4,8 @@ A rendered target depth map turns a source image from another camera and/or
 timestamp into a reconstruction of the target view (inverse warping); an
 SSIM + L1 photometric loss compares reconstruction and reference, and the
 weighted sum over temporal, spatial and spatial-temporal context pairs is
-the self-training signal. Analytic gradients with respect to the rendered
-depth are provided for the optimization loop.
+the self-training signal. Every loss returns its analytic gradient with
+respect to the rendered depth alongside its value.
 """
 
 from __future__ import annotations
@@ -74,11 +74,6 @@ def make_warp_context(
     return WarpContext(kind, tuple(source), tuple(target), pose)
 
 
-def _target_geometry(k_tgt: Intrinsics, shape: tuple[int, int]) -> np.ndarray:
-    """Unit target-camera-frame direction per pixel, [H*W x 3]."""
-    return cam_mod.unit_camera_rays(k_tgt, cam_mod.pixel_grid(*shape))[0]
-
-
 @dataclass(frozen=True)
 class PairGeometry:
     """The depth-independent part of one context warp."""
@@ -95,10 +90,9 @@ def _pair_geometry(ctx: WarpContext, k_src: Intrinsics, units: np.ndarray) -> Pa
     return PairGeometry(ctx, k_src, inv, units, units @ inv.rotation.T)
 
 
-def _warp_core(src_img: np.ndarray, target_depth: DepthMap, geom: PairGeometry, with_grad: bool):
-    """(recon, valid, drecon or None): every target pixel is projected, but
-    sampled (and differentiated) only where the warp is valid; other pixels
-    stay 0.
+def _warp_core(src_img: np.ndarray, target_depth: DepthMap, geom: PairGeometry):
+    """(recon, valid, drecon): every target pixel is projected, but sampled
+    and differentiated only where the warp is valid; other pixels stay 0.
 
     The validity test repeats bilinear_sample's bound comparisons, and each
     kept pixel sees the same float operations as a full-image warp, so the
@@ -118,25 +112,18 @@ def _warp_core(src_img: np.ndarray, target_depth: DepthMap, geom: PairGeometry, 
     )
     idx = np.flatnonzero(valid)
     recon = np.zeros((h * w, c))
-    drecon = np.zeros((h * w, c)) if with_grad else None
+    drecon = np.zeros((h * w, c))
     if idx.size:
         uv = np.stack([u[idx], v[idx]], axis=1)
         recon[idx], _ = bilinear_sample(src_img, uv)
-        if with_grad:
-            # chain rule: d(recon)/d(depth) through the source projection and sampler
-            p, dp = p_src[idx], geom.dp_dd[idx]
-            zv = p[:, 2]
-            du_dd = k.fx * (dp[:, 0] * zv - p[:, 0] * dp[:, 2]) / zv**2
-            dv_dd = k.fy * (dp[:, 1] * zv - p[:, 1] * dp[:, 2]) / zv**2
-            gu, gv = bilinear_sample_grad(src_img, uv)
-            drecon[idx] = gu * du_dd[:, None] + gv * dv_dd[:, None]
-    if with_grad:
-        drecon = drecon.reshape(h, w, c)
-    return recon.reshape(h, w, c), valid.reshape(h, w), drecon
-
-
-def _one_shot_geometry(target_depth, ctx, k_src, k_tgt) -> PairGeometry:
-    return _pair_geometry(ctx, k_src, _target_geometry(k_tgt, target_depth.depth.shape))
+        # chain rule: d(recon)/d(depth) through the source projection and sampler
+        p, dp = p_src[idx], geom.dp_dd[idx]
+        zv = p[:, 2]
+        du_dd = k.fx * (dp[:, 0] * zv - p[:, 0] * dp[:, 2]) / zv**2
+        dv_dd = k.fy * (dp[:, 1] * zv - p[:, 1] * dp[:, 2]) / zv**2
+        gu, gv = bilinear_sample_grad(src_img, uv)
+        drecon[idx] = gu * du_dd[:, None] + gv * dv_dd[:, None]
+    return recon.reshape(h, w, c), valid.reshape(h, w), drecon.reshape(h, w, c)
 
 
 def warp_image(
@@ -145,7 +132,7 @@ def warp_image(
     ctx: WarpContext,
     k_src: Intrinsics,
     k_tgt: Intrinsics,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Inverse-warp a source image into the target view.
 
     Each valid target pixel is lifted to 3D with its rendered ray distance,
@@ -154,22 +141,11 @@ def warp_image(
     AND the source projection lands in front of the camera and in bounds.
 
     Returns:
-        (recon [H x W x C], valid [H x W] bool)
+        (recon [H x W x C], valid [H x W] bool,
+         d(recon)/d(target depth) [H x W x C], zero where invalid)
     """
-    geom = _one_shot_geometry(target_depth, ctx, k_src, k_tgt)
-    return _warp_core(src_img, target_depth, geom, with_grad=False)[:2]
-
-
-def warp_image_with_grad(
-    src_img: np.ndarray,
-    target_depth: DepthMap,
-    ctx: WarpContext,
-    k_src: Intrinsics,
-    k_tgt: Intrinsics,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """warp_image plus d(recon)/d(target depth), [H x W x C]."""
-    geom = _one_shot_geometry(target_depth, ctx, k_src, k_tgt)
-    return _warp_core(src_img, target_depth, geom, with_grad=True)
+    units = cam_mod.unit_camera_rays(k_tgt, cam_mod.pixel_grid(*target_depth.depth.shape))[0]
+    return _warp_core(src_img, target_depth, _pair_geometry(ctx, k_src, units))
 
 
 def _box_mean(x: np.ndarray, window: int) -> np.ndarray:
@@ -233,9 +209,18 @@ def _ssim_backward(
     )
 
 
-def _photometric(ref, recon, valid, cfg: PhotometricConfig, with_grad: bool):
-    """photometric_loss and, with_grad, photometric_loss_grad from one set of
-    SSIM statistics. Returns (None, None) when no pixel is valid."""
+def photometric_loss(
+    ref: np.ndarray, recon: np.ndarray, valid: np.ndarray, cfg: PhotometricConfig
+) -> tuple[float, np.ndarray]:
+    """Mean over valid pixels of alpha/2 * (1 - SSIM) + (1 - alpha) * L1,
+    and its gradient d(loss)/d(recon) [H x W x C], zero where invalid.
+
+    Both images are masked by `valid` before the SSIM statistics so that
+    identical images give exactly zero regardless of the mask; invalid
+    pixels are excluded from the mean. The loss and its gradient share one
+    set of SSIM statistics. With no valid pixels the loss and gradient are
+    0 and a RuntimeWarning is emitted.
+    """
     ref = as_tensor(ref)
     recon = as_tensor(recon)
     if ref.shape != recon.shape:
@@ -243,7 +228,8 @@ def _photometric(ref, recon, valid, cfg: PhotometricConfig, with_grad: bool):
     mask = np.asarray(valid, dtype=bool)
     n = int(mask.sum()) * ref.shape[2]
     if n == 0:
-        return None, None
+        warnings.warn("photometric loss over empty valid set; returning 0", RuntimeWarning)
+        return 0.0, np.zeros_like(recon)
     m = mask[:, :, None]
     x = ref * m
     y = recon * m
@@ -252,37 +238,10 @@ def _photometric(ref, recon, valid, cfg: PhotometricConfig, with_grad: bool):
     smap = (a1 * a2) / (b1 * b2)
     per = 0.5 * cfg.alpha * (1.0 - smap) + (1.0 - cfg.alpha) * np.abs(x - y)
     loss = float(np.sum(per * m) / n)
-    if not with_grad:
-        return loss, None
     grad_smap = np.where(m, -0.5 * cfg.alpha / n, 0.0)
     g = _ssim_backward(x, y, grad_smap, cfg.ssim_window, stats, smap)
     g += np.where(m, (1.0 - cfg.alpha) / n * np.sign(y - x), 0.0)
     return loss, g * m
-
-
-def photometric_loss(
-    ref: np.ndarray, recon: np.ndarray, valid: np.ndarray, cfg: PhotometricConfig
-) -> float:
-    """Mean over valid pixels of alpha/2 * (1 - SSIM) + (1 - alpha) * L1.
-
-    Both images are masked by `valid` before the SSIM statistics so that
-    identical images give exactly zero regardless of the mask; invalid
-    pixels are excluded from the mean. With no valid pixels the loss is 0
-    and a RuntimeWarning is emitted.
-    """
-    loss, _ = _photometric(ref, recon, valid, cfg, with_grad=False)
-    if loss is None:
-        warnings.warn("photometric loss over empty valid set; returning 0", RuntimeWarning)
-        return 0.0
-    return loss
-
-
-def photometric_loss_grad(
-    ref: np.ndarray, recon: np.ndarray, valid: np.ndarray, cfg: PhotometricConfig
-) -> np.ndarray:
-    """d(photometric_loss)/d(recon), [H x W x C]; zero where invalid."""
-    _, g = _photometric(ref, recon, valid, cfg, with_grad=True)
-    return np.zeros_like(as_tensor(recon)) if g is None else g
 
 
 def _ring_neighbors(i: int, n: int) -> list[int]:
@@ -331,7 +290,10 @@ class ContextPlan:
         h, w = (int(r) for r in resolution)
         self.rig = rig
         self.resolution = (h, w)
-        units = [_target_geometry(c.intrinsics, (h, w)) for c in rig.cameras]
+        units = [
+            cam_mod.unit_camera_rays(c.intrinsics, cam_mod.pixel_grid(h, w))[0]
+            for c in rig.cameras
+        ]
         self.pairs = [
             _pair_geometry(
                 make_warp_context(rig, kind, src, tgt),
@@ -357,24 +319,15 @@ class ContextPlan:
                 )
 
 
-def _context_plan(rig, depths, plan) -> ContextPlan:
-    if plan is None:
-        if len(depths) != len(rig.cameras):
-            raise ValueError(f"{len(depths)} depth maps for {len(rig.cameras)} cameras")
-        return ContextPlan(rig, depths[0].depth.shape)
-    if plan.rig is not rig:
-        raise ValueError("the context plan was built for another rig")
-    return plan
-
-
 def cast_loss(
     rig: CameraRig,
     images: Mapping[tuple[int, int], np.ndarray],
     depths: Sequence[DepthMap],
     cfg: PhotometricConfig,
     plan: ContextPlan | None = None,
-) -> tuple[float, dict]:
-    """Total context-aware self-training loss and its breakdown.
+) -> tuple[float, dict, list[np.ndarray]]:
+    """Total context-aware self-training loss, its breakdown, and
+    d(total)/d(rendered depth) per camera, each [H x W].
 
     `depths` holds one rendered depth map per camera at the latest rig
     timestamp. Each context term averages its pair losses; with a single
@@ -386,22 +339,12 @@ def cast_loss(
     each kind's pairs. `plan` is a ContextPlan of `rig` at the depth
     resolution; without one a one-shot plan is built.
     """
-    total, breakdown, _ = _loss_core(rig, images, depths, cfg, plan, with_grad=False)
-    return total, breakdown
-
-
-def cast_loss_with_depth_grad(
-    rig: CameraRig,
-    images: Mapping[tuple[int, int], np.ndarray],
-    depths: Sequence[DepthMap],
-    cfg: PhotometricConfig,
-    plan: ContextPlan | None = None,
-) -> tuple[float, dict, list[np.ndarray]]:
-    """cast_loss plus d(total)/d(rendered depth) per camera, each [H x W]."""
-    return _loss_core(rig, images, depths, cfg, plan, with_grad=True)
-
-
-def _cast_terms(plan, images, depths, cfg, with_grad):
+    if plan is None:
+        if len(depths) != len(rig.cameras):
+            raise ValueError(f"{len(depths)} depth maps for {len(rig.cameras)} cameras")
+        plan = ContextPlan(rig, depths[0].depth.shape)
+    elif plan.rig is not rig:
+        raise ValueError("the context plan was built for another rig")
     plan.check(depths)
     lam = {
         "temporal": cfg.lambda_t,
@@ -410,65 +353,59 @@ def _cast_terms(plan, images, depths, cfg, with_grad):
     }
     sums = dict.fromkeys(KINDS, 0.0)
     valid_px = dict.fromkeys(KINDS, 0)
-    grads = [np.zeros_like(dm.depth) for dm in depths] if with_grad else None
+    grads = [np.zeros_like(dm.depth) for dm in depths]
     active = 0
     for geom in plan.pairs:
         kind, src, tgt = geom.ctx.kind, geom.ctx.source, geom.ctx.target
         if src not in images or tgt not in images:
             raise KeyError(f"missing image for frame {src if src not in images else tgt}")
-        recon, valid, drecon = _warp_core(images[src], depths[tgt[0]], geom, with_grad)
+        recon, valid, drecon = _warp_core(images[src], depths[tgt[0]], geom)
         n_valid = int(valid.sum())
         valid_px[kind] += n_valid
         if n_valid == 0:  # an empty pair adds 0 to its term
             continue
         active += 1
-        pair_loss, gl = _photometric(images[tgt], recon, valid, cfg, with_grad)
+        pair_loss, gl = photometric_loss(images[tgt], recon, valid, cfg)
         sums[kind] += pair_loss
-        if with_grad:
-            grads[tgt[0]] += (lam[kind] / plan.n_pairs[kind]) * np.sum(gl * drecon, axis=2)
+        grads[tgt[0]] += (lam[kind] / plan.n_pairs[kind]) * np.sum(gl * drecon, axis=2)
     terms = {k: (sums[k] / plan.n_pairs[k] if plan.n_pairs[k] else 0.0) for k in KINDS}
     total = sum(lam[k] * terms[k] for k in KINDS)
-    counts = {
+    breakdown = {
+        "L_t": terms["temporal"], "L_sp": terms["spatial"], "L_spt": terms["spatial_temporal"],
+        "total": total,
         "active_pairs": active,
         "empty_pairs": len(plan.pairs) - active,
         "valid_px_t": valid_px["temporal"],
         "valid_px_sp": valid_px["spatial"],
         "valid_px_spt": valid_px["spatial_temporal"],
     }
-    return total, terms, counts, grads
-
-
-def _loss_core(rig, images, depths, cfg, plan, with_grad, pretrain=None):
-    """The context loss, or with pretrain=(sparse, depth_dists) the
-    pretraining objective, with its breakdown and, with_grad, its
-    per-camera depth gradients."""
-    if pretrain is not None:
-        sparse, depth_dists = pretrain
-        dists = depth_dists if depth_dists is not None else [None] * len(rig.cameras)
-        l_ed = depth_bin_cross_entropy(dists, sparse)
-        l_rd, rd_grads = _depth_l1(depths, sparse, with_grad)
-    plan = _context_plan(rig, depths, plan)
-    l_cast, terms, counts, grads = _cast_terms(plan, images, depths, cfg, with_grad)
-    parts = {
-        "L_t": terms["temporal"], "L_sp": terms["spatial"], "L_spt": terms["spatial_temporal"]
-    }
-    if pretrain is None:
-        return l_cast, {**parts, "total": l_cast, **counts}, grads
-    total = l_ed + l_rd + l_cast
-    breakdown = {"L_ed": l_ed, "L_rd": l_rd, **parts, "L_cast": l_cast, "total": total, **counts}
-    if with_grad:
-        grads = [rd + cg for rd, cg in zip(rd_grads, grads)]
     return total, breakdown, grads
 
 
 def depth_l1_loss(
     depths: Sequence[DepthMap], sparse: Sequence[np.ndarray | None]
-) -> float:
+) -> tuple[float, list[np.ndarray]]:
     """L1 between rendered and sparse depth at sample pixels, pooled over
-    cameras. The raw accumulated depth is compared ungated, so a from-empty
-    density field still produces a usable objective."""
-    loss, _ = _depth_l1(depths, sparse, with_grad=False)
-    return loss
+    cameras, and its gradient per camera, each [H x W]. The raw
+    accumulated depth is compared ungated, so a from-empty density field
+    still produces a usable objective."""
+    grads = [np.zeros_like(d.depth) for d in depths]
+    count = 0
+    for pts in sparse:
+        if pts is not None and len(pts) > 0:
+            count += as_tensor(pts).reshape(-1, 3).shape[0]
+    if count == 0:
+        return 0.0, grads
+    total = 0.0
+    for ci, (dm, pts) in enumerate(zip(depths, sparse)):
+        if pts is None or len(pts) == 0:
+            continue
+        pts = as_tensor(pts).reshape(-1, 3)
+        us, vs = _sparse_pixels(pts, dm.depth.shape, ci)
+        diff = dm.depth[vs, us] - pts[:, 2]
+        total += float(np.sum(np.abs(diff)))
+        np.add.at(grads[ci], (vs, us), np.sign(diff) / count)
+    return total / count, grads
 
 
 def depth_bin_cross_entropy(
@@ -499,39 +436,21 @@ def pretrain_loss(
     depths: Sequence[DepthMap],
     sparse: Sequence[np.ndarray | None],
     cfg: PhotometricConfig,
-    depth_dists: Sequence[DepthDistribution | None] | None = None,
-    plan: ContextPlan | None = None,
-) -> tuple[float, dict]:
-    """Pretraining objective: depth-bin CE + rendered-depth L1 + context loss.
-
-    `sparse` carries per-camera [(u, v, depth)] supervision at the latest
-    timestamp (empty/None entries contribute nothing); `depth_dists`
-    optionally supplies per-camera explicit depth distributions for the CE
-    term; `plan` is passed on to the context loss. Returns (total,
-    breakdown); the breakdown adds "L_ed", "L_rd" and "L_cast" to
-    cast_loss's keys.
-    """
-    total, breakdown, _ = _loss_core(
-        rig, images, depths, cfg, plan, False, (sparse, depth_dists)
-    )
-    return total, breakdown
-
-
-def pretrain_loss_with_depth_grad(
-    rig: CameraRig,
-    images: Mapping[tuple[int, int], np.ndarray],
-    depths: Sequence[DepthMap],
-    sparse: Sequence[np.ndarray | None],
-    cfg: PhotometricConfig,
-    depth_dists: Sequence[DepthDistribution | None] | None = None,
     plan: ContextPlan | None = None,
 ) -> tuple[float, dict, list[np.ndarray]]:
-    """pretrain_loss plus d(total)/d(rendered depth) per camera.
+    """Pretraining objective: rendered-depth L1 + context loss, with its
+    breakdown and d(total)/d(rendered depth) per camera.
 
-    The CE term does not depend on the rendered depth, so its gradient
-    contribution is zero.
+    `sparse` carries per-camera [(u, v, depth)] supervision at the latest
+    timestamp (empty/None entries contribute nothing); `plan` is passed on
+    to the context loss. The breakdown adds "L_rd" and "L_cast" to
+    cast_loss's keys.
     """
-    return _loss_core(rig, images, depths, cfg, plan, True, (sparse, depth_dists))
+    l_rd, rd_grads = depth_l1_loss(depths, sparse)
+    l_cast, parts, cast_grads = cast_loss(rig, images, depths, cfg, plan)
+    total = l_rd + l_cast
+    breakdown = {"L_rd": l_rd, **parts, "L_cast": l_cast, "total": total}
+    return total, breakdown, [rd + cg for rd, cg in zip(rd_grads, cast_grads)]
 
 
 def _sparse_pixels(
@@ -554,24 +473,3 @@ def _sparse_pixels(
             f"is not an integer pixel of the {w}x{h} image"
         )
     return u.astype(np.int64), v.astype(np.int64)
-
-
-def _depth_l1(depths, sparse, with_grad):
-    grads = [np.zeros_like(d.depth) for d in depths]
-    count = 0
-    for pts in sparse:
-        if pts is not None and len(pts) > 0:
-            count += as_tensor(pts).reshape(-1, 3).shape[0]
-    if count == 0:
-        return 0.0, grads
-    total = 0.0
-    for ci, (dm, pts) in enumerate(zip(depths, sparse)):
-        if pts is None or len(pts) == 0:
-            continue
-        pts = as_tensor(pts).reshape(-1, 3)
-        us, vs = _sparse_pixels(pts, dm.depth.shape, ci)
-        diff = dm.depth[vs, us] - pts[:, 2]
-        total += float(np.sum(np.abs(diff)))
-        if with_grad:
-            np.add.at(grads[ci], (vs, us), np.sign(diff) / count)
-    return total / count, grads

@@ -11,8 +11,11 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
+import numbers
 import os
 import sys
+import typing
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -99,6 +102,22 @@ class OptimizeConfig:
             raise ValueError("optimize.lidar_samples must be nonnegative")
 
 
+def _fits(hint, value) -> bool:
+    """Whether a config value fits its field's annotation: int takes only
+    non-bool integers, float only finite non-bool reals, and tuple[X, ...]
+    a list or tuple whose elements fit X."""
+    if typing.get_origin(hint) is tuple:
+        elem = typing.get_args(hint)[0]
+        return isinstance(value, (list, tuple)) and all(_fits(elem, v) for v in value)
+    if isinstance(value, bool):
+        return False
+    if hint is int:
+        return isinstance(value, numbers.Integral)
+    if hint is float:
+        return isinstance(value, numbers.Real) and math.isfinite(value)
+    return isinstance(value, hint)
+
+
 @dataclass
 class ExperimentConfig:
     scene: SceneConfig = field(default_factory=SceneConfig)
@@ -121,13 +140,19 @@ class ExperimentConfig:
             for src, dst in rename.items():
                 if src in data:
                     data[dst] = data.pop(src)
-            names = set(cls.__dataclass_fields__)
-            bad = set(data) - names
+            hints = typing.get_type_hints(cls)
+            bad = set(data) - set(hints)
             if bad:
                 raise ValueError(f"unknown keys in config.{section}: {sorted(bad)}")
-            for k in ("dims", "image_size", "resolution", "origin"):
-                if k in data and isinstance(data[k], list):
-                    data[k] = tuple(data[k])
+            config_key = {dst: src for src, dst in rename.items()}
+            for k, value in data.items():
+                if not _fits(hints[k], value):
+                    raise ValueError(
+                        f"{section}.{config_key.get(k, k)}: {value!r} is not a valid "
+                        f"{cls.__dataclass_fields__[k].type}"
+                    )
+                if typing.get_origin(hints[k]) is tuple:
+                    data[k] = tuple(value)
             return cls(**data)
 
         cfg = ExperimentConfig(
@@ -344,16 +369,9 @@ def cmd_selftrain(cfg: ExperimentConfig, scene_dir: str) -> dict:
         depths, rows_per_view = forward(sigma)
         if step == 0:
             initial_err = gt_depth_error(depths)
-        last = step == cfg.optimize.steps
-        if last:
-            total, parts = cast_mod.pretrain_loss(
-                rig, bundle.images, depths, sparse, cfg.cast, plan=ctx_plan
-            )
-            grads = None
-        else:
-            total, parts, grads = cast_mod.pretrain_loss_with_depth_grad(
-                rig, bundle.images, depths, sparse, cfg.cast, plan=ctx_plan
-            )
+        total, parts, grads = cast_mod.pretrain_loss(
+            rig, bundle.images, depths, sparse, cfg.cast, plan=ctx_plan
+        )
         if not np.isfinite(total):
             raise RuntimeError(
                 f"selftrain diverged at step {step}: total loss is {total}"
@@ -372,7 +390,7 @@ def cmd_selftrain(cfg: ExperimentConfig, scene_dir: str) -> dict:
                 f"moving average {avg:.9g} > {prev_avg:.9g}"
             )
         prev_avg = avg
-        if last:
+        if step == cfg.optimize.steps:  # the final sigma gets no update
             break
         sig_grad = np.zeros_like(sigma)
         grad_views = _camera_map(

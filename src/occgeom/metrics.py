@@ -56,23 +56,20 @@ def evaluate(
     over occupied-vs-free, per-class IoU for the semantic classes present,
     and their mean.
     """
-    mask = _check_pair(pred, gt, visible)
+    cm = confusion(pred, gt, visible)
     k = gt.num_classes
-    p = pred.labels[mask]
-    g = gt.labels[mask]
-    p_occ = p != k
-    g_occ = g != k
-    tp_b = int(np.sum(p_occ & g_occ))
-    fp_b = int(np.sum(p_occ & ~g_occ))
-    fn_b = int(np.sum(~p_occ & g_occ))
+    tp_b = int(cm[:k, :k].sum())
+    fp_b = int(cm[k, :k].sum())
+    fn_b = int(cm[:k, k].sum())
     denom = tp_b + fp_b + fn_b
     iou = tp_b / denom if denom else 0.0
+    diag = np.diag(cm)
+    fps = cm.sum(axis=0) - diag  # predicted c, truth another label
+    fns = cm.sum(axis=1) - diag  # truth c, predicted another label
     counts: dict[int, tuple[int, int, int]] = {}
     per_class: dict[int, float] = {}
     for c in range(k):
-        tp = int(np.sum((p == c) & (g == c)))
-        fp = int(np.sum((p == c) & (g != c)))
-        fn = int(np.sum((p != c) & (g == c)))
+        tp, fp, fn = int(diag[c]), int(fps[c]), int(fns[c])
         counts[c] = (tp, fp, fn)
         if tp + fp + fn > 0:
             per_class[c] = tp / (tp + fp + fn)
@@ -86,8 +83,8 @@ def confusion(
     visible: np.ndarray | None = None,
 ) -> np.ndarray:
     """(K+1) x (K+1) matrix: entry (g, p) counts visible voxels with
-    ground truth g predicted as p. Row sums give ground-truth class sizes
-    and evaluate()'s counts are derivable from this matrix."""
+    ground truth g predicted as p. Row sums give ground-truth class sizes;
+    evaluate() derives all its counts from this matrix."""
     mask = _check_pair(pred, gt, visible)
     n = gt.num_classes + 1
     flat = gt.labels[mask] * n + pred.labels[mask]

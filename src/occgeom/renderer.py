@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .camera import Camera, view_rays
-from .formats import write_pfm, write_pgm16, write_pgm8
+from .formats import write_pfm, write_pgm8
 from .tensor import _trilinear_corners, _trilinear_in_box, as_tensor, trilinear_sample
 from .view_transform import VoxelGridSpec
 
@@ -429,12 +429,6 @@ def render_view_grad_sigma(
 def save_depth_pfm(dm: DepthMap, path) -> None:
     """Export rendered depth as a PFM; invalid pixels are written as zero."""
     write_pfm(path, np.where(dm.valid, dm.depth, 0.0))
-
-
-def save_depth_pgm(dm: DepthMap, path) -> None:
-    """Export depth as 16-bit PGM in millimeters (invalid pixels zero)."""
-    mm = np.where(dm.valid, dm.depth, 0.0) * 1000.0
-    write_pgm16(path, np.clip(np.floor(mm + 0.5), 0, 65535).astype(np.uint16))
 
 
 def save_valid_pgm(dm: DepthMap, path) -> None:

@@ -116,10 +116,10 @@ def test_04_photometric_identity():
         for (ci, t), img in b.images.items():
             ctx = make_warp_context(b.rig, "temporal", (ci, t), (ci, t))
             intr = b.rig.cameras[ci].intrinsics
-            recon, valid = warp_image(img, b.gt_depths[(ci, t)], ctx, intr, intr)
+            recon, valid, _ = warp_image(img, b.gt_depths[(ci, t)], ctx, intr, intr)
             if not valid.any():
                 continue
-            worst = max(worst, abs(photometric_loss(img, recon, valid, cfg)))
+            worst = max(worst, abs(photometric_loss(img, recon, valid, cfg)[0]))
             checked += 1
     assert checked >= 8
     assert worst <= 1e-6

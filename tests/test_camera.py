@@ -234,16 +234,6 @@ class TestSerialization:
                 back.ego_poses[t].matrix(), rig.ego_poses[t].matrix()
             )
 
-    def test_file_roundtrip(self, tmp_path):
-        from occgeom.camera import load_rig, save_rig
-
-        rig = simple_rig(2)
-        save_rig(rig, tmp_path / "rig.json")
-        back = load_rig(tmp_path / "rig.json")
-        assert np.array_equal(
-            back.cameras[1].pose.matrix(), rig.cameras[1].pose.matrix()
-        )
-
     def test_scaled_intrinsics_keep_centers(self):
         intr = Intrinsics(fx=100.0, fy=80.0, cx=31.5, cy=23.5, width=64, height=48)
         s = intr.scaled(32, 24)

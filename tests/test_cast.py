@@ -8,22 +8,26 @@ import pytest
 from helpers import level_camera_mount, simple_rig
 
 from occgeom import cast
-from occgeom.camera import Camera, CameraRig, Intrinsics, Pose, camera_pose_at
+from occgeom.camera import (
+    Camera,
+    CameraRig,
+    Intrinsics,
+    Pose,
+    camera_pose_at,
+    pixel_grid,
+    unit_camera_rays,
+)
 from occgeom.cast import (
     PhotometricConfig,
     WarpContext,
     cast_loss,
-    cast_loss_with_depth_grad,
     depth_bin_cross_entropy,
     depth_l1_loss,
     make_warp_context,
     photometric_loss,
-    photometric_loss_grad,
     pretrain_loss,
-    pretrain_loss_with_depth_grad,
     ssim,
     warp_image,
-    warp_image_with_grad,
 )
 from occgeom.renderer import DensityField, DepthMap, render_view, render_view_grad_sigma
 from occgeom.synthscene import build_scene, sparse_lidar
@@ -69,7 +73,7 @@ class TestWarpImage:
         dm = b.gt_depths[(0, 1)]
         ctx = make_warp_context(b.rig, "temporal", (0, 1), (0, 1))
         intr = b.rig.cameras[0].intrinsics
-        recon, valid = warp_image(img, dm, ctx, intr, intr)
+        recon, valid, _ = warp_image(img, dm, ctx, intr, intr)
         assert valid.sum() > 100
         assert np.array_equal(valid, dm.valid)
         np.testing.assert_allclose(recon[valid], img[valid], atol=1e-12)
@@ -85,9 +89,9 @@ class TestWarpImage:
         )
         ctx = make_warp_context(b.rig, "temporal", (0, 0), (0, 1))
         intr = b.rig.cameras[0].intrinsics
-        recon, valid = warp_image(img, empty, ctx, intr, intr)
+        recon, valid, drecon = warp_image(img, empty, ctx, intr, intr)
         assert not valid.any()
-        assert np.all(recon == 0.0)
+        assert np.all(recon == 0.0) and np.all(drecon == 0.0)
 
     def test_axial_translation_matches_plane_rescale(self):
         # camera slides toward a fronto-parallel textured plane: the warp
@@ -112,7 +116,7 @@ class TestWarpImage:
             opacity=np.ones((h, w)),
         )
         ctx = make_warp_context(rig, "temporal", (0, 0), (0, 1))
-        recon, valid = warp_image(src, depth, ctx, intr, intr)
+        recon, valid, _ = warp_image(src, depth, ctx, intr, intr)
         scale = (d_plane - advance) / d_plane
         u_src = (us - intr.cx) * scale + intr.cx
         v_src = (vs - intr.cy) * scale + intr.cy
@@ -129,15 +133,15 @@ class TestWarpImage:
         dm = b.gt_depths[(0, 1)]
         ctx = make_warp_context(b.rig, "temporal", (0, 0), (0, 1))
         intr = b.rig.cameras[0].intrinsics
-        recon, valid, drecon = warp_image_with_grad(src, dm, ctx, intr, intr)
-        gl = photometric_loss_grad(ref, recon, valid, CFG)
+        recon, valid, drecon = warp_image(src, dm, ctx, intr, intr)
+        _, gl = photometric_loss(ref, recon, valid, CFG)
         gdepth = np.sum(gl * drecon, axis=2)
 
         def f(dvec):
             dm2 = DepthMap(depth=dvec.reshape(dm.depth.shape), valid=dm.valid,
                            opacity=dm.opacity)
-            r2, v2 = warp_image(src, dm2, ctx, intr, intr)
-            return photometric_loss(ref, r2, v2, CFG)
+            r2, v2, _ = warp_image(src, dm2, ctx, intr, intr)
+            return photometric_loss(ref, r2, v2, CFG)[0]
 
         assert grad_check(f, dm.depth.ravel(), gdepth.ravel(), eps=1e-6) < 1e-4
 
@@ -194,14 +198,14 @@ class TestPhotometricLoss:
     def test_identical_zero(self):
         img = smooth_image(10, 12)
         valid = np.ones((10, 12), dtype=bool)
-        assert photometric_loss(img, img, valid, CFG) == pytest.approx(0.0, abs=1e-15)
+        assert photometric_loss(img, img, valid, CFG)[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_pure_l1(self):
         cfg = PhotometricConfig(alpha=0.0)
         a = np.full((6, 6, 3), 0.25)
         b = np.full((6, 6, 3), 0.75)
         valid = np.ones((6, 6), dtype=bool)
-        assert photometric_loss(a, b, valid, cfg) == pytest.approx(0.5)
+        assert photometric_loss(a, b, valid, cfg)[0] == pytest.approx(0.5)
 
     def test_pure_ssim_matches_direct_formula(self):
         cfg = PhotometricConfig(alpha=1.0)
@@ -209,8 +213,8 @@ class TestPhotometricLoss:
         a = rng.uniform(size=(8, 10, 3))
         b = rng.uniform(size=(8, 10, 3))
         valid = np.ones((8, 10), dtype=bool)
-        assert photometric_loss(a, a, valid, cfg) == pytest.approx(0.0, abs=1e-15)
-        got = photometric_loss(a, b, valid, cfg)
+        assert photometric_loss(a, a, valid, cfg)[0] == pytest.approx(0.0, abs=1e-15)
+        got, _ = photometric_loss(a, b, valid, cfg)
         expect = np.mean(0.5 * (1.0 - ssim(a, b, cfg.ssim_window)))
         assert got == pytest.approx(expect, rel=1e-12)
 
@@ -220,23 +224,24 @@ class TestPhotometricLoss:
             a = rng.uniform(size=(6, 7, 3))
             b = rng.uniform(size=(6, 7, 3))
             valid = rng.uniform(size=(6, 7)) > 0.3
-            assert photometric_loss(a, b, valid, CFG) >= 0.0
+            assert photometric_loss(a, b, valid, CFG)[0] >= 0.0
 
     def test_empty_valid_warns_and_returns_zero(self):
         a = smooth_image(5, 5)
         with pytest.warns(RuntimeWarning):
-            out = photometric_loss(a, a, np.zeros((5, 5), dtype=bool), CFG)
+            out, grad = photometric_loss(a, a, np.zeros((5, 5), dtype=bool), CFG)
         assert out == 0.0
+        assert grad.shape == a.shape and np.all(grad == 0.0)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(4)
         ref = rng.uniform(size=(7, 8, 3))
         recon = rng.uniform(size=(7, 8, 3))
         valid = rng.uniform(size=(7, 8)) > 0.25
-        g = photometric_loss_grad(ref, recon, valid, CFG)
+        _, g = photometric_loss(ref, recon, valid, CFG)
 
         def f(x):
-            return photometric_loss(ref, x.reshape(7, 8, 3), valid, CFG)
+            return photometric_loss(ref, x.reshape(7, 8, 3), valid, CFG)[0]
 
         assert grad_check(f, recon.ravel(), g.ravel(), eps=1e-6) < 1e-4
 
@@ -272,7 +277,7 @@ class TestCastLoss:
 
     def test_static_scene_all_terms_zero(self):
         rig, images, depths = self._static_bundle()
-        total, bd = cast_loss(rig, images, depths, CFG)
+        total, bd, _ = cast_loss(rig, images, depths, CFG)
         assert bd["L_t"] == pytest.approx(0.0, abs=1e-6)
         assert bd["L_sp"] == pytest.approx(0.0, abs=1e-6)
         assert bd["L_spt"] == pytest.approx(0.0, abs=1e-6)
@@ -282,7 +287,7 @@ class TestCastLoss:
         b = boxes_bundle(seed=6)
         depths = [b.gt_depths[(i, 1)] for i in range(2)]
         cfg = PhotometricConfig(lambda_sp=0.0, lambda_spt=0.0)
-        total, bd = cast_loss(b.rig, b.images, depths, cfg)
+        total, bd, _ = cast_loss(b.rig, b.images, depths, cfg)
         assert total == pytest.approx(cfg.lambda_t * bd["L_t"], abs=1e-15)
 
     def test_breakdown_is_json_ready(self):
@@ -290,7 +295,7 @@ class TestCastLoss:
 
         b = boxes_bundle(seed=6)
         depths = [b.gt_depths[(i, 1)] for i in range(2)]
-        _, bd = cast_loss(b.rig, b.images, depths, CFG)
+        _, bd, _ = cast_loss(b.rig, b.images, depths, CFG)
         parsed = json.loads(json.dumps(bd))
         assert set(parsed) == {
             "L_t", "L_sp", "L_spt", "total", "active_pairs", "empty_pairs",
@@ -321,7 +326,7 @@ class TestCastLoss:
         # leaves all relative geometry, hence the loss, unchanged
         b = boxes_bundle(seed=13)
         depths = [b.gt_depths[(i, 1)] for i in range(2)]
-        base, _ = cast_loss(b.rig, b.images, depths, CFG)
+        base = cast_loss(b.rig, b.images, depths, CFG)[0]
         from helpers import rotation_from_angles
 
         g = Pose(rotation_from_angles(0.7, 0.2, -0.4), np.array([5.0, -3.0, 2.0]))
@@ -329,7 +334,7 @@ class TestCastLoss:
             b.rig.cameras,
             {t: g.compose(p) for t, p in b.rig.ego_poses.items()},
         )
-        after, _ = cast_loss(moved, b.images, depths, CFG)
+        after = cast_loss(moved, b.images, depths, CFG)[0]
         assert after == pytest.approx(base, abs=1e-9)
 
     def test_single_camera_spatial_terms_inactive(self):
@@ -337,17 +342,21 @@ class TestCastLoss:
         intr = b.rig.cameras[0].intrinsics
         rig1 = CameraRig((b.rig.cameras[0],), dict(b.rig.ego_poses))
         images = {(0, t): b.images[(0, t)] for t in (0, 1)}
-        total, bd = cast_loss(rig1, images, [b.gt_depths[(0, 1)]], CFG)
+        total, bd, _ = cast_loss(rig1, images, [b.gt_depths[(0, 1)]], CFG)
         assert bd["L_sp"] == 0.0 and bd["L_spt"] == 0.0
         assert total == pytest.approx(bd["L_t"] * CFG.lambda_t)
 
-    def test_grad_variant_matches_value(self):
+    def test_pretrain_without_samples_is_cast_loss(self):
+        # with no sparse samples the depth L1 adds nothing: the pretraining
+        # total, context terms and depth gradients are cast_loss's, bit for bit
         b = boxes_bundle(seed=6)
         depths = [b.gt_depths[(i, 1)] for i in range(2)]
-        t1, bd1 = cast_loss(b.rig, b.images, depths, CFG)
-        t2, bd2, grads = cast_loss_with_depth_grad(b.rig, b.images, depths, CFG)
-        assert t1 == t2 and bd1 == bd2
-        assert len(grads) == 2 and grads[0].shape == depths[0].depth.shape
+        t1, bd1, g1 = cast_loss(b.rig, b.images, depths, CFG)
+        t2, bd2, g2 = pretrain_loss(b.rig, b.images, depths, [None, None], CFG)
+        assert t1 == t2 == bd2["L_cast"] and bd2["L_rd"] == 0.0
+        assert {k: bd2[k] for k in bd1} == bd1
+        assert len(g1) == len(g2) == 2 and g1[0].shape == depths[0].depth.shape
+        assert all(np.array_equal(a, c) for a, c in zip(g1, g2))
 
 
 class TestPretrainLoss:
@@ -362,8 +371,8 @@ class TestPretrainLoss:
         nearest = np.argmin(np.abs(dm.depth[..., None] - bins), axis=-1)
         np.put_along_axis(probs, nearest[..., None], 1.0, axis=-1)
         dists = [DepthDistribution(bins, probs), None]
-        total, bd = pretrain_loss(rig, images, depths, [pts, None], CFG, dists)
-        assert bd["L_ed"] == pytest.approx(0.0, abs=1e-12)
+        total, bd, _ = pretrain_loss(rig, images, depths, [pts, None], CFG)
+        assert depth_bin_cross_entropy(dists, [pts, None]) == pytest.approx(0.0, abs=1e-12)
         assert bd["L_rd"] == pytest.approx(0.0, abs=1e-12)
         assert total == pytest.approx(0.0, abs=1e-6)
 
@@ -372,7 +381,7 @@ class TestPretrainLoss:
         dm = b.gt_depths[(0, 1)]
         pts = sparse_lidar(dm, 100, seed=1)
         shifted = DepthMap(depth=dm.depth + 1.0, valid=dm.valid, opacity=dm.opacity)
-        total, bd = pretrain_loss(
+        total, bd, _ = pretrain_loss(
             b.rig, b.images, [shifted, b.gt_depths[(1, 1)]], [pts, None], CFG
         )
         assert bd["L_rd"] == pytest.approx(1.0, abs=1e-9)
@@ -380,8 +389,9 @@ class TestPretrainLoss:
     def test_empty_sparse_set(self):
         b = boxes_bundle(seed=6)
         depths = [b.gt_depths[(i, 1)] for i in range(2)]
-        _, bd = pretrain_loss(b.rig, b.images, depths, [None, None], CFG)
-        assert bd["L_ed"] == 0.0 and bd["L_rd"] == 0.0
+        _, bd, _ = pretrain_loss(b.rig, b.images, depths, [None, None], CFG)
+        assert bd["L_rd"] == 0.0
+        assert depth_bin_cross_entropy([None, None], [None, None]) == 0.0
 
     def test_cross_entropy_prefers_correct_bin(self):
         bins = uniform_depth_bins(4, 1.0, 9.0)
@@ -425,9 +435,7 @@ class TestPretrainLoss:
         for step in range(21):
             fld = DensityField(sigma, spec)
             depths = [render_view(fld, v, (24, 40), 1.0, 16.0, 32) for v in views]
-            total, _, grads = pretrain_loss_with_depth_grad(
-                b.rig, b.images, depths, sparse, CFG
-            )
+            total, _, grads = pretrain_loss(b.rig, b.images, depths, sparse, CFG)
             losses.append(total)
             g = np.zeros_like(sigma)
             for i, v in enumerate(views):
@@ -440,11 +448,12 @@ class TestPretrainLoss:
 # -- context plan: equivalence with the full-image warp ----------------------
 
 
-def reference_warp(src_img, dm, ctx, k_src, k_tgt, with_grad):
-    """Warp every target pixel, sample the whole image, then mask with
-    np.where: the arithmetic the context plan must reproduce bit for bit."""
+def reference_warp(src_img, dm, ctx, k_src, k_tgt):
+    """Warp every target pixel, sample and differentiate the whole image,
+    then mask with np.where: the arithmetic the context plan must reproduce
+    bit for bit."""
     h, w = dm.depth.shape
-    units = cast._target_geometry(k_tgt, (h, w))
+    units = unit_camera_rays(k_tgt, pixel_grid(h, w))[0]
     inv = ctx.pose.inverse()
     p_src = inv.apply(dm.depth.ravel()[:, None] * units)
     z = p_src[:, 2]
@@ -456,8 +465,6 @@ def reference_warp(src_img, dm, ctx, k_src, k_tgt, with_grad):
     samples, in_bounds = cast.bilinear_sample(src_img, uv)
     valid = dm.valid.ravel() & front & in_bounds
     recon = np.where(valid[:, None], samples, 0.0).reshape(h, w, -1)
-    if not with_grad:
-        return recon, valid.reshape(h, w), None
     dp_dd = units @ inv.rotation.T
     du_dd = k_src.fx * (dp_dd[:, 0] * zsafe - p_src[:, 0] * dp_dd[:, 2]) / zsafe**2
     dv_dd = k_src.fy * (dp_dd[:, 1] * zsafe - p_src[:, 1] * dp_dd[:, 2]) / zsafe**2
@@ -467,9 +474,9 @@ def reference_warp(src_img, dm, ctx, k_src, k_tgt, with_grad):
     return recon, valid.reshape(h, w), drecon
 
 
-def reference_cast(rig, images, depths, cfg, with_grad):
-    """Every pair warped in full and scored by separate photometric_loss and
-    photometric_loss_grad calls, empty pairs included."""
+def reference_cast(rig, images, depths, cfg):
+    """Every pair warped in full and scored by its own photometric_loss
+    call, empty pairs included."""
     pairs = cast.context_pairs(rig)
     lam = {"temporal": cfg.lambda_t, "spatial": cfg.lambda_sp,
            "spatial_temporal": cfg.lambda_spt}
@@ -482,20 +489,17 @@ def reference_cast(rig, images, depths, cfg, with_grad):
         ctx = make_warp_context(rig, kind, src, tgt)
         k_src = rig.cameras[src[0]].intrinsics
         k_tgt = rig.cameras[tgt[0]].intrinsics
-        recon, valid, drecon = reference_warp(
-            images[src], depths[tgt[0]], ctx, k_src, k_tgt, with_grad
-        )
+        recon, valid, drecon = reference_warp(images[src], depths[tgt[0]], ctx, k_src, k_tgt)
         if valid.any():
-            sums[kind] += photometric_loss(images[tgt], recon, valid, cfg)
+            pair_loss, gl = photometric_loss(images[tgt], recon, valid, cfg)
         else:
             with pytest.warns(RuntimeWarning):
-                sums[kind] += photometric_loss(images[tgt], recon, valid, cfg)
+                pair_loss, gl = photometric_loss(images[tgt], recon, valid, cfg)
+        sums[kind] += pair_loss
         valid_px[kind] += int(valid.sum())
         if valid.any():
             active += 1
-            if with_grad:
-                gl = photometric_loss_grad(images[tgt], recon, valid, cfg)
-                grads[tgt[0]] += (lam[kind] / n_pairs[kind]) * np.sum(gl * drecon, axis=2)
+            grads[tgt[0]] += (lam[kind] / n_pairs[kind]) * np.sum(gl * drecon, axis=2)
     terms = {k: (sums[k] / n_pairs[k] if n_pairs[k] else 0.0) for k in cast.KINDS}
     total = sum(lam[k] * terms[k] for k in cast.KINDS)
     breakdown = {
@@ -518,10 +522,13 @@ def rendered_depths(b, seed, n_cams):
     return [render_view(fld, v, (36, 64), 1.0, 16.0, 64) for v in views]
 
 
-def assert_same_result(got, want, with_grad):
-    assert got[0] == want[0]
-    assert got[1] == want[1]
-    if with_grad:
+def assert_same_part(got, want, part):
+    """Compare one part of a loss result with the reference: "loss" the
+    total and breakdown, "grad" the depth gradients."""
+    if part == "loss":
+        assert got[0] == want[0]
+        assert got[1] == want[1]
+    else:
         assert len(got[2]) == len(want[2])
         for g, r in zip(got[2], want[2]):
             assert np.array_equal(g, r)
@@ -532,63 +539,62 @@ def no_depth(dm):
                     opacity=np.zeros_like(dm.opacity))
 
 
+PARTS = pytest.mark.parametrize("part", ["loss", "grad"])
+
+
 class TestContextPlan:
-    @pytest.mark.parametrize("with_grad", [False, True], ids=["loss", "grad"])
+    @PARTS
     @pytest.mark.parametrize(
         "n_cams, active", [(2, 2), (4, 17)], ids=["2-camera", "4-camera"]
     )
-    def test_matches_full_warp_reference_bitwise(self, n_cams, active, with_grad):
+    def test_matches_full_warp_reference_bitwise(self, n_cams, active, part):
         # 2-camera ring: the spatial pairs never overlap (4 of 6 empty);
         # 4-camera ring: 17 of 20 pairs overlap and the spatial terms count
         b = boxes_bundle(seed=11, n_cams=n_cams)
         depths = [b.gt_depths[(i, 1)] for i in range(n_cams)]
         plan = cast.ContextPlan(b.rig, (36, 64))
-        fn = cast_loss_with_depth_grad if with_grad else cast_loss
-        want = reference_cast(b.rig, b.images, depths, CFG, with_grad)
+        want = reference_cast(b.rig, b.images, depths, CFG)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # an empty pair is counted, not warned
-            got = fn(b.rig, b.images, depths, CFG, plan=plan)
-            one_shot = fn(b.rig, b.images, depths, CFG)
-        assert_same_result(got, want, with_grad)
-        assert_same_result(one_shot, want, with_grad)
+            got = cast_loss(b.rig, b.images, depths, CFG, plan=plan)
+            one_shot = cast_loss(b.rig, b.images, depths, CFG)
+        assert_same_part(got, want, part)
+        assert_same_part(one_shot, want, part)
         assert got[1]["active_pairs"] == active
         assert got[1]["empty_pairs"] == len(plan.pairs) - active
         if n_cams == 4:
             assert got[1]["L_sp"] > 0.0 and got[1]["L_spt"] > 0.0
 
-    @pytest.mark.parametrize("with_grad", [False, True], ids=["loss", "grad"])
-    def test_one_plan_reused_on_three_depth_sets(self, with_grad):
+    @PARTS
+    def test_one_plan_reused_on_three_depth_sets(self, part):
         b = boxes_bundle(seed=11, n_cams=4)
         plan = cast.ContextPlan(b.rig, (36, 64))
         sparse = [sparse_lidar(b.gt_depths[(i, 1)], 100, seed=i) for i in range(4)]
-        fn = pretrain_loss_with_depth_grad if with_grad else pretrain_loss
         for seed in (1, 2, 3):
             depths = rendered_depths(b, seed, 4)
-            cast_ref = reference_cast(b.rig, b.images, depths, CFG, with_grad)
-            l_rd = depth_l1_loss(depths, sparse)
-            got = fn(b.rig, b.images, depths, sparse, CFG, plan=plan)
-            assert got[1]["L_rd"] == l_rd
-            assert got[1]["L_cast"] == cast_ref[0]
-            assert got[0] == 0.0 + l_rd + cast_ref[0]
-            assert {k: got[1][k] for k in cast_ref[1] if k != "total"} == {
-                k: v for k, v in cast_ref[1].items() if k != "total"
-            }
-            if with_grad:
-                _, rd_grads = cast._depth_l1(depths, sparse, with_grad=True)
+            cast_ref = reference_cast(b.rig, b.images, depths, CFG)
+            l_rd, rd_grads = depth_l1_loss(depths, sparse)
+            got = pretrain_loss(b.rig, b.images, depths, sparse, CFG, plan=plan)
+            if part == "loss":
+                assert got[1]["L_rd"] == l_rd
+                assert got[1]["L_cast"] == cast_ref[0]
+                assert got[0] == l_rd + cast_ref[0]
+                assert {k: got[1][k] for k in cast_ref[1] if k != "total"} == {
+                    k: v for k, v in cast_ref[1].items() if k != "total"
+                }
+            else:
                 for g, rd, cg in zip(got[2], rd_grads, cast_ref[2]):
                     assert np.array_equal(g, rd + cg)
 
-    @pytest.mark.parametrize("with_grad", [False, True], ids=["loss", "grad"])
-    def test_all_invalid_depths(self, with_grad):
+    @PARTS
+    def test_all_invalid_depths(self, part):
         b = boxes_bundle(seed=11)
         depths = [no_depth(b.gt_depths[(i, 1)]) for i in range(2)]
         plan = cast.ContextPlan(b.rig, (36, 64))
-        fn = cast_loss_with_depth_grad if with_grad else cast_loss
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = fn(b.rig, b.images, depths, CFG, plan=plan)
-        assert_same_result(got, reference_cast(b.rig, b.images, depths, CFG, with_grad),
-                           with_grad)
+            got = cast_loss(b.rig, b.images, depths, CFG, plan=plan)
+        assert_same_part(got, reference_cast(b.rig, b.images, depths, CFG), part)
         assert got[0] == 0.0
         assert got[1]["active_pairs"] == 0 and got[1]["empty_pairs"] == 6
         assert got[1]["valid_px_t"] == 0
@@ -610,8 +616,9 @@ class TestContextPlan:
         want = 2.0 * (bm(grad_smap * t_const) + x * bm(grad_smap * (a1 / d))
                       + y * bm(grad_smap * (-s * b1 / d)))
         want += np.where(m, (1.0 - CFG.alpha) / n * np.sign(y - x), 0.0)
-        assert np.array_equal(photometric_loss_grad(ref, recon, valid, CFG), want * m)
-        assert photometric_loss(ref, recon, valid, CFG) == float(
+        loss, grad = photometric_loss(ref, recon, valid, CFG)
+        assert np.array_equal(grad, want * m)
+        assert loss == float(
             np.sum((0.5 * CFG.alpha * (1.0 - ssim(x, y)) + (1 - CFG.alpha) * np.abs(x - y))
                    * m) / n
         )
@@ -626,7 +633,7 @@ class TestContextPlan:
         with pytest.raises(ValueError, match=both_sides):
             cast_loss(b.rig, b.images, depths, CFG, plan=plan)
         with pytest.raises(ValueError, match=r"camera 1: depth map is 40x24"):
-            pretrain_loss_with_depth_grad(b.rig, b.images, depths, [None, None], CFG, plan=plan)
+            pretrain_loss(b.rig, b.images, depths, [None, None], CFG, plan=plan)
 
     def test_rejects_wrong_depth_count(self):
         b = boxes_bundle(seed=11)
@@ -634,7 +641,7 @@ class TestContextPlan:
         three = [b.gt_depths[(i % 2, 1)] for i in range(3)]
         for depths, n in ((three, 3), (three[:1], 1)):
             with pytest.raises(ValueError, match=rf"^{n} depth maps for 2 cameras$"):
-                cast_loss_with_depth_grad(b.rig, b.images, depths, CFG, plan=plan)
+                cast_loss(b.rig, b.images, depths, CFG, plan=plan)
             with pytest.raises(ValueError, match=rf"^{n} depth maps for 2 cameras$"):
                 cast_loss(b.rig, b.images, depths, CFG)
 
@@ -654,14 +661,10 @@ class TestSubsetWarp:
     INTR = Intrinsics(fx=8.0, fy=8.0, cx=5.0, cy=4.0, width=11, height=9)
 
     def check(self, src, dm, ctx, k_src):
-        for with_grad in (False, True):
-            want = reference_warp(src, dm, ctx, k_src, self.INTR, with_grad)
-            fn = warp_image_with_grad if with_grad else warp_image
-            got = fn(src, dm, ctx, k_src, self.INTR)
-            assert np.array_equal(got[0], want[0])
-            assert np.array_equal(got[1], want[1])
-            if with_grad:
-                assert np.array_equal(got[2], want[2])
+        want = reference_warp(src, dm, ctx, k_src, self.INTR)
+        got = warp_image(src, dm, ctx, k_src, self.INTR)
+        for g, r in zip(got, want):
+            assert np.array_equal(g, r)
         return want[1]
 
     def depth(self, value=6.0, valid=None):
@@ -687,7 +690,7 @@ class TestSubsetWarp:
         src = smooth_image(self.H, self.W)
         dm = self.depth()
         p_src = ctx.pose.inverse().apply(
-            dm.depth.ravel()[:, None] * cast._target_geometry(self.INTR, (self.H, self.W))
+            dm.depth.ravel()[:, None] * unit_camera_rays(self.INTR, pixel_grid(self.H, self.W))[0]
         )
         behind = p_src[:, 2] <= 1e-9
         assert behind.any()

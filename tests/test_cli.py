@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -73,11 +74,34 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig.from_dict({"optimize": {"init": "magic"}})
 
+    @pytest.mark.parametrize(
+        "override",
+        [
+            "optimize.steps=2.5",
+            "cast.ssim_window=3.5",
+            "optimize.step_size=NaN",
+            "cast.lambda_t=NaN",
+            "cast.alpha=true",
+            "render.S=64.0",
+            "scene.dims=[16, 16.5, 8]",
+        ],
+    )
+    def test_value_must_fit_field_type(self, override):
+        key = override.split("=")[0]
+        with pytest.raises(ValueError, match=rf"^{re.escape(key)}: .* is not a valid "):
+            cli.load_config(None, [override], None, None)
+
     def test_dotted_overrides(self):
-        cfg = cli.load_config(None, ["render.S=304", "scene.preset=\"corridor\""], None, 9)
+        overrides = [
+            "render.S=304", "scene.preset=\"corridor\"",
+            "scene.voxel_size=1", "render.resolution=[24, 40]",
+        ]
+        cfg = cli.load_config(None, overrides, None, 9)
         assert cfg.render.samples == 304
         assert cfg.scene.preset == "corridor"
         assert cfg.scene.seed == 9
+        # an integer fits a float field; a list becomes the field's tuple
+        assert cfg.scene.voxel_size == 1 and cfg.render.resolution == (24, 40)
 
     def test_round9_formatting(self):
         assert cli._round9(0.12345678949) == pytest.approx(0.123456789)
@@ -228,7 +252,7 @@ class TestSelftrain:
         cfg = make_cfg(tmp_path, "scene", **{"optimize.steps": 3})
         scene = cmd_gen(cfg)
         cfg.output_dir = str(tmp_path / "train")
-        real = cli.cast_mod.pretrain_loss_with_depth_grad
+        real = cli.cast_mod.pretrain_loss
         calls = []
 
         def poisoned(*args, **kwargs):
@@ -238,7 +262,7 @@ class TestSelftrain:
                 grads[0][...] = np.nan
             return total, parts, grads
 
-        monkeypatch.setattr(cli.cast_mod, "pretrain_loss_with_depth_grad", poisoned)
+        monkeypatch.setattr(cli.cast_mod, "pretrain_loss", poisoned)
         with pytest.raises(RuntimeError, match="diverged at step 1: non-finite gradient"):
             cmd_selftrain(cfg, scene)
 

@@ -252,7 +252,7 @@ class TestCrossModuleConsistency:
             for i in range(6):
                 j = (i + 1) % 6
                 ctx = make_warp_context(b.rig, "spatial", (j, 1), (i, 1))
-                recon, valid = warp_image(
+                recon, valid, _ = warp_image(
                     b.images[(j, 1)],
                     b.gt_depths[(i, 1)],
                     ctx,
@@ -264,7 +264,7 @@ class TestCrossModuleConsistency:
                     continue
                 checked += 1
                 worst = max(
-                    worst, photometric_loss(b.images[(i, 1)], recon, covis, cfg)
+                    worst, photometric_loss(b.images[(i, 1)], recon, covis, cfg)[0]
                 )
             assert checked >= 4
             assert worst < 0.02, (preset, worst)
