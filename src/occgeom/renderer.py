@@ -19,7 +19,13 @@ import numpy as np
 
 from .camera import Camera, view_rays
 from .formats import write_pfm, write_pgm8
-from .tensor import _trilinear_corners, _trilinear_in_box, as_tensor, trilinear_sample
+from .tensor import (
+    _corner_terms,
+    _padded_cells,
+    _trilinear_corners,
+    as_tensor,
+    trilinear_sample,
+)
 from .view_transform import VoxelGridSpec
 
 DEFAULT_RESOLUTION = (180, 320)
@@ -258,52 +264,130 @@ def _box_sample_ranges(
     return first, np.maximum(stop, first)
 
 
-def _plan_chunks(
+def _candidate_blocks(
     spec: VoxelGridSpec, cam: Camera, resolution: tuple[int, int], t: np.ndarray
-) -> Iterator[PlanChunk]:
-    """Build a view's sampling plan block by block, in pixel order.
+) -> Iterator[tuple[int, int, int, tuple[np.ndarray, ...], np.ndarray]]:
+    """A view's ray samples that can read the grid, block by block in
+    pixel order.
 
-    Positions are made only for the samples in each ray's box range, with
-    the same arithmetic as for all samples, and the exact in-box test then
-    picks the kept ones; the plan equals one built from every sample.
+    Per block of consecutive pixels, yields (start, stop, k0, coords,
+    keep): the block's dense candidate window is samples [k0, k0 + width)
+    of every ray, the union of their box ranges (_box_sample_ranges);
+    coords are its grid coordinates x, y and z, each [rays x width], made
+    with the same arithmetic as spec.world_to_grid(origin + t * dir); keep
+    marks the samples inside the trilinear sampling box. A sample outside
+    its ray's box range never passes the exact in-box test, so the kept set
+    is the one every sample would give.
     """
     origin, dirs = view_rays(cam, resolution)
     first, stop = _box_sample_ranges(spec, origin, dirs, t)
     n, s = dirs.shape[0], t.size
     block = max(1, _BLOCK_SAMPLES // s)
+    hi = np.asarray(spec.dims) - 0.5
     for start in range(0, n, block):
         end = min(start + block, n)
-        count = stop[start:end] - first[start:end]
-        ray = np.repeat(np.arange(end - start), count)
-        # sample index: position within the ray's run plus the run's start
-        k = np.arange(ray.size) - np.repeat(np.cumsum(count) - count - first[start:end], count)
-        pos = origin + t[k][:, None] * dirs[start + ray]
-        coords = spec.world_to_grid(pos)
-        keep = _trilinear_in_box(spec.dims, coords)
-        ray, k = ray[keep], k[keep]
+        lo, up = first[start:end], stop[start:end]
+        some = up > lo
+        k0, k1 = (int(lo[some].min()), int(up[some].max())) if some.any() else (0, 0)
+        tw = t[None, k0:k1]
+        coords = tuple(
+            ((origin[a] + tw * dirs[start:end, a, None]) - spec.origin[a]) / spec.voxel_size - 0.5
+            for a in range(3)
+        )
+        x, y, z = coords
+        keep = (x >= -0.5) & (x <= hi[0])
+        keep &= y >= -0.5
+        keep &= y <= hi[1]
+        keep &= z >= -0.5
+        keep &= z <= hi[2]
+        yield start, end, k0, coords, keep
+
+
+def _plan_chunks(
+    spec: VoxelGridSpec, cam: Camera, resolution: tuple[int, int], t: np.ndarray
+) -> Iterator[PlanChunk]:
+    """Build a view's sampling plan block by block, in pixel order, from
+    the kept samples of _candidate_blocks; the plan equals one built from
+    every sample."""
+    for start, end, k0, coords, keep in _candidate_blocks(spec, cam, resolution, t):
+        sel = np.flatnonzero(keep)
+        ray, k = np.divmod(sel, keep.shape[1])
+        k += k0
         width = int(k.max()) + 1 if k.size else 0
-        idx, wgt = _trilinear_corners(spec.dims, coords[keep])
+        xyz = np.stack([c.ravel()[sel] for c in coords], axis=1)
+        idx, wgt = _trilinear_corners(spec.dims, xyz)
         yield PlanChunk(start, end, width, ray * width + k, idx, wgt)
 
 
-def _render_chunks(
+def _live_cells(sigma_pad: np.ndarray) -> np.ndarray:
+    """Flat bool mask over the padded grid: the cells whose eight corners,
+    the cell and its +x/+y/+z neighbours, include a nonzero density."""
+    nz = sigma_pad != 0
+    live = np.zeros_like(nz)
+    inner = live[:-1, :-1, :-1]
+    x, y, z = inner.shape
+    for dx in (0, 1):
+        for dy in (0, 1):
+            for dz in (0, 1):
+                inner |= nz[dx : dx + x, dy : dy + y, dz : dz + z]
+    return live.ravel()
+
+
+def _one_shot_rows(
     sigma_pad: np.ndarray,
-    chunks: Iterable[PlanChunk],
+    live: np.ndarray,
+    dims: tuple[int, ...],
+    k0: int,
+    coords: tuple[np.ndarray, ...],
+    keep: np.ndarray,
+) -> np.ndarray:
+    """Density rows [rays x width] of one _candidate_blocks block, where
+    width is 1 + the block's last sample in a live cell (0 when none is).
+
+    Only kept samples whose low corner is a live cell are read. Each gets
+    PlanChunk.gather's value bit for bit: the corners and weights of
+    tensor._trilinear_corners, gathered column by column and summed in the
+    order numpy's pairwise sum gives a row of 8. Every other sample stays
+    +0.0: its corners are all zero (densities are >= 0, -0.0 included, and
+    weights >= 0 and finite), so it reads a zero through the plan too, and
+    a zero density of either sign gets render weight +0.0.
+    """
+    sel = np.flatnonzero(keep)
+    xyz = [c.ravel()[sel] for c in coords]
+    lo = [np.floor(v) for v in xyz]
+    base = _padded_cells(dims, *lo)
+    on = live[base]
+    if not on.any():
+        return np.zeros((keep.shape[0], 0))
+    sel, base = sel[on], base[on]
+    f = [v[on] - l[on] for v, l in zip(xyz, lo)]
+    c = [sigma_pad[base + off] * w for off, w in _corner_terms(dims, f, [1.0 - v for v in f])]
+    ray, k = np.divmod(sel, keep.shape[1])
+    k += k0
+    rows = np.zeros((keep.shape[0], int(k.max()) + 1))
+    rows[ray, k] = ((c[0] + c[1]) + (c[2] + c[3])) + ((c[4] + c[5]) + (c[6] + c[7]))
+    return rows
+
+
+def _render_rows(
+    blocks: Iterable[tuple[int, int, np.ndarray]],
     resolution: tuple[int, int],
     t: np.ndarray,
     deltas: np.ndarray,
     rows_out: list | None = None,
 ) -> DepthMap:
-    """Forward render over plan chunks from the flat padded density grid;
+    """Forward render over (first pixel, stop pixel, density rows) blocks;
     appends each block's density rows to `rows_out` when given."""
     h, w = resolution
     depth = np.empty(h * w)
     opacity = np.empty(h * w)
-    for chunk in chunks:
-        rows = chunk.gather(sigma_pad)
-        d, o, _ = _render_batch(rows, t[None, :], deltas[None, :])
-        depth[chunk.start : chunk.stop] = d
-        opacity[chunk.start : chunk.stop] = o
+    for start, stop, rows in blocks:
+        if rows.shape[1]:
+            d, o, _ = _render_batch(rows, t[None, :], deltas[None, :])
+        else:  # every weight, and so each sum, is +0.0
+            d = o = 0.0
+        depth[start:stop] = d
+        opacity[start:stop] = o
         if rows_out is not None:
             rows_out.append(rows)
     depth = depth.reshape(h, w)
@@ -338,8 +422,9 @@ class RayPlan:
     Sample positions depend on the grid spec, camera, resolution, range and
     sample count, never on sigma, so a plan built once serves every forward
     render and adjoint of that view. It holds the corners and weights of
-    every in-grid sample of the view; `render_view` streams the same plan
-    block by block instead, to bound memory on one-shot renders. Each
+    every in-grid sample of the view; the one-shot `render_view` builds
+    none, and `render_view_grad_sigma` streams the plan block by block, to
+    bound memory. Each
     render copies sigma into one padded grid the plan keeps, so one plan
     must not render two fields at the same time.
     """
@@ -368,7 +453,8 @@ class RayPlan:
         rows: list[np.ndarray] = []
         self._sigma_pad[1:-1, 1:-1, 1:-1] = field.sigma
         sigma_pad = self._sigma_pad.ravel()
-        dm = _render_chunks(sigma_pad, self.chunks, self.resolution, self.t, self.deltas, rows)
+        blocks = ((c.start, c.stop, c.gather(sigma_pad)) for c in self.chunks)
+        dm = _render_rows(blocks, self.resolution, self.t, self.deltas, rows)
         return dm, rows
 
     def grad_sigma(self, rows: list[np.ndarray], grad_depth: np.ndarray) -> np.ndarray:
@@ -391,14 +477,21 @@ def render_view(
     """Render a full depth map: one midpoint-sampled ray per pixel.
 
     Intrinsics are rescaled when `resolution` differs from their native
-    size. Pixels are processed in fixed-order chunks, so the result is
-    deterministic and identical to per-ray rendering. The sampling plan is
-    built and used one chunk at a time and never held whole.
+    size. Pixels are processed in fixed-order blocks, so the result is
+    deterministic and identical to per-ray rendering. No sampling plan is
+    built: each block reads its live samples straight from its candidate
+    window (_one_shot_rows), and the result equals RayPlan.render's bit for
+    bit.
     """
     t, deltas = _midpoint_samples(t_near, t_far, samples)
-    chunks = _plan_chunks(field.spec, cam, resolution, t)
-    sigma_pad = np.pad(field.sigma, 1).ravel()
-    return _render_chunks(sigma_pad, chunks, resolution, t, deltas)
+    sigma_pad = np.pad(field.sigma, 1)
+    live = _live_cells(sigma_pad)
+    sigma_pad = sigma_pad.ravel()
+    blocks = (
+        (start, stop, _one_shot_rows(sigma_pad, live, field.spec.dims, k0, coords, keep))
+        for start, stop, k0, coords, keep in _candidate_blocks(field.spec, cam, resolution, t)
+    )
+    return _render_rows(blocks, resolution, t, deltas)
 
 
 def render_view_grad_sigma(

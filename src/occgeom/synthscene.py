@@ -86,6 +86,13 @@ def _hash01(ix, iy, iz, salt: int) -> np.ndarray:
     return (h & np.uint64(0xFFFFFF)).astype(np.float64) / float(0x1000000)
 
 
+def _compact(rows: np.ndarray, *arrays: np.ndarray) -> None:
+    """Move the rows at increasing indices `rows` of every array to its
+    front, in order."""
+    for a in arrays:
+        a[: rows.size] = np.take(a, rows, axis=0)
+
+
 def _traverse(
     occupied: np.ndarray,
     spec: VoxelGridSpec,
@@ -101,7 +108,8 @@ def _traverse(
     distance to the entry face of the first occupied voxel (0 when the ray
     starts inside one). When `visible` is given, every traversed voxel up
     to and including the hit is marked. Axis ties step the lowest axis, so
-    traversal order is deterministic.
+    traversal order is deterministic. Each pass touches only the active
+    rays' state.
     """
     dims = np.array(spec.dims)
     vs = spec.voxel_size
@@ -122,35 +130,47 @@ def _traverse(
         boundary = lo + (cell + (step > 0)) * vs
         t_max = np.where(dirs != 0, (boundary - origins) / dirs, np.inf)
         t_delta = np.where(dirs != 0, vs / np.abs(dirs), np.inf)
-    t_entry = t0.copy()
     depth = np.zeros(n)
     hit = np.zeros(n, dtype=bool)
     hit_idx = np.zeros((n, 3), dtype=np.int64)
+    # the active rays' state sits in the first `act` rows of each array,
+    # compacted in place whenever rays hit or leave the grid
+    ids = np.flatnonzero(active)
+    t_entry = t0
+    _compact(ids, cell, t_max, t_delta, step, t_entry, t_exit)
+    act = ids.size
+    lanes = np.arange(0, 3 * act, 3)  # flat offset of each row of [N x 3] state
+    # the state arrays are fresh C-contiguous arrays, so these are views
+    flat_cell, flat_t_max = cell.reshape(-1), t_max.reshape(-1)
+    flat_step, flat_t_delta = step.reshape(-1), t_delta.reshape(-1)
     for _ in range(int(dims.sum()) + 4):
-        if not np.any(active):
+        if act == 0:
             break
-        ai = np.flatnonzero(active)
-        cx, cy, cz = cell[ai, 0], cell[ai, 1], cell[ai, 2]
+        cx, cy, cz = cell[:act, 0], cell[:act, 1], cell[:act, 2]
         if visible is not None:
             visible[cx, cy, cz] = True
         occ = occupied[cx, cy, cz]
-        hits = ai[occ]
-        if hits.size:
+        if occ.any():
+            hits = ids[:act][occ]
             hit[hits] = True
-            depth[hits] = t_entry[hits]
-            hit_idx[hits] = cell[hits]
-            active[hits] = False
-            ai = ai[~occ]
-        if ai.size == 0:
-            continue
-        axis = np.argmin(t_max[ai], axis=1)
-        rows = (ai, axis)
-        t_entry[ai] = t_max[rows]
-        cell[rows] += step[rows]
-        t_max[rows] += t_delta[rows]
-        moved = cell[rows]
-        out = (moved < 0) | (moved >= dims[axis]) | (t_entry[ai] > t_exit[ai])
-        active[ai[out]] = False
+            depth[hits] = t_entry[:act][occ]
+            hit_idx[hits] = cell[:act][occ]
+            keep = np.flatnonzero(~occ)
+            _compact(keep, ids, cell, t_max, t_delta, step, t_exit)
+            act = keep.size
+            if act == 0:
+                break
+        axis = np.argmin(t_max[:act], axis=1)
+        rows = lanes[:act] + axis  # (ray, axis) in the flat state
+        t_entry[:act] = flat_t_max[rows]
+        flat_cell[rows] += flat_step[rows]
+        flat_t_max[rows] += flat_t_delta[rows]
+        moved = flat_cell[rows]
+        out = (moved < 0) | (moved >= dims[axis]) | (t_entry[:act] > t_exit[:act])
+        if out.any():
+            keep = np.flatnonzero(~out)
+            _compact(keep, ids, cell, t_max, t_delta, step, t_entry, t_exit)
+            act = keep.size
     return depth, hit, hit_idx
 
 

@@ -7,7 +7,7 @@ results are deterministic, so concurrent use needs no synchronization.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 
 import numpy as np
 
@@ -133,6 +133,33 @@ def _trilinear_in_box(dims, xyz: Array) -> Array:
     return np.all((xyz >= -0.5) & (xyz <= np.asarray(dims) - 0.5), axis=1)
 
 
+def _padded_cells(dims: tuple[int, ...], lx: Array, ly: Array, lz: Array) -> Array:
+    """Flat indices in the zero-padded [(X+2) x (Y+2) x (Z+2)] grid of the
+    cells (lx, ly, lz), floored grid coordinates of points inside
+    [-0.5, dim-0.5]; cell (x, y, z) sits at (x+1, y+1, z+1)."""
+    sx, sy = (dims[1] + 2) * (dims[2] + 2), dims[2] + 2
+    # floor(xyz) >= -1, so the padded cell is floor(xyz) + 1
+    return (
+        lx.astype(np.int64) * sx + ly.astype(np.int64) * sy + lz.astype(np.int64)
+        + (sx + sy + 1)
+    )
+
+
+def _corner_terms(dims: tuple[int, ...], f, g) -> Iterator[tuple[int, Array]]:
+    """The eight trilinear corners of cells on an [X x Y x Z] grid, in
+    _trilinear's (dx, dy, dz) order: each corner's flat offset from the
+    cell in the zero-padded grid (see _padded_cells) and its weight
+    (wx*wy)*wz, from the per-axis fractions f = xyz - floor(xyz) and
+    g = 1 - f (three arrays each)."""
+    sx, sy = (dims[1] + 2) * (dims[2] + 2), dims[2] + 2
+    for dx in (0, 1):
+        wx = f[0] if dx else g[0]
+        for dy in (0, 1):
+            wxy = wx * (f[1] if dy else g[1])
+            for dz in (0, 1):
+                yield dx * sx + dy * sy + dz, wxy * (f[2] if dz else g[2])
+
+
 def _trilinear_corners(dims: tuple[int, ...], xyz: Array) -> tuple[Array, Array]:
     """Corner indices [N x 8] and trilinear weights [N x 8] of grid
     coordinates xyz [N x 3], all inside [-0.5, dim-0.5] (see
@@ -144,24 +171,14 @@ def _trilinear_corners(dims: tuple[int, ...], xyz: Array) -> tuple[Array, Array]
     in _trilinear's (dx, dy, dz) order, and every corner inside the grid
     gets the weight _trilinear_parts gives it, bit for bit.
     """
-    sx, sy = (dims[1] + 2) * (dims[2] + 2), dims[2] + 2
     lo = np.floor(xyz)
     f = xyz - lo
-    g = 1.0 - f
-    cell = lo.astype(np.int64)
-    # floor(xyz) >= -1, so the low corner's padded cell is floor(xyz) + 1
-    base = cell[:, 0] * sx + cell[:, 1] * sy + cell[:, 2] + (sx + sy + 1)
-    offsets = [dx * sx + dy * sy + dz for dx in (0, 1) for dy in (0, 1) for dz in (0, 1)]
     wgt = np.empty((xyz.shape[0], 8))
-    k = 0
-    for dx in (0, 1):
-        wx = f[:, 0] if dx else g[:, 0]
-        for dy in (0, 1):
-            wxy = wx * (f[:, 1] if dy else g[:, 1])
-            for dz in (0, 1):
-                np.multiply(wxy, f[:, 2] if dz else g[:, 2], out=wgt[:, k])
-                k += 1
-    return base[:, None] + np.array(offsets), wgt
+    offsets = []
+    for k, (off, w) in enumerate(_corner_terms(dims, f.T, (1.0 - f).T)):
+        wgt[:, k] = w
+        offsets.append(off)
+    return _padded_cells(dims, *lo.T)[:, None] + np.array(offsets), wgt
 
 
 def _trilinear(

@@ -4,8 +4,6 @@ Each test exercises its criterion at the stated tolerance and prints a
 PASS line with the measured numbers (run pytest with -s to see them).
 """
 
-import json
-
 import numpy as np
 import pytest
 
@@ -338,7 +336,7 @@ def test_10_pipeline_shape_contract():
 
 def test_11_cli_determinism(tmp_path):
     """Every command repeated with the same config produces identical bytes."""
-    from test_cli import SMALL, make_cfg, tree_bytes
+    from test_cli import make_cfg, tree_bytes
 
     scene_cfg = make_cfg(tmp_path, "scene")
     scene = cli.cmd_gen(scene_cfg)

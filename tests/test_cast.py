@@ -1,11 +1,10 @@
 """Tests for the context-aware photometric self-training losses."""
 
-import dataclasses
 import warnings
 
 import numpy as np
 import pytest
-from helpers import level_camera_mount, simple_rig
+from helpers import level_camera_mount
 
 from occgeom import cast
 from occgeom.camera import (

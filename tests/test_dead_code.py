@@ -1,7 +1,8 @@
-"""Dead-code guard for src/occgeom, standing in for a linter.
+"""Dead-code guard, standing in for a linter.
 
-Fails on an import that its module never uses and on a module-level
-private function that no module of the package references.
+Fails on an import that its module never uses, in src/occgeom and in
+tests/, and on a module-level private function that no module of the
+package references.
 """
 
 import ast
@@ -9,9 +10,13 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "occgeom"
-MODULES = sorted(SRC.glob("*.py"))
-TREES = {path.name: ast.parse(path.read_text(), str(path)) for path in MODULES}
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "occgeom"
+TREES = {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
+TEST_TREES = {
+    f"tests/{path.name}": ast.parse(path.read_text(), str(path))
+    for path in sorted((ROOT / "tests").glob("*.py"))
+}
 
 
 def _used_names(tree: ast.AST) -> set[str]:
@@ -34,9 +39,9 @@ def _exported(tree: ast.AST) -> set[str]:
     return set()
 
 
-@pytest.mark.parametrize("name", sorted(TREES))
+@pytest.mark.parametrize("name", sorted(TREES) + sorted(TEST_TREES))
 def test_no_unused_imports(name):
-    tree = TREES[name]
+    tree = TREES.get(name) or TEST_TREES[name]
     used = _used_names(tree) | _exported(tree)
     unused = []
     for node in ast.walk(tree):

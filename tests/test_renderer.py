@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 from helpers import level_camera_mount, rotation_from_angles
 
-from occgeom.camera import Camera, Intrinsics, Pose, ray, view_rays
+from occgeom.camera import Camera, Intrinsics, Pose, camera_pose_at, ray, view_rays
 from occgeom.renderer import (
     _BLOCK_SAMPLES,
     _box_sample_ranges,
+    _candidate_blocks,
+    _live_cells,
+    _one_shot_rows,
     DensityField,
     DepthMap,
     RayPlan,
@@ -28,6 +31,7 @@ from occgeom.tensor import (
     grad_check,
     trilinear_sample,
 )
+from occgeom.synthscene import build_scene
 from occgeom.view_transform import VoxelGridSpec
 
 STRAIGHT = (np.zeros(3), np.array([0.0, 0.0, 1.0]))
@@ -539,6 +543,129 @@ class TestRayClipping:
         cam = self.camera(0.0, [-1.0, 1.0, 1.1])
         kept = self.check(self.SPEC, cam, self.RES, t_near, t_near + 6.0, 30, 15)
         assert (kept > 0) == kept_any
+
+
+def same_bits(a, b):
+    """np.array_equal, and equal bytes too: signed zeros must match."""
+    return np.array_equal(a, b) and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestOneShotRender:
+    """render_view reads each block's live samples straight from its dense
+    candidate window, with no plan; depth and opacity must equal
+    RayPlan.render's and the all-sample dense reference's bit for bit."""
+
+    SPEC, RES, camera = TestRayClipping.SPEC, TestRayClipping.RES, TestRayClipping.camera
+
+    def check(self, sigma, cam, res=RES, t_near=0.3, t_far=8.0, s=40, spec=SPEC):
+        """Assert render_view == RayPlan.render == dense reference, and
+        that each block's rows hold the reference densities up to its
+        window, with zero density past it; returns the block widths."""
+        field = DensityField(sigma, spec)
+        depth, opacity, _ = dense_render(field, cam, res, t_near, t_far, s, np.zeros(res))
+        plan = RayPlan(spec, cam, res, t_near, t_far, s)
+        for dm in (render_view(field, cam, res, t_near, t_far, s), plan.render(field)[0]):
+            assert same_bits(dm.depth, depth) and same_bits(dm.opacity, opacity)
+            assert np.array_equal(dm.valid, opacity > 0.5)
+        origin, dirs = view_rays(cam, res)
+        coords = spec.world_to_grid(origin + plan.t[None, :, None] * dirs[:, None, :])
+        dense = trilinear_sample(field.sigma, coords.reshape(-1, 3))[0].reshape(-1, s)
+        sigma_pad = np.pad(field.sigma, 1)
+        live = _live_cells(sigma_pad)
+        widths = []
+        for start, stop, k0, xyz, keep in _candidate_blocks(spec, cam, res, plan.t):
+            rows = _one_shot_rows(sigma_pad.ravel(), live, spec.dims, k0, xyz, keep)
+            w = rows.shape[1]
+            assert rows.shape[0] == stop - start
+            assert np.array_equal(rows, dense[start:stop, :w])
+            assert not dense[start:stop, w:].any()
+            widths.append(w)
+        return widths
+
+    def test_random_field_with_negative_zeros(self):
+        # -0.0 passes DensityField's sigma >= 0 and is no live density; the
+        # 3 x 3 x 2 block of -0.0 voxels holds cells with eight -0.0 corners
+        rng = np.random.default_rng(19)
+        sigma = rng.uniform(0.2, 3.0, self.SPEC.dims)
+        sigma[rng.random(self.SPEC.dims) < 0.4] = -0.0
+        sigma[1:4, 1:4, 1:3] = -0.0
+        sigma[4:, 3:] = 0.0
+        assert not _live_cells(np.pad(sigma, 1)).reshape(8, 7, 6)[2:4, 2:4, 2].any()
+        for cam in (self.camera(0.4, [-1.5, 0.2, 1.2], pitch=0.1), self.camera(0.3, [-1.0, 0.9, 1.1])):
+            assert max(self.check(sigma, cam)) > 0
+        # from inside the grid, the first sample of every ray is in the box
+        assert max(self.check(sigma, self.camera(0.7, [1.0, 0.0, 0.5]), t_near=0.05)) > 0
+
+    def test_all_negative_zero_field(self):
+        sigma = np.full(self.SPEC.dims, -0.0)
+        assert self.check(sigma, self.camera(0.4, [-1.5, 0.2, 1.2])) == [0]
+
+    def test_all_zero_field_has_empty_windows(self):
+        cam = self.camera(0.4, [-1.5, 0.2, 1.2])
+        widths = self.check(np.zeros(self.SPEC.dims), cam, res=(48, 96), s=24)
+        assert len(widths) > 1 and set(widths) == {0}
+
+    @pytest.mark.parametrize("voxel", [(0, 2, 1), (5, 4, 3), (3, 0, 0)])
+    def test_one_voxel_on_a_grid_face(self, voxel):
+        # its cell's corners reach into the zero shell; every live sample
+        # lies in the eight cells around one voxel
+        sigma = np.zeros(self.SPEC.dims)
+        sigma[voxel] = 7.0
+        center = self.SPEC.origin + (np.array(voxel) + 0.5) * self.SPEC.voxel_size
+        live = _live_cells(np.pad(sigma, 1))
+        assert live.sum() == 8
+        for yaw, offset in ((0.0, [-1.5, center[1], center[2]]),
+                            (np.pi, [5.0, center[1], center[2]]),
+                            (np.pi / 2, [center[0], -1.8, center[2]])):
+            cam = self.camera(yaw, offset, pitch=0.05)
+            dm = render_view(DensityField(sigma, self.SPEC), cam, self.RES, 0.3, 8.0, 40)
+            assert dm.opacity.max() > 0
+            self.check(sigma, cam)
+
+    def test_boxes_scene(self):
+        # cameras outside the grid at different distances and heights, whose
+        # rays enter the box at different depths, and the rig's own cameras
+        # inside it, whose first sample is already in the box; most samples
+        # read free space
+        spec = VoxelGridSpec((32, 32, 8), np.zeros(3), 0.4)
+        scene = build_scene(3, spec, "boxes", num_cameras=2, image_size=(24, 40))
+        cams = [self.camera(yaw, offset, (24, 40), pitch) for yaw, offset, pitch in (
+            (0.2, [-2.0, 5.0, 4.0], 0.35), (-0.1, [-9.0, 7.0, 1.5], 0.0),
+            (2.5, [16.0, -4.0, 6.0], 0.5))]
+        cams += [Camera(c.intrinsics, camera_pose_at(scene.rig, i, 1))
+                 for i, c in enumerate(scene.rig.cameras)]
+        for cam in cams:
+            widths = self.check(scene.density_gt.sigma, cam, (24, 40), 1.0, 30.0, 64, spec)
+            assert max(widths) > 0
+
+    def test_partial_last_block(self):
+        # 4608 rays at S = 24: blocks of 1365 rays, the last one partial
+        res, s = (48, 96), 24
+        block = _BLOCK_SAMPLES // s
+        assert res[0] * res[1] % block
+        rng = np.random.default_rng(20)
+        sigma = np.where(rng.random(self.SPEC.dims) < 0.3, rng.uniform(0.5, 4.0, self.SPEC.dims), 0.0)
+        cam = self.camera(0.3, [-0.4, 1.0, 1.0], res)
+        widths = self.check(sigma, cam, res, 0.5, 5.0, s)
+        assert len(widths) == 4 and min(widths) > 0
+
+    def test_tree_sum_is_numpy_row_sum(self):
+        # _one_shot_rows adds its eight corner columns in numpy's pairwise
+        # order for a row of 8; a numpy that sums rows otherwise fails here.
+        # A live sample has a corner of density > 0, whose product is >= +0.0,
+        # so rows of eight -0.0 (numpy gives +0.0, the tree -0.0) never occur.
+        rng = np.random.default_rng(21)
+        for scale in (1.0, 1e-300, 1e300):
+            m = rng.uniform(0.0, 1.0, (100_000, 8)) * 10.0 ** rng.integers(-8, 9, (100_000, 8))
+            m *= scale
+            m[rng.random(m.shape) < 0.05] = 0.0
+            m[rng.random(m.shape) < 0.05] = -0.0
+            m[:1000] = -0.0  # signed zeros with a single +0.0 or positive entry
+            m[np.arange(1000), rng.integers(0, 8, 1000)] = np.where(np.arange(1000) % 2, 0.0, 1.5)
+            c = [m[:, k].copy() for k in range(8)]
+            with np.errstate(over="ignore"):
+                tree = ((c[0] + c[1]) + (c[2] + c[3])) + ((c[4] + c[5]) + (c[6] + c[7]))
+                assert same_bits(tree, np.sum(m, axis=1))
 
 
 class TestExports:

@@ -148,6 +148,120 @@ class TestRaymarchOracle:
         assert runs[0][1].any() and runs[0][3].any()
 
 
+def reference_traverse(occupied, spec, origins, dirs, visible=None):
+    """The DDA before its active-ray compaction: every pass fancy-indexes
+    the full-length state through np.flatnonzero(active)."""
+    dims = np.array(spec.dims)
+    vs = spec.voxel_size
+    lo = spec.origin
+    hi = lo + dims * vs
+    n = dirs.shape[0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t1 = (lo - origins) / dirs
+        t2 = (hi - origins) / dirs
+    t_enter = np.nanmax(np.fmin(t1, t2), axis=1)
+    t_exit = np.nanmin(np.fmax(t1, t2), axis=1)
+    t0 = np.maximum(t_enter, 0.0)
+    active = t_exit > t0
+    start = origins + (t0 + 1e-9)[:, None] * dirs
+    cell = np.clip(np.floor((start - lo) / vs).astype(np.int64), 0, dims - 1)
+    step = np.sign(dirs).astype(np.int64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        boundary = lo + (cell + (step > 0)) * vs
+        t_max = np.where(dirs != 0, (boundary - origins) / dirs, np.inf)
+        t_delta = np.where(dirs != 0, vs / np.abs(dirs), np.inf)
+    t_entry = t0.copy()
+    depth = np.zeros(n)
+    hit = np.zeros(n, dtype=bool)
+    hit_idx = np.zeros((n, 3), dtype=np.int64)
+    for _ in range(int(dims.sum()) + 4):
+        if not np.any(active):
+            break
+        ai = np.flatnonzero(active)
+        cx, cy, cz = cell[ai, 0], cell[ai, 1], cell[ai, 2]
+        if visible is not None:
+            visible[cx, cy, cz] = True
+        occ = occupied[cx, cy, cz]
+        hits = ai[occ]
+        if hits.size:
+            hit[hits] = True
+            depth[hits] = t_entry[hits]
+            hit_idx[hits] = cell[hits]
+            active[hits] = False
+            ai = ai[~occ]
+        if ai.size == 0:
+            continue
+        axis = np.argmin(t_max[ai], axis=1)
+        rows = (ai, axis)
+        t_entry[ai] = t_max[rows]
+        cell[rows] += step[rows]
+        t_max[rows] += t_delta[rows]
+        moved = cell[rows]
+        out = (moved < 0) | (moved >= dims[axis]) | (t_entry[ai] > t_exit[ai])
+        active[ai[out]] = False
+    return depth, hit, hit_idx
+
+
+class TestCompactedTraversal:
+    """_traverse keeps only the active rays' state; depth, hit, hit_idx and
+    the visible marks must equal the uncompacted loop's bit for bit."""
+
+    def check(self, occ, spec, origins, dirs):
+        runs = []
+        for traverse in (_traverse, reference_traverse):
+            visible = np.zeros(spec.dims, dtype=bool)
+            runs.append((*traverse(occ, spec, origins, dirs, visible), visible))
+        for got, want in zip(*runs):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        return runs[0]
+
+    @pytest.mark.parametrize("preset", ["corridor", "boxes", "random_blobs"])
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_rig_cameras(self, preset, shared):
+        b = bundle(seed=5, preset=preset, n=3)
+        occ = b.grid.labels != b.grid.num_classes
+        hits = 0
+        for ci in range(3):
+            cam = Camera(b.rig.cameras[ci].intrinsics, camera_pose_at(b.rig, ci, 1))
+            origin, dirs = view_rays(cam, (30, 50))
+            origins = origin if shared else np.broadcast_to(origin, dirs.shape).copy()
+            _, hit, _, visible = self.check(occ, SPEC, origins, dirs)
+            assert visible.any()
+            hits += hit.sum()
+        assert hits > 0
+
+    def test_rays_that_never_enter_the_grid(self):
+        # from outside the grid: half the rays point away from it, and rays
+        # parallel to a face run beside it
+        b = bundle(seed=6, preset="boxes")
+        occ = b.grid.labels != b.grid.num_classes
+        rng = np.random.default_rng(17)
+        dirs = rng.normal(size=(400, 3))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        dirs[:50] = [[1.0, 0.0, 0.0]] * 50
+        origins = np.tile([-1.0, 5.0, 1.5], (400, 1))
+        origins[:50, 2] = 3.3 + 0.1 * np.arange(50)  # above the grid top (3.2 m)
+        depth, hit, _, _ = self.check(occ, SPEC, origins, dirs)
+        assert not hit[:50].any() and not hit[dirs[:, 0] < 0].any()
+        assert hit.any()
+
+    def test_rays_starting_inside_an_occupied_voxel(self):
+        # origins inside occupied voxels hit at depth 0; others start in
+        # free space inside the grid
+        b = bundle(seed=7, preset="random_blobs")
+        occ = b.grid.labels != b.grid.num_classes
+        rng = np.random.default_rng(18)
+        cells = np.argwhere(occ)[rng.choice(int(occ.sum()), 60, replace=False)]
+        free = np.argwhere(~occ)[rng.choice(int((~occ).sum()), 60, replace=False)]
+        origins = (np.concatenate([cells, free]) + rng.uniform(0.1, 0.9, (120, 3))) * 0.4
+        dirs = rng.normal(size=(120, 3))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        depth, hit, hit_idx, _ = self.check(occ, SPEC, origins, dirs)
+        assert hit[:60].all() and np.all(depth[:60] == 0.0)
+        assert np.array_equal(hit_idx[:60], cells)
+
+
 class TestSynthesizeImage:
     def test_empty_grid_pure_sky(self):
         labels = np.full(SPEC.dims, 4)
