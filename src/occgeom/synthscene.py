@@ -160,7 +160,12 @@ def _traverse(
             act = keep.size
             if act == 0:
                 break
-        axis = np.argmin(t_max[:act], axis=1)
+        # the first axis of least t_max, as argmin picks it, given no NaN:
+        # t_max starts finite, or +inf on an axis the ray does not move
+        # along, and only grows by t_delta > 0
+        a, b, c = t_max[:act].T
+        axis = (b < a).view(np.int8)
+        axis[c < np.minimum(a, b)] = 2
         rows = lanes[:act] + axis  # (ray, axis) in the flat state
         t_entry[:act] = flat_t_max[rows]
         flat_cell[rows] += flat_step[rows]

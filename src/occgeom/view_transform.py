@@ -20,6 +20,9 @@ from .tensor import as_tensor, bilinear_sample, conv3d, softmax, trilinear_sampl
 
 PROVENANCES = ("explicit", "implicit", "fused", "compressed")
 
+# kept points whose rows voxel_pool gathers per scatter, bounding the copy
+_POOL_CHUNK = 4096
+
 
 @dataclass(frozen=True)
 class VoxelGridSpec:
@@ -176,14 +179,20 @@ def voxel_pool(
         & (idx[:, 1] >= 0) & (idx[:, 1] < y)
         & (idx[:, 2] >= 0) & (idx[:, 2] < z)
     )
-    idx = idx[keep]
-    kept_feats = feats[keep]
+    rows = np.flatnonzero(keep)
+    idx = idx[rows]
     flat = idx[:, 0] * (y * z) + idx[:, 1] * z + idx[:, 2]
     c = feats.shape[1]
     acc = np.zeros((x * y * z, c))
-    np.add.at(acc, flat, kept_feats)
-    counts = np.zeros(x * y * z)
-    np.add.at(counts, flat, 1.0)
+    # a 1-D ufunc.at on the flat accumulator adds each (voxel, channel)'s
+    # points in input order, like the 2-D form, on numpy's fast path
+    acc_flat = acc.reshape(-1)
+    lanes = np.arange(c)
+    for lo in range(0, rows.size, _POOL_CHUNK):
+        hi = lo + _POOL_CHUNK
+        cells = flat[lo:hi, None] * c + lanes
+        np.add.at(acc_flat, cells.reshape(-1), feats[rows[lo:hi]].reshape(-1))
+    counts = np.bincount(flat, minlength=x * y * z)
     out = np.divide(acc, counts[:, None], out=np.zeros_like(acc), where=counts[:, None] > 0)
     data = out.T.reshape(c, x, y, z)
     return OccupancyFeature(data, spec, "explicit")
@@ -203,8 +212,9 @@ def idm_sample(
     Every query voxel center is projected into every camera; visible
     projections are bilinearly sampled at the projection plus each learned
     pixel offset, the samples are combined with softmax(weights), and the
-    per-camera results are averaged over the cameras that see the voxel.
-    Voxels visible in no camera come out zero. -inf weights receive exactly
+    per-camera results are averaged over the cameras that see the voxel;
+    the other cameras' features, finite or not, never reach it. Voxels
+    visible in no camera come out zero. -inf weights receive exactly
     zero attention (mask semantics); queries fix the grid shape only, since
     at this scale the sampling pattern is shared rather than query-predicted.
     """
@@ -242,15 +252,17 @@ def idm_sample(
             )
         pose = cam_mod.camera_pose_at(rig, ci, ts)
         uv, _, visible = cam_mod.project_points(intr, pose, centers)
-        if not np.any(visible):
+        rows = np.flatnonzero(visible)
+        if rows.size == 0:
             continue
-        gathered = np.zeros((n, cf))
+        uv = uv[rows]
+        gathered = np.zeros((rows.size, cf))
         for p in range(offsets.shape[0]):
             if attn[p] == 0.0:
                 continue
             samples, _ = bilinear_sample(feat, uv + offsets[p])
             gathered += attn[p] * samples
-        total += gathered * visible[:, None]
+        total[rows] += gathered
         seen += visible
     out = np.divide(total, seen[:, None], out=np.zeros_like(total), where=seen[:, None] > 0)
     data = out.T.reshape(cf, *query_spec.dims)

@@ -261,6 +261,30 @@ class TestCompactedTraversal:
         assert hit[:60].all() and np.all(depth[:60] == 0.0)
         assert np.array_equal(hit_idx[:60], cells)
 
+    def test_axis_parallel_rays_and_exact_ties(self):
+        # axis-parallel rays hold +inf in two t_max entries; diagonal rays
+        # whose start coordinates agree on x and y (or on all three axes)
+        # tie exactly at every step, where the lowest axis must step
+        b = bundle(seed=8, preset="random_blobs")
+        occ = b.grid.labels != b.grid.num_classes
+        rng = np.random.default_rng(19)
+        s2, s3 = 1 / np.sqrt(2), 1 / np.sqrt(3)
+        dirs = np.repeat(
+            np.array([
+                [1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, 0, 0], [0, -1, 0], [0, 0, -1],
+                [s2, s2, 0], [-s2, -s2, 0], [s3, s3, s3], [-s3, -s3, -s3], [s3, s3, -s3],
+            ]),
+            20,
+            axis=0,
+        )
+        origins = rng.uniform(0.0, 3.2, size=(dirs.shape[0], 3))
+        origins[120:, 1] = origins[120:, 0]
+        origins[160:200, 2] = origins[160:200, 0]
+        origins[150:160, :2] += 11.0  # outside the grid's 12.8 m in x and y
+        depth, hit, _, _ = self.check(occ, SPEC, origins, dirs)
+        assert hit.any() and not hit.all()
+        assert np.all(depth[150:160][hit[150:160]] > 0)  # entered from outside
+
 
 class TestSynthesizeImage:
     def test_empty_grid_pure_sky(self):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from helpers import level_camera_mount, simple_rig
 
-from occgeom.camera import Camera, CameraRig, Intrinsics, Pose
-from occgeom.tensor import conv3d
+from occgeom.camera import Camera, CameraRig, Intrinsics, Pose, camera_pose_at, project_points
+from occgeom.tensor import bilinear_sample, conv3d, softmax
 from occgeom.view_transform import (
     DepthDistribution,
     OccupancyFeature,
@@ -21,6 +21,20 @@ from occgeom.view_transform import (
 
 def small_intr(h, w, fx=20.0):
     return Intrinsics(fx=fx, fy=fx, cx=(w - 1) / 2, cy=(h - 1) / 2, width=w, height=h)
+
+
+def scatter_oracle(pts, feats, spec):
+    """Per-point loop scatter-mean: the pooled [C x X x Y x Z] features and
+    the per-voxel point counts."""
+    acc = np.zeros((*spec.dims, feats.shape[1]))
+    cnt = np.zeros(spec.dims)
+    for p, f in zip(pts, feats):
+        idx = np.floor((p - spec.origin) / spec.voxel_size).astype(int)
+        if np.all(idx >= 0) and np.all(idx < spec.dims):
+            acc[tuple(idx)] += f
+            cnt[tuple(idx)] += 1
+    mean = np.divide(acc, cnt[..., None], out=np.zeros_like(acc), where=cnt[..., None] > 0)
+    return np.moveaxis(mean, 3, 0), cnt
 
 
 class TestSpec:
@@ -142,15 +156,31 @@ class TestVoxelPool:
         pts = rng.uniform([-2, -1, 1], [4, 4, 6], size=(1000, 3))
         feats = rng.normal(size=(1000, 3))
         out = voxel_pool(pts, feats, spec)
-        acc = np.zeros((6, 5, 4, 3))
-        cnt = np.zeros((6, 5, 4))
-        for p, f in zip(pts, feats):
-            idx = np.floor((p - spec.origin) / spec.voxel_size).astype(int)
-            if np.all(idx >= 0) and np.all(idx < spec.dims):
-                acc[tuple(idx)] += f
-                cnt[tuple(idx)] += 1
-        expect = np.divide(acc, cnt[..., None], out=np.zeros_like(acc), where=cnt[..., None] > 0)
-        assert np.array_equal(out.data, np.moveaxis(expect, 3, 0))
+        expect, _ = scatter_oracle(pts, feats, spec)
+        assert np.array_equal(out.data, expect)
+
+    def test_chunked_scatter_matches_oracle_bitwise(self):
+        # more than three scatter chunks of kept points; 600 of them pile
+        # into one voxel across every chunk, some features are -0.0, some
+        # points sit exactly on voxel faces and some lie outside the grid
+        rng = np.random.default_rng(11)
+        spec = VoxelGridSpec((5, 4, 3), np.array([-1.0, 0.0, 2.0]), 0.5)
+        n = 24000
+        pts = rng.uniform([-1.2, -0.2, 1.8], [1.7, 2.2, 3.7], size=(n, 3))
+        pile = rng.choice(n, 600, replace=False)
+        pile_cells = np.array([2, 1, 1]) + rng.uniform(size=(600, 3))
+        pts[pile] = spec.origin + spec.voxel_size * pile_cells
+        faces = rng.choice(n, 2000, replace=False)
+        cells = rng.integers(0, np.array(spec.dims) + 1, size=(2000, 3))
+        pts[faces] = spec.origin + spec.voxel_size * cells  # upper outer faces drop out
+        feats = rng.normal(size=(n, 4))
+        feats[rng.random(feats.shape) < 0.05] = -0.0
+        feats[pile[:50]] = -0.0
+        out = voxel_pool(pts, feats, spec)
+        expect, cnt = scatter_oracle(pts, feats, spec)
+        assert 3 * 4096 < cnt.sum() < n and cnt[2, 1, 1] >= 600
+        assert np.array_equal(out.data, expect)
+        assert np.array_equal(np.signbit(out.data), np.signbit(expect))
 
     def test_translation_invariance(self):
         rng = np.random.default_rng(6)
@@ -224,7 +254,6 @@ class TestIdmSample:
         spec = VoxelGridSpec((6, 6, 2), np.array([-2.0, -2.0, -0.5]), 0.7)
         out = idm_sample(spec, np.zeros((3, 6, 6, 2)), feats, rig,
                          np.zeros((1, 2)), np.zeros(1))
-        from occgeom.camera import camera_pose_at, project_points
         centers = spec.voxel_centers()
         seen = np.zeros(len(centers), dtype=bool)
         for ci in range(2):
@@ -236,6 +265,77 @@ class TestIdmSample:
         zero_rows = np.all(flat == 0.0, axis=0)
         # invisible voxels are exactly zero; visible ones sampled > 0 features
         assert np.array_equal(zero_rows, ~seen)
+
+    def test_unseen_camera_nonfinite_does_not_leak(self):
+        # camera 0 looks along +x and camera 1 along -x; the voxels in front
+        # of camera 0 lie behind camera 1, whose placeholder uv (0, 0) would
+        # sample its NaN pixel; only camera 0's samples may reach them
+        spec = VoxelGridSpec((6, 2, 2), np.array([-3.0, -0.4, -0.4]), 1.0)
+        intr = Intrinsics(fx=10.0, fy=10.0, cx=4.0, cy=3.0, width=9, height=7)
+        cams = (
+            Camera(intr, level_camera_mount(0.0, [0.0, 0.0, 0.0])),
+            Camera(intr, level_camera_mount(np.pi, [0.0, 0.0, 0.0])),
+        )
+        rig = CameraRig(cams, {0: Pose.identity()})
+        rng = np.random.default_rng(12)
+        feats = [rng.normal(size=(7, 9, 3)) for _ in range(2)]
+        feats[1][0, 0] = np.nan
+        out = idm_sample(spec, np.zeros((3, *spec.dims)), feats, rig, np.zeros((1, 2)), np.zeros(1))
+        centers = spec.voxel_centers()
+        uv, _, vis_a = project_points(intr, camera_pose_at(rig, 0, 0), centers)
+        _, z_b, vis_b = project_points(intr, camera_pose_at(rig, 1, 0), centers)
+        a_only = vis_a & ~vis_b
+        assert a_only.any() and vis_b.any() and np.all(z_b[a_only] < 0)
+        expect, _ = bilinear_sample(feats[0], uv[a_only])
+        got = out.data.reshape(3, -1).T[a_only]
+        assert np.all(np.isfinite(got))
+        assert np.array_equal(got, expect)
+
+    def test_matches_dense_sampling_bitwise(self):
+        # reference: sample every voxel in every camera, then mask with
+        # `visible`; each camera sees part of the grid, their views overlap,
+        # the offsets push some visible projections out of the image and one
+        # weight is -inf
+        intr = Intrinsics(fx=30.0, fy=30.0, cx=19.5, cy=14.5, width=40, height=30)
+        cams = tuple(
+            Camera(intr, level_camera_mount(yaw, [0.0, 0.2 * k, 0.0]))
+            for k, yaw in enumerate((0.0, 0.5, -0.6))
+        )
+        ego = {0: Pose.identity(), 1: Pose(np.eye(3), np.array([0.3, 0.1, 0.0]))}
+        rig = CameraRig(cams, ego)
+        rng = np.random.default_rng(13)
+        feats = [rng.normal(size=(intr.height, intr.width, 4)) for _ in range(3)]
+        for f in feats:
+            f[rng.random(f.shape) < 0.05] = -0.0
+        spec = VoxelGridSpec((8, 8, 2), np.array([-1.0, -3.0, -0.5]), 0.75)
+        offsets = np.array([[2.5, -1.25], [-3.0, 0.5], [0.4, 4.0]])
+        weights = np.array([0.3, -np.inf, -0.8])
+        ts = 1
+        queries = np.zeros((4, *spec.dims))
+        out = idm_sample(spec, queries, feats, rig, offsets, weights, timestamp=ts)
+
+        attn = softmax(weights, axis=0)
+        centers = spec.voxel_centers()
+        n = centers.shape[0]
+        total = np.zeros((n, 4))
+        seen = np.zeros(n)
+        pushed_out = 0
+        for ci, feat in enumerate(feats):
+            uv, _, visible = project_points(intr, camera_pose_at(rig, ci, ts), centers)
+            assert 0 < visible.sum() < n
+            gathered = np.zeros((n, 4))
+            for p in range(offsets.shape[0]):
+                if attn[p] == 0.0:
+                    continue
+                samples, valid = bilinear_sample(feat, uv + offsets[p])
+                pushed_out += np.sum(visible & ~valid)
+                gathered += attn[p] * samples
+            total += gathered * visible[:, None]
+            seen += visible
+        assert pushed_out > 0 and np.any(seen > 1)
+        dense = np.divide(total, seen[:, None], out=np.zeros_like(total), where=seen[:, None] > 0)
+        expect = dense.T.reshape(4, *spec.dims)
+        assert out.data.tobytes() == expect.tobytes()
 
 
 class TestFuseAndCompress:
