@@ -16,7 +16,6 @@ import numbers
 import os
 import sys
 import typing
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -184,6 +183,9 @@ def _camera_map(fn, items):
     workers = worker_count()
     if workers <= 1 or len(items) <= 1:
         return [fn(x) for x in items]
+    # imported here: a serial run (the default) never needs the pool
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=min(workers, len(items))) as pool:
         return list(pool.map(fn, items))
 

@@ -5,6 +5,9 @@ camera ring on a two-timestamp ego trajectory, hash-textured images of the
 first-hit voxels, and ground-truth depth from an exact DDA voxel traversal
 (no sampling discretization). The traversal also collects the set of voxels
 any camera ray crosses, which serves as the evaluation visibility mask.
+`build_scene` runs one traversal over the rays of all its views; each
+view's depth and image come from its slice, bit-identical to
+`raymarch_depth_oracle` and `synthesize_image` on that view alone.
 """
 
 from __future__ import annotations
@@ -213,25 +216,38 @@ def synthesize_image(
     """
     occ = grid.labels != grid.num_classes
     origin, dirs = view_rays(cam, resolution)
-    depth, hit, hit_idx = _traverse(occ, spec, origin, dirs)
+    traversal = _traverse(occ, spec, origin, dirs)
+    origins = np.broadcast_to(origin, dirs.shape)
+    return _shade(grid.labels, origins, dirs, *traversal).reshape(*resolution, 3)
+
+
+def _shade(
+    labels: np.ndarray,
+    origins: np.ndarray,
+    dirs: np.ndarray,
+    depth: np.ndarray,
+    hit: np.ndarray,
+    hit_idx: np.ndarray,
+) -> np.ndarray:
+    """Colors [N x 3] of rays from `origins` [N x 3] along `dirs`, given
+    their `_traverse` results (see `synthesize_image`)."""
     tt = np.clip((dirs[:, 2] + 1.0) * 0.5, 0.0, 1.0)[:, None]
     img = (1.0 - tt) * _SKY_HORIZON + tt * _SKY_ZENITH
     if np.any(hit):
         idx = hit_idx[hit]
-        cls = grid.labels[idx[:, 0], idx[:, 1], idx[:, 2]]
+        cls = labels[idx[:, 0], idx[:, 1], idx[:, 2]]
         tex_vox = np.stack(
             [_hash01(idx[:, 0], idx[:, 1], idx[:, 2], s) for s in range(3)], axis=1
         )
         # the smooth component is a function of the struck surface point, so
         # reprojections between cameras stay photometrically consistent
-        pts = origin + depth[hit, None] * dirs[hit]
+        pts = origins[hit] + depth[hit, None] * dirs[hit]
         tex_smooth = _surface_texture(pts)
         shade = 1.0 / (1.0 + 0.008 * depth[hit])[:, None]
         img[hit] = (
             _CLASS_COLORS[cls] * (0.78 + 0.06 * tex_vox + 0.16 * tex_smooth) * shade
         )
-    h, w = resolution
-    return np.clip(img, 0.0, 1.0).reshape(h, w, 3)
+    return np.clip(img, 0.0, 1.0)
 
 
 _TEX_FREQ = np.array(
@@ -247,10 +263,13 @@ def _surface_texture(points: np.ndarray) -> np.ndarray:
 
 
 def _erode(mask: np.ndarray) -> np.ndarray:
+    """3x3 erosion; pixels outside the image count as unset."""
+    h, w = mask.shape
+    padded = np.pad(mask, 1)
     out = mask.copy()
-    for dy in (-1, 0, 1):
-        for dx in (-1, 0, 1):
-            out &= np.roll(np.roll(mask, dy, axis=0), dx, axis=1)
+    for dy in range(3):
+        for dx in range(3):
+            out &= padded[dy : dy + h, dx : dx + w]
     return out
 
 
@@ -455,16 +474,37 @@ def build_scene(
     rig = _make_rig(preset, num_cameras, image_size, ego_base, forward, advance, yaw)
     grid = SemanticOccupancy.from_labels(labels, NUM_CLASSES)
     density = DensityField(sigma_occ * (labels != NUM_CLASSES), spec)
-    visible = np.zeros(spec.dims, dtype=bool)
-    images: dict[tuple[int, int], np.ndarray] = {}
-    gt_depths: dict[tuple[int, int], DepthMap] = {}
+    # every view's rays, timestamp by timestamp, go through one traversal;
+    # each ray's result depends only on its own origin and direction
+    keys, origins, dirs = [], [], []
     for t in rig.timestamps():
         for ci in range(num_cameras):
             cam = Camera(rig.cameras[ci].intrinsics, camera_pose_at(rig, ci, t))
-            gt_depths[(ci, t)] = raymarch_depth_oracle(
-                grid, spec, cam, image_size, visible
-            )
-            images[(ci, t)] = synthesize_image(grid, spec, cam, image_size)
+            origin, view_dirs = view_rays(cam, image_size)
+            keys.append((ci, t))
+            origins.append(np.broadcast_to(origin, view_dirs.shape))
+            dirs.append(view_dirs)
+    origins, dirs = np.concatenate(origins), np.concatenate(dirs)
+    visible = np.zeros(spec.dims, dtype=bool)
+    depth, hit, hit_idx = _traverse(
+        grid.labels != grid.num_classes, spec, origins, dirs, visible
+    )
+    h, w = image_size
+    images: dict[tuple[int, int], np.ndarray] = {}
+    gt_depths: dict[tuple[int, int], DepthMap] = {}
+    # shaded view by view, so `_surface_texture`'s matmul gets the same rows
+    # as in `synthesize_image`: BLAS may round differently at another shape
+    for k, key in enumerate(keys):
+        view = slice(k * h * w, (k + 1) * h * w)
+        valid = hit[view].reshape(h, w)
+        gt_depths[key] = DepthMap(
+            depth=depth[view].reshape(h, w),
+            valid=valid,
+            opacity=valid.astype(np.float64),
+        )
+        images[key] = _shade(
+            grid.labels, origins[view], dirs[view], depth[view], hit[view], hit_idx[view]
+        ).reshape(h, w, 3)
     return SceneBundle(
         grid=grid,
         density_gt=density,

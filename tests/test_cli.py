@@ -4,6 +4,8 @@ import csv
 import json
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -387,6 +389,16 @@ class TestMain:
             monkeypatch.setenv("OCCGEOM_THREADS", bad)
             with pytest.raises(ValueError, match="OCCGEOM_THREADS"):
                 cli.worker_count()
+
+    def test_serial_import_leaves_out_the_thread_pool(self):
+        # a fresh interpreter: importing the CLI must not load
+        # concurrent.futures, which only a threaded run uses
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        probe = "import sys, occgeom.cli; print('concurrent.futures' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", probe], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
 
     def test_malformed_worker_env_is_a_structured_error(self, tmp_path, monkeypatch, capsys):
         scene_dir = str(tmp_path / "scene")

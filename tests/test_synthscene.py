@@ -5,11 +5,12 @@ import json
 import numpy as np
 import pytest
 
-from occgeom import formats
+from occgeom import formats, synthscene
 from occgeom.camera import Camera, camera_pose_at, view_rays
 from occgeom.cast import PhotometricConfig, make_warp_context, photometric_loss, warp_image
 from occgeom.renderer import render_view
 from occgeom.synthscene import (
+    _erode,
     _traverse,
     build_scene,
     load_scene,
@@ -285,6 +286,42 @@ class TestCompactedTraversal:
         assert hit.any() and not hit.all()
         assert np.all(depth[150:160][hit[150:160]] > 0)  # entered from outside
 
+    def test_batched_views_traverse_like_per_view_calls(self):
+        # several views with different origins, rays starting inside
+        # occupied voxels and axis-parallel rays, all in one call, must give
+        # each group what its own call gives
+        b = bundle(seed=9, preset="random_blobs", n=3)
+        occ = b.grid.labels != b.grid.num_classes
+        groups = []
+        for t in b.rig.timestamps():
+            for ci in range(3):
+                cam = Camera(b.rig.cameras[ci].intrinsics, camera_pose_at(b.rig, ci, t))
+                origin, dirs = view_rays(cam, (20, 30))
+                groups.append((np.broadcast_to(origin, dirs.shape), dirs))
+        rng = np.random.default_rng(20)
+        cells = np.argwhere(occ)[rng.choice(int(occ.sum()), 5, replace=False)]
+        dirs = rng.normal(size=(5, 3))
+        groups.append((
+            (cells + 0.5) * 0.4,
+            dirs / np.linalg.norm(dirs, axis=1, keepdims=True),
+        ))
+        dirs = np.repeat(np.concatenate([np.eye(3), -np.eye(3)]), 3, axis=0)
+        groups.append((rng.uniform(0.0, 3.2, size=(dirs.shape[0], 3)), dirs))
+        origins = np.concatenate([o for o, _ in groups])
+        dirs = np.concatenate([d for _, d in groups])
+        *batched, visible = self.check(occ, SPEC, origins, dirs)
+        union = np.zeros(SPEC.dims, dtype=bool)
+        per_view = []
+        for o, d in groups:
+            per_view.append(_traverse(occ, SPEC, o, d, union))
+        for got, parts in zip(batched, zip(*per_view)):
+            assert got.tobytes() == np.concatenate(parts).tobytes()
+        assert np.array_equal(visible, union)
+        depth, hit, _ = batched
+        inside = slice(6 * 20 * 30, 6 * 20 * 30 + 5)
+        assert hit[inside].all() and np.all(depth[inside] == 0.0)
+        assert hit.any() and not hit.all()
+
 
 class TestSynthesizeImage:
     def test_empty_grid_pure_sky(self):
@@ -341,6 +378,69 @@ class TestVisibility:
         cam = Camera(b.rig.cameras[0].intrinsics, camera_pose_at(b.rig, 0, 1))
         raymarch_depth_oracle(b.grid, SPEC, cam, b.image_size, fresh)
         assert np.all(~fresh | b.visible)
+
+
+
+class TestBatchedBuildScene:
+    """build_scene traverses all its views at once; every output must equal
+    the per-view oracle and image bit for bit."""
+
+    @pytest.mark.parametrize(
+        "preset, n",
+        [("corridor", 2), ("boxes", 2), ("boxes", 6), ("random_blobs", 3)],
+    )
+    def test_equals_per_view_oracle_and_image(self, preset, n):
+        b = bundle(seed=2, preset=preset, n=n, size=(20, 36))
+        union = np.zeros(SPEC.dims, dtype=bool)
+        for t in b.rig.timestamps():
+            for ci in range(n):
+                cam = Camera(b.rig.cameras[ci].intrinsics, camera_pose_at(b.rig, ci, t))
+                dm = raymarch_depth_oracle(b.grid, SPEC, cam, b.image_size, union)
+                img = synthesize_image(b.grid, SPEC, cam, b.image_size)
+                got = b.gt_depths[(ci, t)]
+                for want, have in (
+                    (img, b.images[(ci, t)]),
+                    (dm.depth, got.depth),
+                    (dm.valid, got.valid),
+                    (dm.opacity, got.opacity),
+                ):
+                    assert have.dtype == want.dtype and have.shape == want.shape
+                    assert have.tobytes() == want.tobytes()
+        assert np.array_equal(b.visible, union)
+
+    def test_one_traversal_per_scene(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[3].shape[0])
+            return _traverse(*args, **kwargs)
+
+        monkeypatch.setattr(synthscene, "_traverse", counted)
+        bundle(seed=3, preset="boxes", n=6, size=(12, 20))
+        assert calls == [2 * 6 * 12 * 20]
+
+
+class TestErode:
+    def test_all_true_mask_loses_its_border(self):
+        out = _erode(np.ones((5, 7), dtype=bool))
+        expect = np.zeros((5, 7), dtype=bool)
+        expect[1:-1, 1:-1] = True
+        assert np.array_equal(out, expect)
+
+    @pytest.mark.parametrize("left", [1, 2])
+    def test_opposite_edges_do_not_support_each_other(self, left):
+        # with two left columns, a wrap-around erosion would keep column 0
+        # on the strength of the right column
+        mask = np.zeros((6, 8), dtype=bool)
+        mask[:, :left] = mask[:, -1] = True
+        assert not _erode(mask).any()
+
+    def test_interior_block_shrinks_by_one_pixel(self):
+        mask = np.zeros((9, 9), dtype=bool)
+        mask[2:7, 1:6] = True
+        expect = np.zeros((9, 9), dtype=bool)
+        expect[3:6, 2:5] = True
+        assert np.array_equal(_erode(mask), expect)
 
 
 class TestSparseLidar:
