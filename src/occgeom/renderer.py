@@ -424,9 +424,8 @@ class RayPlan:
     render and adjoint of that view. It holds the corners and weights of
     every in-grid sample of the view; the one-shot `render_view` builds
     none, and `render_view_grad_sigma` streams the plan block by block, to
-    bound memory. Each
-    render copies sigma into one padded grid the plan keeps, so one plan
-    must not render two fields at the same time.
+    bound memory. Each render copies sigma into one padded grid the plan
+    keeps, so one plan must not render two fields at the same time.
     """
 
     def __init__(

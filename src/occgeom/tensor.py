@@ -109,14 +109,6 @@ def trilinear_sample(vol: Array, xyz: Array) -> tuple[Array, Array]:
     Returns:
         (values [N] or [N x C], valid [N] bool)
     """
-    vals, valid, _, _ = _trilinear_parts(vol, xyz)
-    return vals, valid
-
-
-def _trilinear_parts(vol: Array, xyz: Array) -> tuple[Array, Array, Array, Array]:
-    """trilinear_sample plus the flat corner indices [N x 8] and weights
-    [N x 8] needed for adjoint scattering. Out-of-range corners carry weight
-    0 (and a clipped index), as do all corners of out-of-box positions."""
     vol = as_tensor(vol)
     xyz = as_tensor(xyz)
     if xyz.ndim != 2 or xyz.shape[1] != 3:
@@ -124,7 +116,18 @@ def _trilinear_parts(vol: Array, xyz: Array) -> tuple[Array, Array, Array, Array
     channelled = vol.ndim == 4
     if not channelled and vol.ndim != 3:
         raise ValueError(f"trilinear_sample expects 3-D or 4-D volume, got {vol.shape}")
-    return _trilinear(vol.shape[1:] if channelled else vol.shape, xyz, vol)
+    dims = vol.shape[1:] if channelled else vol.shape
+    valid = _trilinear_in_box(dims, xyz)
+    idx, wgt = _trilinear_corners(dims, xyz[valid])
+    if channelled:
+        padded = np.pad(vol, ((0, 0), (1, 1), (1, 1), (1, 1)))
+        vals = np.zeros((xyz.shape[0], vol.shape[0]))
+        corners = padded.reshape(vol.shape[0], -1).T[idx]  # M x 8 x C
+        vals[valid] = np.einsum("nkc,nk->nc", corners, wgt)
+    else:
+        vals = np.zeros(xyz.shape[0])
+        vals[valid] = np.sum(np.pad(vol, 1).ravel()[idx] * wgt, axis=1)
+    return vals, valid
 
 
 def _trilinear_in_box(dims, xyz: Array) -> Array:
@@ -147,7 +150,7 @@ def _padded_cells(dims: tuple[int, ...], lx: Array, ly: Array, lz: Array) -> Arr
 
 def _corner_terms(dims: tuple[int, ...], f, g) -> Iterator[tuple[int, Array]]:
     """The eight trilinear corners of cells on an [X x Y x Z] grid, in
-    _trilinear's (dx, dy, dz) order: each corner's flat offset from the
+    (dx, dy, dz) order with dz fastest: each corner's flat offset from the
     cell in the zero-padded grid (see _padded_cells) and its weight
     (wx*wy)*wz, from the per-axis fractions f = xyz - floor(xyz) and
     g = 1 - f (three arrays each)."""
@@ -168,8 +171,8 @@ def _trilinear_corners(dims: tuple[int, ...], xyz: Array) -> tuple[Array, Array]
     Indices address the flat zero-padded [(X+2) x (Y+2) x (Z+2)] grid, with
     cell (x, y, z) at (x+1, y+1, z+1); a corner past the grid's edge reads
     the zero shell, so no clipping or bound masks are needed. Corners come
-    in _trilinear's (dx, dy, dz) order, and every corner inside the grid
-    gets the weight _trilinear_parts gives it, bit for bit.
+    in _corner_terms' order, each weighted (wx*wy)*wz. trilinear_sample
+    and the renderer's ray plans gather through this one kernel.
     """
     lo = np.floor(xyz)
     f = xyz - lo
@@ -179,59 +182,6 @@ def _trilinear_corners(dims: tuple[int, ...], xyz: Array) -> tuple[Array, Array]
         wgt[:, k] = w
         offsets.append(off)
     return _padded_cells(dims, *lo.T)[:, None] + np.array(offsets), wgt
-
-
-def _trilinear(
-    dims: tuple[int, ...], xyz: Array, vol: Array
-) -> tuple[Array, Array, Array, Array]:
-    """The trilinear kernel behind _trilinear_parts: box flags, corner
-    indices and weights, then the gather from `vol`.
-
-    The gather stays in this frame, after the corner loop, while the loop's
-    arrays are still alive. Peak RSS of the in-process occupancy pipeline
-    (trilinear_sample through view_transform.upsample_trilinear) depends on
-    this allocation order: with the gather moved after the corner arrays
-    were freed, glibc's heap fragmented after some tens of operations and
-    peak RSS rose by about 31 MB in some runs only.
-    """
-    dims = np.array(dims)
-    valid = _trilinear_in_box(dims, xyz)
-    lo = np.floor(xyz).astype(np.int64)
-    f = xyz - lo
-    n = xyz.shape[0]
-    idx = np.zeros((n, 8), dtype=np.int64)
-    wgt = np.zeros((n, 8), dtype=np.float64)
-    strides = np.array([dims[1] * dims[2], dims[2], 1], dtype=np.int64)
-    k = 0
-    for dx in (0, 1):
-        wx = f[:, 0] if dx else 1.0 - f[:, 0]
-        for dy in (0, 1):
-            wy = f[:, 1] if dy else 1.0 - f[:, 1]
-            for dz in (0, 1):
-                wz = f[:, 2] if dz else 1.0 - f[:, 2]
-                cx = lo[:, 0] + dx
-                cy = lo[:, 1] + dy
-                cz = lo[:, 2] + dz
-                inside = (
-                    (cx >= 0) & (cx < dims[0])
-                    & (cy >= 0) & (cy < dims[1])
-                    & (cz >= 0) & (cz < dims[2])
-                )
-                w = wx * wy * wz * inside * valid
-                flat = (
-                    np.clip(cx, 0, dims[0] - 1) * strides[0]
-                    + np.clip(cy, 0, dims[1] - 1) * strides[1]
-                    + np.clip(cz, 0, dims[2] - 1)
-                )
-                idx[:, k] = flat
-                wgt[:, k] = w
-                k += 1
-    if vol.ndim == 4:
-        corners = vol.reshape(vol.shape[0], -1).T[idx]  # N x 8 x C
-        vals = np.einsum("nkc,nk->nc", corners, wgt)
-    else:
-        vals = np.sum(vol.ravel()[idx] * wgt, axis=1)
-    return vals, valid, idx, wgt
 
 
 def conv3d(x: Array, w: Array, stride: int = 1) -> Array:

@@ -40,11 +40,15 @@ class VoxelGridSpec:
         dims = tuple(int(d) for d in self.dims)
         if len(dims) != 3 or any(d <= 0 for d in dims):
             raise ValueError(f"dims must be three positive extents, got {self.dims}")
-        if self.voxel_size <= 0:
-            raise ValueError(f"voxel_size must be positive, got {self.voxel_size}")
+        voxel_size = float(self.voxel_size)
+        if not (np.isfinite(voxel_size) and voxel_size > 0):
+            raise ValueError(f"voxel_size must be finite and positive, got {self.voxel_size}")
+        origin = as_tensor(self.origin).reshape(3)
+        if not np.all(np.isfinite(origin)):
+            raise ValueError(f"origin must be finite, got {origin}")
         object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "origin", as_tensor(self.origin).reshape(3))
-        object.__setattr__(self, "voxel_size", float(self.voxel_size))
+        object.__setattr__(self, "origin", origin)
+        object.__setattr__(self, "voxel_size", voxel_size)
 
     @staticmethod
     def default_full_scale() -> "VoxelGridSpec":
@@ -88,12 +92,16 @@ class DepthDistribution:
     def __post_init__(self):
         bins = as_tensor(self.bins).reshape(-1)
         probs = as_tensor(self.probs)
+        if not np.all(np.isfinite(bins)):
+            raise ValueError("depth bins must be finite")
         if np.any(np.diff(bins) <= 0):
             raise ValueError("depth bins must be strictly increasing")
         if probs.ndim != 3 or probs.shape[2] != bins.size:
             raise ValueError(
                 f"probs must be H x W x {bins.size}, got {probs.shape}"
             )
+        if not np.all(np.isfinite(probs)):
+            raise ValueError("depth probabilities must be finite")
         if np.any(probs < 0):
             raise ValueError("depth probabilities must be nonnegative")
         sums = probs.sum(axis=2)

@@ -44,3 +44,39 @@ def simple_rig(n_cameras: int = 2, with_motion: bool = True) -> CameraRig:
     else:
         ego = {0: Pose.identity(), 1: Pose.identity()}
     return CameraRig(cams, ego)
+
+
+def trilinear_oracle(vol: np.ndarray, xyz: np.ndarray):
+    """Reference trilinear sampling, one point and one corner at a time.
+
+    vol is [X x Y x Z] or [C x X x Y x Z]; xyz [N x 3] grid coordinates with
+    cell centers at integers. A point outside [-0.5, dim-0.5] on any axis
+    reads 0 and has no corners; inside, corners past the grid's edge are
+    skipped. Each kept corner is weighed (wx*wy)*wz, in (dx, dy, dz) order
+    with dz fastest.
+
+    Returns (values [N] or [N x C], terms), where terms[n] lists point n's
+    in-grid corners as ((x, y, z), weight).
+    """
+    vol = np.asarray(vol, dtype=np.float64)
+    dims = vol.shape[-3:]
+    values = np.zeros((len(xyz),) + vol.shape[:-3])
+    terms = []
+    for n, p in enumerate(np.asarray(xyz, dtype=np.float64)):
+        kept = []
+        if all(-0.5 <= p[a] <= dims[a] - 0.5 for a in range(3)):
+            lo = [int(np.floor(c)) for c in p]
+            f = [float(p[a] - lo[a]) for a in range(3)]
+            for dx in (0, 1):
+                for dy in (0, 1):
+                    for dz in (0, 1):
+                        cell = (lo[0] + dx, lo[1] + dy, lo[2] + dz)
+                        if not all(0 <= cell[a] < dims[a] for a in range(3)):
+                            continue
+                        wx, wy, wz = (f[a] if d else 1.0 - f[a]
+                                      for a, d in enumerate((dx, dy, dz)))
+                        w = (wx * wy) * wz
+                        kept.append((cell, w))
+                        values[n] += vol[(..., *cell)] * w
+        terms.append(kept)
+    return values, terms

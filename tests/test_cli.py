@@ -380,6 +380,22 @@ class TestMain:
         payload = json.loads(err.strip().splitlines()[-1])
         assert "error" in payload and "message" in payload
 
+    def test_non_finite_scene_geometry_is_a_structured_error(self, tmp_path, capsys):
+        scene_dir = tmp_path / "scene"
+        assert main(["--out", str(scene_dir), "gen", "scene.dims=[16,16,8]",
+                     "scene.image_size=[16,24]"]) == 0
+        meta = json.loads((scene_dir / "scene.json").read_text())
+        meta["spec"]["voxel_size"] = float("nan")
+        (scene_dir / "scene.json").write_text(json.dumps(meta))
+        capsys.readouterr()
+        code = main(["--out", str(tmp_path / "r"), "render", "--scene-dir", str(scene_dir),
+                     "render.resolution=[16,24]", "render.S=16"])
+        assert code == 1
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == "ValueError"
+        assert "voxel_size must be finite" in payload["message"]
+        assert not (tmp_path / "r").exists()
+
     def test_worker_env_cap(self, monkeypatch):
         monkeypatch.delenv("OCCGEOM_THREADS", raising=False)
         assert cli.worker_count() == 1

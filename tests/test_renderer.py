@@ -27,7 +27,6 @@ from occgeom.renderer import (
 from occgeom.tensor import (
     _trilinear_corners,
     _trilinear_in_box,
-    _trilinear_parts,
     grad_check,
     trilinear_sample,
 )
@@ -276,7 +275,8 @@ class TestRenderView:
 
 def dense_render(field, cam, res, t_near, t_far, s, grad_map):
     """Reference: trilinear-sample all S samples of every ray, render, and
-    scatter the adjoint over every corner with np.add.at in sample order.
+    scatter the adjoint over the corners of every in-box sample with
+    np.add.at in sample order, into a zero-padded grid that is then cropped.
 
     Returns (depth, opacity, dL/dsigma) for the depth cotangent grad_map.
     """
@@ -289,12 +289,13 @@ def dense_render(field, cam, res, t_near, t_far, s, grad_map):
     sig, _ = trilinear_sample(field.sigma, coords)
     sig = sig.reshape(-1, s)
     depth, opacity, _ = _render_batch(sig, t[None, :], deltas[None, :])
-    _, _, idx, wgt = _trilinear_parts(field.sigma, coords)
+    cols = np.flatnonzero(_trilinear_in_box(field.spec.dims, coords))
+    idx, wgt = _trilinear_corners(field.spec.dims, coords[cols])
     dsig = _depth_grad_batch(sig, t[None, :], deltas[None, :])
-    per_sample = (dsig * grad_map.reshape(-1)[:, None]).reshape(-1)
-    grad = np.zeros(field.sigma.size)
-    np.add.at(grad, idx.ravel(), (per_sample[:, None] * wgt).ravel())
-    return depth.reshape(res), opacity.reshape(res), grad.reshape(field.sigma.shape)
+    per_sample = (dsig * grad_map.reshape(-1)[:, None]).reshape(-1)[cols]
+    grad = np.zeros(np.add(field.spec.dims, 2))
+    np.add.at(grad.reshape(-1), idx.ravel(), (per_sample[:, None] * wgt).ravel())
+    return depth.reshape(res), opacity.reshape(res), grad[1:-1, 1:-1, 1:-1]
 
 
 class TestRayPlan:

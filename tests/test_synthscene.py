@@ -577,6 +577,17 @@ class TestPersistence:
         with pytest.raises(ValueError, match="grid.raw: label 7 above num_classes 4"):
             load_scene(saved)
 
+    @pytest.mark.parametrize(
+        "key, value", [("voxel_size", float("nan")), ("voxel_size", float("inf")),
+                       ("origin", [0.0, float("nan"), 0.0])],
+    )
+    def test_non_finite_geometry_rejected(self, saved, key, value):
+        meta = json.loads((saved / "scene.json").read_text())
+        meta["spec"][key] = value
+        (saved / "scene.json").write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match=f"{key} must be finite"):
+            load_scene(saved)
+
     def test_saved_bytes_deterministic(self, tmp_path):
         b = bundle(seed=10, preset="corridor")
         save_scene(b, tmp_path / "a")

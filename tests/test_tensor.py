@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from helpers import trilinear_oracle
 
 from occgeom import tensor
 
@@ -153,14 +154,46 @@ class TestTrilinearSample:
             np.testing.assert_allclose(vals[:, c], single, atol=1e-14)
             assert np.array_equal(ok, ok2)
 
+    @pytest.mark.parametrize("shape", [(3, 4, 5), (2, 3, 4, 5), (6, 1, 2), (4, 1, 2, 6)])
+    def test_matches_oracle(self, shape):
+        rng = np.random.default_rng(len(shape) + shape[-1])
+        vol = rng.normal(size=shape)
+        dims = np.array(shape[-3:])
+        pts = rng.uniform(-1.5, dims + 0.5, size=(300, 3))
+        pts[:40] = np.round(pts[:40] * 2.0) / 2.0  # faces and cell centers
+        vals, ok = tensor.trilinear_sample(vol, pts)
+        want, _ = trilinear_oracle(vol, pts)
+        assert not ok.all() and ok.any()
+        assert np.array_equal(ok, np.all((pts >= -0.5) & (pts <= dims - 0.5), axis=1))
+        np.testing.assert_allclose(vals, want, rtol=1e-12, atol=1e-14)
+        # out of the box: +0.0 exactly, not a signed or tiny zero
+        assert np.all(vals[~ok].view(np.int64) == 0)
+
+    @pytest.mark.parametrize("channels", [None, 2])
+    def test_out_of_box_is_zero_beside_non_finite_border(self, channels):
+        # the corners of an out-of-box point lie outside the grid, so no
+        # voxel value, finite or not, can reach it
+        lead = () if channels is None else (channels,)
+        vol = np.ones(lead + (4, 4, 4))
+        vol[..., 0, 0, 0] = np.nan
+        vol[..., 3, 3, 3] = np.inf
+        pts = np.array([[-5.0, 0.0, 0.0], [9.0, 9.0, 9.0], [-0.6, 0.0, 0.0], [3.0, 3.0, 3.6]])
+        vals, ok = tensor.trilinear_sample(vol, pts)
+        assert not ok.any()
+        assert np.all(vals == 0.0)
+        # inside the box the non-finite voxels still read through
+        vals, ok = tensor.trilinear_sample(vol, np.array([[-0.5, 0.0, 0.0], [3.5, 3.0, 3.0]]))
+        assert ok.all() and np.isnan(vals[0]).all() and np.isposinf(vals[1]).all()
+
 
 class TestTrilinearCorners:
-    """The ray plan's padded-grid corner kernel against _trilinear_parts."""
+    """The padded-grid corner kernel of trilinear_sample and the ray plans
+    against the per-point oracle."""
 
     CORNERS = np.array([(dx, dy, dz) for dx in (0, 1) for dy in (0, 1) for dz in (0, 1)])
 
     @pytest.mark.parametrize("dims", [(3, 4, 5), (1, 2, 6), (6, 1, 1)])
-    def test_matches_trilinear_parts(self, dims):
+    def test_matches_oracle(self, dims):
         rng = np.random.default_rng(sum(dims))
         n, top = 500, np.asarray(dims) - 0.5
         # per axis: the low face, the high face, a cell center or anywhere
@@ -173,7 +206,6 @@ class TestTrilinearCorners:
         )
         assert tensor._trilinear_in_box(dims, xyz).all()
         vol = rng.uniform(size=dims)
-        vals, _, idx, wgt = tensor._trilinear_parts(vol, xyz)
         pidx, pwgt = tensor._trilinear_corners(dims, xyz)
         padded = tuple(d + 2 for d in dims)
         assert pidx.min() >= 0 and pidx.max() < np.prod(padded)
@@ -181,15 +213,17 @@ class TestTrilinearCorners:
         assert np.array_equal(cell, np.floor(xyz)[:, None, :] + self.CORNERS)
         inside = np.all((cell >= 0) & (cell < dims), axis=-1)
         assert inside.any() and not inside.all()
-        # in-range corners: the same cell with a bit-equal weight
-        assert np.array_equal(np.ravel_multi_index(tuple(cell[inside].T), dims), idx[inside])
-        assert np.array_equal(pwgt[inside].view(np.int64), wgt[inside].view(np.int64))
-        # out-of-range corners: the zero shell, which _trilinear_parts weighs 0
+        # out-of-range corners: the zero shell
         assert np.all(np.any((cell == -1) | (cell == dims), axis=-1)[~inside])
-        assert np.all(wgt[~inside] == 0.0)
-        # the plan's gather from the padded volume is trilinear_sample, bitwise
+        # in-range corners: the oracle's cells in its order, weights bit-equal
+        want, terms = trilinear_oracle(vol, xyz)
+        assert np.array_equal(cell[inside], [c for kept in terms for c, _ in kept])
+        owgt = np.array([w for kept in terms for _, w in kept])
+        assert np.array_equal(pwgt[inside].view(np.int64), owgt.view(np.int64))
+        # the gather from the padded volume is trilinear_sample, bitwise
         gathered = np.sum(np.pad(vol, 1).ravel()[pidx] * pwgt, axis=1)
-        assert np.array_equal(gathered, vals)
+        np.testing.assert_allclose(gathered, want, rtol=1e-13, atol=0)
+        assert np.array_equal(gathered, tensor.trilinear_sample(vol, xyz)[0])
 
 
 class TestConv3d:

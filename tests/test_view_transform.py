@@ -52,6 +52,13 @@ class TestSpec:
         with pytest.raises(ValueError):
             VoxelGridSpec((2, 2, 2), np.zeros(3), -1.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_geometry_rejected(self, bad):
+        with pytest.raises(ValueError, match="voxel_size must be finite"):
+            VoxelGridSpec((2, 2, 2), np.zeros(3), bad)
+        with pytest.raises(ValueError, match="origin must be finite"):
+            VoxelGridSpec((2, 2, 2), np.array([0.0, bad, 0.0]), 0.4)
+
 
 class TestDepthDistribution:
     def test_probs_must_normalize(self):
@@ -63,6 +70,19 @@ class TestDepthDistribution:
     def test_bins_must_increase(self):
         with pytest.raises(ValueError):
             DepthDistribution([3.0, 2.0], np.full((1, 1, 2), 0.5))
+
+    def test_non_finite_rejected(self):
+        # every comparison with NaN is False, so the order, sign and sum
+        # checks alone would let these through
+        bins = uniform_depth_bins(4)
+        with pytest.raises(ValueError, match="probabilities must be finite"):
+            DepthDistribution(bins, np.full((2, 2, 4), np.nan))
+        probs = np.full((2, 2, 4), 0.25)
+        probs[1, 0, 2] = np.inf
+        with pytest.raises(ValueError, match="probabilities must be finite"):
+            DepthDistribution(bins, probs)
+        with pytest.raises(ValueError, match="bins must be finite"):
+            DepthDistribution([1.0, np.nan, 3.0, 4.0], np.full((2, 2, 4), 0.25))
 
 
 class TestLift:
