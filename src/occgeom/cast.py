@@ -152,7 +152,8 @@ def _box_mean(x: np.ndarray, window: int) -> np.ndarray:
     """Zero-padded box mean with constant divisor window^2 (self-adjoint)."""
     h, w = x.shape[:2]
     p = window // 2
-    xp = np.pad(x, ((p, p), (p, p)) + ((0, 0),) * (x.ndim - 2))
+    xp = np.zeros((h + 2 * p, w + 2 * p) + x.shape[2:])
+    xp[p : p + h, p : p + w] = x
     out = np.zeros_like(x)
     for dy in range(window):
         for dx in range(window):
@@ -160,12 +161,17 @@ def _box_mean(x: np.ndarray, window: int) -> np.ndarray:
     return out / float(window * window)
 
 
+def _box_means(window: int, *xs: np.ndarray) -> np.ndarray:
+    """The box means of same-shape arrays, from one `_box_mean` over their
+    stack on a new third axis; each is what `_box_mean` gives it alone."""
+    return np.moveaxis(_box_mean(np.stack(xs, axis=2), window), 2, 0)
+
+
 def _ssim_stats(a: np.ndarray, b: np.ndarray, window: int):
-    mu_a = _box_mean(a, window)
-    mu_b = _box_mean(b, window)
-    var_a = _box_mean(a * a, window) - mu_a**2
-    var_b = _box_mean(b * b, window) - mu_b**2
-    cov = _box_mean(a * b, window) - mu_a * mu_b
+    mu_a, mu_b, m_aa, m_bb, m_ab = _box_means(window, a, b, a * a, b * b, a * b)
+    var_a = m_aa - mu_a**2
+    var_b = m_bb - mu_b**2
+    cov = m_ab - mu_a * mu_b
     a1 = 2.0 * mu_a * mu_b + _SSIM_C1
     a2 = 2.0 * cov + _SSIM_C2
     b1 = mu_a**2 + mu_b**2 + _SSIM_C1
@@ -202,11 +208,10 @@ def _ssim_backward(
     t_const = (mu_a * (a2 - a1) - s * mu_b * (b2 - b1)) / d
     t_a = a1 / d
     t_b = -s * b1 / d
-    return 2.0 * (
-        _box_mean(grad_map * t_const, window)
-        + a * _box_mean(grad_map * t_a, window)
-        + b * _box_mean(grad_map * t_b, window)
+    m_const, m_a, m_b = _box_means(
+        window, grad_map * t_const, grad_map * t_a, grad_map * t_b
     )
+    return 2.0 * (m_const + a * m_a + b * m_b)
 
 
 def photometric_loss(

@@ -89,11 +89,37 @@ def _hash01(ix, iy, iz, salt: int) -> np.ndarray:
     return (h & np.uint64(0xFFFFFF)).astype(np.float64) / float(0x1000000)
 
 
-def _compact(rows: np.ndarray, *arrays: np.ndarray) -> None:
-    """Move the rows at increasing indices `rows` of every array to its
-    front, in order."""
-    for a in arrays:
-        a[: rows.size] = np.take(a, rows, axis=0)
+def _compact(done: np.ndarray, *arrays: np.ndarray) -> int:
+    """Drop the rows where `done` from the first `done.size` rows of every
+    array, in place, and return how many rows are kept. The kept rows end
+    up first but not in order: rows from the tail fill the dropped rows
+    ahead of them, so the work grows with the dropped rows only."""
+    kept = done.size - np.count_nonzero(done)
+    holes = np.flatnonzero(done[:kept])
+    if holes.size:
+        fill = kept + np.flatnonzero(~done[kept:])
+        for a in arrays:
+            a[holes] = a[fill]
+    return kept
+
+
+def _box_span(lo, hi, origins, dirs):
+    """Slab test: each ray's entry and exit distances along its line
+    through the box [lo, hi]; the ray crosses the box ahead of its origin
+    iff exit > max(entry, 0). The entry is bit for bit np.nanmax over the
+    three slabs, and the exit np.nanmin but for the sign of a zero."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t1 = (lo - origins) / dirs
+        t2 = (hi - origins) / dirs
+    near, far = np.fmin(t1, t2), np.fmax(t1, t2)
+    # column by column is faster than np.nanmax / np.nanmin and differs
+    # only in the sign of a zero: the exit is only compared, and the
+    # entry's zeros (which can reach a depth) come from np.nanmax itself
+    t_enter = np.fmax(np.fmax(near[:, 0], near[:, 1]), near[:, 2])
+    zero = np.flatnonzero(t_enter == 0.0)
+    t_enter[zero] = np.nanmax(near[zero], axis=1)
+    t_exit = np.fmin(np.fmin(far[:, 0], far[:, 1]), far[:, 2])
+    return t_enter, t_exit
 
 
 def _traverse(
@@ -110,75 +136,84 @@ def _traverse(
     (depth [N], hit [N] bool, hit_idx [N x 3]). depth is the metric ray
     distance to the entry face of the first occupied voxel (0 when the ray
     starts inside one). When `visible` is given, every traversed voxel up
-    to and including the hit is marked. Axis ties step the lowest axis, so
-    traversal order is deterministic. Each pass touches only the active
-    rays' state.
+    to and including the hit is OR-ed into it. Axis ties step the lowest
+    axis, so traversal order is deterministic.
+
+    The occupancy is copied into an int8 grid padded by a one-cell shell
+    that holds 2, and each ray walks it by a flat index: a step adds the
+    ray's stride along the chosen axis, and one gather of the padded grid
+    tells whether the new cell is free (0), occupied (1) or outside the
+    grid (2), since a one-cell move from inside lands inside or in the
+    shell. Each pass touches only the active rays' state.
     """
     dims = np.array(spec.dims)
     vs = spec.voxel_size
     lo = spec.origin
-    hi = lo + dims * vs
     n = dirs.shape[0]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t1 = (lo - origins) / dirs
-        t2 = (hi - origins) / dirs
-    t_enter = np.nanmax(np.fmin(t1, t2), axis=1)
-    t_exit = np.nanmin(np.fmax(t1, t2), axis=1)
+    t_enter, t_exit = _box_span(lo, lo + dims * vs, origins, dirs)
     t0 = np.maximum(t_enter, 0.0)
-    active = t_exit > t0
-    start = origins + (t0 + 1e-9)[:, None] * dirs
+    ids = np.flatnonzero(t_exit > t0)
+    t_entry = t0
+    if ids.size < n:
+        t_entry, t_exit, dirs = t0[ids], t_exit[ids], dirs[ids]
+        if origins.ndim == 2:
+            origins = origins[ids]
+    start = origins + (t_entry + 1e-9)[:, None] * dirs
     cell = np.clip(np.floor((start - lo) / vs).astype(np.int64), 0, dims - 1)
     step = np.sign(dirs).astype(np.int64)
     with np.errstate(divide="ignore", invalid="ignore"):
         boundary = lo + (cell + (step > 0)) * vs
         t_max = np.where(dirs != 0, (boundary - origins) / dirs, np.inf)
         t_delta = np.where(dirs != 0, vs / np.abs(dirs), np.inf)
+    padded = np.full(dims + 2, 2, dtype=np.int8)
+    padded[1:-1, 1:-1, 1:-1] = occupied
+    flat = padded.reshape(-1)
+    strides = np.array([(dims[1] + 2) * (dims[2] + 2), dims[2] + 2, 1])
+    lin = (cell + 1) @ strides
+    dlin = step * strides
+    del start, cell, step, boundary  # the walk needs only lin and dlin
+    state = flat[lin]
+    seen = None if visible is None else np.zeros(flat.size, dtype=bool)
     depth = np.zeros(n)
-    hit = np.zeros(n, dtype=bool)
-    hit_idx = np.zeros((n, 3), dtype=np.int64)
-    # the active rays' state sits in the first `act` rows of each array,
-    # compacted in place whenever rays hit or leave the grid
-    ids = np.flatnonzero(active)
-    t_entry = t0
-    _compact(ids, cell, t_max, t_delta, step, t_entry, t_exit)
+    hit_lin = np.zeros(n, dtype=np.int64)  # 0 is a shell cell: no hit
+    # rows [0, act) of the state arrays hold the rays still in the grid,
+    # each just entered cell `lin` at `t_entry`
     act = ids.size
     lanes = np.arange(0, 3 * act, 3)  # flat offset of each row of [N x 3] state
     # the state arrays are fresh C-contiguous arrays, so these are views
-    flat_cell, flat_t_max = cell.reshape(-1), t_max.reshape(-1)
-    flat_step, flat_t_delta = step.reshape(-1), t_delta.reshape(-1)
+    flat_t_max, flat_t_delta, flat_dlin = (
+        t_max.reshape(-1), t_delta.reshape(-1), dlin.reshape(-1)
+    )
     for _ in range(int(dims.sum()) + 4):
+        cur, late = state[:act], t_entry[:act] > t_exit[:act]
+        if seen is not None:
+            # rays that left the grid or their range mark shell cell 0
+            seen[lin[:act] * ((cur != 2) & ~late)] = True
+        hits = np.flatnonzero((cur == 1) & ~late)
+        if hits.size:
+            depth[ids[hits]] = t_entry[hits]
+            hit_lin[ids[hits]] = lin[hits]
+        act = _compact((cur != 0) | late, ids, lin, t_max, t_delta, dlin, t_exit)
         if act == 0:
             break
-        cx, cy, cz = cell[:act, 0], cell[:act, 1], cell[:act, 2]
-        if visible is not None:
-            visible[cx, cy, cz] = True
-        occ = occupied[cx, cy, cz]
-        if occ.any():
-            hits = ids[:act][occ]
-            hit[hits] = True
-            depth[hits] = t_entry[:act][occ]
-            hit_idx[hits] = cell[:act][occ]
-            keep = np.flatnonzero(~occ)
-            _compact(keep, ids, cell, t_max, t_delta, step, t_exit)
-            act = keep.size
-            if act == 0:
-                break
         # the first axis of least t_max, as argmin picks it, given no NaN:
         # t_max starts finite, or +inf on an axis the ray does not move
         # along, and only grows by t_delta > 0
         a, b, c = t_max[:act].T
-        axis = (b < a).view(np.int8)
-        axis[c < np.minimum(a, b)] = 2
+        ab = np.minimum(a, b)
+        last = c < ab  # axis 2
+        axis = ((b < a) > last).view(np.int8)  # axis 1: b < a, and not c
+        axis += last.view(np.int8) << 1
         rows = lanes[:act] + axis  # (ray, axis) in the flat state
-        t_entry[:act] = flat_t_max[rows]
-        flat_cell[rows] += flat_step[rows]
-        flat_t_max[rows] += flat_t_delta[rows]
-        moved = flat_cell[rows]
-        out = (moved < 0) | (moved >= dims[axis]) | (t_entry[:act] > t_exit[:act])
-        if out.any():
-            keep = np.flatnonzero(~out)
-            _compact(keep, ids, cell, t_max, t_delta, step, t_entry, t_exit)
-            act = keep.size
+        np.minimum(ab, c, out=t_entry[:act])  # the least t_max, met first
+        lin[:act] += flat_dlin[rows]
+        flat_t_max[rows] = t_entry[:act] + flat_t_delta[rows]
+        np.take(flat, lin[:act], out=state[:act])
+    if seen is not None:
+        visible |= seen.reshape(dims + 2)[1:-1, 1:-1, 1:-1]
+    hit = hit_lin != 0
+    hit_idx = np.zeros((n, 3), dtype=np.int64)
+    hit_idx[hit] = np.column_stack(np.unravel_index(hit_lin[hit], padded.shape)) - 1
     return depth, hit, hit_idx
 
 

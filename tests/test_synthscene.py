@@ -322,6 +322,165 @@ class TestCompactedTraversal:
         assert hit[inside].all() and np.all(depth[inside] == 0.0)
         assert hit.any() and not hit.all()
 
+    # a small grid off the world origin, a quarter occupied, with rays that
+    # start on its faces, edges and corners or aim at its boundary
+    SMALL = VoxelGridSpec((6, 5, 4), np.array([-1.0, 0.5, 0.2]), 0.4)
+
+    @staticmethod
+    def random_occupancy(dims, seed, frac=0.25):
+        return np.random.default_rng(seed).random(dims) < frac
+
+    @staticmethod
+    def unit(v):
+        v = np.asarray(v, dtype=float)
+        return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+    @classmethod
+    def boundary_rays(cls, spec):
+        """Rays from every boundary point class (each coordinate on the min
+        face, the max face or inside, not all inside) along every direction
+        in {-1, 0, 1}^3."""
+        lo = spec.origin
+        hi = lo + np.array(spec.dims) * spec.voxel_size
+        rng = np.random.default_rng(22)
+        signs = np.array([s for s in np.ndindex(3, 3, 3) if s != (1, 1, 1)]) - 1
+        points = []
+        for where in signs:
+            inside = lo + rng.uniform(0.05, 0.95, 3) * (hi - lo)
+            points.append(np.select([where < 0, where > 0], [lo, hi], inside))
+        origins = np.repeat(points, len(signs), axis=0)
+        return origins, cls.unit(np.tile(signs, (len(points), 1)))
+
+    def test_box_span_is_the_nan_skipping_slab_test(self):
+        # rays on the faces meet slabs at +0 and -0; the entry must keep
+        # np.nanmax's sign of zero, since it becomes the depth of a ray
+        # that starts in an occupied voxel
+        spec = self.SMALL
+        origins, dirs = self.boundary_rays(spec)
+        lo = spec.origin
+        hi = lo + np.array(spec.dims) * spec.voxel_size
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t1, t2 = (lo - origins) / dirs, (hi - origins) / dirs
+            want_enter = np.nanmax(np.fmin(t1, t2), axis=1)
+            want_exit = np.nanmin(np.fmax(t1, t2), axis=1)
+        t_enter, t_exit = synthscene._box_span(lo, hi, origins, dirs)
+        assert t_enter.tobytes() == want_enter.tobytes()
+        assert np.array_equal(t_exit, want_exit, equal_nan=True)
+        assert np.any((want_enter == 0.0) & np.signbit(want_enter))
+
+    # the reference computes a start point for rays that start on a face
+    # plane and run along it, which never enter the grid (t_enter = inf)
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_rays_starting_on_faces_edges_and_corners(self):
+        # inward, outward and along the face; rays that start on an
+        # occupied boundary voxel hit at a depth of zero
+        spec = self.SMALL
+        occ = self.random_occupancy(spec.dims, 21)
+        depth, hit, _, _ = self.check(occ, spec, *self.boundary_rays(spec))
+        assert np.any(hit & (depth == 0.0)) and np.any(hit & (depth > 0.0))
+        assert not hit.all()
+
+    def test_rays_whose_first_step_leaves_the_grid(self):
+        # from inside a free boundary voxel straight out through its face,
+        # and tilted so that some cross a side into a neighbour first
+        spec = self.SMALL
+        occ = self.random_occupancy(spec.dims, 23)
+        rng = np.random.default_rng(24)
+        dims = np.array(spec.dims)
+        axes = rng.integers(0, 3, 300)
+        sides = rng.integers(0, 2, 300)
+        cells = rng.integers(0, dims, (300, 3))
+        cells[np.arange(300), axes] = sides * (dims[axes] - 1)
+        origins = spec.origin + (cells + rng.uniform(0.1, 0.9, (300, 3))) * spec.voxel_size
+        normals = np.zeros((300, 3))
+        normals[np.arange(300), axes] = 2 * sides - 1
+        tilt = np.where(np.arange(300)[:, None] < 150, 0.0, rng.normal(0, 0.4, (300, 3)))
+        dirs = self.unit(normals + tilt)
+        free = ~occ[tuple(cells.T)]
+        _, hit, _, _ = self.check(occ, spec, origins, dirs)
+        assert not hit[:150][free[:150]].any()
+        assert hit[~free].all()
+
+    def test_rays_that_end_past_their_exit_inside_the_grid(self):
+        # rays aimed at a voxel edge on a face of the grid cross the next
+        # voxel boundary and the face at once in exact arithmetic. Rounding
+        # can put that boundary after t_exit, so the step lands inside the
+        # grid but past the exit. The first 200 rays come from outside and
+        # graze the face. The grid is sparse, so most rays reach the face.
+        occ = self.random_occupancy(SPEC.dims, 30, 0.02)
+        rng = np.random.default_rng(25)
+        m = 2000
+        ext = np.array(SPEC.dims) * SPEC.voxel_size
+        origins = rng.uniform(0.05, 0.95, (m, 3)) * ext
+        target = rng.uniform(0.0, 1.0, (m, 3)) * ext
+        face = rng.integers(0, 3, m)
+        line = (face + rng.integers(1, 3, m)) % 3
+        rows = np.arange(m)
+        target[rows, face] = rng.integers(0, 2, m) * ext[face]
+        target[rows, line] = rng.integers(1, 8, m) * SPEC.voxel_size
+        origins[:200] = target[:200] - 5.0 * self.unit(
+            rng.normal(0, 1, (200, 3)) * [1.0, 1.0, 1e-4]
+        )
+        dirs = self.unit(target - origins)
+        self.check(occ, SPEC, origins, dirs)
+
+    @pytest.mark.parametrize("dims", [(1, 5, 3), (4, 1, 1), (1, 1, 1)])
+    def test_grid_with_an_extent_of_one(self, dims):
+        # the shell lies on both sides of every voxel along a unit extent
+        spec = VoxelGridSpec(dims, np.array([0.3, -0.2, 0.1]), 0.4)
+        occ = self.random_occupancy(dims, 26, 0.3)
+        occ.reshape(-1)[0] = True
+        rng = np.random.default_rng(27)
+        lo = spec.origin
+        ext = np.array(dims) * spec.voxel_size
+        inside = lo + rng.uniform(0.0, 1.0, (300, 3)) * ext
+        outside = lo + rng.uniform(-1.0, 2.0, (300, 3)) * ext
+        origins = np.concatenate([inside, outside, inside[:6]])
+        dirs = self.unit(np.concatenate([
+            rng.normal(size=(300, 3)),
+            lo + 0.5 * ext - outside,  # toward the middle of the grid
+            np.concatenate([np.eye(3), -np.eye(3)]),
+        ]))
+        _, hit, _, visible = self.check(occ, spec, origins, dirs)
+        assert hit.any() and visible.any()
+
+
+class TestTraverseVisible:
+    """_traverse ORs its marks into the caller's `visible` and leaves
+    `occupied` as it was."""
+
+    def rays(self):
+        b = bundle(seed=11, preset="boxes")
+        cam = Camera(b.rig.cameras[0].intrinsics, camera_pose_at(b.rig, 0, 1))
+        origin, dirs = view_rays(cam, (20, 30))
+        return b.grid.labels != b.grid.num_classes, origin, dirs
+
+    def test_marks_are_or_ed_into_visible(self):
+        occ, origin, dirs = self.rays()
+        before = occ.copy()
+        fresh = np.zeros(SPEC.dims, dtype=bool)
+        _traverse(occ, SPEC, origin, dirs, fresh)
+        assert np.array_equal(occ, before)
+        prior = np.random.default_rng(28).random(SPEC.dims) < 0.1
+        assert (prior & ~fresh).any() and (fresh & ~prior).any()
+        visible = prior.copy()
+        _traverse(occ, SPEC, origin, dirs, visible)
+        assert np.array_equal(visible, prior | fresh)
+        assert np.array_equal(occ, before)
+
+    def test_rays_that_miss_the_grid_leave_visible_unchanged(self):
+        occ, _, dirs = self.rays()
+        before = occ.copy()
+        prior = np.random.default_rng(29).random(SPEC.dims) < 0.1
+        visible = prior.copy()
+        # from beside the grid, pointing away from it
+        origins = np.tile([-1.0, 5.0, 1.5], (dirs.shape[0], 1))
+        away = dirs * np.where(dirs[:, :1] > 0, -1.0, 1.0)
+        depth, hit, _ = _traverse(occ, SPEC, origins, away, visible)
+        assert not hit.any() and not depth.any()
+        assert np.array_equal(visible, prior)
+        assert np.array_equal(occ, before)
+
 
 class TestSynthesizeImage:
     def test_empty_grid_pure_sky(self):
