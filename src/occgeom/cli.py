@@ -350,7 +350,7 @@ def cmd_selftrain(cfg: ExperimentConfig, scene_dir: str) -> dict:
     def forward(sig):
         fld = DensityField(sig, spec)
         rendered = _camera_map(lambda plan: plan.render(fld), plans)
-        return [dm for dm, _ in rendered], [rows for _, rows in rendered]
+        return [dm for dm, _ in rendered], [jac for _, jac in rendered]
 
     def gt_depth_error(depths):
         errs = []
@@ -368,7 +368,7 @@ def cmd_selftrain(cfg: ExperimentConfig, scene_dir: str) -> dict:
     initial_err = None
 
     for step in range(cfg.optimize.steps + 1):
-        depths, rows_per_view = forward(sigma)
+        depths, jac_per_view = forward(sigma)
         if step == 0:
             initial_err = gt_depth_error(depths)
         total, parts, grads = cast_mod.pretrain_loss(
@@ -396,7 +396,7 @@ def cmd_selftrain(cfg: ExperimentConfig, scene_dir: str) -> dict:
             break
         sig_grad = np.zeros_like(sigma)
         grad_views = _camera_map(
-            lambda iv: plans[iv].grad_sigma(rows_per_view[iv], grads[iv]),
+            lambda iv: plans[iv].grad_sigma(jac_per_view[iv], grads[iv]),
             list(range(n_cam)),
         )
         for g in grad_views:

@@ -32,10 +32,11 @@ DEFAULT_RESOLUTION = (180, 320)
 DEFAULT_T_NEAR = 1.0
 DEFAULT_T_FAR = 45.0
 DEFAULT_SAMPLES = 152
-# ray samples (rays x S) per block. The block's dense [rays x S] render and
-# adjoint temporaries stay near 256 KiB, which glibc serves from its heap
-# and reuses across blocks; much larger ones are mapped and faulted in
-# afresh on every block.
+# ray samples (rays x S) per block. The block's dense [rays x S] render
+# temporaries stay near 256 KiB, which glibc serves from its heap and reuses
+# across blocks; much larger ones are mapped and faulted in afresh on every
+# block. The adjoint forms no [rays x S] array: it scales the [rays x width]
+# Jacobian rows the forward render returned and scatters them.
 _BLOCK_SAMPLES = 32768
 
 
@@ -114,23 +115,42 @@ def sample_density(field: DensityField, positions: np.ndarray) -> np.ndarray:
 
 def _render_batch(
     sigma: np.ndarray, t: np.ndarray, deltas: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Transmittance-weighted depth for [R x W] density rows: the first W of
     the S samples in t and deltas, every later sample of zero density.
 
-    Returns (depth [R], opacity [R], weights [R x S]).
+    Returns (depth [R], opacity [R], weights [R x S], jac [R x W]), where
+    jac is d(depth)/d(sigma_k) from the chain rule through the weights:
+        d depth / d sigma_k = delta_k * (T_k e^{-sigma_k delta_k} t_k
+                                         - sum_{i>k} w_i t_i).
+    Samples past W have zero weight, so the tail sum over the first W
+    samples is exact.
     """
     w = sigma.shape[-1]
-    a = sigma * deltas[..., :w]
+    # jac outlives the call: a plan's render keeps it for the adjoint.
+    # Allocated before the temporaries below, it takes heap space freed by
+    # an earlier block rather than pinning the heap top above this block's
+    # temporaries, which keeps selftrain's peak RSS lower.
+    jac = np.empty(sigma.shape)
+    t_w, deltas_w = t[..., :w], deltas[..., :w]
+    a = sigma * deltas_w
     prefix = np.cumsum(a, axis=-1)
     transmittance = np.exp(-(prefix - a))  # T_i excludes the i-th interval
+    decay = np.exp(-a)
     weights = np.zeros(sigma.shape[:-1] + t.shape[-1:])
-    np.multiply(transmittance, 1.0 - np.exp(-a), out=weights[..., :w])
+    np.multiply(transmittance, 1.0 - decay, out=weights[..., :w])
     # sum whole rows: numpy's pairwise summation groups a row cut to the
     # first W columns differently, and the depth would change in its last bits
-    depth = np.sum(weights * t, axis=-1)
+    wt = weights * t
+    depth = np.sum(wt, axis=-1)
     opacity = np.sum(weights, axis=-1)
-    return depth, opacity, weights
+    wt = wt[..., :w]
+    tail = np.cumsum(wt[..., ::-1], axis=-1)[..., ::-1] - wt  # sum over i > k
+    np.multiply(transmittance, decay, out=jac)
+    jac *= t_w
+    jac -= tail
+    jac *= deltas_w
+    return depth, opacity, weights, jac
 
 
 def _ray_rows(
@@ -150,35 +170,13 @@ def render_depth(
     sigma_at: np.ndarray, samples: RaySamples
 ) -> tuple[float, float, np.ndarray]:
     """Render one ray. Returns (depth, opacity, weights [S])."""
-    depth, opacity, weights = _render_batch(*_ray_rows(sigma_at, samples))
+    depth, opacity, weights, _ = _render_batch(*_ray_rows(sigma_at, samples))
     return float(depth[0]), float(opacity[0]), weights[0]
-
-
-def _depth_grad_batch(
-    sigma: np.ndarray, t: np.ndarray, deltas: np.ndarray
-) -> np.ndarray:
-    """d(depth)/d(sigma_k) [R x W] for [R x W] density rows, the first W of
-    the S samples in t and deltas as in _render_batch.
-
-    From the chain rule through the weights:
-        d depth / d sigma_k = delta_k * (T_k e^{-sigma_k delta_k} t_k
-                                         - sum_{i>k} w_i t_i).
-    Samples past W have zero weight, so the tail sum over the first W
-    samples is exact.
-    """
-    t, deltas = t[..., : sigma.shape[-1]], deltas[..., : sigma.shape[-1]]
-    a = sigma * deltas
-    prefix = np.cumsum(a, axis=-1)
-    transmittance = np.exp(-(prefix - a))
-    weights = transmittance * (1.0 - np.exp(-a))
-    wt = weights * t
-    tail = np.cumsum(wt[..., ::-1], axis=-1)[..., ::-1] - wt  # sum over i > k
-    return deltas * (transmittance * np.exp(-a) * t - tail)
 
 
 def depth_grad_sigma(sigma_at: np.ndarray, samples: RaySamples) -> np.ndarray:
     """Analytic gradient of render_depth's depth w.r.t. each density sample."""
-    return _depth_grad_batch(*_ray_rows(sigma_at, samples))[0]
+    return _render_batch(*_ray_rows(sigma_at, samples))[3][0]
 
 
 def _midpoint_samples(
@@ -374,46 +372,26 @@ def _render_rows(
     resolution: tuple[int, int],
     t: np.ndarray,
     deltas: np.ndarray,
-    rows_out: list | None = None,
+    jac_out: list | None = None,
 ) -> DepthMap:
     """Forward render over (first pixel, stop pixel, density rows) blocks;
-    appends each block's density rows to `rows_out` when given."""
+    appends each block's depth Jacobian rows to `jac_out` when given."""
     h, w = resolution
     depth = np.empty(h * w)
     opacity = np.empty(h * w)
     for start, stop, rows in blocks:
         if rows.shape[1]:
-            d, o, _ = _render_batch(rows, t[None, :], deltas[None, :])
+            d, o, _, jac = _render_batch(rows, t[None, :], deltas[None, :])
         else:  # every weight, and so each sum, is +0.0
             d = o = 0.0
+            jac = rows  # the empty [rays x 0] Jacobian
         depth[start:stop] = d
         opacity[start:stop] = o
-        if rows_out is not None:
-            rows_out.append(rows)
+        if jac_out is not None:
+            jac_out.append(jac)
     depth = depth.reshape(h, w)
     opacity = opacity.reshape(h, w)
     return DepthMap(depth=depth, valid=opacity > 0.5, opacity=opacity)
-
-
-def _grad_chunks(
-    chunk_rows: Iterable[tuple[PlanChunk, np.ndarray]],
-    grad_depth: np.ndarray,
-    spec: VoxelGridSpec,
-    resolution: tuple[int, int],
-    t: np.ndarray,
-    deltas: np.ndarray,
-) -> np.ndarray:
-    """Adjoint over (plan chunk, forward density rows) pairs."""
-    grad_depth = as_tensor(grad_depth)
-    if grad_depth.shape != tuple(resolution):
-        raise ValueError(f"grad_depth {grad_depth.shape} vs resolution {tuple(resolution)}")
-    gflat = grad_depth.ravel()
-    out = _padded_grid(spec.dims)
-    flat = out.ravel()
-    for chunk, rows in chunk_rows:
-        dsig = _depth_grad_batch(rows, t[None, :], deltas[None, :])
-        chunk.scatter(flat, dsig * gflat[chunk.start : chunk.stop, None])
-    return out[1:-1, 1:-1, 1:-1].copy()
 
 
 class RayPlan:
@@ -423,9 +401,11 @@ class RayPlan:
     sample count, never on sigma, so a plan built once serves every forward
     render and adjoint of that view. It holds the corners and weights of
     every in-grid sample of the view; the one-shot `render_view` builds
-    none, and `render_view_grad_sigma` streams the plan block by block, to
-    bound memory. Each render copies sigma into one padded grid the plan
-    keeps, so one plan must not render two fields at the same time.
+    none. `render` returns, per block, the depth Jacobian over the block's
+    live window, and `grad_sigma` scatters it weighted by the depth
+    cotangent: the rendering equations are evaluated once per render. Each
+    render copies sigma into one padded grid the plan keeps, so one plan
+    must not render two fields at the same time.
     """
 
     def __init__(
@@ -444,25 +424,36 @@ class RayPlan:
         self._sigma_pad = _padded_grid(spec.dims)
 
     def render(self, field: DensityField) -> tuple[DepthMap, list[np.ndarray]]:
-        """render_view through the plan, plus the per-block density rows
-        that `grad_sigma` needs."""
+        """render_view through the plan, plus per block the d(depth)/d(sigma)
+        rows [rays x width] that `grad_sigma` needs."""
         grids = [(s.dims, s.voxel_size, tuple(s.origin)) for s in (field.spec, self.spec)]
         if grids[0] != grids[1]:
             raise ValueError(f"density field grid {grids[0]} differs from the plan's {grids[1]}")
-        rows: list[np.ndarray] = []
+        jac: list[np.ndarray] = []
         self._sigma_pad[1:-1, 1:-1, 1:-1] = field.sigma
         sigma_pad = self._sigma_pad.ravel()
         blocks = ((c.start, c.stop, c.gather(sigma_pad)) for c in self.chunks)
-        dm = _render_rows(blocks, self.resolution, self.t, self.deltas, rows)
-        return dm, rows
+        dm = _render_rows(blocks, self.resolution, self.t, self.deltas, jac)
+        return dm, jac
 
-    def grad_sigma(self, rows: list[np.ndarray], grad_depth: np.ndarray) -> np.ndarray:
-        """render_view_grad_sigma from the rows of this plan's forward render."""
-        if len(rows) != len(self.chunks):
-            raise ValueError(f"{len(rows)} density row blocks for {len(self.chunks)} chunks")
-        return _grad_chunks(
-            zip(self.chunks, rows), grad_depth, self.spec, self.resolution, self.t, self.deltas
-        )
+    def grad_sigma(self, jac: list[np.ndarray], grad_depth: np.ndarray) -> np.ndarray:
+        """Adjoint of render's depth output: given dL/d(depth) per pixel and
+        the Jacobian rows of this plan's forward render, accumulates
+        dL/d(sigma) on the density grid through the trilinear weights."""
+        if len(jac) != len(self.chunks):
+            raise ValueError(f"{len(jac)} Jacobian row blocks for {len(self.chunks)} chunks")
+        grad_depth = as_tensor(grad_depth)
+        if grad_depth.shape != self.resolution:
+            raise ValueError(f"grad_depth {grad_depth.shape} vs resolution {self.resolution}")
+        gflat = grad_depth.ravel()
+        out = _padded_grid(self.spec.dims)
+        flat = out.ravel()
+        for i, (chunk, rows) in enumerate(zip(self.chunks, jac)):
+            shape = (chunk.stop - chunk.start, chunk.width)
+            if rows.shape != shape:
+                raise ValueError(f"Jacobian row block {i} is {rows.shape}, the plan's {shape}")
+            chunk.scatter(flat, rows * gflat[chunk.start : chunk.stop, None])
+        return out[1:-1, 1:-1, 1:-1].copy()
 
 
 def render_view(
@@ -491,31 +482,6 @@ def render_view(
         for start, stop, k0, coords, keep in _candidate_blocks(field.spec, cam, resolution, t)
     )
     return _render_rows(blocks, resolution, t, deltas)
-
-
-def render_view_grad_sigma(
-    field: DensityField,
-    cam: Camera,
-    grad_depth: np.ndarray,
-    resolution: tuple[int, int] = DEFAULT_RESOLUTION,
-    t_near: float = DEFAULT_T_NEAR,
-    t_far: float = DEFAULT_T_FAR,
-    samples: int = DEFAULT_SAMPLES,
-) -> np.ndarray:
-    """Adjoint of render_view's depth output.
-
-    Given dL/d(depth) per pixel, accumulates dL/d(sigma) on the density
-    grid by chaining the per-sample depth gradient through the trilinear
-    interpolation weights. Must be called with the same view parameters as
-    the forward render.
-    """
-    t, deltas = _midpoint_samples(t_near, t_far, samples)
-    sigma_pad = np.pad(field.sigma, 1).ravel()
-    chunk_rows = (
-        (chunk, chunk.gather(sigma_pad))
-        for chunk in _plan_chunks(field.spec, cam, resolution, t)
-    )
-    return _grad_chunks(chunk_rows, grad_depth, field.spec, resolution, t, deltas)
 
 
 def save_depth_pfm(dm: DepthMap, path) -> None:

@@ -28,7 +28,7 @@ from occgeom.cast import (
     ssim,
     warp_image,
 )
-from occgeom.renderer import DensityField, DepthMap, render_view, render_view_grad_sigma
+from occgeom.renderer import DensityField, DepthMap, RayPlan, render_view
 from occgeom.synthscene import build_scene, sparse_lidar
 from occgeom.tensor import grad_check
 from occgeom.view_transform import DepthDistribution, VoxelGridSpec, uniform_depth_bins
@@ -430,6 +430,7 @@ class TestPretrainLoss:
         sigma = np.clip(
             b.density_gt.sigma + rng.uniform(-5, 5, spec.dims), 0.0, None
         )
+        plans = [RayPlan(spec, v, (24, 40), 1.0, 16.0, 32) for v in views]
         losses = []
         for step in range(21):
             fld = DensityField(sigma, spec)
@@ -437,8 +438,8 @@ class TestPretrainLoss:
             total, _, grads = pretrain_loss(b.rig, b.images, depths, sparse, CFG)
             losses.append(total)
             g = np.zeros_like(sigma)
-            for i, v in enumerate(views):
-                g += render_view_grad_sigma(fld, v, grads[i], (24, 40), 1.0, 16.0, 32)
+            for i, plan in enumerate(plans):
+                g += plan.grad_sigma(plan.render(fld)[1], grads[i])
             sigma = np.clip(sigma - 1e-2 * g, 0.0, None)
         assert all(b2 <= a2 + 1e-12 for a2, b2 in zip(losses, losses[1:]))
         assert losses[-1] < losses[0]

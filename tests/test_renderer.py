@@ -15,12 +15,10 @@ from occgeom.renderer import (
     DepthMap,
     RayPlan,
     RaySamples,
-    _depth_grad_batch,
     _render_batch,
     depth_grad_sigma,
     render_depth,
     render_view,
-    render_view_grad_sigma,
     sample_density,
     sample_ray,
 )
@@ -262,7 +260,8 @@ class TestRenderView:
         intr = Intrinsics(fx=10.0, fy=10.0, cx=3.5, cy=2.5, width=8, height=6)
         cam = Camera(intr, level_camera_mount(0.2, [-0.3, 1.4, 0.9]))
         grad_map = rng.normal(size=(6, 8))
-        g = render_view_grad_sigma(field, cam, grad_map, (6, 8), 0.4, 4.0, 20)
+        plan = RayPlan(spec, cam, (6, 8), 0.4, 4.0, 20)
+        g = plan.grad_sigma(plan.render(field)[1], grad_map)
 
         def objective(sig):
             f = DensityField(sig.reshape(5, 5, 3), spec)
@@ -271,6 +270,26 @@ class TestRenderView:
 
         err = grad_check(objective, field.sigma.ravel(), g.ravel(), eps=1e-6)
         assert err < 1e-4
+
+
+def depth_grad_reference(sigma, t, deltas):
+    """d(depth)/d(sigma_k) [R x W] for [R x W] density rows, the first W of
+    the S samples in t and deltas, recomputing the weights from sigma.
+
+    From the chain rule through the weights:
+        d depth / d sigma_k = delta_k * (T_k e^{-sigma_k delta_k} t_k
+                                         - sum_{i>k} w_i t_i).
+    Samples past W have zero weight, so the tail sum over the first W
+    samples is exact.
+    """
+    t, deltas = t[..., : sigma.shape[-1]], deltas[..., : sigma.shape[-1]]
+    a = sigma * deltas
+    prefix = np.cumsum(a, axis=-1)
+    transmittance = np.exp(-(prefix - a))
+    weights = transmittance * (1.0 - np.exp(-a))
+    wt = weights * t
+    tail = np.cumsum(wt[..., ::-1], axis=-1)[..., ::-1] - wt  # sum over i > k
+    return deltas * (transmittance * np.exp(-a) * t - tail)
 
 
 def dense_render(field, cam, res, t_near, t_far, s, grad_map):
@@ -288,10 +307,10 @@ def dense_render(field, cam, res, t_near, t_far, s, grad_map):
     coords = field.spec.world_to_grid(pos.reshape(-1, 3))
     sig, _ = trilinear_sample(field.sigma, coords)
     sig = sig.reshape(-1, s)
-    depth, opacity, _ = _render_batch(sig, t[None, :], deltas[None, :])
+    depth, opacity, _, _ = _render_batch(sig, t[None, :], deltas[None, :])
     cols = np.flatnonzero(_trilinear_in_box(field.spec.dims, coords))
     idx, wgt = _trilinear_corners(field.spec.dims, coords[cols])
-    dsig = _depth_grad_batch(sig, t[None, :], deltas[None, :])
+    dsig = depth_grad_reference(sig, t[None, :], deltas[None, :])
     per_sample = (dsig * grad_map.reshape(-1)[:, None]).reshape(-1)[cols]
     grad = np.zeros(np.add(field.spec.dims, 2))
     np.add.at(grad.reshape(-1), idx.ravel(), (per_sample[:, None] * wgt).ravel())
@@ -321,14 +340,12 @@ class TestRayPlan:
             depth, opacity, grad = dense_render(field, cam, self.RES, 0.5, 5.0, 24, grad_map)
             assert np.count_nonzero(opacity) > 100
             dm = render_view(field, cam, self.RES, 0.5, 5.0, 24)
-            g = render_view_grad_sigma(field, cam, grad_map, self.RES, 0.5, 5.0, 24)
-            pdm, rows = plan.render(field)
-            pg = plan.grad_sigma(rows, grad_map)
+            pdm, jac = plan.render(field)
+            pg = plan.grad_sigma(jac, grad_map)
             for got in (dm, pdm):
                 assert np.array_equal(got.depth, depth)
                 assert np.array_equal(got.opacity, opacity)
                 assert np.array_equal(got.valid, opacity > 0.5)
-            assert np.array_equal(g, grad)
             assert np.array_equal(pg, grad)
 
     def test_keeps_samples_on_the_box_faces(self):
@@ -346,15 +363,17 @@ class TestRayPlan:
         coords = spec.world_to_grid(origin + plan.t[:, None] * dirs[center])
         assert coords[0, 0] == -0.5 and coords[4, 0] == 3.5
         assert np.all(coords[:, 1:] == 1.0)
-        dm, rows = plan.render(field)
-        assert rows[0][center, 0] == 0.5 * sigma[0, 1, 1]
-        assert rows[0][center, 4] == 0.5 * sigma[3, 1, 1]
+        rows = plan.chunks[0].gather(np.pad(sigma, 1).ravel())
+        assert rows[center, 0] == 0.5 * sigma[0, 1, 1]
+        assert rows[center, 4] == 0.5 * sigma[3, 1, 1]
         # t = 7 lies past the box for every ray: no block keeps sample 5
-        assert rows[0].shape == (15, 5)
+        assert rows.shape == (15, 5)
+        dm, jac = plan.render(field)
+        assert jac[0].shape == (15, 5)
         grad_map = np.random.default_rng(7).normal(size=(3, 5))
         depth, opacity, grad = dense_render(field, cam, (3, 5), t_near, t_near + s, s, grad_map)
         assert np.array_equal(dm.depth, depth) and np.array_equal(dm.opacity, opacity)
-        assert np.array_equal(plan.grad_sigma(rows, grad_map), grad)
+        assert np.array_equal(plan.grad_sigma(jac, grad_map), grad)
 
     def test_camera_missing_the_grid(self):
         # looking away from the grid: no sample is ever inside the box
@@ -363,14 +382,11 @@ class TestRayPlan:
         plan = RayPlan(self.SPEC, cam, self.RES, 0.5, 5.0, 24)
         assert all(c.cols.size == 0 for c in plan.chunks)
         grad_map = np.random.default_rng(8).normal(size=self.RES)
-        for dm, g in (
-            (render_view(field, cam, self.RES, 0.5, 5.0, 24),
-             render_view_grad_sigma(field, cam, grad_map, self.RES, 0.5, 5.0, 24)),
-            (plan.render(field)[0], plan.grad_sigma(plan.render(field)[1], grad_map)),
-        ):
+        pdm, jac = plan.render(field)
+        for dm in (render_view(field, cam, self.RES, 0.5, 5.0, 24), pdm):
             assert np.all(dm.depth == 0.0) and np.all(dm.opacity == 0.0)
             assert not dm.valid.any()
-            assert np.all(g == 0.0)
+        assert np.all(plan.grad_sigma(jac, grad_map) == 0.0)
 
     def test_corner_operator_adjoint_identity(self):
         # <gather(v), y> == <v, scatter(y)> for every chunk of the plan, with
@@ -388,9 +404,30 @@ class TestRayPlan:
             assert chunk.cols.size > 0
             assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs))
 
+    def test_jacobian_adjoint_identity(self):
+        # per block, <grad_sigma(J, g), v> == sum_r g_r sum_k J[r, k] gather(v)[r, k]
+        # with g zero off the block, and J equals the recomputing reference
+        rng = np.random.default_rng(22)
+        plan = RayPlan(self.SPEC, self.camera(), self.RES, 0.5, 5.0, 24)
+        field = DensityField(rng.uniform(0, 3, self.SPEC.dims), self.SPEC)
+        _, jac = plan.render(field)
+        sigma_pad = np.pad(field.sigma, 1).ravel()
+        t, deltas = plan.t[None, :], plan.deltas[None, :]
+        assert len(jac) == len(plan.chunks) > 1
+        for chunk, rows in zip(plan.chunks, jac):
+            assert same_bits(rows, depth_grad_reference(chunk.gather(sigma_pad), t, deltas))
+            v = rng.normal(size=self.SPEC.dims)
+            g = np.zeros(self.RES)
+            g.reshape(-1)[chunk.start : chunk.stop] = rng.normal(size=chunk.stop - chunk.start)
+            lhs = float(np.sum(plan.grad_sigma(jac, g) * v))
+            gv = chunk.gather(np.pad(v, 1).ravel())
+            rhs = float(np.sum(g.reshape(-1)[chunk.start : chunk.stop] * np.sum(rows * gv, axis=1)))
+            assert chunk.width > 0
+            assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs))
+
     def test_directional_derivative_matches_adjoint(self):
         # central difference of sum(g * depth(sigma + eps v)) along v against
-        # <render_view_grad_sigma(g), v>, over every block of the view
+        # <grad_sigma(g), v>, over every block of the view
         rng = np.random.default_rng(10)
         cam = self.camera()
         sigma = rng.uniform(0.5, 3.0, self.SPEC.dims)
@@ -403,9 +440,8 @@ class TestRayPlan:
 
         eps = 1e-5
         fd = (objective(eps) - objective(-eps)) / (2 * eps)
-        g = render_view_grad_sigma(
-            DensityField(sigma, self.SPEC), cam, grad_map, self.RES, 0.5, 5.0, 24
-        )
+        plan = RayPlan(self.SPEC, cam, self.RES, 0.5, 5.0, 24)
+        g = plan.grad_sigma(plan.render(DensityField(sigma, self.SPEC))[1], grad_map)
         jvp = float(np.sum(g * v))
         assert abs(jvp) > 1.0
         assert abs(fd - jvp) <= 1e-8 * abs(jvp)
@@ -415,13 +451,27 @@ class TestRayPlan:
         other = VoxelGridSpec(self.SPEC.dims, np.ones(3), 0.5)
         with pytest.raises(ValueError, match="grid"):
             plan.render(DensityField(np.zeros(self.SPEC.dims), other))
-        _, rows = plan.render(DensityField(np.zeros(self.SPEC.dims), self.SPEC))
+        _, jac = plan.render(DensityField(np.zeros(self.SPEC.dims), self.SPEC))
         with pytest.raises(ValueError):
-            plan.grad_sigma(rows[:1], np.zeros(self.RES))
+            plan.grad_sigma(jac[:1], np.zeros(self.RES))
         with pytest.raises(ValueError):
-            plan.grad_sigma(rows, np.zeros((2, 2)))
+            plan.grad_sigma(jac, np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="block 2 is"):
+            plan.grad_sigma(jac[:2] + [jac[2][:-1]] + jac[3:], np.zeros(self.RES))
         with pytest.raises(ValueError):
             RayPlan(self.SPEC, self.camera(), self.RES, 5.0, 0.5, 24)
+        # the two rig cameras of the boxes scene: as many blocks, and the
+        # first of the same shape, but later blocks' live windows differ
+        spec = VoxelGridSpec((32, 32, 8), np.zeros(3), 0.4)
+        scene = build_scene(11, spec, "boxes", num_cameras=2, image_size=(36, 64))
+        t = scene.rig.timestamps()[-1]
+        plans = [RayPlan(spec, Camera(c.intrinsics, camera_pose_at(scene.rig, i, t)), (36, 64),
+                         1.0, 16.0, 64) for i, c in enumerate(scene.rig.cameras)]
+        jacs = [p.render(scene.density_gt)[1] for p in plans]
+        assert len(jacs[0]) == len(jacs[1])
+        for mine, theirs in ((0, 1), (1, 0)):
+            with pytest.raises(ValueError, match="block 1 is"):
+                plans[mine].grad_sigma(jacs[theirs], np.ones((36, 64)))
 
 
 def unclipped_plan(spec, cam, res, t):
@@ -470,13 +520,11 @@ class TestRayClipping:
         grad_map = rng.normal(size=res)
         depth, opacity, grad = dense_render(field, cam, res, t_near, t_far, s, grad_map)
         dm = render_view(field, cam, res, t_near, t_far, s)
-        g = render_view_grad_sigma(field, cam, grad_map, res, t_near, t_far, s)
-        pdm, rows = plan.render(field)
+        pdm, jac = plan.render(field)
         for got in (dm, pdm):
             assert np.array_equal(got.depth, depth)
             assert np.array_equal(got.opacity, opacity)
-        assert np.array_equal(g, grad)
-        assert np.array_equal(plan.grad_sigma(rows, grad_map), grad)
+        assert np.array_equal(plan.grad_sigma(jac, grad_map), grad)
         origin, dirs = view_rays(cam, res)
         first, stop = _box_sample_ranges(spec, origin, dirs, plan.t)
         # only the one-sample margin on each side is generated in vain
