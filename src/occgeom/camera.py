@@ -4,8 +4,9 @@ Conventions, fixed once and used everywhere:
   * camera frame: x right, y down, z forward; depth is the camera-frame z.
   * pixel coordinates: u along columns (x), v along rows (y); pixel centers
     at integer coordinates.
-  * pixel rays (pixel_grid, camera_rays, view_rays) and the pinhole
-    projection (pinhole) are written once here; other modules call them.
+  * pixel rays (pixel_grid, camera_rays, view_rays), the pinhole
+    projection (pinhole) and the ray-box slab test (_box_span) are written
+    once here; other modules call them.
   * Camera.pose maps camera coordinates into the rig anchor frame (the ego
     body); with an identity ego pose that anchor IS the world frame.
   * CameraRig.ego_poses[t] maps ego coordinates at timestamp t into world
@@ -243,6 +244,28 @@ def ray(cam: Camera, uv) -> tuple[np.ndarray, np.ndarray]:
     intr, pose = cam
     d, _ = pixel_directions(intr, pose, as_tensor(uv).reshape(1, 2))
     return pose.translation.copy(), d[0]
+
+
+def _box_span(lo, hi, origins, dirs):
+    """Slab test: each ray's entry and exit distances along its line
+    through the box [lo, hi], for origins [N x 3] or one shared [3]; the
+    ray crosses the box ahead of its origin iff exit > max(entry, 0). The
+    entry is bit for bit np.nanmax over the three slabs, and the exit
+    np.nanmin but for the sign of a zero. A slab the ray runs along bounds
+    nothing from inside it, and from outside or on one of its faces
+    (0 / 0 is NaN) gives an entry of +inf or an exit of -inf."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t1 = (lo - origins) / dirs
+        t2 = (hi - origins) / dirs
+    near, far = np.fmin(t1, t2), np.fmax(t1, t2)
+    # column by column is faster than np.nanmax / np.nanmin and differs
+    # only in the sign of a zero: the exit is only compared, and the
+    # entry's zeros (which can reach a depth) come from np.nanmax itself
+    t_enter = np.fmax(np.fmax(near[:, 0], near[:, 1]), near[:, 2])
+    zero = np.flatnonzero(t_enter == 0.0)
+    t_enter[zero] = np.nanmax(near[zero], axis=1)
+    t_exit = np.fmin(np.fmin(far[:, 0], far[:, 1]), far[:, 2])
+    return t_enter, t_exit
 
 
 def relative_pose(

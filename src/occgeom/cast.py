@@ -394,6 +394,7 @@ def depth_l1_loss(
     cameras, and its gradient per camera, each [H x W]. The raw
     accumulated depth is compared ungated, so a from-empty density field
     still produces a usable objective."""
+    _check_sparse_count(len(depths), sparse)
     grads = [np.zeros_like(d.depth) for d in depths]
     count = 0
     for pts in sparse:
@@ -421,6 +422,7 @@ def depth_bin_cross_entropy(
     The target is the one-hot nearest bin; samples pool across cameras.
     Returns 0 when no camera carries both a distribution and samples.
     """
+    _check_sparse_count(len(dists), sparse)
     total = 0.0
     count = 0
     for ci, (dist, pts) in enumerate(zip(dists, sparse)):
@@ -456,6 +458,12 @@ def pretrain_loss(
     total = l_rd + l_cast
     breakdown = {"L_rd": l_rd, **parts, "L_cast": l_cast, "total": total}
     return total, breakdown, [rd + cg for rd, cg in zip(rd_grads, cast_grads)]
+
+
+def _check_sparse_count(cameras: int, sparse: Sequence[np.ndarray | None]) -> None:
+    """Sparse depth comes one entry per camera: raise on any other count."""
+    if len(sparse) != cameras:
+        raise ValueError(f"{len(sparse)} sparse depth entries for {cameras} cameras")
 
 
 def _sparse_pixels(

@@ -17,10 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .camera import Camera, view_rays
+from .camera import Camera, _box_span, view_rays
 from .formats import write_pfm, write_pgm8
 from .tensor import (
-    _corner_terms,
+    _corner_offsets,
+    _corner_sum,
     _padded_cells,
     _trilinear_corners,
     as_tensor,
@@ -194,41 +195,38 @@ def _midpoint_samples(
 
 @dataclass(frozen=True)
 class PlanChunk:
-    """The in-grid ray samples of one block of consecutive pixels.
+    """The live ray samples of one block of consecutive pixels.
 
-    Only samples inside the trilinear sampling box are kept, since every
-    other sample reads exactly zero density. The block's live window is its
-    first `width` samples per ray, 1 + the largest kept sample index (0 when
-    none is kept); kept samples sit in the dense [R x width] row order.
-    Densities are read from, and adjoints added into, the flat zero-padded
-    grid of tensor._trilinear_corners: sigma inside a zero shell one cell
-    thick.
+    Only samples inside the trilinear sampling box whose low cell is live
+    are kept (see _plan_chunks); every other sample reads a zero density.
+    The block's live window is its first `width` samples per ray, 1 + the
+    largest kept sample index (0 when none is kept); kept samples sit in
+    the dense [R x width] row order. Densities are read from, and adjoints
+    added into, the flat zero-padded grid of tensor._trilinear_corners:
+    sigma inside a zero shell one cell thick.
     """
 
     start: int  # first pixel of the block (row-major)
     stop: int
     width: int  # live samples per ray
     cols: np.ndarray  # [M] flat positions of the kept samples in [R x width]
-    idx: np.ndarray  # [M x 8] flat corner indices into the padded grid
-    wgt: np.ndarray  # [M x 8] trilinear weights
+    base: np.ndarray  # [M] flat low-corner cells in the padded grid
+    wgt: np.ndarray  # [8 x M] trilinear weights
+    offsets: np.ndarray  # [8] flat corner offsets from a cell
 
     def gather(self, sigma_pad: np.ndarray) -> np.ndarray:
         """Density rows [R x width] of the block from the flat padded grid;
         zero outside the grid."""
         rows = np.zeros((self.stop - self.start) * self.width)
-        rows[self.cols] = np.sum(sigma_pad[self.idx] * self.wgt, axis=1)
+        rows[self.cols] = _corner_sum(sigma_pad, self.base, self.offsets, self.wgt)
         return rows.reshape(self.stop - self.start, self.width)
 
     def scatter(self, out: np.ndarray, per_sample: np.ndarray) -> None:
         """Adjoint of gather: add per-sample values [R x width] into the flat
         padded grid `out`, corner by corner in sample order."""
         y = per_sample.reshape(-1)[self.cols]
-        np.add.at(out, self.idx.ravel(), (y[:, None] * self.wgt).ravel())
-
-
-def _padded_grid(dims: tuple[int, ...]) -> np.ndarray:
-    """A zero [(X+2) x (Y+2) x (Z+2)] grid for a density grid of `dims`."""
-    return np.zeros(tuple(d + 2 for d in dims))
+        idx = self.base[:, None] + self.offsets
+        np.add.at(out, idx.ravel(), (y[:, None] * self.wgt.T).ravel())
 
 
 def _box_sample_ranges(
@@ -239,82 +237,78 @@ def _box_sample_ranges(
     voxel_size] or grid [-0.5, dim - 0.5]; no other sample can read a
     nonzero density.
 
-    A slab test gives each ray's entry and exit distance. The box is
-    widened by a slack far above rounding error and the range by one
-    sample on each side, so rounding can add candidates but never drop a
-    sample that the exact in-box test would keep. An axis along which the
-    ray does not move contributes no bound when the origin lies within that
-    slab, and empties the range when it does not.
+    The slab test (camera._box_span) gives each ray's entry and exit
+    distance. The box is widened by a slack far above rounding error and
+    the range by one sample on each side, so rounding can add candidates
+    but never drop a sample that the exact in-box test would keep. An axis
+    along which the ray does not move bounds nothing when the origin lies
+    within that slab, and pushes the entry to +inf (or the exit to -inf)
+    when it does not.
     """
     extent = np.asarray(spec.dims) * spec.voxel_size
     slack = 1e-9 * (np.abs(spec.origin).max() + extent.max() + np.abs(origin).max() + t[-1])
-    lo = spec.origin - slack
-    hi = spec.origin + extent + slack
-    still = dirs == 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_lo = (lo - origin) / dirs
-        t_hi = (hi - origin) / dirs
-    enter = np.where(still, -np.inf, np.minimum(t_lo, t_hi)).max(axis=1)
-    exit_ = np.where(still, np.inf, np.maximum(t_lo, t_hi)).min(axis=1)
-    exit_[np.any(still & ((origin < lo) | (origin > hi)), axis=1)] = -np.inf
+    enter, exit_ = _box_span(spec.origin - slack, spec.origin + extent + slack, origin, dirs)
     first = np.maximum(np.searchsorted(t, enter, side="left") - 1, 0)
     stop = np.minimum(np.searchsorted(t, exit_, side="right") + 1, t.size)
     return first, np.maximum(stop, first)
 
 
-def _candidate_blocks(
-    spec: VoxelGridSpec, cam: Camera, resolution: tuple[int, int], t: np.ndarray
-) -> Iterator[tuple[int, int, int, tuple[np.ndarray, ...], np.ndarray]]:
-    """A view's ray samples that can read the grid, block by block in
-    pixel order.
+def _plan_chunks(
+    spec: VoxelGridSpec,
+    cam: Camera,
+    resolution: tuple[int, int],
+    t: np.ndarray,
+    live: np.ndarray,
+) -> Iterator[PlanChunk]:
+    """A view's sampling plan, block by block in pixel order: the ray
+    samples inside the trilinear sampling box whose low cell is marked in
+    `live`, a flat bool mask over the padded grid.
 
-    Per block of consecutive pixels, yields (start, stop, k0, coords,
-    keep): the block's dense candidate window is samples [k0, k0 + width)
-    of every ray, the union of their box ranges (_box_sample_ranges);
-    coords are its grid coordinates x, y and z, each [rays x width], made
-    with the same arithmetic as spec.world_to_grid(origin + t * dir); keep
-    marks the samples inside the trilinear sampling box. A sample outside
-    its ray's box range never passes the exact in-box test, so the kept set
-    is the one every sample would give.
+    Per block of consecutive pixels, the dense candidate window is samples
+    [k0, k1) of every ray, the union of their box ranges
+    (_box_sample_ranges); its grid coordinates are made with the same
+    arithmetic as spec.world_to_grid(origin + t * dir). A sample outside
+    its ray's box range never passes the exact in-box test, so the kept
+    set is the one every sample would give. A sample whose low cell is not
+    live has eight zero corners and reads +0.0 through any plan (densities
+    are >= 0, -0.0 included, and weights >= 0 and finite), and a zero
+    density of either sign gets render weight +0.0; so with `live` from
+    _live_cells of a field the chunks render that field as a plan of every
+    in-box sample does.
     """
     origin, dirs = view_rays(cam, resolution)
     first, stop = _box_sample_ranges(spec, origin, dirs, t)
     n, s = dirs.shape[0], t.size
     block = max(1, _BLOCK_SAMPLES // s)
     hi = np.asarray(spec.dims) - 0.5
+    offsets = _corner_offsets(spec.dims)
     for start in range(0, n, block):
         end = min(start + block, n)
         lo, up = first[start:end], stop[start:end]
         some = up > lo
         k0, k1 = (int(lo[some].min()), int(up[some].max())) if some.any() else (0, 0)
         tw = t[None, k0:k1]
-        coords = tuple(
+        x, y, z = (
             ((origin[a] + tw * dirs[start:end, a, None]) - spec.origin[a]) / spec.voxel_size - 0.5
             for a in range(3)
         )
-        x, y, z = coords
         keep = (x >= -0.5) & (x <= hi[0])
         keep &= y >= -0.5
         keep &= y <= hi[1]
         keep &= z >= -0.5
         keep &= z <= hi[2]
-        yield start, end, k0, coords, keep
-
-
-def _plan_chunks(
-    spec: VoxelGridSpec, cam: Camera, resolution: tuple[int, int], t: np.ndarray
-) -> Iterator[PlanChunk]:
-    """Build a view's sampling plan block by block, in pixel order, from
-    the kept samples of _candidate_blocks; the plan equals one built from
-    every sample."""
-    for start, end, k0, coords, keep in _candidate_blocks(spec, cam, resolution, t):
         sel = np.flatnonzero(keep)
+        xyz = [c.ravel()[sel] for c in (x, y, z)]
+        on = live[_padded_cells(spec.dims, *(np.floor(v) for v in xyz))]
+        sel = sel[on]
+        if not sel.size:
+            yield PlanChunk(start, end, 0, sel, sel, np.empty((8, 0)), offsets)
+            continue
+        base, wgt = _trilinear_corners(spec.dims, [v[on] for v in xyz])
         ray, k = np.divmod(sel, keep.shape[1])
         k += k0
-        width = int(k.max()) + 1 if k.size else 0
-        xyz = np.stack([c.ravel()[sel] for c in coords], axis=1)
-        idx, wgt = _trilinear_corners(spec.dims, xyz)
-        yield PlanChunk(start, end, width, ray * width + k, idx, wgt)
+        width = int(k.max()) + 1
+        yield PlanChunk(start, end, width, ray * width + k, base, wgt, offsets)
 
 
 def _live_cells(sigma_pad: np.ndarray) -> np.ndarray:
@@ -331,60 +325,27 @@ def _live_cells(sigma_pad: np.ndarray) -> np.ndarray:
     return live.ravel()
 
 
-def _one_shot_rows(
-    sigma_pad: np.ndarray,
-    live: np.ndarray,
-    dims: tuple[int, ...],
-    k0: int,
-    coords: tuple[np.ndarray, ...],
-    keep: np.ndarray,
-) -> np.ndarray:
-    """Density rows [rays x width] of one _candidate_blocks block, where
-    width is 1 + the block's last sample in a live cell (0 when none is).
-
-    Only kept samples whose low corner is a live cell are read. Each gets
-    PlanChunk.gather's value bit for bit: the corners and weights of
-    tensor._trilinear_corners, gathered column by column and summed in the
-    order numpy's pairwise sum gives a row of 8. Every other sample stays
-    +0.0: its corners are all zero (densities are >= 0, -0.0 included, and
-    weights >= 0 and finite), so it reads a zero through the plan too, and
-    a zero density of either sign gets render weight +0.0.
-    """
-    sel = np.flatnonzero(keep)
-    xyz = [c.ravel()[sel] for c in coords]
-    lo = [np.floor(v) for v in xyz]
-    base = _padded_cells(dims, *lo)
-    on = live[base]
-    if not on.any():
-        return np.zeros((keep.shape[0], 0))
-    sel, base = sel[on], base[on]
-    f = [v[on] - l[on] for v, l in zip(xyz, lo)]
-    c = [sigma_pad[base + off] * w for off, w in _corner_terms(dims, f, [1.0 - v for v in f])]
-    ray, k = np.divmod(sel, keep.shape[1])
-    k += k0
-    rows = np.zeros((keep.shape[0], int(k.max()) + 1))
-    rows[ray, k] = ((c[0] + c[1]) + (c[2] + c[3])) + ((c[4] + c[5]) + (c[6] + c[7]))
-    return rows
-
-
 def _render_rows(
-    blocks: Iterable[tuple[int, int, np.ndarray]],
+    chunks: Iterable[PlanChunk],
+    sigma_pad: np.ndarray,
     resolution: tuple[int, int],
     t: np.ndarray,
     deltas: np.ndarray,
     jac_out: list | None = None,
 ) -> DepthMap:
-    """Forward render over (first pixel, stop pixel, density rows) blocks;
-    appends each block's depth Jacobian rows to `jac_out` when given."""
+    """Forward render of the chunks' density rows, gathered from the flat
+    padded grid `sigma_pad`; appends each block's depth Jacobian rows to
+    `jac_out` when given."""
     h, w = resolution
     depth = np.empty(h * w)
     opacity = np.empty(h * w)
-    for start, stop, rows in blocks:
-        if rows.shape[1]:
-            d, o, _, jac = _render_batch(rows, t[None, :], deltas[None, :])
+    for chunk in chunks:
+        start, stop = chunk.start, chunk.stop
+        if chunk.width:
+            d, o, _, jac = _render_batch(chunk.gather(sigma_pad), t[None, :], deltas[None, :])
         else:  # every weight, and so each sum, is +0.0
             d = o = 0.0
-            jac = rows  # the empty [rays x 0] Jacobian
+            jac = np.empty((stop - start, 0))  # the empty Jacobian
         depth[start:stop] = d
         opacity[start:stop] = o
         if jac_out is not None:
@@ -400,12 +361,13 @@ class RayPlan:
     Sample positions depend on the grid spec, camera, resolution, range and
     sample count, never on sigma, so a plan built once serves every forward
     render and adjoint of that view. It holds the corners and weights of
-    every in-grid sample of the view; the one-shot `render_view` builds
-    none. `render` returns, per block, the depth Jacobian over the block's
-    live window, and `grad_sigma` scatters it weighted by the depth
-    cotangent: the rendering equations are evaluated once per render. Each
-    render copies sigma into one padded grid the plan keeps, so one plan
-    must not render two fields at the same time.
+    every in-grid sample of the view; the one-shot `render_view` streams
+    the same builder's chunks of its field's live samples only. `render`
+    returns, per block, the depth Jacobian over the block's live window,
+    and `grad_sigma` scatters it weighted by the depth cotangent: the
+    rendering equations are evaluated once per render. Each render copies
+    sigma into one padded grid the plan keeps, so one plan must not render
+    two fields at the same time.
     """
 
     def __init__(
@@ -420,8 +382,9 @@ class RayPlan:
         self.spec = spec
         self.resolution = tuple(resolution)
         self.t, self.deltas = _midpoint_samples(t_near, t_far, samples)
-        self.chunks = tuple(_plan_chunks(spec, cam, self.resolution, self.t))
-        self._sigma_pad = _padded_grid(spec.dims)
+        self._sigma_pad = np.zeros(tuple(d + 2 for d in spec.dims))  # sigma in a zero shell
+        every = np.ones(self._sigma_pad.size, dtype=bool)
+        self.chunks = tuple(_plan_chunks(spec, cam, self.resolution, self.t, every))
 
     def render(self, field: DensityField) -> tuple[DepthMap, list[np.ndarray]]:
         """render_view through the plan, plus per block the d(depth)/d(sigma)
@@ -432,9 +395,7 @@ class RayPlan:
         jac: list[np.ndarray] = []
         self._sigma_pad[1:-1, 1:-1, 1:-1] = field.sigma
         sigma_pad = self._sigma_pad.ravel()
-        blocks = ((c.start, c.stop, c.gather(sigma_pad)) for c in self.chunks)
-        dm = _render_rows(blocks, self.resolution, self.t, self.deltas, jac)
-        return dm, jac
+        return _render_rows(self.chunks, sigma_pad, self.resolution, self.t, self.deltas, jac), jac
 
     def grad_sigma(self, jac: list[np.ndarray], grad_depth: np.ndarray) -> np.ndarray:
         """Adjoint of render's depth output: given dL/d(depth) per pixel and
@@ -446,7 +407,7 @@ class RayPlan:
         if grad_depth.shape != self.resolution:
             raise ValueError(f"grad_depth {grad_depth.shape} vs resolution {self.resolution}")
         gflat = grad_depth.ravel()
-        out = _padded_grid(self.spec.dims)
+        out = np.zeros_like(self._sigma_pad)
         flat = out.ravel()
         for i, (chunk, rows) in enumerate(zip(self.chunks, jac)):
             shape = (chunk.stop - chunk.start, chunk.width)
@@ -468,20 +429,15 @@ def render_view(
 
     Intrinsics are rescaled when `resolution` differs from their native
     size. Pixels are processed in fixed-order blocks, so the result is
-    deterministic and identical to per-ray rendering. No sampling plan is
-    built: each block reads its live samples straight from its candidate
-    window (_one_shot_rows), and the result equals RayPlan.render's bit for
-    bit.
+    deterministic and identical to per-ray rendering. No plan is stored:
+    each block's chunk keeps only the samples whose low cell is live in
+    this field, is gathered and dropped, and the result equals
+    RayPlan.render's bit for bit.
     """
     t, deltas = _midpoint_samples(t_near, t_far, samples)
     sigma_pad = np.pad(field.sigma, 1)
-    live = _live_cells(sigma_pad)
-    sigma_pad = sigma_pad.ravel()
-    blocks = (
-        (start, stop, _one_shot_rows(sigma_pad, live, field.spec.dims, k0, coords, keep))
-        for start, stop, k0, coords, keep in _candidate_blocks(field.spec, cam, resolution, t)
-    )
-    return _render_rows(blocks, resolution, t, deltas)
+    chunks = _plan_chunks(field.spec, cam, resolution, t, _live_cells(sigma_pad))
+    return _render_rows(chunks, sigma_pad.ravel(), resolution, t, deltas)
 
 
 def save_depth_pfm(dm: DepthMap, path) -> None:

@@ -22,6 +22,7 @@ from . import formats
 from .camera import (
     Camera,
     CameraRig,
+    _box_span,
     Intrinsics,
     Pose,
     camera_pose_at,
@@ -101,25 +102,6 @@ def _compact(done: np.ndarray, *arrays: np.ndarray) -> int:
         for a in arrays:
             a[holes] = a[fill]
     return kept
-
-
-def _box_span(lo, hi, origins, dirs):
-    """Slab test: each ray's entry and exit distances along its line
-    through the box [lo, hi]; the ray crosses the box ahead of its origin
-    iff exit > max(entry, 0). The entry is bit for bit np.nanmax over the
-    three slabs, and the exit np.nanmin but for the sign of a zero."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t1 = (lo - origins) / dirs
-        t2 = (hi - origins) / dirs
-    near, far = np.fmin(t1, t2), np.fmax(t1, t2)
-    # column by column is faster than np.nanmax / np.nanmin and differs
-    # only in the sign of a zero: the exit is only compared, and the
-    # entry's zeros (which can reach a depth) come from np.nanmax itself
-    t_enter = np.fmax(np.fmax(near[:, 0], near[:, 1]), near[:, 2])
-    zero = np.flatnonzero(t_enter == 0.0)
-    t_enter[zero] = np.nanmax(near[zero], axis=1)
-    t_exit = np.fmin(np.fmin(far[:, 0], far[:, 1]), far[:, 2])
-    return t_enter, t_exit
 
 
 def _traverse(

@@ -7,7 +7,7 @@ results are deterministic, so concurrent use needs no synchronization.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 
 import numpy as np
 
@@ -118,15 +118,18 @@ def trilinear_sample(vol: Array, xyz: Array) -> tuple[Array, Array]:
         raise ValueError(f"trilinear_sample expects 3-D or 4-D volume, got {vol.shape}")
     dims = vol.shape[1:] if channelled else vol.shape
     valid = _trilinear_in_box(dims, xyz)
-    idx, wgt = _trilinear_corners(dims, xyz[valid])
+    base, wgt = _trilinear_corners(dims, xyz[valid].T)
+    offsets = _corner_offsets(dims)
     if channelled:
         padded = np.pad(vol, ((0, 0), (1, 1), (1, 1), (1, 1)))
         vals = np.zeros((xyz.shape[0], vol.shape[0]))
-        corners = padded.reshape(vol.shape[0], -1).T[idx]  # M x 8 x C
-        vals[valid] = np.einsum("nkc,nk->nc", corners, wgt)
+        corners = padded.reshape(vol.shape[0], -1).T[base[:, None] + offsets]  # M x 8 x C
+        # einsum over a C-contiguous [M x 8] copy: a transposed view sums
+        # in another order
+        vals[valid] = np.einsum("nkc,nk->nc", corners, np.ascontiguousarray(wgt.T))
     else:
         vals = np.zeros(xyz.shape[0])
-        vals[valid] = np.sum(np.pad(vol, 1).ravel()[idx] * wgt, axis=1)
+        vals[valid] = _corner_sum(np.pad(vol, 1).ravel(), base, offsets, wgt)
     return vals, valid
 
 
@@ -148,40 +151,47 @@ def _padded_cells(dims: tuple[int, ...], lx: Array, ly: Array, lz: Array) -> Arr
     )
 
 
-def _corner_terms(dims: tuple[int, ...], f, g) -> Iterator[tuple[int, Array]]:
-    """The eight trilinear corners of cells on an [X x Y x Z] grid, in
-    (dx, dy, dz) order with dz fastest: each corner's flat offset from the
-    cell in the zero-padded grid (see _padded_cells) and its weight
-    (wx*wy)*wz, from the per-axis fractions f = xyz - floor(xyz) and
-    g = 1 - f (three arrays each)."""
+def _corner_offsets(dims: tuple[int, ...]) -> Array:
+    """The flat offsets [8] from a cell to its eight trilinear corners in
+    the zero-padded grid of an [X x Y x Z] grid (see _padded_cells), in
+    (dx, dy, dz) order with dz fastest."""
     sx, sy = (dims[1] + 2) * (dims[2] + 2), dims[2] + 2
-    for dx in (0, 1):
-        wx = f[0] if dx else g[0]
-        for dy in (0, 1):
-            wxy = wx * (f[1] if dy else g[1])
-            for dz in (0, 1):
-                yield dx * sx + dy * sy + dz, wxy * (f[2] if dz else g[2])
+    return np.array([dx * sx + dy * sy + dz for dx in (0, 1) for dy in (0, 1) for dz in (0, 1)])
 
 
-def _trilinear_corners(dims: tuple[int, ...], xyz: Array) -> tuple[Array, Array]:
-    """Corner indices [N x 8] and trilinear weights [N x 8] of grid
-    coordinates xyz [N x 3], all inside [-0.5, dim-0.5] (see
-    _trilinear_in_box), on an [X x Y x Z] grid of extent `dims`.
+def _trilinear_corners(dims: tuple[int, ...], xyz) -> tuple[Array, Array]:
+    """Low-corner cells [N] and trilinear weights [8 x N] of grid
+    coordinates given as three per-axis arrays xyz, all inside
+    [-0.5, dim-0.5] (see _trilinear_in_box), on an [X x Y x Z] grid of
+    extent `dims`.
 
-    Indices address the flat zero-padded [(X+2) x (Y+2) x (Z+2)] grid, with
-    cell (x, y, z) at (x+1, y+1, z+1); a corner past the grid's edge reads
-    the zero shell, so no clipping or bound masks are needed. Corners come
-    in _corner_terms' order, each weighted (wx*wy)*wz. trilinear_sample
-    and the renderer's ray plans gather through this one kernel.
+    The cells are flat indices into the zero-padded [(X+2) x (Y+2) x (Z+2)]
+    grid, with cell (x, y, z) at (x+1, y+1, z+1) (see _padded_cells), and
+    corner k sits at cell + _corner_offsets(dims)[k]; a corner past the
+    grid's edge reads the zero shell, so no clipping or bound masks are
+    needed. Corner k is weighted (wx*wy)*wz from the per-axis fractions
+    f = xyz - floor(xyz) and 1 - f. trilinear_sample and the renderer's
+    ray plans gather through this one kernel and sum with _corner_sum.
     """
-    lo = np.floor(xyz)
-    f = xyz - lo
-    wgt = np.empty((xyz.shape[0], 8))
-    offsets = []
-    for k, (off, w) in enumerate(_corner_terms(dims, f.T, (1.0 - f).T)):
-        wgt[:, k] = w
-        offsets.append(off)
-    return _padded_cells(dims, *lo.T)[:, None] + np.array(offsets), wgt
+    lo = [np.floor(v) for v in xyz]
+    f = [v - low for v, low in zip(xyz, lo)]
+    g = [1.0 - v for v in f]
+    wgt = np.empty((8, len(f[0])))
+    for k, wxy in enumerate(wx * wy for wx in (g[0], f[0]) for wy in (g[1], f[1])):
+        np.multiply(wxy, g[2], out=wgt[2 * k])
+        np.multiply(wxy, f[2], out=wgt[2 * k + 1])
+    return _padded_cells(dims, *lo), wgt
+
+
+def _corner_sum(flat: Array, base: Array, offsets: Array, wgt: Array) -> Array:
+    """Trilinear values [N] from the flat zero-padded grid `flat`: the
+    products of the eight corners base + offsets[k] with their weights
+    wgt[k], summed as numpy sums a row of eight,
+    ((c0+c1)+(c2+c3))+((c4+c5)+(c6+c7)) added onto +0.0, so the result is
+    bit for bit np.sum over the [N x 8] products, the sign of a zero sum
+    included."""
+    c = [flat[base + off] * w for off, w in zip(offsets, wgt)]
+    return 0.0 + (((c[0] + c[1]) + (c[2] + c[3])) + ((c[4] + c[5]) + (c[6] + c[7])))
 
 
 def conv3d(x: Array, w: Array, stride: int = 1) -> Array:

@@ -416,6 +416,26 @@ class TestPretrainLoss:
         with pytest.raises(ValueError, match=r"camera 1: sparse depth sample 1 at pixel"):
             depth_bin_cross_entropy([None, dist], [None, pts])
 
+    def test_sparse_count_must_match_cameras(self):
+        # three sparse entries for two cameras: the third must not be
+        # counted, unpaired, into the mean, nor be dropped silently
+        h, w = 4, 6
+        dm = DepthMap(depth=np.ones((h, w)), valid=np.ones((h, w), bool), opacity=np.ones((h, w)))
+        pts = np.array([[1.0, 1.0, 2.0]])
+        with pytest.raises(ValueError, match=r"3 sparse depth entries for 2 cameras"):
+            depth_l1_loss([dm, dm], [pts, pts, pts])
+        with pytest.raises(ValueError, match=r"1 sparse depth entries for 2 cameras"):
+            depth_l1_loss([dm, dm], [pts])
+
+    def test_cross_entropy_sparse_count_must_match_cameras(self):
+        h, w = 4, 6
+        dist = DepthDistribution(uniform_depth_bins(4, 1.0, 9.0), np.full((h, w, 4), 0.25))
+        pts = np.array([[1.0, 1.0, 2.0]])
+        with pytest.raises(ValueError, match=r"3 sparse depth entries for 2 cameras"):
+            depth_bin_cross_entropy([dist, None], [pts, pts, pts])
+        with pytest.raises(ValueError, match=r"1 sparse depth entries for 2 cameras"):
+            depth_bin_cross_entropy([dist, dist], [pts])
+
     def test_gradient_descent_reduces_loss(self):
         # small optimization through the full chain with a tiny step size:
         # the objective must decrease monotonically over the first steps

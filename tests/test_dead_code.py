@@ -1,8 +1,8 @@
 """Dead-code guard, standing in for a linter.
 
 Fails on an import that its module never uses, in src/occgeom and in
-tests/, and on a module-level private function that no module of the
-package references.
+tests/, and on a private module-level function, class or constant, or a
+private method, that no module of the package references.
 """
 
 import ast
@@ -23,7 +23,7 @@ def _used_names(tree: ast.AST) -> set[str]:
     """Every name a module loads, plus every attribute it reads."""
     used = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             used.add(node.id)
         elif isinstance(node, ast.Attribute):
             used.add(node.attr)
@@ -55,15 +55,43 @@ def test_no_unused_imports(name):
     assert not unused, f"{name}: unused imports {unused}"
 
 
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
 def test_no_unreferenced_private_functions():
     used = set().union(*(_used_names(tree) for tree in TREES.values()))
     dead = [
         f"{name}: {node.name}"
         for name, tree in TREES.items()
         for node in tree.body
-        if isinstance(node, ast.FunctionDef)
-        and node.name.startswith("_")
-        and not node.name.startswith("__")
-        and node.name not in used
+        if isinstance(node, ast.FunctionDef) and _private(node.name) and node.name not in used
     ]
     assert not dead, f"unreferenced private functions: {dead}"
+
+
+def _private_classes_constants_methods(tree: ast.Module) -> list[str]:
+    """The private module-level classes and assigned constants of a
+    module, and the private methods of its classes."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef):
+            names += [f.name for f in cls.body if isinstance(f, ast.FunctionDef)]
+    return [n for n in names if _private(n)]
+
+
+def test_no_unreferenced_private_classes_constants_or_methods():
+    used = set().union(*(_used_names(tree) for tree in TREES.values()))
+    dead = [
+        f"{name}: {definition}"
+        for name, tree in TREES.items()
+        for definition in _private_classes_constants_methods(tree)
+        if definition not in used
+    ]
+    assert not dead, f"unreferenced private classes, constants or methods: {dead}"

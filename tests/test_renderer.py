@@ -8,9 +8,8 @@ from occgeom.camera import Camera, Intrinsics, Pose, camera_pose_at, ray, view_r
 from occgeom.renderer import (
     _BLOCK_SAMPLES,
     _box_sample_ranges,
-    _candidate_blocks,
     _live_cells,
-    _one_shot_rows,
+    _plan_chunks,
     DensityField,
     DepthMap,
     RayPlan,
@@ -23,6 +22,8 @@ from occgeom.renderer import (
     sample_ray,
 )
 from occgeom.tensor import (
+    _corner_offsets,
+    _corner_sum,
     _trilinear_corners,
     _trilinear_in_box,
     grad_check,
@@ -309,11 +310,12 @@ def dense_render(field, cam, res, t_near, t_far, s, grad_map):
     sig = sig.reshape(-1, s)
     depth, opacity, _, _ = _render_batch(sig, t[None, :], deltas[None, :])
     cols = np.flatnonzero(_trilinear_in_box(field.spec.dims, coords))
-    idx, wgt = _trilinear_corners(field.spec.dims, coords[cols])
+    base, wgt = _trilinear_corners(field.spec.dims, coords[cols].T)
+    idx = base[:, None] + _corner_offsets(field.spec.dims)
     dsig = depth_grad_reference(sig, t[None, :], deltas[None, :])
     per_sample = (dsig * grad_map.reshape(-1)[:, None]).reshape(-1)[cols]
     grad = np.zeros(np.add(field.spec.dims, 2))
-    np.add.at(grad.reshape(-1), idx.ravel(), (per_sample[:, None] * wgt).ravel())
+    np.add.at(grad.reshape(-1), idx.ravel(), (per_sample[:, None] * wgt.T).ravel())
     return depth.reshape(res), opacity.reshape(res), grad[1:-1, 1:-1, 1:-1]
 
 
@@ -475,14 +477,14 @@ class TestRayPlan:
 
 
 def unclipped_plan(spec, cam, res, t):
-    """Reference: the kept sample positions, corners and weights found by
-    testing every sample of the view against the trilinear box."""
+    """Reference: the kept sample positions, low-corner cells and weights
+    found by testing every sample of the view against the trilinear box."""
     origin, dirs = view_rays(cam, res)
     pos = origin + t[None, :, None] * dirs[:, None, :]
     coords = spec.world_to_grid(pos.reshape(-1, 3))
     cols = np.flatnonzero(_trilinear_in_box(spec.dims, coords))
-    idx, wgt = _trilinear_corners(spec.dims, coords[cols])
-    return cols, idx, wgt
+    base, wgt = _trilinear_corners(spec.dims, coords[cols].T)
+    return cols, base, wgt
 
 
 class TestRayClipping:
@@ -504,7 +506,7 @@ class TestRayClipping:
         reference bitwise; returns the number of kept samples."""
         rng = np.random.default_rng(seed)
         plan = RayPlan(spec, cam, res, t_near, t_far, s)
-        cols, idx, wgt = unclipped_plan(spec, cam, res, plan.t)
+        cols, base, wgt = unclipped_plan(spec, cam, res, plan.t)
         # kept samples sit in each block's [R x width] window: back to [N x S]
         got_cols = np.concatenate(
             [(c.start + c.cols // c.width) * s + c.cols % c.width if c.width else c.cols
@@ -514,8 +516,8 @@ class TestRayClipping:
         for c in plan.chunks:  # the window ends at the block's last kept sample
             last = (c.cols % c.width).max() if c.cols.size else -1
             assert c.width == last + 1
-        assert np.array_equal(np.concatenate([c.idx for c in plan.chunks]), idx)
-        assert np.array_equal(np.concatenate([c.wgt for c in plan.chunks]), wgt)
+        assert np.array_equal(np.concatenate([c.base for c in plan.chunks]), base)
+        assert np.array_equal(np.concatenate([c.wgt for c in plan.chunks], axis=1), wgt)
         field = DensityField(rng.uniform(0.2, 3.0, spec.dims), spec)
         grad_map = rng.normal(size=res)
         depth, opacity, grad = dense_render(field, cam, res, t_near, t_far, s, grad_map)
@@ -600,9 +602,10 @@ def same_bits(a, b):
 
 
 class TestOneShotRender:
-    """render_view reads each block's live samples straight from its dense
-    candidate window, with no plan; depth and opacity must equal
-    RayPlan.render's and the all-sample dense reference's bit for bit."""
+    """render_view gathers each block's live samples through a chunk of
+    _plan_chunks that it drops after the block; depth and opacity must
+    equal RayPlan.render's and the all-sample dense reference's bit for
+    bit."""
 
     SPEC, RES, camera = TestRayClipping.SPEC, TestRayClipping.RES, TestRayClipping.camera
 
@@ -622,10 +625,10 @@ class TestOneShotRender:
         sigma_pad = np.pad(field.sigma, 1)
         live = _live_cells(sigma_pad)
         widths = []
-        for start, stop, k0, xyz, keep in _candidate_blocks(spec, cam, res, plan.t):
-            rows = _one_shot_rows(sigma_pad.ravel(), live, spec.dims, k0, xyz, keep)
-            w = rows.shape[1]
-            assert rows.shape[0] == stop - start
+        for chunk in _plan_chunks(spec, cam, res, plan.t, live):
+            rows = chunk.gather(sigma_pad.ravel())
+            start, stop, w = chunk.start, chunk.stop, chunk.width
+            assert rows.shape == (stop - start, w)
             assert np.array_equal(rows, dense[start:stop, :w])
             assert not dense[start:stop, w:].any()
             widths.append(w)
@@ -699,22 +702,25 @@ class TestOneShotRender:
         assert len(widths) == 4 and min(widths) > 0
 
     def test_tree_sum_is_numpy_row_sum(self):
-        # _one_shot_rows adds its eight corner columns in numpy's pairwise
-        # order for a row of 8; a numpy that sums rows otherwise fails here.
-        # A live sample has a corner of density > 0, whose product is >= +0.0,
-        # so rows of eight -0.0 (numpy gives +0.0, the tree -0.0) never occur.
+        # tensor._corner_sum adds its eight corner products in numpy's
+        # pairwise order for a row of 8, onto +0.0; a numpy that sums rows
+        # otherwise fails here. Rows of eight -0.0 (numpy gives +0.0, a bare
+        # tree -0.0) occur through trilinear_sample on signed volumes.
         rng = np.random.default_rng(21)
+        n = 100_000
         for scale in (1.0, 1e-300, 1e300):
-            m = rng.uniform(0.0, 1.0, (100_000, 8)) * 10.0 ** rng.integers(-8, 9, (100_000, 8))
+            m = rng.uniform(-1.0, 1.0, (n, 8)) * 10.0 ** rng.integers(-8, 9, (n, 8))
             m *= scale
             m[rng.random(m.shape) < 0.05] = 0.0
             m[rng.random(m.shape) < 0.05] = -0.0
             m[:1000] = -0.0  # signed zeros with a single +0.0 or positive entry
             m[np.arange(1000), rng.integers(0, 8, 1000)] = np.where(np.arange(1000) % 2, 0.0, 1.5)
-            c = [m[:, k].copy() for k in range(8)]
+            m[1000:1100] = -0.0  # rows of eight -0.0
+            # a unit weight leaves every product, -0.0 included, as it is
             with np.errstate(over="ignore"):
-                tree = ((c[0] + c[1]) + (c[2] + c[3])) + ((c[4] + c[5]) + (c[6] + c[7]))
-                assert same_bits(tree, np.sum(m, axis=1))
+                got = _corner_sum(m.ravel(), np.arange(0, 8 * n, 8), np.arange(8), np.ones((8, n)))
+                assert same_bits(got, np.sum(m, axis=1))
+            assert np.all(got[1000:1100] == 0.0) and not np.signbit(got[1000:1100]).any()
 
 
 class TestExports:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from occgeom import formats, synthscene
-from occgeom.camera import Camera, camera_pose_at, view_rays
+from occgeom.camera import Camera, _box_span, camera_pose_at, view_rays
 from occgeom.cast import PhotometricConfig, make_warp_context, photometric_loss, warp_image
 from occgeom.renderer import render_view
 from occgeom.synthscene import (
@@ -363,7 +363,7 @@ class TestCompactedTraversal:
             t1, t2 = (lo - origins) / dirs, (hi - origins) / dirs
             want_enter = np.nanmax(np.fmin(t1, t2), axis=1)
             want_exit = np.nanmin(np.fmax(t1, t2), axis=1)
-        t_enter, t_exit = synthscene._box_span(lo, hi, origins, dirs)
+        t_enter, t_exit = _box_span(lo, hi, origins, dirs)
         assert t_enter.tobytes() == want_enter.tobytes()
         assert np.array_equal(t_exit, want_exit, equal_nan=True)
         assert np.any((want_enter == 0.0) & np.signbit(want_enter))

@@ -206,7 +206,8 @@ class TestTrilinearCorners:
         )
         assert tensor._trilinear_in_box(dims, xyz).all()
         vol = rng.uniform(size=dims)
-        pidx, pwgt = tensor._trilinear_corners(dims, xyz)
+        base, wgt = tensor._trilinear_corners(dims, xyz.T)
+        pidx, pwgt = base[:, None] + tensor._corner_offsets(dims), wgt.T
         padded = tuple(d + 2 for d in dims)
         assert pidx.min() >= 0 and pidx.max() < np.prod(padded)
         cell = np.stack(np.unravel_index(pidx, padded), axis=-1) - 1  # [n x 8 x 3]
@@ -224,6 +225,27 @@ class TestTrilinearCorners:
         gathered = np.sum(np.pad(vol, 1).ravel()[pidx] * pwgt, axis=1)
         np.testing.assert_allclose(gathered, want, rtol=1e-13, atol=0)
         assert np.array_equal(gathered, tensor.trilinear_sample(vol, xyz)[0])
+
+    def test_signed_volume_sums_as_numpy(self):
+        # negative and signed-zero voxels at integer and half-integer
+        # coordinates: zero weights give -0.0 products, and cells of -0.0
+        # voxels rows of eight -0.0, which numpy sums to +0.0
+        rng = np.random.default_rng(31)
+        for trial in range(40):
+            dims = tuple(int(d) for d in rng.integers(1, 7, 3))
+            vol = -rng.uniform(0.1, 2.0, dims)
+            vol[rng.random(dims) < 0.4] = -0.0
+            vol[rng.random(dims) < 0.1] = 0.0
+            xyz = (rng.integers(-1, np.asarray(dims) + 1, (400, 3))
+                   + 0.5 * rng.integers(0, 2, (400, 3))).astype(float)
+            vals, valid = tensor.trilinear_sample(vol, xyz)
+            base, wgt = tensor._trilinear_corners(dims, xyz[valid].T)
+            products = np.pad(vol, 1).ravel()[base[:, None] + tensor._corner_offsets(dims)] * wgt.T
+            want = np.sum(products, axis=1)
+            assert vals[valid].tobytes() == want.tobytes()
+            assert vals[~valid].tobytes() == np.zeros(np.count_nonzero(~valid)).tobytes()
+            if trial == 0:
+                assert np.any(np.all(np.signbit(products) & (products == 0.0), axis=1))
 
 
 class TestConv3d:
