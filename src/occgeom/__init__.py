@@ -1,7 +1,7 @@
 """Desk-scale geometric core of a camera-to-3D-occupancy pipeline.
 
 Subpackages by concern:
-  tensor          float64 array ops, sampling primitives, gradient checker
+  tensor          float64 array ops and sampling primitives
   camera          pinhole rigs, projection, relative poses
   view_transform  explicit lift-and-pool plus implicit projection sampling
   occ_encdec      windowed-attention encoder and masked semantic decoder
@@ -22,7 +22,7 @@ from .camera import Camera, CameraRig, Intrinsics, Pose
 from .cast import PhotometricConfig, WarpContext
 from .metrics import EvalResult
 from .occ_encdec import SemanticOccupancy, SemanticQuerySet, WindowedAttentionParams
-from .renderer import DensityField, DepthMap, RaySamples
+from .renderer import DensityField, DepthMap
 from .synthscene import SceneBundle
 from .view_transform import DepthDistribution, OccupancyFeature, VoxelGridSpec
 
@@ -37,7 +37,6 @@ __all__ = [
     "OccupancyFeature",
     "PhotometricConfig",
     "Pose",
-    "RaySamples",
     "SceneBundle",
     "SemanticOccupancy",
     "SemanticQuerySet",

@@ -38,8 +38,13 @@ class Intrinsics:
     height: int
 
     def __post_init__(self):
-        if self.fx <= 0 or self.fy <= 0:
-            raise ValueError(f"focal lengths must be positive, got ({self.fx}, {self.fy})")
+        size = (self.width, self.height)
+        if not all(isinstance(n, (int, np.integer)) and not isinstance(n, bool) for n in size):
+            raise ValueError(f"image width and height must be integers, got {size}")
+        if not all(np.isfinite(f) and f > 0 for f in (self.fx, self.fy)):
+            raise ValueError(
+                f"focal lengths must be finite and positive, got ({self.fx}, {self.fy})"
+            )
         if not (0 <= self.cx < self.width) or not (0 <= self.cy < self.height):
             raise ValueError(
                 f"principal point ({self.cx}, {self.cy}) outside "
@@ -76,6 +81,8 @@ class Pose:
         t = as_tensor(self.translation).reshape(3)
         if r.shape != (3, 3):
             raise ValueError(f"rotation must be 3x3, got {r.shape}")
+        if not np.all(np.isfinite(t)):
+            raise ValueError(f"translation must be finite, got {t}")
         if not np.allclose(r.T @ r, np.eye(3), atol=_ORTHO_TOL):
             raise ValueError("rotation is not orthonormal within 1e-9")
         if abs(np.linalg.det(r) - 1.0) > _ORTHO_TOL:
@@ -340,7 +347,7 @@ def rig_from_json(d: dict) -> CameraRig:
         Camera(
             Intrinsics(
                 fx=c["fx"], fy=c["fy"], cx=c["cx"], cy=c["cy"],
-                width=int(c["width"]), height=int(c["height"]),
+                width=c["width"], height=c["height"],
             ),
             _pose_from_json(c),
         )

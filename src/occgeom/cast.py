@@ -10,7 +10,6 @@ respect to the rendered depth alongside its value.
 
 from __future__ import annotations
 
-import warnings
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
@@ -224,7 +223,7 @@ def photometric_loss(
     identical images give exactly zero regardless of the mask; invalid
     pixels are excluded from the mean. The loss and its gradient share one
     set of SSIM statistics. With no valid pixels the loss and gradient are
-    0 and a RuntimeWarning is emitted.
+    0; cast_loss counts such pairs in its empty_pairs field.
     """
     ref = as_tensor(ref)
     recon = as_tensor(recon)
@@ -233,7 +232,6 @@ def photometric_loss(
     mask = np.asarray(valid, dtype=bool)
     n = int(mask.sum()) * ref.shape[2]
     if n == 0:
-        warnings.warn("photometric loss over empty valid set; returning 0", RuntimeWarning)
         return 0.0, np.zeros_like(recon)
     m = mask[:, :, None]
     x = ref * m

@@ -134,7 +134,10 @@ class ExperimentConfig:
             raise ValueError(f"unknown config sections: {sorted(unknown)}")
 
         def build(cls, section, rename=None):
-            data = dict(raw.get(section, {}))
+            data = raw.get(section, {})
+            if not isinstance(data, dict):
+                raise ValueError(f"config.{section} must be an object, got {data!r}")
+            data = dict(data)
             rename = rename or {}
             for src, dst in rename.items():
                 if src in data:
@@ -159,8 +162,10 @@ class ExperimentConfig:
             render=build(RenderConfig, "render", rename={"S": "samples"}),
             cast=build(PhotometricConfig, "cast"),
             optimize=build(OptimizeConfig, "optimize"),
-            output_dir=str(raw.get("output_dir", "occgeom_out")),
+            output_dir=raw.get("output_dir", "occgeom_out"),
         )
+        if not isinstance(cfg.output_dir, str):
+            raise ValueError(f"output_dir: {cfg.output_dir!r} is not a valid str")
         cfg.scene.validate()
         cfg.render.validate()
         cfg.optimize.validate()

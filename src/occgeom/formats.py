@@ -66,16 +66,6 @@ def read_pfm(path) -> np.ndarray:
     return data[::-1].astype(np.float64)
 
 
-def write_pgm16(path, data: np.ndarray) -> None:
-    data = np.asarray(data, dtype=np.uint16)
-    if data.ndim != 2:
-        raise ValueError(f"PGM writer expects a 2-D map, got {data.shape}")
-    h, w = data.shape
-    with open(path, "wb") as f:
-        f.write(f"P5\n{w} {h}\n65535\n".encode())
-        f.write(data.astype(">u2").tobytes())
-
-
 def write_pgm8(path, data: np.ndarray) -> None:
     data = np.asarray(data, dtype=np.uint8)
     if data.ndim != 2:

@@ -25,7 +25,6 @@ from .tensor import (
     _padded_cells,
     _trilinear_corners,
     as_tensor,
-    trilinear_sample,
 )
 from .view_transform import VoxelGridSpec
 
@@ -59,31 +58,6 @@ class DensityField:
         object.__setattr__(self, "sigma", sigma)
 
 
-@dataclass(frozen=True)
-class RaySamples:
-    """Sample distances, world positions and spacings along one ray."""
-
-    t_values: np.ndarray  # [S], strictly increasing
-    positions: np.ndarray  # [S x 3]
-    deltas: np.ndarray  # [S], positive
-
-    def __post_init__(self):
-        t = as_tensor(self.t_values).reshape(-1)
-        pos = as_tensor(self.positions)
-        d = as_tensor(self.deltas).reshape(-1)
-        if t.size < 2:
-            raise ValueError("need at least two samples per ray")
-        if np.any(np.diff(t) <= 0):
-            raise ValueError("sample distances must be strictly increasing")
-        if pos.shape != (t.size, 3) or d.shape != t.shape:
-            raise ValueError("positions/deltas inconsistent with t_values")
-        if np.any(d <= 0):
-            raise ValueError("sample spacings must be positive")
-        object.__setattr__(self, "t_values", t)
-        object.__setattr__(self, "positions", pos)
-        object.__setattr__(self, "deltas", d)
-
-
 @dataclass
 class DepthMap:
     """Per-pixel rendered ray distance with validity and opacity.
@@ -96,22 +70,6 @@ class DepthMap:
     depth: np.ndarray  # [H x W]
     valid: np.ndarray  # [H x W] bool
     opacity: np.ndarray  # [H x W] in [0, 1]
-
-
-def sample_ray(
-    ray: tuple[np.ndarray, np.ndarray], t_near: float, t_far: float, count: int
-) -> RaySamples:
-    """Midpoint-rule samples: t_i = t_near + (i - 0.5) * (t_far - t_near) / S."""
-    t, deltas = _midpoint_samples(t_near, t_far, count)
-    origin, direction = as_tensor(ray[0]).reshape(3), as_tensor(ray[1]).reshape(3)
-    return RaySamples(t, origin + t[:, None] * direction, deltas)
-
-
-def sample_density(field: DensityField, positions: np.ndarray) -> np.ndarray:
-    """Trilinear density lookup at world positions; zero outside the grid."""
-    coords = field.spec.world_to_grid(as_tensor(positions).reshape(-1, 3))
-    vals, _ = trilinear_sample(field.sigma, coords)
-    return vals
 
 
 def _render_batch(
@@ -152,32 +110,6 @@ def _render_batch(
     jac -= tail
     jac *= deltas_w
     return depth, opacity, weights, jac
-
-
-def _ray_rows(
-    sigma_at: np.ndarray, samples: RaySamples
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One ray's densities, checked against its samples, and its sample
-    distances and spacings, each as a [1 x S] row."""
-    sig = as_tensor(sigma_at).reshape(-1)
-    if sig.shape != samples.t_values.shape:
-        raise ValueError(f"{sig.size} densities for {samples.t_values.size} samples")
-    if np.any(sig < 0):
-        raise ValueError("density must be nonnegative")
-    return sig[None, :], samples.t_values[None, :], samples.deltas[None, :]
-
-
-def render_depth(
-    sigma_at: np.ndarray, samples: RaySamples
-) -> tuple[float, float, np.ndarray]:
-    """Render one ray. Returns (depth, opacity, weights [S])."""
-    depth, opacity, weights, _ = _render_batch(*_ray_rows(sigma_at, samples))
-    return float(depth[0]), float(opacity[0]), weights[0]
-
-
-def depth_grad_sigma(sigma_at: np.ndarray, samples: RaySamples) -> np.ndarray:
-    """Analytic gradient of render_depth's depth w.r.t. each density sample."""
-    return _render_batch(*_ray_rows(sigma_at, samples))[3][0]
 
 
 def _midpoint_samples(

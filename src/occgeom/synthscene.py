@@ -26,11 +26,8 @@ from .camera import (
     Intrinsics,
     Pose,
     camera_pose_at,
-    pinhole,
-    pixel_grid,
     rig_from_json,
     rig_to_json,
-    unit_camera_rays,
     view_rays,
 )
 from .occ_encdec import SemanticOccupancy
@@ -38,6 +35,10 @@ from .renderer import DensityField, DepthMap
 from .view_transform import VoxelGridSpec
 
 PRESETS = ("boxes", "corridor", "random_blobs")
+# the smallest dims each preset's random draws are defined on: boxes draws
+# box heights from [1, z - 1) and corners from [0, x - width), blobs draw
+# radii from [1, min(x, y) / 6]
+_MIN_DIMS = {"boxes": (2, 2, 3), "corridor": (1, 1, 1), "random_blobs": (6, 6, 1)}
 NUM_CLASSES = 4  # semantic classes 0..3; label 4 means free
 
 _CLASS_COLORS = np.array(
@@ -279,51 +280,6 @@ def _surface_texture(points: np.ndarray) -> np.ndarray:
     return 0.5 + 0.5 * np.sin(args)
 
 
-def _erode(mask: np.ndarray) -> np.ndarray:
-    """3x3 erosion; pixels outside the image count as unset."""
-    h, w = mask.shape
-    padded = np.pad(mask, 1)
-    out = mask.copy()
-    for dy in range(3):
-        for dx in range(3):
-            out &= padded[dy : dy + h, dx : dx + w]
-    return out
-
-
-def covisibility_mask(
-    bundle: "SceneBundle",
-    source: tuple[int, int],
-    target: tuple[int, int],
-    source_to_target: Pose,
-    warp_valid: np.ndarray,
-    depth_tol: float = 0.8,
-) -> np.ndarray:
-    """Target pixels whose surface point is actually seen by both frames.
-
-    A target pixel is co-visible when its ground-truth surface point, mapped
-    into the source camera, lands on source pixels (all four bilinear
-    corners) whose own ground-truth depth agrees within depth_tol, i.e. the
-    source is not looking at an occluder there. The mask is eroded by one
-    pixel so windowed photometric statistics stay on co-visible support.
-    """
-    k_tgt = bundle.rig.cameras[target[0]].intrinsics
-    k_src = bundle.rig.cameras[source[0]].intrinsics
-    h, w = bundle.image_size
-    units, _ = unit_camera_rays(k_tgt, pixel_grid(h, w))
-    p_tgt = bundle.gt_depths[target].depth.ravel()[:, None] * units
-    p_src = source_to_target.inverse().apply(p_tgt)
-    d_src = np.linalg.norm(p_src, axis=1)
-    uf, vf, front = pinhole(k_src, p_src)
-    sdm = bundle.gt_depths[source]
-    ok = front.copy()
-    for cu in (np.floor, np.ceil):
-        for cvf in (np.floor, np.ceil):
-            u = np.clip(cu(uf).astype(np.int64), 0, w - 1)
-            v = np.clip(cvf(vf).astype(np.int64), 0, h - 1)
-            ok &= sdm.valid[v, u] & (np.abs(sdm.depth[v, u] - d_src) < depth_tol)
-    return _erode(np.asarray(warp_valid, dtype=bool) & ok.reshape(h, w))
-
-
 def sparse_lidar(gt_depth: DepthMap, n: int, seed: int) -> np.ndarray:
     """Sample n valid pixels uniformly without replacement.
 
@@ -460,6 +416,8 @@ def build_scene(
         raise ValueError(f"unknown preset {preset!r}; choose from {PRESETS}")
     if any(d > 64 for d in spec.dims):
         raise ValueError(f"desk-scale grids only (dims <= 64), got {spec.dims}")
+    if any(d < m for d, m in zip(spec.dims, _MIN_DIMS[preset])):
+        raise ValueError(f"preset {preset!r} needs dims >= {_MIN_DIMS[preset]}, got {spec.dims}")
     if num_cameras < 2 or num_cameras > 6:
         raise ValueError(f"rig supports 2-6 cameras, got {num_cameras}")
     rng = np.random.default_rng(seed)

@@ -7,8 +7,6 @@ results are deterministic, so concurrent use needs no synchronization.
 
 from __future__ import annotations
 
-from collections.abc import Callable
-
 import numpy as np
 
 Array = np.ndarray
@@ -223,36 +221,3 @@ def conv3d(x: Array, w: Array, stride: int = 1) -> Array:
     win = win[:, ::stride, ::stride, ::stride]
     return np.einsum("cxyzijk,ocijk->oxyz", win, w, optimize=True)
 
-
-def grad_check(
-    f: Callable[[Array], float],
-    x: Array,
-    analytic_grad: Array,
-    eps: float = 1e-4,
-) -> float:
-    """Central-difference check of an analytic gradient.
-
-    Returns max over coordinates of |central difference - analytic| /
-    (|analytic| + 1e-8). Raises RuntimeError if f goes non-finite at any
-    probe point.
-    """
-    x = as_tensor(x)
-    g = as_tensor(analytic_grad)
-    if x.shape != g.shape:
-        raise ValueError(f"gradient shape {g.shape} does not match input {x.shape}")
-    flat = x.ravel().copy()
-    gflat = g.ravel()
-    worst = 0.0
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + eps
-        fp = float(f(flat.reshape(x.shape)))
-        flat[i] = orig - eps
-        fm = float(f(flat.reshape(x.shape)))
-        flat[i] = orig
-        if not (np.isfinite(fp) and np.isfinite(fm)):
-            raise RuntimeError(f"objective non-finite at coordinate {i} (eps={eps})")
-        cd = (fp - fm) / (2.0 * eps)
-        err = abs(cd - gflat[i]) / (abs(gflat[i]) + 1e-8)
-        worst = max(worst, err)
-    return worst

@@ -1,10 +1,23 @@
-"""Shared construction helpers for the test suite."""
+"""Shared construction helpers and reference checks for the test suite."""
 
 from __future__ import annotations
 
+from collections.abc import Callable
+
 import numpy as np
 
-from occgeom.camera import Camera, CameraRig, Intrinsics, Pose
+from occgeom.camera import (
+    Camera,
+    CameraRig,
+    Intrinsics,
+    Pose,
+    pinhole,
+    pixel_grid,
+    unit_camera_rays,
+)
+from occgeom.renderer import _midpoint_samples, _render_batch
+from occgeom.synthscene import SceneBundle
+from occgeom.tensor import as_tensor
 
 
 def rotation_from_angles(yaw: float, pitch: float = 0.0, roll: float = 0.0) -> np.ndarray:
@@ -80,3 +93,105 @@ def trilinear_oracle(vol: np.ndarray, xyz: np.ndarray):
                         values[n] += vol[(..., *cell)] * w
         terms.append(kept)
     return values, terms
+
+
+def render_ray(
+    sigma: np.ndarray, t_near: float, t_far: float
+) -> tuple[float, float, np.ndarray, np.ndarray]:
+    """Render one midpoint-sampled ray of densities sigma [S] through the
+    renderer's batch core. Returns (depth, opacity, weights [S],
+    d(depth)/d(sigma) [S])."""
+    t, deltas = _midpoint_samples(t_near, t_far, len(sigma))
+    rows = as_tensor(sigma)[None, :]
+    depth, opacity, weights, jac = _render_batch(rows, t[None, :], deltas[None, :])
+    return float(depth[0]), float(opacity[0]), weights[0], jac[0]
+
+
+def grad_check(
+    f: Callable[[np.ndarray], float],
+    x: np.ndarray,
+    analytic_grad: np.ndarray,
+    eps: float = 1e-4,
+) -> float:
+    """Central-difference check of an analytic gradient.
+
+    Returns max over coordinates of |central difference - analytic| /
+    (|analytic| + 1e-8). Raises RuntimeError if f goes non-finite at any
+    probe point.
+    """
+    x = as_tensor(x)
+    g = as_tensor(analytic_grad)
+    if x.shape != g.shape:
+        raise ValueError(f"gradient shape {g.shape} does not match input {x.shape}")
+    flat = x.ravel().copy()
+    gflat = g.ravel()
+    worst = 0.0
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + eps
+        fp = float(f(flat.reshape(x.shape)))
+        flat[i] = orig - eps
+        fm = float(f(flat.reshape(x.shape)))
+        flat[i] = orig
+        if not (np.isfinite(fp) and np.isfinite(fm)):
+            raise RuntimeError(f"objective non-finite at coordinate {i} (eps={eps})")
+        cd = (fp - fm) / (2.0 * eps)
+        err = abs(cd - gflat[i]) / (abs(gflat[i]) + 1e-8)
+        worst = max(worst, err)
+    return worst
+
+
+def _erode(mask: np.ndarray) -> np.ndarray:
+    """3x3 erosion; pixels outside the image count as unset."""
+    h, w = mask.shape
+    padded = np.pad(mask, 1)
+    out = mask.copy()
+    for dy in range(3):
+        for dx in range(3):
+            out &= padded[dy : dy + h, dx : dx + w]
+    return out
+
+
+def covisibility_mask(
+    bundle: SceneBundle,
+    source: tuple[int, int],
+    target: tuple[int, int],
+    source_to_target: Pose,
+    warp_valid: np.ndarray,
+    depth_tol: float = 0.8,
+) -> np.ndarray:
+    """Target pixels whose surface point is actually seen by both frames.
+
+    A target pixel is co-visible when its ground-truth surface point, mapped
+    into the source camera, lands on source pixels (all four bilinear
+    corners) whose own ground-truth depth agrees within depth_tol, i.e. the
+    source is not looking at an occluder there. The mask is eroded by one
+    pixel so windowed photometric statistics stay on co-visible support.
+    """
+    k_tgt = bundle.rig.cameras[target[0]].intrinsics
+    k_src = bundle.rig.cameras[source[0]].intrinsics
+    h, w = bundle.image_size
+    units, _ = unit_camera_rays(k_tgt, pixel_grid(h, w))
+    p_tgt = bundle.gt_depths[target].depth.ravel()[:, None] * units
+    p_src = source_to_target.inverse().apply(p_tgt)
+    d_src = np.linalg.norm(p_src, axis=1)
+    uf, vf, front = pinhole(k_src, p_src)
+    sdm = bundle.gt_depths[source]
+    ok = front.copy()
+    for cu in (np.floor, np.ceil):
+        for cvf in (np.floor, np.ceil):
+            u = np.clip(cu(uf).astype(np.int64), 0, w - 1)
+            v = np.clip(cvf(vf).astype(np.int64), 0, h - 1)
+            ok &= sdm.valid[v, u] & (np.abs(sdm.depth[v, u] - d_src) < depth_tol)
+    return _erode(np.asarray(warp_valid, dtype=bool) & ok.reshape(h, w))
+
+
+def write_pgm16(path, data: np.ndarray) -> None:
+    """Binary 16-bit PGM (big-endian), the other half of read_pgm's 16-bit path."""
+    data = np.asarray(data, dtype=np.uint16)
+    if data.ndim != 2:
+        raise ValueError(f"PGM writer expects a 2-D map, got {data.shape}")
+    h, w = data.shape
+    with open(path, "wb") as f:
+        f.write(f"P5\n{w} {h}\n65535\n".encode())
+        f.write(data.astype(">u2").tobytes())

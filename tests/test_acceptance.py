@@ -11,9 +11,9 @@ from occgeom import cli
 from occgeom.camera import Camera, CameraRig, Intrinsics, Pose, camera_pose_at
 from occgeom.cast import PhotometricConfig, cast_loss, make_warp_context, photometric_loss, warp_image
 from occgeom.occ_encdec import SemanticOccupancy, SemanticQuerySet, WindowedAttentionParams, masked_decode, windowed_attention
-from occgeom.renderer import DensityField, depth_grad_sigma, render_depth, render_view, sample_ray
+from occgeom.renderer import DensityField, render_view
 from occgeom.synthscene import build_scene, raymarch_depth_oracle
-from occgeom.tensor import grad_check, softmax
+from occgeom.tensor import softmax
 from occgeom.metrics import evaluate
 from occgeom.view_transform import (
     DepthDistribution,
@@ -26,7 +26,7 @@ from occgeom.view_transform import (
     upsample_trilinear,
     voxel_pool,
 )
-from helpers import level_camera_mount
+from helpers import grad_check, level_camera_mount, render_ray
 
 
 def report(num, name, detail):
@@ -59,12 +59,11 @@ def test_01_rendering_correctness(corridor):
 def test_02_gradient_fidelity():
     """Analytic depth gradient vs central differences on 100 random rays."""
     rng = np.random.default_rng(42)
-    rs = sample_ray((np.zeros(3), np.array([0.0, 0.0, 1.0])), 1.0, 5.0, 16)
     worst = 0.0
     for _ in range(100):
         sig = rng.uniform(0.05, 1.0, 16)
-        g = depth_grad_sigma(sig, rs)
-        err = grad_check(lambda s: render_depth(s, rs)[0], sig, g, eps=1e-5)
+        g = render_ray(sig, 1.0, 5.0)[3]
+        err = grad_check(lambda s: render_ray(s, 1.0, 5.0)[0], sig, g, eps=1e-5)
         worst = max(worst, err)
     assert worst < 1e-4
     report(2, "gradient fidelity", f"max relative error {worst:.3g} < 1e-4")

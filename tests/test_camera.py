@@ -38,6 +38,11 @@ class TestPose:
         with pytest.raises(ValueError):
             Pose(r, np.zeros(3))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_translation(self, bad):
+        with pytest.raises(ValueError, match="translation must be finite"):
+            Pose(np.eye(3), [bad, 0.0, 0.0])
+
     def test_inverse_roundtrip(self):
         rng = np.random.default_rng(0)
         p = random_pose(rng)
@@ -204,6 +209,25 @@ class TestRelativePose:
             relative_pose("spatial", rig, 0, 5, 0, 0)
         with pytest.raises(KeyError):
             relative_pose("temporal", rig, 0, 0, 0, 9)
+
+
+class TestIntrinsics:
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("fx", np.inf, "focal lengths must be finite and positive"),
+            ("fx", np.nan, "focal lengths must be finite and positive"),
+            ("fy", 0.0, "focal lengths must be finite and positive"),
+            ("width", 101.5, "width and height must be integers"),
+            ("height", 101.0, "width and height must be integers"),
+            ("width", True, "width and height must be integers"),
+        ],
+    )
+    def test_rejects_bad_values(self, field, value, message):
+        args = dict(fx=100.0, fy=100.0, cx=50.0, cy=50.0, width=101, height=101)
+        args[field] = value
+        with pytest.raises(ValueError, match=message):
+            Intrinsics(**args)
 
 
 class TestRigValidation:

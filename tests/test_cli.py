@@ -76,6 +76,16 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig.from_dict({"optimize": {"init": "magic"}})
 
+    @pytest.mark.parametrize("section", ["scene", "render", "cast", "optimize"])
+    def test_section_must_be_an_object(self, section):
+        with pytest.raises(ValueError, match=rf"^config\.{section} must be an object, got 5$"):
+            ExperimentConfig.from_dict({section: 5})
+
+    @pytest.mark.parametrize("value", [5, None, ["out"]])
+    def test_output_dir_must_be_a_string(self, value):
+        with pytest.raises(ValueError, match=r"^output_dir: .* is not a valid str$"):
+            ExperimentConfig.from_dict({"output_dir": value})
+
     @pytest.mark.parametrize(
         "override",
         [

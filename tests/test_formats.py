@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from helpers import write_pgm16
 
 from occgeom import formats
 
@@ -31,7 +32,7 @@ class TestPgm:
         rng = np.random.default_rng(1)
         data = rng.integers(0, 65536, size=(7, 9)).astype(np.uint16)
         p = tmp_path / "d.pgm"
-        formats.write_pgm16(p, data)
+        write_pgm16(p, data)
         back = formats.read_pgm(p)
         assert np.array_equal(back, data)
 
@@ -61,7 +62,7 @@ class TestPpm:
 
 WRITERS = {
     "pfm": (formats.write_pfm, formats.read_pfm, np.zeros((5, 7)), 4 * 35),
-    "pgm16": (formats.write_pgm16, formats.read_pgm, np.zeros((5, 7), np.uint16), 2 * 35),
+    "pgm16": (write_pgm16, formats.read_pgm, np.zeros((5, 7), np.uint16), 2 * 35),
     "pgm8": (formats.write_pgm8, formats.read_pgm, np.zeros((5, 7), np.uint8), 35),
     "ppm": (formats.write_ppm, formats.read_ppm, np.zeros((5, 7, 3)), 3 * 35),
 }

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from helpers import level_camera_mount, rotation_from_angles
+from helpers import grad_check, level_camera_mount, render_ray, rotation_from_angles
 
 from occgeom.camera import Camera, Intrinsics, Pose, camera_pose_at, ray, view_rays
 from occgeom.renderer import (
@@ -13,26 +13,19 @@ from occgeom.renderer import (
     DensityField,
     DepthMap,
     RayPlan,
-    RaySamples,
+    _midpoint_samples,
     _render_batch,
-    depth_grad_sigma,
-    render_depth,
     render_view,
-    sample_density,
-    sample_ray,
 )
 from occgeom.tensor import (
     _corner_offsets,
     _corner_sum,
     _trilinear_corners,
     _trilinear_in_box,
-    grad_check,
     trilinear_sample,
 )
 from occgeom.synthscene import build_scene
 from occgeom.view_transform import VoxelGridSpec
-
-STRAIGHT = (np.zeros(3), np.array([0.0, 0.0, 1.0]))
 
 
 def render_oracle(sigma, t, delta):
@@ -54,118 +47,104 @@ def render_oracle(sigma, t, delta):
 
 class TestSampleRay:
     def test_midpoint_two_samples(self):
-        rs = sample_ray(STRAIGHT, 0.0 + 1e-12, 2.0, 2)
-        np.testing.assert_allclose(rs.t_values, [0.5, 1.5], atol=1e-9)
-        np.testing.assert_allclose(rs.deltas, [1.0, 1.0], atol=1e-9)
-
-    def test_positions_collinear(self):
-        origin = np.array([1.0, -2.0, 0.5])
-        d = np.array([0.6, 0.8, 0.0])
-        rs = sample_ray((origin, d), 1.0, 9.0, 16)
-        chord = rs.positions - origin
-        for i, t in enumerate(rs.t_values):
-            np.testing.assert_allclose(chord[i], t * d, atol=1e-12)
+        t, deltas = _midpoint_samples(0.0 + 1e-12, 2.0, 2)
+        np.testing.assert_allclose(t, [0.5, 1.5], atol=1e-9)
+        np.testing.assert_allclose(deltas, [1.0, 1.0], atol=1e-9)
 
     def test_paper_sample_count_spacing(self):
-        rs = sample_ray(STRAIGHT, 1.0, 45.0, 152)
-        assert rs.t_values.size == 152
-        np.testing.assert_allclose(rs.deltas, 44.0 / 152)
+        t, deltas = _midpoint_samples(1.0, 45.0, 152)
+        assert t.size == 152
+        np.testing.assert_allclose(deltas, 44.0 / 152)
 
     def test_invalid_range(self):
         with pytest.raises(ValueError):
-            sample_ray(STRAIGHT, 3.0, 2.0, 8)
+            _midpoint_samples(3.0, 2.0, 8)
         with pytest.raises(ValueError):
-            sample_ray(STRAIGHT, 1.0, 2.0, 1)
+            _midpoint_samples(1.0, 2.0, 1)
 
 
 class TestSampleDensity:
+    """Trilinear density reads at world points, through world_to_grid."""
+
     SPEC = VoxelGridSpec((3, 3, 3), np.zeros(3), 1.0)
+
+    def sample(self, sigma, points):
+        return trilinear_sample(sigma, self.SPEC.world_to_grid(np.array(points)))[0]
 
     def test_voxel_center_exact(self):
         rng = np.random.default_rng(0)
         sigma = rng.uniform(size=(3, 3, 3))
-        field = DensityField(sigma, self.SPEC)
-        out = sample_density(field, np.array([[1.5, 0.5, 2.5]]))
+        out = self.sample(sigma, [[1.5, 0.5, 2.5]])
         assert out[0] == sigma[1, 0, 2]
 
     def test_outside_zero(self):
-        field = DensityField(np.ones((3, 3, 3)), self.SPEC)
-        assert sample_density(field, np.array([[9.0, 0.5, 0.5]]))[0] == 0.0
+        assert self.sample(np.ones((3, 3, 3)), [[9.0, 0.5, 0.5]])[0] == 0.0
 
     def test_midpoint_average(self):
         sigma = np.zeros((3, 3, 3))
         sigma[0, 0, 0] = 2.0
         sigma[1, 0, 0] = 6.0
-        field = DensityField(sigma, self.SPEC)
-        out = sample_density(field, np.array([[1.0, 0.5, 0.5]]))
+        out = self.sample(sigma, [[1.0, 0.5, 0.5]])
         assert out[0] == pytest.approx(4.0)
 
 
 class TestRenderDepth:
     def test_empty_space(self):
-        rs = sample_ray(STRAIGHT, 1.0, 5.0, 8)
-        depth, opacity, w = render_depth(np.zeros(8), rs)
+        depth, opacity, w, _ = render_ray(np.zeros(8), 1.0, 5.0)
         assert depth == 0.0 and opacity == 0.0
         assert np.all(w == 0.0)
 
     def test_opaque_first_sample(self):
-        rs = sample_ray(STRAIGHT, 1.0, 5.0, 8)
+        t, _ = _midpoint_samples(1.0, 5.0, 8)
         sig = np.zeros(8)
         sig[0] = 1e6
-        depth, opacity, _ = render_depth(sig, rs)
-        assert depth == pytest.approx(rs.t_values[0], abs=1e-9)
+        depth, opacity, _, _ = render_ray(sig, 1.0, 5.0)
+        assert depth == pytest.approx(t[0], abs=1e-9)
         assert opacity == pytest.approx(1.0, abs=1e-9)
 
     def test_constant_density_geometric_weights(self):
-        rs = sample_ray(STRAIGHT, 1.0, 9.0, 16)
+        t, deltas = _midpoint_samples(1.0, 9.0, 16)
         c = 0.37
-        depth, opacity, w = render_depth(np.full(16, c), rs)
-        step = rs.deltas[0]
+        depth, opacity, w, _ = render_ray(np.full(16, c), 1.0, 9.0)
+        step = deltas[0]
         expect_w = np.exp(-c * step * np.arange(16)) * (1 - np.exp(-c * step))
         np.testing.assert_allclose(w, expect_w, atol=1e-12)
-        d2, o2, w2 = render_oracle(np.full(16, c), rs.t_values, rs.deltas)
+        d2, o2, w2 = render_oracle(np.full(16, c), t, deltas)
         assert depth == pytest.approx(d2, abs=1e-12)
         assert opacity == pytest.approx(o2, abs=1e-12)
         np.testing.assert_allclose(w, w2, atol=1e-12)
 
     def test_weight_invariants_random(self):
         rng = np.random.default_rng(1)
-        rs = sample_ray(STRAIGHT, 1.0, 9.0, 32)
+        t, _ = _midpoint_samples(1.0, 9.0, 32)
         for _ in range(25):
             sig = rng.uniform(0, 3.0, 32)
-            depth, opacity, w = render_depth(sig, rs)
+            depth, opacity, w, _ = render_ray(sig, 1.0, 9.0)
             assert np.all(w >= 0)
             assert opacity <= 1.0 + 1e-12
             if opacity > 0:
-                assert rs.t_values[0] <= depth / opacity <= rs.t_values[-1]
-
-    def test_negative_density_rejected(self):
-        rs = sample_ray(STRAIGHT, 1.0, 5.0, 4)
-        with pytest.raises(ValueError):
-            render_depth(np.array([0.0, -1.0, 0.0, 0.0]), rs)
+                assert t[0] <= depth / opacity <= t[-1]
 
 
 class TestDepthGradSigma:
     def test_zero_density_first_order(self):
-        rs = sample_ray(STRAIGHT, 1.0, 5.0, 8)
-        g = depth_grad_sigma(np.zeros(8), rs)
-        np.testing.assert_allclose(g, rs.deltas * rs.t_values, atol=1e-12)
+        t, deltas = _midpoint_samples(1.0, 5.0, 8)
+        g = render_ray(np.zeros(8), 1.0, 5.0)[3]
+        np.testing.assert_allclose(g, deltas * t, atol=1e-12)
 
     def test_occluded_samples_zero_gradient(self):
-        rs = sample_ray(STRAIGHT, 1.0, 5.0, 8)
         sig = np.zeros(8)
         sig[0] = 1e6
-        g = depth_grad_sigma(sig, rs)
+        g = render_ray(sig, 1.0, 5.0)[3]
         assert np.all(np.abs(g[1:]) < 1e-12)
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(42)
-        rs = sample_ray(STRAIGHT, 1.0, 5.0, 16)
         worst = 0.0
         for _ in range(100):
             sig = rng.uniform(0.05, 1.0, 16)
-            g = depth_grad_sigma(sig, rs)
-            err = grad_check(lambda s: render_depth(s, rs)[0], sig, g, eps=1e-5)
+            g = render_ray(sig, 1.0, 5.0)[3]
+            err = grad_check(lambda s: render_ray(s, 1.0, 5.0)[0], sig, g, eps=1e-5)
             worst = max(worst, err)
         assert worst < 1e-4
 
@@ -173,14 +152,13 @@ class TestDepthGradSigma:
         # with an opaque ray, more density at the first sample moves the
         # expected depth nearer, never farther
         rng = np.random.default_rng(2)
-        rs = sample_ray(STRAIGHT, 1.0, 9.0, 16)
         for _ in range(20):
             sig = rng.uniform(0.0, 1.0, 16)
             sig[-1] = 1e4  # saturate
-            base, _, _ = render_depth(sig, rs)
+            base = render_ray(sig, 1.0, 9.0)[0]
             bumped = sig.copy()
             bumped[0] += rng.uniform(0.1, 2.0)
-            after, _, _ = render_depth(bumped, rs)
+            after = render_ray(bumped, 1.0, 9.0)[0]
             assert after <= base + 1e-12
 
 
@@ -238,11 +216,12 @@ class TestRenderView:
         intr = Intrinsics(fx=8.0, fy=8.0, cx=2.5, cy=1.5, width=6, height=4)
         cam = Camera(intr, level_camera_mount(0.3, [-0.4, 1.5, 1.0]))
         dm = render_view(field, cam, (4, 6), 0.5, 5.0, 24)
+        t, _ = _midpoint_samples(0.5, 5.0, 24)
         for r in range(4):
             for c in range(6):
-                rs = sample_ray(ray(cam, [c, r]), 0.5, 5.0, 24)
-                sig = sample_density(field, rs.positions)
-                depth, opacity, _ = render_depth(sig, rs)
+                origin, d = ray(cam, [c, r])
+                sig, _ = trilinear_sample(field.sigma, spec.world_to_grid(origin + t[:, None] * d))
+                depth, opacity, _, _ = render_ray(sig, 0.5, 5.0)
                 assert abs(depth - dm.depth[r, c]) < 1e-12
                 assert abs(opacity - dm.opacity[r, c]) < 1e-12
 
@@ -746,9 +725,3 @@ class TestTypes:
             DensityField(-np.ones((2, 2, 2)), spec)
         with pytest.raises(ValueError):
             DensityField(np.zeros((3, 2, 2)), spec)
-
-    def test_ray_samples_validation(self):
-        with pytest.raises(ValueError):
-            RaySamples(np.array([1.0]), np.zeros((1, 3)), np.array([1.0]))
-        with pytest.raises(ValueError):
-            RaySamples(np.array([2.0, 1.0]), np.zeros((2, 3)), np.ones(2))

@@ -1,16 +1,17 @@
 """Tests for the synthetic worlds and first-hit oracles."""
 
 import json
+import re
 
 import numpy as np
 import pytest
+from helpers import _erode, covisibility_mask
 
 from occgeom import formats, synthscene
 from occgeom.camera import Camera, _box_span, camera_pose_at, view_rays
 from occgeom.cast import PhotometricConfig, make_warp_context, photometric_loss, warp_image
 from occgeom.renderer import render_view
 from occgeom.synthscene import (
-    _erode,
     _traverse,
     build_scene,
     load_scene,
@@ -90,6 +91,30 @@ class TestBuildScene:
         big = VoxelGridSpec((128, 32, 8), np.zeros(3), 0.4)
         with pytest.raises(ValueError):
             build_scene(0, big, "boxes")
+
+    @pytest.mark.parametrize(
+        "preset, dims", [("boxes", (2, 2, 3)), ("corridor", (1, 1, 1)), ("random_blobs", (6, 6, 1))]
+    )
+    def test_smallest_grid_of_each_preset_builds(self, preset, dims):
+        for seed in range(4):
+            b = bundle(seed, preset, spec=VoxelGridSpec(dims, np.zeros(3), 0.4))
+            assert b.grid.labels.shape == dims
+
+    @pytest.mark.parametrize(
+        "preset, dims",
+        [
+            ("boxes", (1, 64, 64)),
+            ("boxes", (64, 1, 64)),
+            ("boxes", (64, 64, 2)),
+            ("random_blobs", (5, 64, 64)),
+            ("random_blobs", (64, 5, 64)),
+        ],
+    )
+    def test_grid_too_small_for_preset_rejected(self, preset, dims):
+        spec = VoxelGridSpec(dims, np.zeros(3), 0.4)
+        message = f"preset '{preset}' needs dims >= {synthscene._MIN_DIMS[preset]}, got {dims}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build_scene(0, spec, preset)
 
 
 class TestRaymarchOracle:
@@ -639,8 +664,6 @@ class TestCrossModuleConsistency:
         # wide-lens ring: warping camera j's image into camera i at the same
         # timestamp with ground-truth depth must photometrically match on
         # the pixels both cameras actually see
-        from occgeom.synthscene import covisibility_mask
-
         cfg = PhotometricConfig()
         for preset in ("boxes", "random_blobs"):
             b = bundle(seed=8, preset=preset, n=6, size=(64, 112))
@@ -745,6 +768,19 @@ class TestPersistence:
         meta["spec"][key] = value
         (saved / "scene.json").write_text(json.dumps(meta))
         with pytest.raises(ValueError, match=f"{key} must be finite"):
+            load_scene(saved)
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [("fx", float("inf"), "focal lengths must be finite"),
+         ("width", 24.5, "width and height must be integers"),
+         ("translation", [float("nan"), 0.0, 0.0], "translation must be finite")],
+    )
+    def test_bad_camera_rejected(self, saved, key, value, message):
+        meta = json.loads((saved / "scene.json").read_text())
+        meta["rig"]["cameras"][0][key] = value
+        (saved / "scene.json").write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match=message):
             load_scene(saved)
 
     def test_saved_bytes_deterministic(self, tmp_path):

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from helpers import trilinear_oracle
+from helpers import grad_check, trilinear_oracle
 
 from occgeom import tensor
 
@@ -304,12 +304,12 @@ class TestConv3d:
 class TestGradCheck:
     def test_quadratic(self):
         x = np.array([1.0, -2.0, 3.0])
-        err = tensor.grad_check(lambda v: float(np.sum(v**2)), x, 2 * x, eps=1e-4)
+        err = grad_check(lambda v: float(np.sum(v**2)), x, 2 * x, eps=1e-4)
         assert err < 1e-6
 
     def test_constant(self):
         x = np.ones(4)
-        err = tensor.grad_check(lambda v: 7.0, x, np.zeros(4), eps=1e-4)
+        err = grad_check(lambda v: 7.0, x, np.zeros(4), eps=1e-4)
         assert err == 0.0
 
     def test_eps_squared_scaling(self):
@@ -317,14 +317,15 @@ class TestGradCheck:
         x = np.array([0.7, -1.3, 2.1])
         g = 3 * x**2
         f = lambda v: float(np.sum(v**3))
-        e1 = tensor.grad_check(f, x, g, eps=1e-3)
-        e2 = tensor.grad_check(f, x, g, eps=5e-4)
+        e1 = grad_check(f, x, g, eps=1e-3)
+        e2 = grad_check(f, x, g, eps=5e-4)
         assert e1 / e2 == pytest.approx(4.0, rel=1.0)
         assert e1 / e2 > 2.0
 
     def test_non_finite_objective(self):
-        with pytest.raises(RuntimeError):
-            tensor.grad_check(
+        # the probe at x - eps takes the log of a negative number on purpose
+        with pytest.raises(RuntimeError), np.errstate(invalid="ignore"):
+            grad_check(
                 lambda v: float(np.log(v[0])), np.array([1e-9]), np.array([1e9]),
                 eps=1e-4,
             )
