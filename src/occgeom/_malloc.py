@@ -14,7 +14,7 @@ identical calls the peak RSS settled either near its live data or about
 With the mmap threshold fixed at 4 MiB, a block that size or larger that
 the heap's free top cannot hold gets its own mapping, which goes back to
 the system when freed, instead of growing the heap. The renderer's
-per-block temporaries (about 256 KiB, see `renderer._BLOCK_SAMPLES`)
+per-chunk temporaries (mostly 0.1-1 MiB, see `renderer._BLOCK_SAMPLES`)
 stay on the heap and keep being reused. The trim threshold lets the heap
 keep up to 64 MiB free at its top rather than return it after each call
 and fault it back in on the next. At 8 MiB, twice the mmap threshold as

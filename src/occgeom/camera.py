@@ -185,21 +185,6 @@ def project_points(
     return uv, cam_pts[:, 2], visible
 
 
-def project(cam: Camera, point_world) -> tuple[np.ndarray, float, bool]:
-    """Project a single world point; see project_points."""
-    intr, pose = cam
-    uv, z, vis = project_points(intr, pose, as_tensor(point_world).reshape(1, 3))
-    return uv[0], float(z[0]), bool(vis[0])
-
-
-def unproject(cam: Camera, uv, depth: float) -> np.ndarray:
-    """Inverse of project: the world point at pixel uv with camera-frame depth."""
-    if depth <= 0:
-        raise ValueError(f"unproject needs depth > 0, got {depth}")
-    intr, pose = cam
-    return pose.apply(camera_rays(intr, uv)[0] * depth)
-
-
 def pixel_grid(h: int, w: int) -> np.ndarray:
     """(u, v) of every pixel of an h x w image, [h*w x 2] in row-major order."""
     us, vs = np.meshgrid(np.arange(w, dtype=np.float64), np.arange(h, dtype=np.float64))
@@ -244,13 +229,6 @@ def view_rays(cam: Camera, resolution: tuple[int, int]) -> tuple[np.ndarray, np.
         intr = intr.scaled(w, h)
     dirs, _ = pixel_directions(intr, pose, pixel_grid(h, w))
     return pose.translation.copy(), dirs
-
-
-def ray(cam: Camera, uv) -> tuple[np.ndarray, np.ndarray]:
-    """Ray through pixel uv: (origin_world, unit direction_world)."""
-    intr, pose = cam
-    d, _ = pixel_directions(intr, pose, as_tensor(uv).reshape(1, 2))
-    return pose.translation.copy(), d[0]
 
 
 def _box_span(lo, hi, origins, dirs):

@@ -32,12 +32,22 @@ DEFAULT_RESOLUTION = (180, 320)
 DEFAULT_T_NEAR = 1.0
 DEFAULT_T_FAR = 45.0
 DEFAULT_SAMPLES = 152
-# ray samples (rays x S) per block. The block's dense [rays x S] render
-# temporaries stay near 256 KiB, which glibc serves from its heap and reuses
-# across blocks; much larger ones are mapped and faulted in afresh on every
-# block. The adjoint forms no [rays x S] array: it scales the [rays x width]
-# Jacobian rows the forward render returned and scatters them.
-_BLOCK_SAMPLES = 32768
+# candidate (ray, sample) pairs per chunk, and the most rays one may hold.
+# A chunk's plan temporaries scale with its pairs, its adjoint's [M x 8]
+# corner products with its kept samples, and its render temporaries with
+# its [rays x width] window. At 12288 pairs `selftrain` and `render` at
+# the bench configs peak at 51.4 and 51.0 MB RSS; 16384 pairs or 1024-ray
+# chunks raised selftrain's by 1-5 MB, and 8192 pairs render's by 0.5 MB.
+# A chunk of all S samples of every ray holds 12288 // S rays; where tiles
+# are culled it holds more.
+_BLOCK_SAMPLES = 12288
+_BLOCK_RAYS = 4096
+# consecutive pixels per tile: the unit whose samples _plan_chunks culls
+# against the live cells before testing each ray's samples
+_TILE_RAYS = 32
+# consecutive pixels whose tiles are culled together, which bounds the
+# culling's temporaries; a multiple of _TILE_RAYS
+_CULL_RAYS = 2 * _BLOCK_RAYS
 
 
 @dataclass(frozen=True)
@@ -72,43 +82,62 @@ class DepthMap:
     opacity: np.ndarray  # [H x W] in [0, 1]
 
 
-def _render_batch(
-    sigma: np.ndarray, t: np.ndarray, deltas: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Transmittance-weighted depth for [R x W] density rows: the first W of
-    the S samples in t and deltas, every later sample of zero density.
+def _row_sums(x: np.ndarray, lo: int, s: int, a: int = 0):
+    """np.sum over columns [a, s) of the rows of an [R x S] array that is
+    +0.0 but for the window x [R x W] at columns [lo, lo + W), bit for bit,
+    for x >= +0.0 with lo and lo + W multiples of 8 (or lo + W = S), from
+    the window alone. It follows numpy's pairwise split of a row: a leaf of
+    at most 128 values is summed by np.sum on its slice of the window, a
+    longer row splits at n/2 rounded down to a multiple of 8, and a subtree
+    outside the window adds +0.0."""
+    hi = lo + x.shape[-1]
+    if s <= lo or a >= hi:
+        return 0.0
+    if s - a <= 128:
+        return np.sum(x[:, max(a, lo) - lo : min(s, hi) - lo], axis=-1)
+    half = (s - a) // 2
+    half -= half % 8
+    return _row_sums(x, lo, a + half, a) + _row_sums(x, lo, s, a + half)
 
-    Returns (depth [R], opacity [R], weights [R x S], jac [R x W]), where
+
+def _render_batch(
+    sigma: np.ndarray, t: np.ndarray, deltas: np.ndarray, lo: int = 0, with_jac: bool = True
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
+    """Transmittance-weighted depth for [R x W] density rows: the window of
+    samples [lo, lo + W) of the S in t and deltas, every other sample of
+    zero density, with lo and lo + W multiples of 8 (or lo + W = S).
+
+    Returns (depth [R], opacity [R], weights [R x W], jac [R x W]), where
     jac is d(depth)/d(sigma_k) from the chain rule through the weights:
         d depth / d sigma_k = delta_k * (T_k e^{-sigma_k delta_k} t_k
-                                         - sum_{i>k} w_i t_i).
-    Samples past W have zero weight, so the tail sum over the first W
-    samples is exact.
+                                         - sum_{i>k} w_i t_i),
+    or None when with_jac is false. Samples before the window add +0.0 to
+    the prefix sum and samples past it have zero weight, so the window's
+    prefix and tail sums are exact, and depth and opacity are np.sum over
+    the whole S-wide rows (_row_sums).
     """
     w = sigma.shape[-1]
     # jac outlives the call: a plan's render keeps it for the adjoint.
     # Allocated before the temporaries below, it takes heap space freed by
     # an earlier block rather than pinning the heap top above this block's
     # temporaries, which keeps selftrain's peak RSS lower.
-    jac = np.empty(sigma.shape)
-    t_w, deltas_w = t[..., :w], deltas[..., :w]
+    jac = np.empty(sigma.shape) if with_jac else None
+    t_w, deltas_w = t[..., lo : lo + w], deltas[..., lo : lo + w]
     a = sigma * deltas_w
     prefix = np.cumsum(a, axis=-1)
     transmittance = np.exp(-(prefix - a))  # T_i excludes the i-th interval
     decay = np.exp(-a)
-    weights = np.zeros(sigma.shape[:-1] + t.shape[-1:])
-    np.multiply(transmittance, 1.0 - decay, out=weights[..., :w])
-    # sum whole rows: numpy's pairwise summation groups a row cut to the
-    # first W columns differently, and the depth would change in its last bits
-    wt = weights * t
-    depth = np.sum(wt, axis=-1)
-    opacity = np.sum(weights, axis=-1)
-    wt = wt[..., :w]
-    tail = np.cumsum(wt[..., ::-1], axis=-1)[..., ::-1] - wt  # sum over i > k
-    np.multiply(transmittance, decay, out=jac)
-    jac *= t_w
-    jac -= tail
-    jac *= deltas_w
+    weights = transmittance * (1.0 - decay)
+    wt = weights * t_w
+    s = t.shape[-1]
+    depth = _row_sums(wt, lo, s)
+    opacity = _row_sums(weights, lo, s)
+    if jac is not None:
+        tail = np.cumsum(wt[..., ::-1], axis=-1)[..., ::-1] - wt  # sum over i > k
+        np.multiply(transmittance, decay, out=jac)
+        jac *= t_w
+        jac -= tail
+        jac *= deltas_w
     return depth, opacity, weights, jac
 
 
@@ -131,16 +160,20 @@ class PlanChunk:
 
     Only samples inside the trilinear sampling box whose low cell is live
     are kept (see _plan_chunks); every other sample reads a zero density.
-    The block's live window is its first `width` samples per ray, 1 + the
-    largest kept sample index (0 when none is kept); kept samples sit in
-    the dense [R x width] row order. Densities are read from, and adjoints
-    added into, the flat zero-padded grid of tensor._trilinear_corners:
-    sigma inside a zero shell one cell thick.
+    The block's window is samples [lo, lo + width) of every ray: lo is its
+    smallest kept sample index rounded down to a multiple of 8, and
+    lo + width is 1 + its largest one rounded up to a multiple of 8 and
+    capped at S (both 0 when none is kept), so _row_sums can give the sums
+    over whole S-wide rows. Kept samples sit in the [R x width] window in
+    row order. Densities are read from, and adjoints added into, the flat
+    zero-padded grid of tensor._trilinear_corners: sigma inside a zero
+    shell one cell thick.
     """
 
     start: int  # first pixel of the block (row-major)
     stop: int
-    width: int  # live samples per ray
+    lo: int  # first sample of the window
+    width: int  # window samples per ray
     cols: np.ndarray  # [M] flat positions of the kept samples in [R x width]
     base: np.ndarray  # [M] flat low-corner cells in the padded grid
     wgt: np.ndarray  # [8 x M] trilinear weights
@@ -185,6 +218,73 @@ def _box_sample_ranges(
     return first, np.maximum(stop, first)
 
 
+def _live_box_table(live: np.ndarray, dims: tuple[int, int, int]) -> np.ndarray:
+    """int32 summed-area table [(X+3) x (Y+3) x (Z+3)] of `live`, a flat
+    bool mask over the padded [(X+2) x (Y+2) x (Z+2)] grid: entry (i, j, k)
+    counts the live cells below padded cell (i, j, k) on every axis."""
+    counts = live.reshape([d + 2 for d in dims]).astype(np.int32)
+    table = np.zeros([d + 3 for d in dims], dtype=np.int32)
+    table[1:, 1:, 1:] = counts.cumsum(0, dtype=np.int32).cumsum(1, dtype=np.int32).cumsum(
+        2, dtype=np.int32
+    )
+    return table
+
+
+def _grid_axis(spec: VoxelGridSpec, origin: np.ndarray, a: int, t, d) -> np.ndarray:
+    """Grid coordinate along axis a of origin + t * d, with the arithmetic
+    of spec.world_to_grid."""
+    return ((origin[a] + t * d) - spec.origin[a]) / spec.voxel_size - 0.5
+
+
+def _live_tile_samples(
+    spec: VoxelGridSpec,
+    origin: np.ndarray,
+    dirs: np.ndarray,
+    first: np.ndarray,
+    stop: np.ndarray,
+    t: np.ndarray,
+    table: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The tile-samples whose rays can hold a live sample: (tile [P], k [P])
+    in tile-major order, k ascending, over tiles of _TILE_RAYS consecutive
+    rays of dirs [3 x R] (per-axis columns) with box ranges [first, stop),
+    and the flat summed-area table of the live mask (_live_box_table).
+
+    A tile's samples are those in the union of its rays' box ranges. The
+    grid coordinates of the tile's per-axis least and greatest direction at
+    t_k bound those of all its rays, since with t_k > 0 every rounded step
+    of _grid_axis is monotone in the direction; so do their floors, the
+    cells. Eight lookups in the table count the live cells in the box of
+    cells the in-box part of that range spans, and a tile-sample is kept
+    when the count is positive."""
+    dims = spec.dims
+    tiles = np.arange(0, dirs.shape[1], _TILE_RAYS)
+    some = stop > first
+    lo = np.minimum.reduceat(np.where(some, first, t.size), tiles)
+    size = np.maximum(np.maximum.reduceat(np.where(some, stop, 0), tiles) - lo, 0)
+    tile = np.repeat(np.arange(tiles.size), size)
+    k = np.arange(tile.size) + np.repeat(lo - (np.cumsum(size) - size), size)
+    tk = t[k]
+    keep = np.ones(tile.size, dtype=bool)
+    strides = ((dims[1] + 3) * (dims[2] + 3), dims[2] + 3, 1)
+    sides = []  # per axis, table offsets of the cell box's low side and past its high side
+    for a in range(3):
+        hi = dims[a] - 0.5
+        g_lo = _grid_axis(spec, origin, a, tk, np.minimum.reduceat(dirs[a], tiles)[tile])
+        g_up = _grid_axis(spec, origin, a, tk, np.maximum.reduceat(dirs[a], tiles)[tile])
+        keep &= g_up >= -0.5
+        keep &= g_lo <= hi
+        # the padded cells floor(g) + 1 of the in-box part of [g_lo, g_up]
+        c_lo = np.floor(np.clip(g_lo, -0.5, hi)).astype(np.intp) + 1
+        c_up = np.floor(np.clip(g_up, -0.5, hi)).astype(np.intp) + 2
+        sides.append((c_lo * strides[a], c_up * strides[a]))
+    (x0, x1), (y0, y1), (z0, z1) = sides
+    count = table[x1 + y1 + z1] - table[x0 + y1 + z1] - table[x1 + y0 + z1] + table[x0 + y0 + z1]
+    count -= table[x1 + y1 + z0] - table[x0 + y1 + z0] - table[x1 + y0 + z0] + table[x0 + y0 + z0]
+    keep &= count > 0
+    return tile[keep], k[keep]
+
+
 def _plan_chunks(
     spec: VoxelGridSpec,
     cam: Camera,
@@ -196,51 +296,78 @@ def _plan_chunks(
     samples inside the trilinear sampling box whose low cell is marked in
     `live`, a flat bool mask over the padded grid.
 
-    Per block of consecutive pixels, the dense candidate window is samples
-    [k0, k1) of every ray, the union of their box ranges
-    (_box_sample_ranges); its grid coordinates are made with the same
-    arithmetic as spec.world_to_grid(origin + t * dir). A sample outside
-    its ray's box range never passes the exact in-box test, so the kept
-    set is the one every sample would give. A sample whose low cell is not
-    live has eight zero corners and reads +0.0 through any plan (densities
-    are >= 0, -0.0 included, and weights >= 0 and finite), and a zero
-    density of either sign gets render weight +0.0; so with `live` from
-    _live_cells of a field the chunks render that field as a plan of every
-    in-box sample does.
+    Tiles of rays are culled first, _CULL_RAYS rays at a time
+    (_live_tile_samples). A block is a run of whole tiles with about
+    _BLOCK_SAMPLES candidate (ray, sample) pairs and at most _BLOCK_RAYS
+    rays: every ray of a tile takes the tile's kept samples, and these
+    pairs, in ray-major order, go on to the exact in-box and live tests,
+    with the arithmetic of spec.world_to_grid(origin + t * dir). A sample
+    that a tile drops fails one of those tests, so the kept set, and its
+    order, are the ones a test of every sample would give. A sample whose
+    low cell is not live has eight zero corners and reads +0.0 through any
+    plan (densities are >= 0, -0.0 included, and weights >= 0 and finite),
+    and a zero density of either sign gets render weight +0.0; so with
+    `live` from _live_cells of a field the chunks render that field as a
+    plan of every in-box sample does.
     """
     origin, dirs = view_rays(cam, resolution)
     first, stop = _box_sample_ranges(spec, origin, dirs, t)
     n, s = dirs.shape[0], t.size
-    block = max(1, _BLOCK_SAMPLES // s)
     hi = np.asarray(spec.dims) - 0.5
     offsets = _corner_offsets(spec.dims)
-    for start in range(0, n, block):
-        end = min(start + block, n)
-        lo, up = first[start:end], stop[start:end]
-        some = up > lo
-        k0, k1 = (int(lo[some].min()), int(up[some].max())) if some.any() else (0, 0)
-        tw = t[None, k0:k1]
-        x, y, z = (
-            ((origin[a] + tw * dirs[start:end, a, None]) - spec.origin[a]) / spec.voxel_size - 0.5
-            for a in range(3)
+    table = _live_box_table(live, spec.dims).ravel()
+    dirs = dirs.T.copy()  # per-axis direction columns
+    none = np.empty(0, dtype=np.intp)
+    empty = (0, 0, none, none, np.empty((8, 0)), offsets)
+    for group in range(0, n, _CULL_RAYS):
+        end = min(group + _CULL_RAYS, n)
+        tiles, ks = _live_tile_samples(
+            spec, origin, dirs[:, group:end], first[group:end], stop[group:end], t, table
         )
-        keep = (x >= -0.5) & (x <= hi[0])
-        keep &= y >= -0.5
-        keep &= y <= hi[1]
-        keep &= z >= -0.5
-        keep &= z <= hi[2]
-        sel = np.flatnonzero(keep)
-        xyz = [c.ravel()[sel] for c in (x, y, z)]
-        on = live[_padded_cells(spec.dims, *(np.floor(v) for v in xyz))]
-        sel = sel[on]
-        if not sel.size:
-            yield PlanChunk(start, end, 0, sel, sel, np.empty((8, 0)), offsets)
-            continue
-        base, wgt = _trilinear_corners(spec.dims, [v[on] for v in xyz])
-        ray, k = np.divmod(sel, keep.shape[1])
-        k += k0
-        width = int(k.max()) + 1
-        yield PlanChunk(start, end, width, ray * width + k, base, wgt, offsets)
+        # a block is a run of whole tiles: a new one starts where the
+        # candidate pairs before a tile pass a multiple of _BLOCK_SAMPLES,
+        # and every _BLOCK_RAYS rays
+        size = np.minimum(end - group - np.arange(0, end - group, _TILE_RAYS), _TILE_RAYS)
+        per_tile = np.bincount(tiles, minlength=size.size)  # kept samples per tile
+        pairs = per_tile * size
+        index = np.arange(size.size)
+        run = (np.cumsum(pairs) - pairs) // _BLOCK_SAMPLES * size.size
+        run += index // (_BLOCK_RAYS // _TILE_RAYS)
+        heads = np.append(np.flatnonzero(np.diff(run, prepend=-1)), size.size)
+        cuts = np.searchsorted(tiles, heads)
+        for b in range(heads.size - 1):
+            start = group + int(heads[b]) * _TILE_RAYS
+            stop_ = min(group + int(heads[b + 1]) * _TILE_RAYS, n)
+            tile, k = tiles[cuts[b] : cuts[b + 1]] - heads[b], ks[cuts[b] : cuts[b + 1]]
+            if not tile.size:
+                yield PlanChunk(start, stop_, *empty)
+                continue
+            # every ray of a tile takes the tile's samples: ray-major pairs
+            counts = per_tile[heads[b] : heads[b + 1]]
+            tile_of = np.arange(stop_ - start) // _TILE_RAYS
+            per_ray = counts[tile_of]
+            shift = (np.cumsum(counts) - counts)[tile_of] - (np.cumsum(per_ray) - per_ray)
+            ray = np.repeat(np.arange(stop_ - start), per_ray)
+            k = k[np.arange(ray.size) + np.repeat(shift, per_ray)]
+            tk = t[k]
+            x, y, z = (_grid_axis(spec, origin, a, tk, dirs[a, start + ray]) for a in range(3))
+            keep = (x >= -0.5) & (x <= hi[0])
+            keep &= y >= -0.5
+            keep &= y <= hi[1]
+            keep &= z >= -0.5
+            keep &= z <= hi[2]
+            sel = np.flatnonzero(keep)
+            xyz = [v[sel] for v in (x, y, z)]
+            on = live[_padded_cells(spec.dims, *(np.floor(v) for v in xyz))]
+            sel = sel[on]
+            if not sel.size:
+                yield PlanChunk(start, stop_, *empty)
+                continue
+            base, wgt = _trilinear_corners(spec.dims, [v[on] for v in xyz])
+            ray, k = ray[sel], k[sel]
+            k_lo = int(k.min()) // 8 * 8
+            width = min(-(-(int(k.max()) + 1) // 8) * 8, s) - k_lo
+            yield PlanChunk(start, stop_, k_lo, width, ray * width + (k - k_lo), base, wgt, offsets)
 
 
 def _live_cells(sigma_pad: np.ndarray) -> np.ndarray:
@@ -274,7 +401,10 @@ def _render_rows(
     for chunk in chunks:
         start, stop = chunk.start, chunk.stop
         if chunk.width:
-            d, o, _, jac = _render_batch(chunk.gather(sigma_pad), t[None, :], deltas[None, :])
+            rows = chunk.gather(sigma_pad)
+            d, o, _, jac = _render_batch(
+                rows, t[None, :], deltas[None, :], chunk.lo, with_jac=jac_out is not None
+            )
         else:  # every weight, and so each sum, is +0.0
             d = o = 0.0
             jac = np.empty((stop - start, 0))  # the empty Jacobian
@@ -293,13 +423,13 @@ class RayPlan:
     Sample positions depend on the grid spec, camera, resolution, range and
     sample count, never on sigma, so a plan built once serves every forward
     render and adjoint of that view. It holds the corners and weights of
-    every in-grid sample of the view; the one-shot `render_view` streams
-    the same builder's chunks of its field's live samples only. `render`
-    returns, per block, the depth Jacobian over the block's live window,
-    and `grad_sigma` scatters it weighted by the depth cotangent: the
-    rendering equations are evaluated once per render. Each render copies
-    sigma into one padded grid the plan keeps, so one plan must not render
-    two fields at the same time.
+    every in-grid sample of the view (its builder's live mask is all
+    true); the one-shot `render_view` streams the same builder's chunks of
+    its field's live samples only. `render` returns, per block, the depth
+    Jacobian over the block's window, and `grad_sigma` scatters it
+    weighted by the depth cotangent: the rendering equations are evaluated
+    once per render. Each render copies sigma into one padded grid the
+    plan keeps, so one plan must not render two fields at the same time.
     """
 
     def __init__(
@@ -363,8 +493,9 @@ def render_view(
     size. Pixels are processed in fixed-order blocks, so the result is
     deterministic and identical to per-ray rendering. No plan is stored:
     each block's chunk keeps only the samples whose low cell is live in
-    this field, is gathered and dropped, and the result equals
-    RayPlan.render's bit for bit.
+    this field (tiles of rays whose samples reach no live cell are culled
+    before any per-ray test), is gathered and dropped, and the result
+    equals RayPlan.render's bit for bit. The depth Jacobian is not formed.
     """
     t, deltas = _midpoint_samples(t_near, t_far, samples)
     sigma_pad = np.pad(field.sigma, 1)

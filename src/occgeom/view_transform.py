@@ -37,7 +37,10 @@ class VoxelGridSpec:
     voxel_size: float
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
+        dims = tuple(self.dims)
+        if not all(isinstance(d, (int, np.integer)) and not isinstance(d, bool) for d in dims):
+            raise ValueError(f"dims must be integers, got {self.dims}")
+        dims = tuple(int(d) for d in dims)
         if len(dims) != 3 or any(d <= 0 for d in dims):
             raise ValueError(f"dims must be three positive extents, got {self.dims}")
         voxel_size = float(self.voxel_size)

@@ -11,8 +11,11 @@ from occgeom.camera import (
     CameraRig,
     Intrinsics,
     Pose,
+    camera_rays,
     pinhole,
+    pixel_directions,
     pixel_grid,
+    project_points,
     unit_camera_rays,
 )
 from occgeom.renderer import _midpoint_samples, _render_batch
@@ -57,6 +60,28 @@ def simple_rig(n_cameras: int = 2, with_motion: bool = True) -> CameraRig:
     else:
         ego = {0: Pose.identity(), 1: Pose.identity()}
     return CameraRig(cams, ego)
+
+
+def project(cam: Camera, point_world) -> tuple[np.ndarray, float, bool]:
+    """Project a single world point; see camera.project_points."""
+    intr, pose = cam
+    uv, z, vis = project_points(intr, pose, as_tensor(point_world).reshape(1, 3))
+    return uv[0], float(z[0]), bool(vis[0])
+
+
+def unproject(cam: Camera, uv, depth: float) -> np.ndarray:
+    """Inverse of project: the world point at pixel uv with camera-frame depth."""
+    if depth <= 0:
+        raise ValueError(f"unproject needs depth > 0, got {depth}")
+    intr, pose = cam
+    return pose.apply(camera_rays(intr, uv)[0] * depth)
+
+
+def ray(cam: Camera, uv) -> tuple[np.ndarray, np.ndarray]:
+    """Ray through pixel uv: (origin_world, unit direction_world)."""
+    intr, pose = cam
+    d, _ = pixel_directions(intr, pose, as_tensor(uv).reshape(1, 2))
+    return pose.translation.copy(), d[0]
 
 
 def trilinear_oracle(vol: np.ndarray, xyz: np.ndarray):

@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from helpers import random_pose, simple_rig
+from helpers import project, random_pose, ray, simple_rig, unproject
 
 from occgeom.camera import (
     Camera,
@@ -16,12 +16,9 @@ from occgeom.camera import (
     pinhole,
     pixel_directions,
     pixel_grid,
-    project,
-    ray,
     relative_pose,
     rig_from_json,
     rig_to_json,
-    unproject,
     view_rays,
 )
 

@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
-from helpers import grad_check, level_camera_mount, render_ray, rotation_from_angles
+from helpers import grad_check, level_camera_mount, ray, render_ray, rotation_from_angles
 
-from occgeom.camera import Camera, Intrinsics, Pose, camera_pose_at, ray, view_rays
+from occgeom.camera import Camera, Intrinsics, Pose, camera_pose_at, view_rays
 from occgeom.renderer import (
-    _BLOCK_SAMPLES,
+    _BLOCK_RAYS,
+    _TILE_RAYS,
     _box_sample_ranges,
     _live_cells,
     _plan_chunks,
@@ -15,11 +16,13 @@ from occgeom.renderer import (
     RayPlan,
     _midpoint_samples,
     _render_batch,
+    _row_sums,
     render_view,
 )
 from occgeom.tensor import (
     _corner_offsets,
     _corner_sum,
+    _padded_cells,
     _trilinear_corners,
     _trilinear_in_box,
     trilinear_sample,
@@ -273,9 +276,10 @@ def depth_grad_reference(sigma, t, deltas):
 
 
 def dense_render(field, cam, res, t_near, t_far, s, grad_map):
-    """Reference: trilinear-sample all S samples of every ray, render, and
-    scatter the adjoint over the corners of every in-box sample with
-    np.add.at in sample order, into a zero-padded grid that is then cropped.
+    """Reference: trilinear-sample all S samples of every ray, render with
+    np.sum over the full [N x S] rows, and scatter the adjoint over the
+    corners of every in-box sample with np.add.at in sample order, into a
+    zero-padded grid that is then cropped.
 
     Returns (depth, opacity, dL/dsigma) for the depth cotangent grad_map.
     """
@@ -287,7 +291,9 @@ def dense_render(field, cam, res, t_near, t_far, s, grad_map):
     coords = field.spec.world_to_grid(pos.reshape(-1, 3))
     sig, _ = trilinear_sample(field.sigma, coords)
     sig = sig.reshape(-1, s)
-    depth, opacity, _, _ = _render_batch(sig, t[None, :], deltas[None, :])
+    a = sig * deltas
+    weights = np.exp(-(np.cumsum(a, axis=-1) - a)) * (1.0 - np.exp(-a))
+    depth, opacity = np.sum(weights * t, axis=-1), np.sum(weights, axis=-1)
     cols = np.flatnonzero(_trilinear_in_box(field.spec.dims, coords))
     base, wgt = _trilinear_corners(field.spec.dims, coords[cols].T)
     idx = base[:, None] + _corner_offsets(field.spec.dims)
@@ -300,7 +306,7 @@ def dense_render(field, cam, res, t_near, t_far, s, grad_map):
 
 class TestRayPlan:
     SPEC = VoxelGridSpec((6, 6, 4), np.zeros(3), 0.5)
-    # 4608 rays at S=24: four blocks of 1365 rays, the last partial
+    # 4608 rays, more than one block holds
     RES = (48, 96)
 
     def camera(self, yaw=0.3, offset=(-0.4, 1.5, 1.0)):
@@ -309,12 +315,12 @@ class TestRayPlan:
         return Camera(intr, level_camera_mount(yaw, offset))
 
     def test_matches_dense_reference_bitwise(self):
-        block, rays = _BLOCK_SAMPLES // 24, self.RES[0] * self.RES[1]
-        assert rays > block
+        rays = self.RES[0] * self.RES[1]
+        assert rays > _BLOCK_RAYS
         rng = np.random.default_rng(5)
         cam = self.camera()
         plan = RayPlan(self.SPEC, cam, self.RES, 0.5, 5.0, 24)
-        assert len(plan.chunks) == (rays + block - 1) // block
+        assert len(plan.chunks) > 1 and check_blocks(plan.chunks, rays)
         for _ in range(2):  # one plan, two different density fields
             field = DensityField(rng.uniform(0, 3, self.SPEC.dims), self.SPEC)
             grad_map = rng.normal(size=self.RES)
@@ -344,13 +350,16 @@ class TestRayPlan:
         coords = spec.world_to_grid(origin + plan.t[:, None] * dirs[center])
         assert coords[0, 0] == -0.5 and coords[4, 0] == 3.5
         assert np.all(coords[:, 1:] == 1.0)
-        rows = plan.chunks[0].gather(np.pad(sigma, 1).ravel())
+        chunk = plan.chunks[0]
+        rows = chunk.gather(np.pad(sigma, 1).ravel())
         assert rows[center, 0] == 0.5 * sigma[0, 1, 1]
         assert rows[center, 4] == 0.5 * sigma[3, 1, 1]
-        # t = 7 lies past the box for every ray: no block keeps sample 5
-        assert rows.shape == (15, 5)
+        # t = 7 lies past the box for every ray: no block keeps sample 5,
+        # and the window, rounded up to 8 samples, stops at S
+        assert chunk.lo == 0 and rows.shape == (15, 6)
+        assert not np.any(chunk.cols % 6 == 5)
         dm, jac = plan.render(field)
-        assert jac[0].shape == (15, 5)
+        assert jac[0].shape == (15, 6)
         grad_map = np.random.default_rng(7).normal(size=(3, 5))
         depth, opacity, grad = dense_render(field, cam, (3, 5), t_near, t_near + s, s, grad_map)
         assert np.array_equal(dm.depth, depth) and np.array_equal(dm.opacity, opacity)
@@ -441,27 +450,30 @@ class TestRayPlan:
             plan.grad_sigma(jac[:2] + [jac[2][:-1]] + jac[3:], np.zeros(self.RES))
         with pytest.raises(ValueError):
             RayPlan(self.SPEC, self.camera(), self.RES, 5.0, 0.5, 24)
-        # the two rig cameras of the boxes scene: as many blocks, and the
-        # first of the same shape, but later blocks' live windows differ
+        # the two rig cameras of the boxes scene: their blocks differ, in
+        # number or in shape, and either is rejected
         spec = VoxelGridSpec((32, 32, 8), np.zeros(3), 0.4)
         scene = build_scene(11, spec, "boxes", num_cameras=2, image_size=(36, 64))
         t = scene.rig.timestamps()[-1]
         plans = [RayPlan(spec, Camera(c.intrinsics, camera_pose_at(scene.rig, i, t)), (36, 64),
                          1.0, 16.0, 64) for i, c in enumerate(scene.rig.cameras)]
         jacs = [p.render(scene.density_gt)[1] for p in plans]
-        assert len(jacs[0]) == len(jacs[1])
         for mine, theirs in ((0, 1), (1, 0)):
-            with pytest.raises(ValueError, match="block 1 is"):
+            with pytest.raises(ValueError, match="Jacobian row block"):
                 plans[mine].grad_sigma(jacs[theirs], np.ones((36, 64)))
 
 
-def unclipped_plan(spec, cam, res, t):
+def unclipped_plan(spec, cam, res, t, live=None):
     """Reference: the kept sample positions, low-corner cells and weights
-    found by testing every sample of the view against the trilinear box."""
+    found by testing every sample of the view against the trilinear box
+    and, given a flat mask over the padded grid, its low cell against
+    `live`."""
     origin, dirs = view_rays(cam, res)
     pos = origin + t[None, :, None] * dirs[:, None, :]
     coords = spec.world_to_grid(pos.reshape(-1, 3))
     cols = np.flatnonzero(_trilinear_in_box(spec.dims, coords))
+    if live is not None:
+        cols = cols[live[_padded_cells(spec.dims, *np.floor(coords[cols]).T)]]
     base, wgt = _trilinear_corners(spec.dims, coords[cols].T)
     return cols, base, wgt
 
@@ -488,13 +500,13 @@ class TestRayClipping:
         cols, base, wgt = unclipped_plan(spec, cam, res, plan.t)
         # kept samples sit in each block's [R x width] window: back to [N x S]
         got_cols = np.concatenate(
-            [(c.start + c.cols // c.width) * s + c.cols % c.width if c.width else c.cols
+            [(c.start + c.cols // c.width) * s + c.lo + c.cols % c.width if c.width else c.cols
              for c in plan.chunks]
         )
         assert np.array_equal(got_cols, cols)
-        for c in plan.chunks:  # the window ends at the block's last kept sample
-            last = (c.cols % c.width).max() if c.cols.size else -1
-            assert c.width == last + 1
+        assert check_blocks(plan.chunks, res[0] * res[1])
+        for c in plan.chunks:  # the window spans the kept samples, 8-aligned
+            check_window(c, s)
         assert np.array_equal(np.concatenate([c.base for c in plan.chunks]), base)
         assert np.array_equal(np.concatenate([c.wgt for c in plan.chunks], axis=1), wgt)
         field = DensityField(rng.uniform(0.2, 3.0, spec.dims), spec)
@@ -550,8 +562,7 @@ class TestRayClipping:
 
     def test_live_window_of_rays_that_exit_early(self):
         # inside the grid, just under its top face and pitched up: every ray
-        # leaves the box within its first 21 of S = 60 samples, and the rays
-        # of the first block leave it before their first sample
+        # leaves the box within its first 21 of S = 60 samples
         spec = VoxelGridSpec((6, 6, 4), np.zeros(3), 0.5)
         res, s = (36, 40), 60
         intr = Intrinsics(fx=30.0, fy=30.0, cx=19.5, cy=17.5, width=40, height=36)
@@ -559,7 +570,7 @@ class TestRayClipping:
         tilt = rotation_from_angles(0.0, -0.6)
         cam = Camera(intr, Pose(tilt @ mount.rotation, mount.translation))
         plan = RayPlan(spec, cam, res, 0.2, 6.0, s)
-        assert [c.width for c in plan.chunks] == [0, 5, 21]
+        assert [(c.lo, c.width) for c in plan.chunks] == [(0, 24)]
         assert self.check(spec, cam, res, 0.2, 6.0, s, 16) > 0
 
     def test_camera_facing_away(self):
@@ -573,6 +584,26 @@ class TestRayClipping:
         cam = self.camera(0.0, [-1.0, 1.0, 1.1])
         kept = self.check(self.SPEC, cam, self.RES, t_near, t_near + 6.0, 30, 15)
         assert (kept > 0) == kept_any
+
+
+def check_blocks(chunks, rays):
+    """Whether the chunks' blocks are whole tiles of consecutive pixels
+    that cover the view in order."""
+    starts = [c.start for c in chunks]
+    stops = [c.stop for c in chunks]
+    return (starts[0] == 0 and stops[:-1] == starts[1:] and stops[-1] == rays
+            and all(start % _TILE_RAYS == 0 for start in starts))
+
+
+def check_window(chunk, s):
+    """Assert a chunk's window is its kept samples' span, rounded out to
+    multiples of 8 and capped at S; empty when it keeps none."""
+    if not chunk.cols.size:
+        assert chunk.lo == chunk.width == 0
+        return
+    k = chunk.lo + chunk.cols % chunk.width
+    assert chunk.lo == k.min() // 8 * 8
+    assert chunk.lo + chunk.width == min(-(-(k.max() + 1) // 8) * 8, s)
 
 
 def same_bits(a, b):
@@ -606,10 +637,11 @@ class TestOneShotRender:
         widths = []
         for chunk in _plan_chunks(spec, cam, res, plan.t, live):
             rows = chunk.gather(sigma_pad.ravel())
-            start, stop, w = chunk.start, chunk.stop, chunk.width
+            start, stop, lo, w = chunk.start, chunk.stop, chunk.lo, chunk.width
             assert rows.shape == (stop - start, w)
-            assert np.array_equal(rows, dense[start:stop, :w])
-            assert not dense[start:stop, w:].any()
+            check_window(chunk, s)
+            assert np.array_equal(rows, dense[start:stop, lo : lo + w])
+            assert not dense[start:stop, :lo].any() and not dense[start:stop, lo + w :].any()
             widths.append(w)
         return widths
 
@@ -670,15 +702,14 @@ class TestOneShotRender:
             assert max(widths) > 0
 
     def test_partial_last_block(self):
-        # 4608 rays at S = 24: blocks of 1365 rays, the last one partial
+        # 4608 rays: three blocks, the last one holding what is left
         res, s = (48, 96), 24
-        block = _BLOCK_SAMPLES // s
-        assert res[0] * res[1] % block
+        assert res[0] * res[1] > _BLOCK_RAYS
         rng = np.random.default_rng(20)
         sigma = np.where(rng.random(self.SPEC.dims) < 0.3, rng.uniform(0.5, 4.0, self.SPEC.dims), 0.0)
         cam = self.camera(0.3, [-0.4, 1.0, 1.0], res)
         widths = self.check(sigma, cam, res, 0.5, 5.0, s)
-        assert len(widths) == 4 and min(widths) > 0
+        assert len(widths) == 3 and min(widths) > 0
 
     def test_tree_sum_is_numpy_row_sum(self):
         # tensor._corner_sum adds its eight corner products in numpy's
@@ -700,6 +731,140 @@ class TestOneShotRender:
                 got = _corner_sum(m.ravel(), np.arange(0, 8 * n, 8), np.arange(8), np.ones((8, n)))
                 assert same_bits(got, np.sum(m, axis=1))
             assert np.all(got[1000:1100] == 0.0) and not np.signbit(got[1000:1100]).any()
+
+
+class TestRowSums:
+    """_render_batch sums a window's weights with _row_sums, which must give
+    np.sum over the whole S-wide rows, zeros outside the window included,
+    bit for bit."""
+
+    def test_matches_numpy_over_full_rows(self):
+        rng = np.random.default_rng(24)
+        for s in range(2, 421):
+            for trial in range(3):
+                lo = 8 * int(rng.integers(0, (s - 1) // 8 + 1))
+                hi = int(rng.choice(np.append(np.arange(lo + 8, s, 8), s)))
+                if trial == 0:
+                    lo, hi = 0, s
+                full = np.zeros((5, s))
+                win = rng.uniform(0, 1, (5, hi - lo)) * 10.0 ** rng.integers(-6, 7, (5, hi - lo))
+                win[rng.random(win.shape) < 0.2] = 0.0
+                win[0] = 0.0  # an all-zero row
+                full[:, lo:hi] = win
+                got = _row_sums(win, lo, s)
+                assert same_bits(got, np.sum(full, axis=-1)), (s, lo, hi)
+                assert got[0] == 0.0 and not np.signbit(got[0])
+
+    def test_jacobian_free_render_matches(self):
+        rng = np.random.default_rng(25)
+        t, deltas = _midpoint_samples(0.5, 9.0, 150)
+        sigma = rng.uniform(0.0, 2.0, (7, 40))
+        with_jac = _render_batch(sigma, t[None, :], deltas[None, :], 104)
+        without = _render_batch(sigma, t[None, :], deltas[None, :], 104, with_jac=False)
+        assert without[3] is None and with_jac[3].shape == sigma.shape
+        for a, b in zip(with_jac[:3], without[:3]):
+            assert same_bits(a, b)
+
+
+class TestTileCulling:
+    """_plan_chunks tests only the samples of tiles of rays whose cell box
+    holds a live cell; the (ray, k) pairs it keeps must be those of an
+    exact test of every sample of every ray."""
+
+    SPEC, camera = TestRayClipping.SPEC, TestRayClipping.camera
+    # 481 rays: tiles of 32 rays wrap from one image row to the next
+    RES = (13, 37)
+
+    def check(self, live, cam, res=RES, t_near=0.3, t_far=8.0, s=40):
+        """Assert the kept (ray, k) pairs, their cells and weights equal
+        those of a test of every sample; returns the chunks."""
+        t, _ = _midpoint_samples(t_near, t_far, s)
+        chunks = list(_plan_chunks(self.SPEC, cam, res, t, live))
+        ray = np.concatenate([c.start + c.cols // max(c.width, 1) for c in chunks])
+        k = np.concatenate([c.lo + c.cols % max(c.width, 1) for c in chunks])
+        cols, base, wgt = unclipped_plan(self.SPEC, cam, res, t, live)
+        assert np.array_equal(ray * s + k, cols)
+        assert np.array_equal(np.concatenate([c.base for c in chunks]), base)
+        assert np.array_equal(np.concatenate([c.wgt for c in chunks], axis=1), wgt)
+        assert check_blocks(chunks, res[0] * res[1])
+        for c in chunks:
+            check_window(c, s)
+        return chunks
+
+    def cameras(self, seed, n=6):
+        rng = np.random.default_rng(seed)
+        center = self.SPEC.origin + 0.5 * np.asarray(self.SPEC.dims) * self.SPEC.voxel_size
+        for _ in range(n):
+            offset = rng.uniform([-2.0, -2.0, -1.0], [5.0, 4.5, 3.0])
+            to_center = center - offset
+            yaw = np.arctan2(to_center[1], to_center[0]) + rng.uniform(-0.5, 0.5)
+            yield self.camera(yaw, offset, self.RES, pitch=rng.uniform(-0.4, 0.4))
+
+    def live(self, sigma):
+        return _live_cells(np.pad(sigma, 1))
+
+    def test_sparse_field(self):
+        rng = np.random.default_rng(26)
+        sigma = np.where(rng.random(self.SPEC.dims) < 0.08, 1.0, 0.0)
+        live = self.live(sigma)
+        assert 0 < live.sum() < live.size // 2
+        kept = sum(c.cols.size for cam in self.cameras(27) for c in self.check(live, cam))
+        assert kept > 0
+
+    def test_all_live_field(self):
+        live = np.ones(np.prod([d + 2 for d in self.SPEC.dims]), dtype=bool)
+        for cam in self.cameras(28):
+            self.check(live, cam)
+        # more rays than one block holds
+        cam = self.camera(0.3, [-1.0, 0.9, 1.1], (60, 90))
+        chunks = self.check(live, cam, (60, 90))
+        assert len(chunks) > 1 and chunks[0].width > 0
+
+    @pytest.mark.parametrize("corner", [(0, 0, 0), (6, 5, 4), (0, 5, 4), (6, 0, 0)])
+    def test_single_live_cell_at_a_grid_corner(self, corner):
+        # a corner of the padded cells that in-box samples reach: index 0 is
+        # cell -1, index dim is cell dim - 1; only samples in that one cell
+        # are kept
+        live = np.zeros((8, 7, 6), dtype=bool)
+        live[corner] = True
+        # the middle of the cell's in-box part, grid [-0.5, 0) or [dim - 1, dim - 0.5]
+        g = np.where(np.array(corner) == 0, -0.25, np.array(self.SPEC.dims) - 0.75)
+        cell = self.SPEC.origin + (g + 0.5) * self.SPEC.voxel_size
+        kept = 0
+        for yaw, offset in ((0.0, [-1.5, cell[1], cell[2]]), (np.pi, [5.0, cell[1], cell[2]]),
+                            (np.pi / 2, [cell[0], -1.8, cell[2]])):
+            cam = self.camera(yaw, offset, self.RES)
+            kept += sum(c.cols.size for c in self.check(live.ravel(), cam))
+        assert kept > 0
+
+    @pytest.mark.parametrize("z", [0.1, np.nextafter(0.1, -1.0), 2.1, np.nextafter(2.1, 3.0)])
+    def test_rays_that_graze_a_face(self, z):
+        # level mount at yaw 0: the middle image row runs in the plane of
+        # the grid's bottom (z = 0.1) or top (z = 2.1) face, or one ulp
+        # outside it
+        res = (9, 11)
+        cam = self.camera(0.0, [-1.0, 0.9, z], res)
+        _, dirs = view_rays(cam, res)
+        assert np.all(dirs[4 * 11 : 5 * 11, 2] == 0.0)
+        rng = np.random.default_rng(29)
+        for live in (np.ones(8 * 7 * 6, dtype=bool), self.live(rng.random(self.SPEC.dims) < 0.1)):
+            self.check(live, cam, res, 0.5, 6.0, 30)
+
+    def test_view_without_live_cells(self):
+        # a narrow lens along the grid's far top edge, looking back through
+        # the box; the one live voxel sits at the opposite corner
+        res = (12, 16)
+        intr = Intrinsics(fx=60.0, fy=60.0, cx=7.5, cy=5.5, width=16, height=12)
+        cam = Camera(intr, level_camera_mount(np.pi, [5.0, 2.05, 1.85]))
+        sigma = np.zeros(self.SPEC.dims)
+        sigma[0, 0, 0] = 3.0
+        ones = render_view(DensityField(np.ones(self.SPEC.dims), self.SPEC), cam, res, 0.3, 8.0, 40)
+        assert ones.opacity.min() > 0  # every ray crosses the box
+        chunks = self.check(self.live(sigma), cam, res)
+        assert all(c.lo == c.width == 0 and c.cols.size == 0 for c in chunks)
+        dm = render_view(DensityField(sigma, self.SPEC), cam, res, 0.3, 8.0, 40)
+        assert same_bits(dm.depth, np.zeros(res)) and same_bits(dm.opacity, np.zeros(res))
+        assert not dm.valid.any()
 
 
 class TestExports:

@@ -770,6 +770,16 @@ class TestPersistence:
         with pytest.raises(ValueError, match=f"{key} must be finite"):
             load_scene(saved)
 
+    @pytest.mark.parametrize("dims", [[32.9, 32, 8], [32, 32, 8.0], [32, True, 8]])
+    def test_non_integer_dims_rejected(self, saved, dims):
+        # a truncating spec would load [32.9, 32, 8] as the saved 32 x 32 x 8
+        meta = json.loads((saved / "scene.json").read_text())
+        assert meta["spec"]["dims"] == [32, 32, 8]
+        meta["spec"]["dims"] = dims
+        (saved / "scene.json").write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match=r"dims must be integers, got \(32"):
+            load_scene(saved)
+
     @pytest.mark.parametrize(
         "key, value, message",
         [("fx", float("inf"), "focal lengths must be finite"),

@@ -52,6 +52,15 @@ class TestSpec:
         with pytest.raises(ValueError):
             VoxelGridSpec((2, 2, 2), np.zeros(3), -1.0)
 
+    @pytest.mark.parametrize("dims", [(16.7, 16, True), (16, 16, 8.0), (2, True, 2), ("4", 2, 2)])
+    def test_non_integer_dims_rejected(self, dims):
+        with pytest.raises(ValueError, match=r"dims must be integers, got \(" + repr(dims[0])):
+            VoxelGridSpec(dims, np.zeros(3), 0.4)
+
+    def test_numpy_integer_dims_accepted(self):
+        spec = VoxelGridSpec(tuple(np.array([4, 3, 2])), np.zeros(3), 0.4)
+        assert spec.dims == (4, 3, 2) and all(type(d) is int for d in spec.dims)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_geometry_rejected(self, bad):
         with pytest.raises(ValueError, match="voxel_size must be finite"):
