@@ -18,7 +18,7 @@ import numpy as np
 from . import camera as cam_mod
 from .camera import CameraRig, Intrinsics, Pose
 from .renderer import DepthMap
-from .tensor import as_tensor, bilinear_sample, bilinear_sample_grad
+from .tensor import as_tensor, bilinear_sample_grad
 from .view_transform import DepthDistribution
 
 _SSIM_C1 = 0.01 ** 2
@@ -93,9 +93,10 @@ def _warp_core(src_img: np.ndarray, target_depth: DepthMap, geom: PairGeometry):
     """(recon, valid, drecon): every target pixel is projected, but sampled
     and differentiated only where the warp is valid; other pixels stay 0.
 
-    The validity test repeats bilinear_sample's bound comparisons, and each
-    kept pixel sees the same float operations as a full-image warp, so the
-    result is bit-identical to sampling everything and masking afterwards.
+    The validity test repeats bilinear_sample_grad's bound comparisons, and
+    each kept pixel sees the same float operations as a full-image warp, so
+    the result is bit-identical to sampling everything and masking
+    afterwards.
     """
     src_img = as_tensor(src_img)
     if src_img.ndim != 3:
@@ -114,13 +115,12 @@ def _warp_core(src_img: np.ndarray, target_depth: DepthMap, geom: PairGeometry):
     drecon = np.zeros((h * w, c))
     if idx.size:
         uv = np.stack([u[idx], v[idx]], axis=1)
-        recon[idx], _ = bilinear_sample(src_img, uv)
+        recon[idx], gu, gv = bilinear_sample_grad(src_img, uv)
         # chain rule: d(recon)/d(depth) through the source projection and sampler
         p, dp = p_src[idx], geom.dp_dd[idx]
         zv = p[:, 2]
         du_dd = k.fx * (dp[:, 0] * zv - p[:, 0] * dp[:, 2]) / zv**2
         dv_dd = k.fy * (dp[:, 1] * zv - p[:, 1] * dp[:, 2]) / zv**2
-        gu, gv = bilinear_sample_grad(src_img, uv)
         drecon[idx] = gu * du_dd[:, None] + gv * dv_dd[:, None]
     return recon.reshape(h, w, c), valid.reshape(h, w), drecon.reshape(h, w, c)
 
@@ -224,6 +224,14 @@ def photometric_loss(
     pixels are excluded from the mean. The loss and its gradient share one
     set of SSIM statistics. With no valid pixels the loss and gradient are
     0; cast_loss counts such pairs in its empty_pairs field.
+
+    The statistics and their adjoint run only on the bounding box of
+    `valid` widened by ssim_window // 2 and clipped to the image. Every
+    valid pixel's window then reads the same values, the masked zeros or
+    the zero padding, in the same add order, and the adjoint's box means
+    weight grad_map, which is zero off the mask; the masked per-pixel
+    terms go back into a full-size zero array for one np.sum. So loss and
+    gradient are those of the whole image bit for bit.
     """
     ref = as_tensor(ref)
     recon = as_tensor(recon)
@@ -233,18 +241,25 @@ def photometric_loss(
     n = int(mask.sum()) * ref.shape[2]
     if n == 0:
         return 0.0, np.zeros_like(recon)
-    m = mask[:, :, None]
-    x = ref * m
-    y = recon * m
+    p = cfg.ssim_window // 2
+    r, c = np.flatnonzero(mask.any(axis=1)), np.flatnonzero(mask.any(axis=0))
+    box = (slice(max(r[0] - p, 0), r[-1] + p + 1), slice(max(c[0] - p, 0), c[-1] + p + 1))
+    m = mask[box][:, :, None]
+    x = ref[box] * m
+    y = recon[box] * m
     stats = _ssim_stats(x, y, cfg.ssim_window)
     _, _, a1, a2, b1, b2 = stats
     smap = (a1 * a2) / (b1 * b2)
     per = 0.5 * cfg.alpha * (1.0 - smap) + (1.0 - cfg.alpha) * np.abs(x - y)
-    loss = float(np.sum(per * m) / n)
+    full = np.zeros_like(recon)
+    full[box] = per * m
+    loss = float(np.sum(full) / n)
     grad_smap = np.where(m, -0.5 * cfg.alpha / n, 0.0)
     g = _ssim_backward(x, y, grad_smap, cfg.ssim_window, stats, smap)
     g += np.where(m, (1.0 - cfg.alpha) / n * np.sign(y - x), 0.0)
-    return loss, g * m
+    grad = np.zeros_like(recon)
+    grad[box] = g * m
+    return loss, grad
 
 
 def _ring_neighbors(i: int, n: int) -> list[int]:

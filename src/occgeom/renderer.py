@@ -33,9 +33,9 @@ DEFAULT_T_NEAR = 1.0
 DEFAULT_T_FAR = 45.0
 DEFAULT_SAMPLES = 152
 # candidate (ray, sample) pairs per chunk, and the most rays one may hold.
-# A chunk's plan temporaries scale with its pairs, its adjoint's [M x 8]
-# corner products with its kept samples, and its render temporaries with
-# its [rays x width] window. At 12288 pairs `selftrain` and `render` at
+# A chunk's plan temporaries scale with its pairs, its adjoint's [8 x M]
+# corner index and products with its kept samples, and its render
+# temporaries with its [rays x width] window. At 12288 pairs `selftrain` and `render` at
 # the bench configs peak at 51.4 and 51.0 MB RSS; 16384 pairs or 1024-ray
 # chunks raised selftrain's by 1-5 MB, and 8192 pairs render's by 0.5 MB.
 # A chunk of all S samples of every ray holds 12288 // S rays; where tiles
@@ -188,10 +188,13 @@ class PlanChunk:
 
     def scatter(self, out: np.ndarray, per_sample: np.ndarray) -> None:
         """Adjoint of gather: add per-sample values [R x width] into the flat
-        padded grid `out`, corner by corner in sample order."""
+        padded grid `out`. The block's products are summed per cell by one
+        np.bincount in corner-major order (corner 0 of every kept sample in
+        row order, then corner 1, ...), from +0.0, and that sum is then
+        added into `out`; the order is fixed by the plan alone."""
         y = per_sample.reshape(-1)[self.cols]
-        idx = self.base[:, None] + self.offsets
-        np.add.at(out, idx.ravel(), (y[:, None] * self.wgt.T).ravel())
+        idx = self.base + self.offsets[:, None]
+        out += np.bincount(idx.ravel(), (self.wgt * y).ravel(), minlength=out.size)
 
 
 def _box_sample_ranges(
@@ -462,7 +465,13 @@ class RayPlan:
     def grad_sigma(self, jac: list[np.ndarray], grad_depth: np.ndarray) -> np.ndarray:
         """Adjoint of render's depth output: given dL/d(depth) per pixel and
         the Jacobian rows of this plan's forward render, accumulates
-        dL/d(sigma) on the density grid through the trilinear weights."""
+        dL/d(sigma) on the density grid through the trilinear weights.
+
+        The blocks are added in plan order, each as one corner-major sum
+        per cell (PlanChunk.scatter), so the result depends on the plan
+        and its inputs only: serial and threaded runs give the same bits.
+        It is not np.add.at's sample-major order, which differs by a few
+        ulps."""
         if len(jac) != len(self.chunks):
             raise ValueError(f"{len(jac)} Jacobian row blocks for {len(self.chunks)} chunks")
         grad_depth = as_tensor(grad_depth)

@@ -11,6 +11,10 @@ import numpy as np
 
 Array = np.ndarray
 
+# bytes of gathered corners per tile of trilinear_sample's channelled
+# gather, half of _malloc's mmap threshold
+_GATHER_TILE_BYTES = 2 << 20
+
 
 def as_tensor(x) -> Array:
     """Coerce to a float64 ndarray, the package-wide value carrier."""
@@ -41,9 +45,10 @@ def softmax(x: Array, axis: int = -1) -> Array:
 def _bilinear_corners(img: Array, uv: Array):
     """The kernel of bilinear_sample and bilinear_sample_grad: validates
     img [H x W x C] and uv [N x 2], and returns (valid [N], fu [N x 1],
-    fv [N x 1], corners), where corners are the four neighbor values
-    (i00, i01, i10, i11) [N x C] at rows v0, v0, v1, v1 and columns u0, u1,
-    u0, u1, clipped into the image."""
+    fv [N x 1], corners, values), where corners are the four neighbor
+    values (i00, i01, i10, i11) [N x C] at rows v0, v0, v1, v1 and columns
+    u0, u1, u0, u1, clipped into the image, and values [N x C] their
+    bilinear blend, out-of-bounds samples included."""
     img = as_tensor(img)
     uv = as_tensor(uv)
     if img.ndim != 3:
@@ -59,8 +64,11 @@ def _bilinear_corners(img: Array, uv: Array):
     v0i = np.clip(v0.astype(np.int64), 0, h - 1)
     u1i = np.minimum(u0i + 1, w - 1)
     v1i = np.minimum(v0i + 1, h - 1)
-    corners = (img[v0i, u0i], img[v0i, u1i], img[v1i, u0i], img[v1i, u1i])
-    return valid, (u - u0)[:, None], (v - v0)[:, None], corners
+    i00, i01, i10, i11 = img[v0i, u0i], img[v0i, u1i], img[v1i, u0i], img[v1i, u1i]
+    fu, fv = (u - u0)[:, None], (v - v0)[:, None]
+    top = i00 * (1.0 - fu) + i01 * fu
+    bot = i10 * (1.0 - fu) + i11 * fu
+    return valid, fu, fv, (i00, i01, i10, i11), top * (1.0 - fv) + bot * fv
 
 
 def bilinear_sample(img: Array, uv: Array) -> tuple[Array, Array]:
@@ -74,26 +82,26 @@ def bilinear_sample(img: Array, uv: Array) -> tuple[Array, Array]:
     Returns:
         (values [N x C], valid [N] bool)
     """
-    valid, fu, fv, (i00, i01, i10, i11) = _bilinear_corners(img, uv)
-    top = i00 * (1.0 - fu) + i01 * fu
-    bot = i10 * (1.0 - fu) + i11 * fu
-    out = top * (1.0 - fv) + bot * fv
+    valid, _, _, _, out = _bilinear_corners(img, uv)
     out[~valid] = 0.0
     return out, valid
 
 
-def bilinear_sample_grad(img: Array, uv: Array) -> tuple[Array, Array]:
-    """Spatial derivative of bilinear_sample at uv.
+def bilinear_sample_grad(img: Array, uv: Array) -> tuple[Array, Array, Array]:
+    """bilinear_sample's values at uv and their spatial derivative, from one
+    fetch of the corners.
 
-    Returns (d/du [N x C], d/dv [N x C]); zero for out-of-bounds samples.
-    At the image's outer edge the one-sided kink is resolved toward zero.
+    Returns (values [N x C], d/du [N x C], d/dv [N x C]); the values equal
+    bilinear_sample's bit for bit, and all three are zero for out-of-bounds
+    samples. At the image's outer edge the one-sided kink is resolved
+    toward zero.
     """
-    valid, fu, fv, (i00, i01, i10, i11) = _bilinear_corners(img, uv)
+    valid, fu, fv, (i00, i01, i10, i11), out = _bilinear_corners(img, uv)
     du = (i01 - i00) * (1.0 - fv) + (i11 - i10) * fv
     dv = (i10 - i00) * (1.0 - fu) + (i11 - i01) * fu
-    du[~valid] = 0.0
-    dv[~valid] = 0.0
-    return du, dv
+    for x in (out, du, dv):
+        x[~valid] = 0.0
+    return out, du, dv
 
 
 def trilinear_sample(vol: Array, xyz: Array) -> tuple[Array, Array]:
@@ -119,12 +127,19 @@ def trilinear_sample(vol: Array, xyz: Array) -> tuple[Array, Array]:
     base, wgt = _trilinear_corners(dims, xyz[valid].T)
     offsets = _corner_offsets(dims)
     if channelled:
-        padded = np.pad(vol, ((0, 0), (1, 1), (1, 1), (1, 1)))
-        vals = np.zeros((xyz.shape[0], vol.shape[0]))
-        corners = padded.reshape(vol.shape[0], -1).T[base[:, None] + offsets]  # M x 8 x C
+        c = vol.shape[0]
+        table = np.pad(vol, ((0, 0), (1, 1), (1, 1), (1, 1))).reshape(c, -1).T
+        vals = np.zeros((xyz.shape[0], c))
+        rows = np.flatnonzero(valid)
         # einsum over a C-contiguous [M x 8] copy: a transposed view sums
         # in another order
-        vals[valid] = np.einsum("nkc,nk->nc", corners, np.ascontiguousarray(wgt.T))
+        wgt = np.ascontiguousarray(wgt.T)
+        # each point's row is the same einsum in any tile: tiles of about
+        # _GATHER_TILE_BYTES of corners stay on the heap (see _malloc)
+        tile = max(_GATHER_TILE_BYTES // (8 * 8 * c), 1)
+        for a in range(0, rows.size, tile):
+            corners = table[base[a : a + tile, None] + offsets]  # tile x 8 x C
+            vals[rows[a : a + tile]] = np.einsum("nkc,nk->nc", corners, wgt[a : a + tile])
     else:
         vals = np.zeros(xyz.shape[0])
         vals[valid] = _corner_sum(np.pad(vol, 1).ravel(), base, offsets, wgt)

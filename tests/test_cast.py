@@ -30,6 +30,7 @@ from occgeom.cast import (
 )
 from occgeom.renderer import DensityField, DepthMap, RayPlan, render_view
 from occgeom.synthscene import build_scene, sparse_lidar
+from occgeom.tensor import bilinear_sample, bilinear_sample_grad
 from occgeom.view_transform import DepthDistribution, VoxelGridSpec, uniform_depth_bins
 
 CFG = PhotometricConfig()
@@ -482,21 +483,105 @@ def reference_warp(src_img, dm, ctx, k_src, k_tgt):
     u = k_src.fx * p_src[:, 0] / zsafe + k_src.cx
     v = k_src.fy * p_src[:, 1] / zsafe + k_src.cy
     uv = np.stack([u, v], axis=1)
-    samples, in_bounds = cast.bilinear_sample(src_img, uv)
+    samples, in_bounds = bilinear_sample(src_img, uv)
     valid = dm.valid.ravel() & front & in_bounds
     recon = np.where(valid[:, None], samples, 0.0).reshape(h, w, -1)
     dp_dd = units @ inv.rotation.T
     du_dd = k_src.fx * (dp_dd[:, 0] * zsafe - p_src[:, 0] * dp_dd[:, 2]) / zsafe**2
     dv_dd = k_src.fy * (dp_dd[:, 1] * zsafe - p_src[:, 1] * dp_dd[:, 2]) / zsafe**2
-    gu, gv = cast.bilinear_sample_grad(src_img, uv)
+    _, gu, gv = bilinear_sample_grad(src_img, uv)
     drecon = gu * du_dd[:, None] + gv * dv_dd[:, None]
     drecon = np.where(valid[:, None], drecon, 0.0).reshape(h, w, -1)
     return recon, valid.reshape(h, w), drecon
 
 
+def full_photometric_loss(ref, recon, valid, cfg):
+    """photometric_loss on the whole image: the SSIM statistics and their
+    adjoint over every pixel, masked afterwards; the bits the valid-box
+    crop must reproduce."""
+    m = np.asarray(valid, dtype=bool)[:, :, None]
+    n = int(m.sum()) * ref.shape[2]
+    if n == 0:
+        return 0.0, np.zeros_like(recon)
+    x, y = ref * m, recon * m
+    stats = cast._ssim_stats(x, y, cfg.ssim_window)
+    _, _, a1, a2, b1, b2 = stats
+    smap = (a1 * a2) / (b1 * b2)
+    per = 0.5 * cfg.alpha * (1.0 - smap) + (1.0 - cfg.alpha) * np.abs(x - y)
+    grad_smap = np.where(m, -0.5 * cfg.alpha / n, 0.0)
+    g = cast._ssim_backward(x, y, grad_smap, cfg.ssim_window, stats, smap)
+    g += np.where(m, (1.0 - cfg.alpha) / n * np.sign(y - x), 0.0)
+    return float(np.sum(per * m) / n), g * m
+
+
+def same_bits(a, b):
+    """Equal shapes and bytes: signed zeros must match too."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestPhotometricCrop:
+    """photometric_loss runs the SSIM on the valid box widened by the
+    window radius; loss and gradient must be the whole image's bit for
+    bit."""
+
+    H, W = 11, 14
+
+    def check(self, valid, window):
+        rng = np.random.default_rng(int(valid.sum()) + window)
+        ref = rng.uniform(size=(self.H, self.W, 3))
+        recon = np.clip(ref + rng.normal(0, 0.1, ref.shape), 0.0, 1.0)
+        cfg = PhotometricConfig(ssim_window=window)
+        loss, grad = photometric_loss(ref, recon, valid, cfg)
+        want_loss, want_grad = full_photometric_loss(ref, recon, valid, cfg)
+        assert same_bits(loss, want_loss) and loss > 0.0
+        assert same_bits(grad, want_grad)
+
+    @staticmethod
+    def blob(mask, rows, cols):
+        mask[rows, cols] = True
+        mask[rows.start + 1, cols.start] = False  # not a full rectangle
+        return mask
+
+    @pytest.mark.parametrize("window", [1, 3, 5])
+    @pytest.mark.parametrize(
+        "rows, cols",
+        [
+            (slice(0, 3), slice(4, 8)),  # top border
+            (slice(8, 11), slice(5, 9)),  # bottom border
+            (slice(3, 7), slice(0, 2)),  # left border
+            (slice(4, 8), slice(11, 14)),  # right border
+            (slice(0, 4), slice(0, 3)),  # the four corners
+            (slice(0, 2), slice(10, 14)),
+            (slice(7, 11), slice(0, 5)),
+            (slice(9, 11), slice(12, 14)),
+            (slice(1, 10), slice(1, 13)),  # one pixel from every border
+            (slice(4, 7), slice(5, 9)),  # interior
+        ],
+    )
+    def test_masks_at_borders_and_corners(self, rows, cols, window):
+        self.check(self.blob(np.zeros((self.H, self.W), bool), rows, cols), window)
+
+    @pytest.mark.parametrize("window", [1, 3, 5])
+    @pytest.mark.parametrize("pixel", [(0, 0), (5, 7), (10, 13), (0, 13)])
+    def test_single_pixel(self, pixel, window):
+        valid = np.zeros((self.H, self.W), bool)
+        valid[pixel] = True
+        self.check(valid, window)
+
+    @pytest.mark.parametrize("window", [1, 3, 5])
+    def test_full_and_scattered_masks(self, window):
+        self.check(np.ones((self.H, self.W), bool), window)
+        rng = np.random.default_rng(window)
+        self.check(rng.uniform(size=(self.H, self.W)) < 0.2, window)
+        two = np.zeros((self.H, self.W), bool)
+        two[2, 3] = two[8, 11] = True  # two pixels far apart
+        self.check(two, window)
+
+
 def reference_cast(rig, images, depths, cfg):
-    """Every pair warped in full and scored by its own photometric_loss
-    call, empty pairs included."""
+    """Every pair warped in full and scored on the whole image by
+    full_photometric_loss, empty pairs included."""
     pairs = cast.context_pairs(rig)
     lam = {"temporal": cfg.lambda_t, "spatial": cfg.lambda_sp,
            "spatial_temporal": cfg.lambda_spt}
@@ -512,7 +597,7 @@ def reference_cast(rig, images, depths, cfg):
         recon, valid, drecon = reference_warp(images[src], depths[tgt[0]], ctx, k_src, k_tgt)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # an empty pair warns no more
-            pair_loss, gl = photometric_loss(images[tgt], recon, valid, cfg)
+            pair_loss, gl = full_photometric_loss(images[tgt], recon, valid, cfg)
         sums[kind] += pair_loss
         valid_px[kind] += int(valid.sum())
         if valid.any():
@@ -542,14 +627,15 @@ def rendered_depths(b, seed, n_cams):
 
 def assert_same_part(got, want, part):
     """Compare one part of a loss result with the reference: "loss" the
-    total and breakdown, "grad" the depth gradients."""
+    total and breakdown, "grad" the depth gradients, signed zeros
+    included."""
     if part == "loss":
         assert got[0] == want[0]
         assert got[1] == want[1]
     else:
         assert len(got[2]) == len(want[2])
         for g, r in zip(got[2], want[2]):
-            assert np.array_equal(g, r)
+            assert same_bits(g, r)
 
 
 def no_depth(dm):
@@ -602,7 +688,7 @@ class TestContextPlan:
                 }
             else:
                 for g, rd, cg in zip(got[2], rd_grads, cast_ref[2]):
-                    assert np.array_equal(g, rd + cg)
+                    assert same_bits(g, rd + cg)
 
     @PARTS
     def test_all_invalid_depths(self, part):

@@ -87,7 +87,8 @@ class TestBilinearSample:
         rng = np.random.default_rng(3)
         img = rng.uniform(size=(6, 7, 2))
         uv = rng.uniform([0.3, 0.3], [5.3, 4.3], size=(8, 2))
-        du, dv = tensor.bilinear_sample_grad(img, uv)
+        vals, du, dv = tensor.bilinear_sample_grad(img, uv)
+        assert np.array_equal(vals, tensor.bilinear_sample(img, uv)[0])
         eps = 1e-7
         for k in range(8):
             for axis, grad in ((0, du), (1, dv)):
@@ -117,13 +118,14 @@ class TestBilinearSample:
         hi, ok_hi = tensor.bilinear_sample(img, uv + eps * d)
         lo, ok_lo = tensor.bilinear_sample(img, uv - eps * d)
         assert ok_hi.all() and ok_lo.all()
-        du, dv = tensor.bilinear_sample_grad(img, uv)
+        vals, du, dv = tensor.bilinear_sample_grad(img, uv)
+        assert np.array_equal(vals, tensor.bilinear_sample(img, uv)[0])
         np.testing.assert_allclose(
             (hi - lo) / (2 * eps), du * d[:, :1] + dv * d[:, 1:], rtol=0, atol=1e-8
         )
         outside = np.array([[-0.5, 0.5], [w - 0.5, 0.5], [0.5, -0.5], [0.5, h - 0.5]])
-        du, dv = tensor.bilinear_sample_grad(img, outside)
-        assert np.all(du == 0.0) and np.all(dv == 0.0)
+        vals, du, dv = tensor.bilinear_sample_grad(img, outside)
+        assert np.all(vals == 0.0) and np.all(du == 0.0) and np.all(dv == 0.0)
 
 
 class TestTrilinearSample:
@@ -153,6 +155,23 @@ class TestTrilinearSample:
             single, ok2 = tensor.trilinear_sample(vol[c], pts)
             np.testing.assert_allclose(vals[:, c], single, atol=1e-14)
             assert np.array_equal(ok, ok2)
+
+    @pytest.mark.parametrize("channels", [1, 5, 64])
+    def test_tiled_channelled_gather_matches_one_einsum(self, channels):
+        # the gather runs in tiles of rows; one einsum over every point must
+        # give the same bits, with a last tile shorter than the others
+        rng = np.random.default_rng(channels)
+        vol = rng.normal(size=(channels, 5, 4, 6))
+        tile = tensor._GATHER_TILE_BYTES // (8 * 8 * channels)
+        pts = rng.uniform(-0.6, np.array(vol.shape[1:]) - 0.4, size=(2 * tile + 37, 3))
+        vals, ok = tensor.trilinear_sample(vol, pts)
+        assert ok.sum() > tile and ok.sum() % tile
+        base, wgt = tensor._trilinear_corners(vol.shape[1:], pts[ok].T)
+        table = np.pad(vol, ((0, 0), (1, 1), (1, 1), (1, 1))).reshape(channels, -1).T
+        corners = table[base[:, None] + tensor._corner_offsets(vol.shape[1:])]
+        want = np.zeros_like(vals)
+        want[ok] = np.einsum("nkc,nk->nc", corners, np.ascontiguousarray(wgt.T))
+        assert vals.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("shape", [(3, 4, 5), (2, 3, 4, 5), (6, 1, 2), (4, 1, 2, 6)])
     def test_matches_oracle(self, shape):
