@@ -1,25 +1,29 @@
-"""Fixed glibc malloc thresholds, so peak memory follows live data.
+"""Fixed glibc malloc thresholds, so big arrays reuse freed heap memory.
 
 glibc starts with a 128 KiB mmap threshold and raises it to the size of
 each mapped block freed, up to 32 MiB, with the trim threshold at twice
-that. Once the first big temporary has been freed, the occupancy
-pipeline's 5-30 MiB arrays (lifted point features, world points, conv
-im2col blocks) grow the brk heap instead of getting their own mapping.
-Whether that heap shrinks after a call then depends on where small
-long-lived blocks (a returned label grid, a resized dict) happen to land:
-one near the top keeps the free pages below it resident. In a loop of
-identical calls the peak RSS settled either near its live data or about
-31 MB above it, from run to run.
+that. Whether the occupancy pipeline's big arrays (lifted point features,
+world points, conv im2col blocks, the 94 MB concatenation of the lifted
+features) are then mapped or heap-grown depends on the order of frees, and
+small long-lived blocks can land between them. In a loop of identical
+calls the peak RSS settled either near its live data or about 31 MB above
+it, from run to run. A fixed 32 MiB threshold is no better: the
+concatenation stays mapped while the smaller blocks fragment the heap,
+and occ-pipeline peaked at 315 MB in each of 3 bench runs, against
+267-271 MB with the thresholds below.
 
-With the mmap threshold fixed at 4 MiB, a block that size or larger that
-the heap's free top cannot hold gets its own mapping, which goes back to
-the system when freed, instead of growing the heap. The renderer's
-per-chunk temporaries (mostly 0.1-1 MiB, see `renderer._BLOCK_SAMPLES`)
-stay on the heap and keep being reused. The trim threshold lets the heap
-keep up to 64 MiB free at its top rather than return it after each call
-and fault it back in on the next. At 8 MiB, twice the mmap threshold as
-glibc's own rule would set it, the pipeline took about 16.5k minor faults
-per call instead of 9k and ran 8-10% slower.
+Both thresholds are therefore fixed above what one operation uses. With
+the mmap threshold at 256 MiB, every block the pipeline allocates comes
+from the heap; with the trim threshold at 1 GiB, the heap keeps its free
+memory after a call. The next call reuses those pages instead of getting
+fresh mappings that the kernel must fault in and zero again. A 4 MiB
+threshold, which mapped each such block afresh, cost the in-process
+pipeline about 8,100 minor faults per call; now it takes about one.
+
+The process keeps its peak heap between operations, so its RSS after a
+call stays near its peak. Recycled memory is not zero: `np.empty` never
+promised zeros, and for `np.zeros` calloc now clears the memory itself
+instead of taking pages the kernel zeroed.
 """
 
 from __future__ import annotations
@@ -29,8 +33,8 @@ import os
 
 M_TRIM_THRESHOLD = -1  # mallopt parameter numbers from glibc's malloc.h
 M_MMAP_THRESHOLD = -3
-MMAP_THRESHOLD = 4 << 20  # bytes; blocks this large are mapped, not heap-grown
-TRIM_THRESHOLD = 64 << 20  # free bytes the heap top keeps before it shrinks
+MMAP_THRESHOLD = 256 << 20  # bytes; blocks this large are mapped, not heap-grown
+TRIM_THRESHOLD = 1 << 30  # free bytes the heap top keeps before it shrinks
 
 # settings a user may already have made for these thresholds
 _ENV = ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_")

@@ -10,12 +10,11 @@ import pytest
 from occgeom import _malloc
 
 # Run in a fresh interpreter: in this one, earlier tests may have left a
-# free heap top big enough to serve the array without a new mapping.
-_MAPPED_CHECK = """
-import ctypes, sys
+# free heap big enough to serve the array, or set other thresholds.
+_REUSE_CHECK = """
+import ctypes, resource, sys
 import numpy as np
 import occgeom
-from occgeom import _malloc
 
 class Mallinfo2(ctypes.Structure):
     _fields_ = [(n, ctypes.c_size_t) for n in (
@@ -23,14 +22,16 @@ class Mallinfo2(ctypes.Structure):
 
 libc = ctypes.CDLL(None)
 libc.mallinfo2.restype = Mallinfo2
-n = _malloc.MMAP_THRESHOLD // 8
-# freeing a mapped 12 MiB block raises glibc's sliding threshold past the
-# next array, which would then grow the heap instead of being mapped
-big = np.ones(3 * n)
-del big
-before = libc.mallinfo2().hblkhd
+n = 12 << 20  # a 96 MiB float64 array, just above occ-pipeline's largest
 arr = np.ones(n)
-sys.exit(0 if libc.mallinfo2().hblkhd - before >= arr.nbytes else 1)
+del arr
+mapped = libc.mallinfo2().hblkhd
+faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+arr = np.ones(n)
+faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+mapped = libc.mallinfo2().hblkhd - mapped
+print(f"{faults} minor faults, {mapped} bytes newly mapped")
+sys.exit(0 if faults < 100 and mapped <= 0 else 1)
 """
 
 
@@ -56,12 +57,16 @@ class TestFixThresholds:
         not (_malloc.is_glibc() and hasattr(ctypes.CDLL(None), "mallinfo2")),
         reason="needs glibc's mallinfo2",
     )
-    def test_block_at_threshold_is_mapped(self):
+    def test_freed_block_is_reused(self):
+        # the second array takes the heap memory the first one freed,
+        # instead of a new mapping the kernel must fault in and zero
         env = {
             k: v
             for k, v in os.environ.items()
             if k not in ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_", "GLIBC_TUNABLES")
         }
         env["PYTHONPATH"] = os.pathsep.join(sys.path)
-        proc = subprocess.run([sys.executable, "-c", _MAPPED_CHECK], env=env)
-        assert proc.returncode == 0
+        proc = subprocess.run(
+            [sys.executable, "-c", _REUSE_CHECK], env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
