@@ -3,7 +3,7 @@ run density self-training, and evaluate occupancy grids.
 
 Every command is deterministic given its config and seed; outputs carry no
 timestamps. Floats in traces and reports are printed with 9 significant
-digits. OCCGEOM_THREADS caps the per-camera worker pool (default 1).
+digits. Each command runs its views serially, in camera order.
 """
 
 from __future__ import annotations
@@ -44,13 +44,13 @@ class SceneConfig:
     def validate(self):
         if self.preset not in synthscene.PRESETS:
             raise ValueError(f"scene.preset must be one of {synthscene.PRESETS}")
-        if len(self.dims) != 3 or any(not 1 <= d <= 64 for d in self.dims):
+        if any(not 1 <= d <= 64 for d in self.dims):
             raise ValueError(f"scene.dims must be three extents in 1..64, got {self.dims}")
         if self.voxel_size <= 0:
             raise ValueError("scene.voxel_size must be positive")
         if not 2 <= self.num_cameras <= 6:
             raise ValueError("scene.num_cameras must be in 2..6")
-        if len(self.image_size) != 2 or any(s < 8 for s in self.image_size):
+        if any(s < 8 for s in self.image_size):
             raise ValueError(f"scene.image_size too small: {self.image_size}")
         if self.sigma_occ <= 0:
             raise ValueError("scene.sigma_occ must be positive")
@@ -73,7 +73,7 @@ class RenderConfig:
             raise ValueError(
                 f"render range invalid: [{self.t_near}, {self.t_far}]"
             )
-        if len(self.resolution) != 2 or any(r < 1 for r in self.resolution):
+        if any(r < 1 for r in self.resolution):
             raise ValueError(f"render.resolution invalid: {self.resolution}")
 
 
@@ -103,11 +103,15 @@ class OptimizeConfig:
 
 def _fits(hint, value) -> bool:
     """Whether a config value fits its field's annotation: int takes only
-    non-bool integers, float only finite non-bool reals, and tuple[X, ...]
-    a list or tuple whose elements fit X."""
+    non-bool integers, float only finite non-bool reals, and tuple[X, Y, ...]
+    a list or tuple of the same length whose elements fit X, Y, ... in turn."""
     if typing.get_origin(hint) is tuple:
-        elem = typing.get_args(hint)[0]
-        return isinstance(value, (list, tuple)) and all(_fits(elem, v) for v in value)
+        elems = typing.get_args(hint)
+        return (
+            isinstance(value, (list, tuple))
+            and len(value) == len(elems)
+            and all(_fits(e, v) for e, v in zip(elems, value))
+        )
     if isinstance(value, bool):
         return False
     if hint is int:
@@ -170,29 +174,6 @@ class ExperimentConfig:
         cfg.render.validate()
         cfg.optimize.validate()
         return cfg
-
-
-def worker_count() -> int:
-    """The per-camera worker cap from OCCGEOM_THREADS (1 when unset)."""
-    raw = os.environ.get("OCCGEOM_THREADS", "1")
-    try:
-        workers = int(raw)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ValueError(f"OCCGEOM_THREADS must be a positive integer, got {raw!r}")
-    return workers
-
-
-def _camera_map(fn, items):
-    workers = worker_count()
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    # imported here: a serial run (the default) never needs the pool
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=min(workers, len(items))) as pool:
-        return list(pool.map(fn, items))
 
 
 def _round9(obj):
@@ -267,17 +248,17 @@ def cmd_render(cfg: ExperimentConfig, scene_dir: str) -> dict:
     bundle = synthscene.load_scene(scene_dir)
     res = tuple(cfg.render.resolution)
     views = _latest_views(bundle)
-    rendered = _camera_map(
-        lambda cam: renderer.render_view(
+    rendered = [
+        renderer.render_view(
             bundle.density_gt, cam, res, cfg.render.t_near, cfg.render.t_far,
             cfg.render.samples,
-        ),
-        views,
-    )
-    oracles = _camera_map(
-        lambda cam: synthscene.raymarch_depth_oracle(bundle.grid, bundle.spec, cam, res),
-        views,
-    )
+        )
+        for cam in views
+    ]
+    oracles = [
+        synthscene.raymarch_depth_oracle(bundle.grid, bundle.spec, cam, res)
+        for cam in views
+    ]
     os.makedirs(cfg.output_dir, exist_ok=True)
     for i, (rd, oc) in enumerate(zip(rendered, oracles)):
         renderer.save_depth_pfm(rd, os.path.join(cfg.output_dir, f"depth_cam{i}.pfm"))
@@ -343,18 +324,18 @@ def cmd_selftrain(cfg: ExperimentConfig, scene_dir: str) -> dict:
     spec = bundle.spec
     # sample positions never depend on sigma: one plan per view serves
     # every forward render and adjoint of the run
-    plans = _camera_map(
-        lambda cam: renderer.RayPlan(
+    plans = [
+        renderer.RayPlan(
             spec, cam, res, cfg.render.t_near, cfg.render.t_far, cfg.render.samples
-        ),
-        views,
-    )
+        )
+        for cam in views
+    ]
     # likewise the context pairs' warp geometry never depends on depth
     ctx_plan = cast_mod.ContextPlan(rig, res)
 
     def forward(sig):
         fld = DensityField(sig, spec)
-        rendered = _camera_map(lambda plan: plan.render(fld), plans)
+        rendered = [plan.render(fld) for plan in plans]
         return [dm for dm, _ in rendered], [jac for _, jac in rendered]
 
     def gt_depth_error(depths):
@@ -400,12 +381,8 @@ def cmd_selftrain(cfg: ExperimentConfig, scene_dir: str) -> dict:
         if step == cfg.optimize.steps:  # the final sigma gets no update
             break
         sig_grad = np.zeros_like(sigma)
-        grad_views = _camera_map(
-            lambda iv: plans[iv].grad_sigma(jac_per_view[iv], grads[iv]),
-            list(range(n_cam)),
-        )
-        for g in grad_views:
-            sig_grad += g
+        for plan, jac, g in zip(plans, jac_per_view, grads):
+            sig_grad += plan.grad_sigma(jac, g)
         if not np.all(np.isfinite(sig_grad)):
             raise RuntimeError(f"selftrain diverged at step {step}: non-finite gradient")
         sigma = np.clip(sigma - cfg.optimize.step_size * sig_grad, 0.0, None)

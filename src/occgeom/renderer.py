@@ -402,17 +402,13 @@ def _render_rows(
     depth = np.empty(h * w)
     opacity = np.empty(h * w)
     for chunk in chunks:
-        start, stop = chunk.start, chunk.stop
-        if chunk.width:
-            rows = chunk.gather(sigma_pad)
-            d, o, _, jac = _render_batch(
-                rows, t[None, :], deltas[None, :], chunk.lo, with_jac=jac_out is not None
-            )
-        else:  # every weight, and so each sum, is +0.0
-            d = o = 0.0
-            jac = np.empty((stop - start, 0))  # the empty Jacobian
-        depth[start:stop] = d
-        opacity[start:stop] = o
+        # a zero-width window gathers [R x 0] rows: +0.0 depth and opacity
+        d, o, _, jac = _render_batch(
+            chunk.gather(sigma_pad), t[None, :], deltas[None, :], chunk.lo,
+            with_jac=jac_out is not None,
+        )
+        depth[chunk.start : chunk.stop] = d
+        opacity[chunk.start : chunk.stop] = o
         if jac_out is not None:
             jac_out.append(jac)
     depth = depth.reshape(h, w)
@@ -469,7 +465,7 @@ class RayPlan:
 
         The blocks are added in plan order, each as one corner-major sum
         per cell (PlanChunk.scatter), so the result depends on the plan
-        and its inputs only: serial and threaded runs give the same bits.
+        and its inputs only, bit for bit.
         It is not np.add.at's sample-major order, which differs by a few
         ulps."""
         if len(jac) != len(self.chunks):

@@ -4,8 +4,6 @@ import csv
 import json
 import os
 import re
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -96,6 +94,9 @@ class TestConfig:
             "cast.alpha=true",
             "render.S=64.0",
             "scene.dims=[16, 16.5, 8]",
+            "scene.origin=[0, 0]",
+            "scene.image_size=[8, 8, 8]",
+            "render.resolution=[180]",
         ],
     )
     def test_value_must_fit_field_type(self, override):
@@ -406,39 +407,6 @@ class TestMain:
         assert "voxel_size must be finite" in payload["message"]
         assert not (tmp_path / "r").exists()
 
-    def test_worker_env_cap(self, monkeypatch):
-        monkeypatch.delenv("OCCGEOM_THREADS", raising=False)
-        assert cli.worker_count() == 1
-        monkeypatch.setenv("OCCGEOM_THREADS", "3")
-        assert cli.worker_count() == 3
-        for bad in ("bogus", "0", "-2", "1.5", ""):
-            monkeypatch.setenv("OCCGEOM_THREADS", bad)
-            with pytest.raises(ValueError, match="OCCGEOM_THREADS"):
-                cli.worker_count()
-
-    def test_serial_import_leaves_out_the_thread_pool(self):
-        # a fresh interpreter: importing the CLI must not load
-        # concurrent.futures, which only a threaded run uses
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=src)
-        probe = "import sys, occgeom.cli; print('concurrent.futures' in sys.modules)"
-        out = subprocess.run([sys.executable, "-c", probe], env=env,
-                             capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "False"
-
-    def test_malformed_worker_env_is_a_structured_error(self, tmp_path, monkeypatch, capsys):
-        scene_dir = str(tmp_path / "scene")
-        assert main(["--out", scene_dir, "gen", "scene.dims=[16,16,8]",
-                     "scene.image_size=[16,24]"]) == 0
-        capsys.readouterr()
-        monkeypatch.setenv("OCCGEOM_THREADS", "bogus")
-        code = main(["--out", str(tmp_path / "r"), "render", "--scene-dir", scene_dir,
-                     "render.resolution=[16,24]", "render.S=16"])
-        assert code == 1
-        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-        assert payload["error"] == "ValueError"
-        assert "OCCGEOM_THREADS" in payload["message"]
-
 
 class TestDeterminism:
     def test_render_and_selftrain_byte_identical(self, tmp_path):
@@ -453,13 +421,4 @@ class TestDeterminism:
             cfg = make_cfg(tmp_path, name, **{"optimize.steps": 3})
             cmd_selftrain(cfg, scene)
         a, b = tree_bytes(tmp_path / "t1"), tree_bytes(tmp_path / "t2")
-        assert a.keys() == b.keys() and all(a[k] == b[k] for k in a)
-
-    def test_threaded_matches_serial(self, tmp_path, monkeypatch):
-        scene_cfg = make_cfg(tmp_path, "scene")
-        scene = cmd_gen(scene_cfg)
-        cmd_render(make_cfg(tmp_path, "serial"), scene)
-        monkeypatch.setenv("OCCGEOM_THREADS", "4")
-        cmd_render(make_cfg(tmp_path, "threaded"), scene)
-        a, b = tree_bytes(tmp_path / "serial"), tree_bytes(tmp_path / "threaded")
         assert a.keys() == b.keys() and all(a[k] == b[k] for k in a)
