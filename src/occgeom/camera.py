@@ -16,11 +16,13 @@ Conventions, fixed once and used everywhere:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import typing
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
 
+from .formats import naming, read_fields
 from .tensor import as_tensor
 
 _ORTHO_TOL = 1e-9
@@ -129,11 +131,11 @@ class CameraRig:
 
     def __post_init__(self):
         object.__setattr__(self, "cameras", tuple(Camera(*c) for c in self.cameras))
-        if len(self.cameras) < 1:
-            raise ValueError("rig needs at least one camera")
+        if not self.cameras or not self.ego_poses:
+            raise ValueError("rig needs at least one camera and one ego pose")
         ts = list(self.ego_poses.keys())
-        if any(not isinstance(t, int) for t in ts):
-            raise ValueError("ego pose timestamps must be integers")
+        if any(not isinstance(t, int) or t < 0 for t in ts):
+            raise ValueError(f"ego pose timestamps must be nonnegative integers, got {ts}")
         if any(b <= a for a, b in zip(ts, ts[1:])):
             raise ValueError(f"timestamps must be strictly increasing, got {ts}")
 
@@ -266,12 +268,8 @@ def relative_pose(
     The ego motion is conjugated into the camera frame by the mountings, so
     spatial_temporal equals spatial composed with temporal exactly.
     """
-    for c in (i, j):
-        if not 0 <= c < len(rig.cameras):
-            raise IndexError(f"camera index {c} out of range for rig of {len(rig.cameras)}")
-    for ts in (t, t2):
-        if ts not in rig.ego_poses:
-            raise KeyError(f"timestamp {ts} not in rig ({rig.timestamps()})")
+    for c, ts in ((i, t), (j, t2)):
+        camera_pose_at(rig, c, ts)  # raises on a camera or timestamp the rig lacks
     mount_i = rig.cameras[i].pose
     mount_j = rig.cameras[j].pose
     ego_motion = rig.ego_poses[t2].inverse().compose(rig.ego_poses[t])
@@ -295,42 +293,37 @@ def _pose_to_json(pose: Pose) -> dict:
     }
 
 
+_POSE_JSON = {"rotation": tuple[(float,) * 9], "translation": tuple[float, float, float]}
+_CAMERA_JSON = {**typing.get_type_hints(Intrinsics), **_POSE_JSON}
+
+
 def _pose_from_json(d: dict) -> Pose:
-    return Pose(np.array(d["rotation"]).reshape(3, 3), np.array(d["translation"]))
+    return Pose(np.array(d.pop("rotation")).reshape(3, 3), np.array(d.pop("translation")))
 
 
 def rig_to_json(rig: CameraRig) -> dict:
     """Explicit-field JSON form of a rig (rotations row-major, 9 floats)."""
     return {
-        "cameras": [
-            {
-                "fx": c.intrinsics.fx,
-                "fy": c.intrinsics.fy,
-                "cx": c.intrinsics.cx,
-                "cy": c.intrinsics.cy,
-                "width": c.intrinsics.width,
-                "height": c.intrinsics.height,
-                **_pose_to_json(c.pose),
-            }
-            for c in rig.cameras
-        ],
+        "cameras": [{**asdict(c.intrinsics), **_pose_to_json(c.pose)} for c in rig.cameras],
         "ego_poses": [
             {"timestamp": int(t), **_pose_to_json(p)} for t, p in rig.ego_poses.items()
         ],
     }
 
 
-def rig_from_json(d: dict) -> CameraRig:
-    cams = tuple(
-        Camera(
-            Intrinsics(
-                fx=c["fx"], fy=c["fy"], cx=c["cx"], cy=c["cy"],
-                width=c["width"], height=c["height"],
-            ),
-            _pose_from_json(c),
-        )
-        for c in d["cameras"]
-    )
-    ego = {int(e["timestamp"]): _pose_from_json(e) for e in d["ego_poses"]}
-    return CameraRig(cams, ego)
-
+def rig_from_json(d) -> CameraRig:
+    """The rig of `rig_to_json`'s form, read with `formats.read_fields`."""
+    d = read_fields(d, {"cameras": list, "ego_poses": list}, "rig")
+    cams, ego = [], {}
+    for i, c in enumerate(d["cameras"]):
+        c = read_fields(c, _CAMERA_JSON, f"rig.cameras[{i}]")
+        with naming(f"rig.cameras[{i}]"):
+            pose = _pose_from_json(c)
+            cams.append(Camera(Intrinsics(**c), pose))
+    for i, e in enumerate(d["ego_poses"]):
+        e = read_fields(e, {"timestamp": int, **_POSE_JSON}, f"rig.ego_poses[{i}]")
+        if e["timestamp"] in ego:
+            raise ValueError(f"rig.ego_poses[{i}].timestamp: {e['timestamp']} repeats")
+        with naming(f"rig.ego_poses[{i}]"):
+            ego[e["timestamp"]] = _pose_from_json(e)
+    return CameraRig(tuple(cams), ego)

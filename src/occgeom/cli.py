@@ -11,8 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
-import numbers
 import os
 import sys
 import typing
@@ -25,38 +23,9 @@ from . import metrics as metrics_mod
 from . import renderer, synthscene
 from .camera import Camera, camera_pose_at
 from .cast import PhotometricConfig
+from .formats import naming, read_fields
 from .occ_encdec import SemanticOccupancy
 from .renderer import DensityField
-from .view_transform import VoxelGridSpec
-
-
-@dataclass
-class SceneConfig:
-    seed: int = 0
-    preset: str = "corridor"
-    dims: tuple[int, int, int] = (32, 32, 8)
-    voxel_size: float = 0.4
-    origin: tuple[float, float, float] = (0.0, 0.0, 0.0)
-    num_cameras: int = 2
-    image_size: tuple[int, int] = (48, 80)
-    sigma_occ: float = 50.0
-
-    def validate(self):
-        if self.preset not in synthscene.PRESETS:
-            raise ValueError(f"scene.preset must be one of {synthscene.PRESETS}")
-        if any(not 1 <= d <= 64 for d in self.dims):
-            raise ValueError(f"scene.dims must be three extents in 1..64, got {self.dims}")
-        if self.voxel_size <= 0:
-            raise ValueError("scene.voxel_size must be positive")
-        if not 2 <= self.num_cameras <= 6:
-            raise ValueError("scene.num_cameras must be in 2..6")
-        if any(s < 8 for s in self.image_size):
-            raise ValueError(f"scene.image_size too small: {self.image_size}")
-        if self.sigma_occ <= 0:
-            raise ValueError("scene.sigma_occ must be positive")
-
-    def spec(self) -> VoxelGridSpec:
-        return VoxelGridSpec(tuple(self.dims), np.array(self.origin), self.voxel_size)
 
 
 @dataclass
@@ -66,7 +35,7 @@ class RenderConfig:
     t_far: float = 45.0
     resolution: tuple[int, int] = (180, 320)
 
-    def validate(self):
+    def __post_init__(self):
         if self.samples < 2:
             raise ValueError("render.S must be at least 2")
         if not 0 < self.t_near < self.t_far:
@@ -88,7 +57,7 @@ class OptimizeConfig:
     perturbation: float = 0.1  # fraction of sigma_occ, for perturbed_gt
     lidar_samples: int = 200  # sparse depth samples per camera (0 disables)
 
-    def validate(self):
+    def __post_init__(self):
         if self.steps < 0:
             raise ValueError("optimize.steps must be nonnegative")
         if self.step_size <= 0:
@@ -101,29 +70,9 @@ class OptimizeConfig:
             raise ValueError("optimize.lidar_samples must be nonnegative")
 
 
-def _fits(hint, value) -> bool:
-    """Whether a config value fits its field's annotation: int takes only
-    non-bool integers, float only finite non-bool reals, and tuple[X, Y, ...]
-    a list or tuple of the same length whose elements fit X, Y, ... in turn."""
-    if typing.get_origin(hint) is tuple:
-        elems = typing.get_args(hint)
-        return (
-            isinstance(value, (list, tuple))
-            and len(value) == len(elems)
-            and all(_fits(e, v) for e, v in zip(elems, value))
-        )
-    if isinstance(value, bool):
-        return False
-    if hint is int:
-        return isinstance(value, numbers.Integral)
-    if hint is float:
-        return isinstance(value, numbers.Real) and math.isfinite(value)
-    return isinstance(value, hint)
-
-
 @dataclass
 class ExperimentConfig:
-    scene: SceneConfig = field(default_factory=SceneConfig)
+    scene: synthscene.SceneConfig = field(default_factory=synthscene.SceneConfig)
     render: RenderConfig = field(default_factory=RenderConfig)
     cast: PhotometricConfig = field(default_factory=PhotometricConfig)
     optimize: OptimizeConfig = field(default_factory=OptimizeConfig)
@@ -131,49 +80,21 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(raw: dict) -> "ExperimentConfig":
-        raw = dict(raw)
-        known = {"scene", "render", "cast", "optimize", "output_dir"}
-        unknown = set(raw) - known
-        if unknown:
-            raise ValueError(f"unknown config sections: {sorted(unknown)}")
-
-        def build(cls, section, rename=None):
-            data = raw.get(section, {})
-            if not isinstance(data, dict):
-                raise ValueError(f"config.{section} must be an object, got {data!r}")
-            data = dict(data)
-            rename = rename or {}
-            for src, dst in rename.items():
-                if src in data:
-                    data[dst] = data.pop(src)
-            hints = typing.get_type_hints(cls)
-            bad = set(data) - set(hints)
-            if bad:
-                raise ValueError(f"unknown keys in config.{section}: {sorted(bad)}")
-            config_key = {dst: src for src, dst in rename.items()}
-            for k, value in data.items():
-                if not _fits(hints[k], value):
-                    raise ValueError(
-                        f"{section}.{config_key.get(k, k)}: {value!r} is not a valid "
-                        f"{cls.__dataclass_fields__[k].type}"
-                    )
-                if typing.get_origin(hints[k]) is tuple:
-                    data[k] = tuple(value)
-            return cls(**data)
-
-        cfg = ExperimentConfig(
-            scene=build(SceneConfig, "scene"),
-            render=build(RenderConfig, "render", rename={"S": "samples"}),
-            cast=build(PhotometricConfig, "cast"),
-            optimize=build(OptimizeConfig, "optimize"),
-            output_dir=raw.get("output_dir", "occgeom_out"),
+        sections = typing.get_type_hints(ExperimentConfig)
+        del sections["output_dir"]  # each other field is a section, which its own read checks
+        top = read_fields(
+            raw, {**dict.fromkeys(sections, object), "output_dir": str}, "", "config",
+            required=False,
         )
-        if not isinstance(cfg.output_dir, str):
-            raise ValueError(f"output_dir: {cfg.output_dir!r} is not a valid str")
-        cfg.scene.validate()
-        cfg.render.validate()
-        cfg.optimize.validate()
-        return cfg
+        for section, cls in sections.items():
+            fields = typing.get_type_hints(cls)
+            keys = {"S" if f == "samples" else f: f for f in fields}  # config key -> field
+            data = read_fields(
+                top.get(section, {}), {k: fields[f] for k, f in keys.items()}, section,
+                f"config.{section}", required=False,
+            )
+            top[section] = cls(**{keys[k]: v for k, v in data.items()})
+        return ExperimentConfig(**top)
 
 
 def _round9(obj):
@@ -454,7 +375,7 @@ def _apply_override(raw: dict, key: str, value: str):
 def load_config(path: str | None, overrides: list[str], out: str | None, seed: int | None) -> ExperimentConfig:
     raw: dict = {}
     if path:
-        with open(path) as f:
+        with open(path) as f, naming(path):
             raw = json.load(f)
     for ov in overrides:
         if "=" not in ov:
@@ -462,7 +383,7 @@ def load_config(path: str | None, overrides: list[str], out: str | None, seed: i
         key, value = ov.split("=", 1)
         _apply_override(raw, key, value)
     if seed is not None:
-        raw.setdefault("scene", {})["seed"] = seed
+        _apply_override(raw, "scene.seed", str(seed))
     if out is not None:
         raw["output_dir"] = out
     return ExperimentConfig.from_dict(raw)

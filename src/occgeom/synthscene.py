@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import os
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,6 +75,40 @@ class SceneBundle:
     @property
     def spec(self) -> VoxelGridSpec:
         return self.density_gt.spec
+
+
+@dataclass
+class SceneConfig:
+    """A scene's parameters: the config's `scene` section, and scene.json's."""
+
+    seed: int = 0
+    preset: str = "corridor"
+    dims: tuple[int, int, int] = (32, 32, 8)
+    voxel_size: float = 0.4
+    origin: tuple[float, float, float] = (0.0, 0.0, 0.0)
+    num_cameras: int = 2
+    image_size: tuple[int, int] = (48, 80)
+    sigma_occ: float = 50.0
+
+    def __post_init__(self):
+        if self.preset not in PRESETS:
+            raise ValueError(f"scene.preset must be one of {PRESETS}, got {self.preset!r}")
+        low = _MIN_DIMS[self.preset]
+        if any(not m <= d <= 64 for d, m in zip(self.dims, low)):
+            raise ValueError(
+                f"scene.dims must be <= 64, and preset {self.preset!r} needs dims >= {low}, "
+                f"got {self.dims}"
+            )
+        if not 2 <= self.num_cameras <= 6:
+            raise ValueError(f"scene.num_cameras must be in 2..6, got {self.num_cameras}")
+        if any(s < 8 for s in self.image_size):
+            raise ValueError(f"scene.image_size too small: {self.image_size}")
+        if self.sigma_occ <= 0:
+            raise ValueError("scene.sigma_occ must be positive")
+        self.spec()  # the grid's own checks
+
+    def spec(self) -> VoxelGridSpec:
+        return VoxelGridSpec(tuple(self.dims), np.array(self.origin), self.voxel_size)
 
 
 def _hash01(ix, iy, iz, salt: int) -> np.ndarray:
@@ -405,21 +440,16 @@ def build_scene(
 ) -> SceneBundle:
     """Generate a deterministic scene bundle.
 
-    The grid must be desk scale (every extent <= 64). The ego sits inside
-    the scene on a free column, moves 0.5-2 m with <= 5 degrees of yaw
+    The arguments must pass `SceneConfig`'s checks: among others, the grid
+    must be desk scale (every extent <= 64). The ego sits inside the scene
+    on a free column, moves 0.5-2 m with <= 5 degrees of yaw
     between the two timestamps, and carries `num_cameras` cameras in a ring.
     sigma_occ is the density written on occupied voxels; at the default 50/m
     and 0.4 m voxels a single voxel is effectively opaque, which is the
     regime where the first-hit oracle comparison is meaningful.
     """
-    if preset not in PRESETS:
-        raise ValueError(f"unknown preset {preset!r}; choose from {PRESETS}")
-    if any(d > 64 for d in spec.dims):
-        raise ValueError(f"desk-scale grids only (dims <= 64), got {spec.dims}")
-    if any(d < m for d, m in zip(spec.dims, _MIN_DIMS[preset])):
-        raise ValueError(f"preset {preset!r} needs dims >= {_MIN_DIMS[preset]}, got {spec.dims}")
-    if num_cameras < 2 or num_cameras > 6:
-        raise ValueError(f"rig supports 2-6 cameras, got {num_cameras}")
+    SceneConfig(seed, preset, spec.dims, spec.voxel_size, spec.origin, num_cameras, image_size,
+                sigma_occ)
     rng = np.random.default_rng(seed)
     x, y, z = spec.dims
     if preset == "corridor":
@@ -497,7 +527,6 @@ def build_scene(
 def save_scene(bundle: SceneBundle, directory) -> None:
     """Persist a bundle: scene.json, raw label/visibility grids, PPM images,
     PFM depths with PGM validity masks. Byte-deterministic."""
-    os.makedirs(directory, exist_ok=True)
     os.makedirs(os.path.join(directory, "images"), exist_ok=True)
     os.makedirs(os.path.join(directory, "depths"), exist_ok=True)
     spec = bundle.spec
@@ -540,50 +569,47 @@ def _read_raw_grid(directory, name: str, dims: tuple[int, int, int]) -> np.ndarr
 def load_scene(directory) -> SceneBundle:
     """Load a persisted bundle.
 
-    Images come back 8-bit quantized and depths float32-rounded; opacity is
+    scene.json is read like the config, with `formats.read_fields`, and
+    passes the checks of `SceneConfig` and the camera classes. Images come
+    back 8-bit quantized and depths float32-rounded; opacity is
     reconstructed as the validity indicator. Raises ValueError naming the
-    file when a raw grid's byte count differs from the voxel count, an
-    image or depth map differs from `image_size`, or a label exceeds
+    file (in scene.json also the key, e.g. `rig.cameras[1].fx`) on a bad
+    value, a raw grid whose byte count differs from the voxel count, an
+    image or depth map that differs from `image_size`, or a label above
     `num_classes` (the free label).
     """
-    with open(os.path.join(directory, "scene.json")) as f:
-        meta = json.load(f)
-    spec = VoxelGridSpec(
-        tuple(meta["spec"]["dims"]),
-        np.array(meta["spec"]["origin"]),
-        meta["spec"]["voxel_size"],
-    )
+    path = os.path.join(directory, "scene.json")
+    hints = typing.get_type_hints(SceneConfig)
+    spec_hints = {k: hints.pop(k) for k in ("dims", "origin", "voxel_size")}
+    del hints["num_cameras"]  # the length of rig.cameras
+    with open(path) as f, formats.naming(path):
+        meta = formats.read_fields(
+            json.load(f), {**hints, "num_classes": int, "spec": object, "rig": object}, ""
+        )
+        spec = formats.read_fields(meta.pop("spec"), spec_hints, "spec")
+        rig = rig_from_json(meta.pop("rig"))
+        num_classes = meta.pop("num_classes")
+        scene = SceneConfig(**meta, **spec, num_cameras=len(rig.cameras))
+    spec = scene.spec()
     labels = _read_raw_grid(directory, "grid.raw", spec.dims).astype(np.int64)
-    num_classes = meta["num_classes"]
     if labels.max() > num_classes:
         raise ValueError(
             f"{os.path.join(directory, 'grid.raw')}: label {labels.max()} "
-            f"above num_classes {num_classes}"
+            f"above num_classes {num_classes} of {path}"
         )
     visible = _read_raw_grid(directory, "visible.raw", spec.dims).astype(bool)
-    rig = rig_from_json(meta["rig"])
     grid = SemanticOccupancy.from_labels(labels, num_classes)
-    density = DensityField(meta["sigma_occ"] * (labels != num_classes), spec)
+    density = DensityField(scene.sigma_occ * (labels != num_classes), spec)
     images = {}
     gt_depths = {}
-    h, w = meta["image_size"]
-
-    def read(reader, path):
-        data = reader(path)
-        if data.shape[:2] != (h, w):
-            raise ValueError(
-                f"{path}: image shape {data.shape[:2]} differs from image_size {(h, w)}"
-            )
-        return data
-
     for t in rig.timestamps():
         for ci in range(len(rig.cameras)):
-            images[(ci, t)] = read(
-                formats.read_ppm, os.path.join(directory, "images", f"cam{ci}_t{t}.ppm")
+            images[(ci, t)] = formats.read_ppm(
+                os.path.join(directory, "images", f"cam{ci}_t{t}.ppm"), scene.image_size
             )
             base = os.path.join(directory, "depths", f"cam{ci}_t{t}")
-            depth = read(formats.read_pfm, base + ".pfm")
-            valid = read(formats.read_pgm, base + "_valid.pgm") > 0
+            depth = formats.read_pfm(base + ".pfm", scene.image_size)
+            valid = formats.read_pgm(base + "_valid.pgm", scene.image_size) > 0
             gt_depths[(ci, t)] = DepthMap(
                 depth=depth, valid=valid, opacity=valid.astype(np.float64)
             )
@@ -594,8 +620,8 @@ def load_scene(directory) -> SceneBundle:
         images=images,
         gt_depths=gt_depths,
         visible=visible,
-        seed=int(meta["seed"]),
-        preset=meta["preset"],
-        sigma_occ=float(meta["sigma_occ"]),
-        image_size=(int(h), int(w)),
+        seed=scene.seed,
+        preset=scene.preset,
+        sigma_occ=scene.sigma_occ,
+        image_size=scene.image_size,
     )

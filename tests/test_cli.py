@@ -391,12 +391,22 @@ class TestMain:
         payload = json.loads(err.strip().splitlines()[-1])
         assert "error" in payload and "message" in payload
 
-    def test_non_finite_scene_geometry_is_a_structured_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "edit, key",
+        [
+            (lambda m: m["spec"].update(voxel_size=float("nan")), "spec.voxel_size"),
+            (lambda m: m["rig"]["cameras"][1].update(fx=None), "rig.cameras[1].fx"),
+            (lambda m: m["rig"]["ego_poses"][1].update(timestamp=2.5),
+             "rig.ego_poses[1].timestamp"),
+        ],
+        ids=["voxel_size-nan", "fx-null", "timestamp-2.5"],
+    )
+    def test_non_finite_scene_geometry_is_a_structured_error(self, tmp_path, capsys, edit, key):
         scene_dir = tmp_path / "scene"
         assert main(["--out", str(scene_dir), "gen", "scene.dims=[16,16,8]",
                      "scene.image_size=[16,24]"]) == 0
         meta = json.loads((scene_dir / "scene.json").read_text())
-        meta["spec"]["voxel_size"] = float("nan")
+        edit(meta)
         (scene_dir / "scene.json").write_text(json.dumps(meta))
         capsys.readouterr()
         code = main(["--out", str(tmp_path / "r"), "render", "--scene-dir", str(scene_dir),
@@ -404,7 +414,7 @@ class TestMain:
         assert code == 1
         payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert payload["error"] == "ValueError"
-        assert "voxel_size must be finite" in payload["message"]
+        assert f"scene.json: {key}: " in payload["message"]
         assert not (tmp_path / "r").exists()
 
 

@@ -767,7 +767,7 @@ class TestPersistence:
         meta = json.loads((saved / "scene.json").read_text())
         meta["spec"][key] = value
         (saved / "scene.json").write_text(json.dumps(meta))
-        with pytest.raises(ValueError, match=f"{key} must be finite"):
+        with pytest.raises(ValueError, match=rf"scene\.json: spec\.{key}: .* is not a valid "):
             load_scene(saved)
 
     @pytest.mark.parametrize("dims", [[32.9, 32, 8], [32, 32, 8.0], [32, True, 8]])
@@ -777,20 +777,21 @@ class TestPersistence:
         assert meta["spec"]["dims"] == [32, 32, 8]
         meta["spec"]["dims"] = dims
         (saved / "scene.json").write_text(json.dumps(meta))
-        with pytest.raises(ValueError, match=r"dims must be integers, got \(32"):
+        with pytest.raises(
+            ValueError, match=r"scene\.json: spec\.dims: \[32.* is not a valid tuple\[int, int, int\]"
+        ):
             load_scene(saved)
 
     @pytest.mark.parametrize(
-        "key, value, message",
-        [("fx", float("inf"), "focal lengths must be finite"),
-         ("width", 24.5, "width and height must be integers"),
-         ("translation", [float("nan"), 0.0, 0.0], "translation must be finite")],
+        "key, value, kind",
+        [("fx", float("inf"), "float"), ("width", 24.5, "int"),
+         ("translation", [float("nan"), 0.0, 0.0], "tuple")],
     )
-    def test_bad_camera_rejected(self, saved, key, value, message):
+    def test_bad_camera_rejected(self, saved, key, value, kind):
         meta = json.loads((saved / "scene.json").read_text())
         meta["rig"]["cameras"][0][key] = value
         (saved / "scene.json").write_text(json.dumps(meta))
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=rf"scene\.json: rig\.cameras\[0\]\.{key}: .* is not a valid {kind}"):
             load_scene(saved)
 
     def test_saved_bytes_deterministic(self, tmp_path):
@@ -801,3 +802,117 @@ class TestPersistence:
             assert (tmp_path / "a" / name).read_bytes() == (
                 tmp_path / "b" / name
             ).read_bytes()
+
+
+# Every value of the edit fuzz below goes into every field of a saved
+# two-camera, two-timestamp scene.json, one edit at a time.
+FUZZ_VALUES = [None, "x", -1, 0, 1e308, float("nan"), True, [], {}, 2.5, -0.0]
+_POSE_FIELDS = {"rotation": (float, 9), "translation": (float, 3)}
+_CAMERA_FIELDS = {
+    "fx": float, "fy": float, "cx": float, "cy": float, "width": int, "height": int,
+    **_POSE_FIELDS,
+}
+# edits of the right type that a range check must reject, by key path; the
+# fuzz scene's images are 12 x 8 pixels with the principal point at (5.5, 3.5)
+OUT_OF_RANGE = {
+    "spec": [{}],  # an empty object lacks every key
+    "rig": [{}],
+    "rig.cameras[1]": [{}],
+    "preset": ["x"],
+    "num_classes": [-1, 0],  # the grid holds labels 0..4
+    "sigma_occ": [-1, 0, -0.0],
+    "spec.voxel_size": [-1, 0, -0.0],
+    "rig.cameras": [[]],
+    "rig.ego_poses": [[]],
+    "rig.ego_poses[0].timestamp": [-1],
+    "rig.ego_poses[1].timestamp": [-1, 0],
+    **{
+        f"rig.cameras[{i}].{k}": values
+        for i in range(2)
+        for k, values in {
+            "fx": [-1, 0, -0.0], "fy": [-1, 0, -0.0], "cx": [-1, 1e308], "cy": [-1, 1e308],
+            "width": [-1, 0], "height": [-1, 0],
+        }.items()
+    },
+}
+
+
+def scene_json_fields() -> list[tuple[tuple, object]]:
+    """(key path, type) of every field and container of the fuzz scene.json.
+    A type (T, n) is a list of n values of type T."""
+    fields = [
+        (("seed",), int), (("preset",), str), (("num_classes",), int), (("sigma_occ",), float),
+        (("image_size",), (int, 2)), (("spec",), dict), (("spec", "dims"), (int, 3)),
+        (("spec", "origin"), (float, 3)), (("spec", "voxel_size"), float), (("rig",), dict),
+        (("rig", "cameras"), list), (("rig", "ego_poses"), list), (("rig", "cameras", 1), dict),
+    ]
+    for i in range(2):
+        fields += [(("rig", "cameras", i, k), t) for k, t in _CAMERA_FIELDS.items()]
+        fields += [
+            (("rig", "ego_poses", i, k), t)
+            for k, t in {"timestamp": int, **_POSE_FIELDS}.items()
+        ]
+    return fields
+
+
+def key_path(path: tuple) -> str:
+    return "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path)[1:]
+
+
+def has_type(kind, value) -> bool:
+    if isinstance(kind, tuple):
+        elem, n = kind
+        return isinstance(value, list) and len(value) == n and all(has_type(elem, v) for v in value)
+    if kind is float:
+        return type(value) in (int, float) and np.isfinite(value)
+    return type(value) is kind
+
+
+class TestSceneJsonFuzz:
+    def test_every_edit_loads_in_range_or_names_the_key(self, tmp_path):
+        # an edit loads only if its value has the field's type and passes
+        # the range checks; any other edit raises a ValueError naming
+        # scene.json and the key path (a type error), or the key's name or
+        # an object holding it (a range error); never a TypeError, an
+        # OSError, a bool taken for a number or a truncated non-integer
+        scene = tmp_path / "scene"
+        save_scene(bundle(seed=5, preset="boxes", size=(8, 12),
+                          spec=VoxelGridSpec((8, 8, 4), np.zeros(3), 0.4)), scene)
+        saved = json.loads((scene / "scene.json").read_text())
+        assert len(saved["rig"]["cameras"]) == len(saved["rig"]["ego_poses"]) == 2
+        problems, loaded = [], set()
+        for path, kind in scene_json_fields():
+            for value in FUZZ_VALUES:
+                meta = json.loads(json.dumps(saved))
+                node = meta
+                for k in path[:-1]:
+                    node = node[k]
+                node[path[-1]] = value
+                (scene / "scene.json").write_text(json.dumps(meta))
+                where, fits = key_path(path), has_type(kind, value)
+                edit = f"{where} = {value!r}"
+                try:
+                    load_scene(scene)
+                except Exception as exc:
+                    msg = str(exc)
+                    # the key's own name, or the path of an object holding it
+                    named = isinstance(path[-1], str) and path[-1] in msg or any(
+                        key_path(path[:k]) in msg for k in range(1, len(path))
+                    )
+                    if not isinstance(exc, ValueError):
+                        problems.append(f"{edit}: {type(exc).__name__}: {msg}")
+                    elif "scene.json" not in msg:
+                        problems.append(f"{edit}: message names no file: {msg}")
+                    elif not fits and f"{where}: " not in msg and f"{where} must be" not in msg:
+                        problems.append(f"{edit}: type error names no key: {msg}")
+                    elif fits and not named:
+                        problems.append(f"{edit}: range error names no key: {msg}")
+                    elif fits and value not in OUT_OF_RANGE.get(where, []):
+                        problems.append(f"{edit}: in-range edit rejected: {msg}")
+                else:
+                    loaded.add(edit)
+                    if not fits or value in OUT_OF_RANGE.get(where, []):
+                        problems.append(f"{edit}: loaded")
+        assert not problems, "\n".join(problems)
+        # sanity: the fuzz does load in-range edits of the right type
+        assert {"seed = 0", "rig.cameras[1].cx = 2.5", "sigma_occ = 1e+308"} <= loaded
