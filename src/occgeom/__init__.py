@@ -6,7 +6,7 @@ Subpackages by concern:
   view_transform  explicit lift-and-pool plus implicit projection sampling
   occ_encdec      windowed-attention encoder and masked semantic decoder
   renderer        depth volume rendering and its density gradient
-  cast            photometric self-supervision across cameras and time
+  cast            photometric self-supervision over a rig's context pairs
   metrics         occupancy IoU / mIoU
   synthscene      procedural test worlds and first-hit oracles
   cli             the `occgeom` command line
@@ -19,7 +19,7 @@ from . import _malloc
 _malloc.fix_thresholds()
 
 from .camera import Camera, CameraRig, Intrinsics, Pose
-from .cast import PhotometricConfig, WarpContext
+from .cast import PhotometricConfig
 from .metrics import EvalResult
 from .occ_encdec import SemanticOccupancy, SemanticQuerySet, WindowedAttentionParams
 from .renderer import DensityField, DepthMap
@@ -41,7 +41,6 @@ __all__ = [
     "SemanticOccupancy",
     "SemanticQuerySet",
     "VoxelGridSpec",
-    "WarpContext",
     "WindowedAttentionParams",
 ]
 

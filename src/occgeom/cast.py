@@ -4,8 +4,10 @@ A rendered target depth map turns a source image from another camera and/or
 timestamp into a reconstruction of the target view (inverse warping); an
 SSIM + L1 photometric loss compares reconstruction and reference, and the
 weighted sum over temporal, spatial and spatial-temporal context pairs is
-the self-training signal. Every loss returns its analytic gradient with
-respect to the rendered depth alongside its value.
+the self-training signal. A ContextPlan, built once per rig and
+resolution, holds each context pair as one record; cast_loss and
+pretrain_loss take it in place of the rig. Every loss returns its analytic
+gradient with respect to the rendered depth alongside its value.
 """
 
 from __future__ import annotations
@@ -47,46 +49,18 @@ class PhotometricConfig:
 
 
 @dataclass(frozen=True)
-class WarpContext:
-    """A source->target reprojection: which frames, and the relative pose."""
-
-    kind: str
-    source: tuple[int, int]  # (camera, timestamp)
-    target: tuple[int, int]
-    pose: Pose  # source-camera coords -> target-camera coords
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown context kind {self.kind!r}")
-        if self.kind == "temporal" and self.source[0] != self.target[0]:
-            raise ValueError("temporal context must keep the camera fixed")
-        if self.kind == "spatial" and self.source[1] != self.target[1]:
-            raise ValueError("spatial context must keep the timestamp fixed")
-
-
-def make_warp_context(
-    rig: CameraRig, kind: str, source: tuple[int, int], target: tuple[int, int]
-) -> WarpContext:
-    pose = cam_mod.relative_pose(
-        kind, rig, source[0], target[0], source[1], target[1]
-    )
-    return WarpContext(kind, tuple(source), tuple(target), pose)
-
-
-@dataclass(frozen=True)
 class PairGeometry:
     """The depth-independent part of one context warp."""
 
-    ctx: WarpContext
     k_src: Intrinsics
     inv: Pose  # target-camera coords -> source-camera coords
     units: np.ndarray  # unit target ray per pixel, [H*W x 3]
     dp_dd: np.ndarray  # d(p_src)/d(depth) per pixel, [H*W x 3]
 
 
-def _pair_geometry(ctx: WarpContext, k_src: Intrinsics, units: np.ndarray) -> PairGeometry:
-    inv = ctx.pose.inverse()
-    return PairGeometry(ctx, k_src, inv, units, units @ inv.rotation.T)
+def _pair_geometry(pose: Pose, k_src: Intrinsics, units: np.ndarray) -> PairGeometry:
+    inv = pose.inverse()
+    return PairGeometry(k_src, inv, units, units @ inv.rotation.T)
 
 
 def _warp_core(src_img: np.ndarray, target_depth: DepthMap, geom: PairGeometry):
@@ -128,23 +102,25 @@ def _warp_core(src_img: np.ndarray, target_depth: DepthMap, geom: PairGeometry):
 def warp_image(
     src_img: np.ndarray,
     target_depth: DepthMap,
-    ctx: WarpContext,
+    pose: Pose,
     k_src: Intrinsics,
     k_tgt: Intrinsics,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Inverse-warp a source image into the target view.
 
-    Each valid target pixel is lifted to 3D with its rendered ray distance,
-    mapped into the source camera by the inverse context pose, projected,
-    and bilinearly sampled. A pixel is valid iff the target depth is valid
-    AND the source projection lands in front of the camera and in bounds.
+    `pose` maps source-camera into target-camera coordinates, as
+    camera.relative_pose gives it. Each valid target pixel is lifted to 3D
+    with its rendered ray distance, mapped into the source camera by the
+    inverse pose, projected, and bilinearly sampled. A pixel is valid iff
+    the target depth is valid AND the source projection lands in front of
+    the camera and in bounds.
 
     Returns:
         (recon [H x W x C], valid [H x W] bool,
          d(recon)/d(target depth) [H x W x C], zero where invalid)
     """
     units = cam_mod.unit_camera_rays(k_tgt, cam_mod.pixel_grid(*target_depth.depth.shape))[0]
-    return _warp_core(src_img, target_depth, _pair_geometry(ctx, k_src, units))
+    return _warp_core(src_img, target_depth, _pair_geometry(pose, k_src, units))
 
 
 def _box_mean(x: np.ndarray, window: int) -> np.ndarray:
@@ -297,37 +273,37 @@ class ContextPlan:
     """Depth-independent geometry of every context pair of a rig.
 
     The counterpart of renderer.RayPlan for the context loss: built once
-    from (rig, target resolution), it holds per pair of context_pairs(rig)
-    the WarpContext, the source intrinsics, the inverse context pose, the
-    unit target rays and their derivative in the source frame. Each loss
-    evaluation then only projects the new depths and samples the pixels
-    whose warp is valid.
+    from (rig, target resolution), it holds one record per pair of
+    context_pairs(rig): (kind, source, target, PairGeometry), the geometry
+    being the source intrinsics, the inverse of camera.relative_pose's
+    source->target pose, the unit target rays and their derivative in the
+    source frame. Each loss evaluation then only projects the new depths
+    and samples the pixels whose warp is valid.
     """
 
     def __init__(self, rig: CameraRig, resolution: tuple[int, int]):
         h, w = (int(r) for r in resolution)
-        self.rig = rig
+        self.n_cameras = len(rig.cameras)
         self.resolution = (h, w)
         units = [
             cam_mod.unit_camera_rays(c.intrinsics, cam_mod.pixel_grid(h, w))[0]
             for c in rig.cameras
         ]
         self.pairs = [
-            _pair_geometry(
-                make_warp_context(rig, kind, src, tgt),
+            (kind, src, tgt, _pair_geometry(
+                cam_mod.relative_pose(kind, rig, src[0], tgt[0], src[1], tgt[1]),
                 rig.cameras[src[0]].intrinsics,
                 units[tgt[0]],
-            )
+            ))
             for kind, src, tgt in context_pairs(rig)
         ]
-        self.n_pairs = {k: sum(g.ctx.kind == k for g in self.pairs) for k in KINDS}
+        self.n_pairs = {k: sum(p[0] == k for p in self.pairs) for k in KINDS}
 
     def check(self, depths: Sequence[DepthMap]) -> None:
         """Raise ValueError unless `depths` holds one map per camera at the
         plan's resolution."""
-        n = len(self.rig.cameras)
-        if len(depths) != n:
-            raise ValueError(f"{len(depths)} depth maps for {n} cameras")
+        if len(depths) != self.n_cameras:
+            raise ValueError(f"{len(depths)} depth maps for {self.n_cameras} cameras")
         h, w = self.resolution
         for i, dm in enumerate(depths):
             if dm.depth.shape != (h, w):
@@ -338,15 +314,15 @@ class ContextPlan:
 
 
 def cast_loss(
-    rig: CameraRig,
+    plan: ContextPlan,
     images: Mapping[tuple[int, int], np.ndarray],
     depths: Sequence[DepthMap],
     cfg: PhotometricConfig,
-    plan: ContextPlan | None = None,
 ) -> tuple[float, dict, list[np.ndarray]]:
     """Total context-aware self-training loss, its breakdown, and
     d(total)/d(rendered depth) per camera, each [H x W].
 
+    `plan` is the ContextPlan of the rig at the depth resolution, and
     `depths` holds one rendered depth map per camera at the latest rig
     timestamp. Each context term averages its pair losses; with a single
     camera the spatial terms are zero and flagged inactive in the
@@ -354,15 +330,8 @@ def cast_loss(
     {"L_t", "L_sp", "L_spt", "total", "active_pairs", "empty_pairs",
     "valid_px_t", "valid_px_sp", "valid_px_spt"}; a pair is empty when no
     target pixel warps validly, and valid_px_* sums the valid pixels over
-    each kind's pairs. `plan` is a ContextPlan of `rig` at the depth
-    resolution; without one a one-shot plan is built.
+    each kind's pairs.
     """
-    if plan is None:
-        if len(depths) != len(rig.cameras):
-            raise ValueError(f"{len(depths)} depth maps for {len(rig.cameras)} cameras")
-        plan = ContextPlan(rig, depths[0].depth.shape)
-    elif plan.rig is not rig:
-        raise ValueError("the context plan was built for another rig")
     plan.check(depths)
     lam = {
         "temporal": cfg.lambda_t,
@@ -373,8 +342,7 @@ def cast_loss(
     valid_px = dict.fromkeys(KINDS, 0)
     grads = [np.zeros_like(dm.depth) for dm in depths]
     active = 0
-    for geom in plan.pairs:
-        kind, src, tgt = geom.ctx.kind, geom.ctx.source, geom.ctx.target
+    for kind, src, tgt, geom in plan.pairs:
         if src not in images or tgt not in images:
             raise KeyError(f"missing image for frame {src if src not in images else tgt}")
         recon, valid, drecon = _warp_core(images[src], depths[tgt[0]], geom)
@@ -451,23 +419,22 @@ def depth_bin_cross_entropy(
 
 
 def pretrain_loss(
-    rig: CameraRig,
+    plan: ContextPlan,
     images: Mapping[tuple[int, int], np.ndarray],
     depths: Sequence[DepthMap],
     sparse: Sequence[np.ndarray | None],
     cfg: PhotometricConfig,
-    plan: ContextPlan | None = None,
 ) -> tuple[float, dict, list[np.ndarray]]:
     """Pretraining objective: rendered-depth L1 + context loss, with its
     breakdown and d(total)/d(rendered depth) per camera.
 
     `sparse` carries per-camera [(u, v, depth)] supervision at the latest
-    timestamp (empty/None entries contribute nothing); `plan` is passed on
-    to the context loss. The breakdown adds "L_rd" and "L_cast" to
+    timestamp (empty/None entries contribute nothing); `plan` and `images`
+    are the context loss's. The breakdown adds "L_rd" and "L_cast" to
     cast_loss's keys.
     """
     l_rd, rd_grads = depth_l1_loss(depths, sparse)
-    l_cast, parts, cast_grads = cast_loss(rig, images, depths, cfg, plan)
+    l_cast, parts, cast_grads = cast_loss(plan, images, depths, cfg)
     total = l_rd + l_cast
     breakdown = {"L_rd": l_rd, **parts, "L_cast": l_cast, "total": total}
     return total, breakdown, [rd + cg for rd, cg in zip(rd_grads, cast_grads)]

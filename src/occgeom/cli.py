@@ -279,7 +279,7 @@ def cmd_selftrain(cfg: ExperimentConfig, scene_dir: str) -> dict:
         if step == 0:
             initial_err = gt_depth_error(depths)
         total, parts, grads = cast_mod.pretrain_loss(
-            rig, bundle.images, depths, sparse, cfg.cast, plan=ctx_plan
+            ctx_plan, bundle.images, depths, sparse, cfg.cast
         )
         if not np.isfinite(total):
             raise RuntimeError(
@@ -377,6 +377,8 @@ def load_config(path: str | None, overrides: list[str], out: str | None, seed: i
     if path:
         with open(path) as f, naming(path):
             raw = json.load(f)
+            if not isinstance(raw, dict):
+                raise ValueError(f"the top level must be an object, got {raw!r}")
     for ov in overrides:
         if "=" not in ov:
             raise ValueError(f"override {ov!r} is not key=value")

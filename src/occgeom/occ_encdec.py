@@ -11,7 +11,7 @@ unscaled (no 1/sqrt(d)); only the encoder uses the scale.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -176,7 +176,7 @@ def windowed_attention(
     attn = softmax(logits, axis=-1)
     out = attn @ v
     merged = _merge_windows(out, counts, pads, params.window, feat.spec.dims)
-    return OccupancyFeature(merged, feat.spec, feat.provenance)
+    return OccupancyFeature(merged, feat.spec)
 
 
 def encode(
@@ -200,7 +200,7 @@ def encode(
     current = out[0]
     for w in down_weights:
         down = conv3d(current.data, w, stride=2)
-        current = OccupancyFeature(down, current.spec.halved(), current.provenance)
+        current = OccupancyFeature(down, current.spec.halved())
         current = windowed_attention(current, params)
         out.append(current)
     return out
@@ -263,10 +263,7 @@ def decode(
     class_logits = mask_logits = None
     for li, g in enumerate(order):
         x_next, class_logits, mask_logits, new_mask = masked_decode(g, qs, mask)
-        qs = SemanticQuerySet(
-            x_next, qs.fq, qs.fk, qs.fv, qs.class_head, qs.mask_head,
-            qs.ffn_w1, qs.ffn_w2,
-        )
+        qs = replace(qs, x=x_next)
         if li + 1 < len(order):
             mask = _upsample_mask(new_mask, g.spec.dims, order[li + 1].spec.dims)
     return class_logits, mask_logits

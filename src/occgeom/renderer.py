@@ -28,10 +28,6 @@ from .tensor import (
 )
 from .view_transform import VoxelGridSpec
 
-DEFAULT_RESOLUTION = (180, 320)
-DEFAULT_T_NEAR = 1.0
-DEFAULT_T_FAR = 45.0
-DEFAULT_SAMPLES = 152
 # candidate (ray, sample) pairs per chunk, and the most rays one may hold.
 # A chunk's plan temporaries scale with its pairs, its adjoint's [8 x M]
 # corner index and products with its kept samples, and its render
@@ -435,10 +431,10 @@ class RayPlan:
         self,
         spec: VoxelGridSpec,
         cam: Camera,
-        resolution: tuple[int, int] = DEFAULT_RESOLUTION,
-        t_near: float = DEFAULT_T_NEAR,
-        t_far: float = DEFAULT_T_FAR,
-        samples: int = DEFAULT_SAMPLES,
+        resolution: tuple[int, int],
+        t_near: float,
+        t_far: float,
+        samples: int,
     ):
         self.spec = spec
         self.resolution = tuple(resolution)
@@ -487,10 +483,10 @@ class RayPlan:
 def render_view(
     field: DensityField,
     cam: Camera,
-    resolution: tuple[int, int] = DEFAULT_RESOLUTION,
-    t_near: float = DEFAULT_T_NEAR,
-    t_far: float = DEFAULT_T_FAR,
-    samples: int = DEFAULT_SAMPLES,
+    resolution: tuple[int, int],
+    t_near: float,
+    t_far: float,
+    samples: int,
 ) -> DepthMap:
     """Render a full depth map: one midpoint-sampled ray per pixel.
 

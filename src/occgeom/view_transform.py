@@ -18,8 +18,6 @@ from . import camera as cam_mod
 from .camera import CameraRig, Intrinsics
 from .tensor import as_tensor, bilinear_sample, conv3d, softmax, trilinear_sample
 
-PROVENANCES = ("explicit", "implicit", "fused", "compressed")
-
 # kept points whose rows voxel_pool gathers per scatter, bounding the copy
 _POOL_CHUNK = 4096
 
@@ -120,7 +118,6 @@ class OccupancyFeature:
 
     data: np.ndarray
     spec: VoxelGridSpec
-    provenance: str
 
     def __post_init__(self):
         data = as_tensor(self.data)
@@ -128,8 +125,6 @@ class OccupancyFeature:
             raise ValueError(
                 f"feature shape {data.shape} inconsistent with grid dims {self.spec.dims}"
             )
-        if self.provenance not in PROVENANCES:
-            raise ValueError(f"unknown provenance {self.provenance!r}")
         object.__setattr__(self, "data", data)
 
 
@@ -206,7 +201,7 @@ def voxel_pool(
     counts = np.bincount(flat, minlength=x * y * z)
     out = np.divide(acc, counts[:, None], out=np.zeros_like(acc), where=counts[:, None] > 0)
     data = out.T.reshape(c, x, y, z)
-    return OccupancyFeature(data, spec, "explicit")
+    return OccupancyFeature(data, spec)
 
 
 def idm_sample(
@@ -277,7 +272,7 @@ def idm_sample(
         seen += visible
     out = np.divide(total, seen[:, None], out=np.zeros_like(total), where=seen[:, None] > 0)
     data = out.T.reshape(cf, *query_spec.dims)
-    return OccupancyFeature(data, query_spec, "implicit")
+    return OccupancyFeature(data, query_spec)
 
 
 def upsample_trilinear(feat: OccupancyFeature, spec: VoxelGridSpec) -> OccupancyFeature:
@@ -291,7 +286,7 @@ def upsample_trilinear(feat: OccupancyFeature, spec: VoxelGridSpec) -> Occupancy
     coords = np.clip(coords, 0.0, np.array(src.dims) - 1.0)
     vals, _ = trilinear_sample(feat.data, coords)
     data = vals.T.reshape(feat.data.shape[0], *spec.dims)
-    return OccupancyFeature(data, spec, feat.provenance)
+    return OccupancyFeature(data, spec)
 
 
 def fuse_and_compress(
@@ -318,4 +313,4 @@ def fuse_and_compress(
             f"conv weights {w.shape} incompatible with {fused.shape[0]} fused channels"
         )
     out = conv3d(fused, w, stride=2)
-    return OccupancyFeature(out, oe.spec.halved(), "compressed")
+    return OccupancyFeature(out, oe.spec.halved())

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from occgeom import cli
-from occgeom.camera import Camera, CameraRig, Intrinsics, Pose, camera_pose_at
-from occgeom.cast import PhotometricConfig, cast_loss, make_warp_context, photometric_loss, warp_image
+from occgeom.camera import Camera, CameraRig, Intrinsics, Pose, camera_pose_at, relative_pose
+from occgeom.cast import ContextPlan, PhotometricConfig, cast_loss, photometric_loss, warp_image
 from occgeom.occ_encdec import SemanticOccupancy, SemanticQuerySet, WindowedAttentionParams, masked_decode, windowed_attention
 from occgeom.renderer import DensityField, render_view
 from occgeom.synthscene import build_scene, raymarch_depth_oracle
@@ -111,9 +111,9 @@ def test_04_photometric_identity():
     for preset in ("boxes", "corridor", "random_blobs"):
         b = build_scene(2, spec, preset, num_cameras=2, image_size=(24, 40))
         for (ci, t), img in b.images.items():
-            ctx = make_warp_context(b.rig, "temporal", (ci, t), (ci, t))
+            pose = relative_pose("temporal", b.rig, ci, ci, t, t)
             intr = b.rig.cameras[ci].intrinsics
-            recon, valid, _ = warp_image(img, b.gt_depths[(ci, t)], ctx, intr, intr)
+            recon, valid, _ = warp_image(img, b.gt_depths[(ci, t)], pose, intr, intr)
             if not valid.any():
                 continue
             worst = max(worst, abs(photometric_loss(img, recon, valid, cfg)[0]))
@@ -133,11 +133,12 @@ def test_05_self_supervision_discriminates():
         Camera(b.rig.cameras[i].intrinsics, camera_pose_at(b.rig, i, 1))
         for i in range(2)
     ]
+    plan = ContextPlan(b.rig, (36, 64))
 
     def loss_of(sigma):
         fld = DensityField(sigma, spec)
         depths = [render_view(fld, v, (36, 64), 1.0, 16.0, 64) for v in views]
-        return cast_loss(b.rig, b.images, depths, cfg)[0]
+        return cast_loss(plan, b.images, depths, cfg)[0]
 
     base = loss_of(b.density_gt.sigma)
     rng = np.random.default_rng(1010)
@@ -220,7 +221,7 @@ def test_08_attention_algebra():
         bias = rng.normal(size=(n, n))
         spec = VoxelGridSpec(data.shape[1:], np.zeros(3), 1.0)
         out = windowed_attention(
-            OccupancyFeature(data, spec, "fused"),
+            OccupancyFeature(data, spec),
             WindowedAttentionParams((wx, 2, 1), wq, wk, wv, bias),
         )
         nx = data.shape[1] // wx
@@ -245,8 +246,7 @@ def test_08_attention_algebra():
 
         c, nq, v = 3, 3, 8
         g = OccupancyFeature(
-            rng.normal(size=(c, 2, 2, 2)), VoxelGridSpec((2, 2, 2), np.zeros(3), 1.0),
-            "fused",
+            rng.normal(size=(c, 2, 2, 2)), VoxelGridSpec((2, 2, 2), np.zeros(3), 1.0)
         )
         qs = SemanticQuerySet(
             x=rng.normal(size=(nq, c)),

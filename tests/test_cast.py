@@ -14,15 +14,15 @@ from occgeom.camera import (
     Pose,
     camera_pose_at,
     pixel_grid,
+    relative_pose,
     unit_camera_rays,
 )
 from occgeom.cast import (
+    ContextPlan,
     PhotometricConfig,
-    WarpContext,
     cast_loss,
     depth_bin_cross_entropy,
     depth_l1_loss,
-    make_warp_context,
     photometric_loss,
     pretrain_loss,
     ssim,
@@ -70,9 +70,9 @@ class TestWarpImage:
         b = boxes_bundle()
         img = b.images[(0, 1)]
         dm = b.gt_depths[(0, 1)]
-        ctx = make_warp_context(b.rig, "temporal", (0, 1), (0, 1))
+        pose = relative_pose("temporal", b.rig, 0, 0, 1, 1)
         intr = b.rig.cameras[0].intrinsics
-        recon, valid, _ = warp_image(img, dm, ctx, intr, intr)
+        recon, valid, _ = warp_image(img, dm, pose, intr, intr)
         assert valid.sum() > 100
         assert np.array_equal(valid, dm.valid)
         np.testing.assert_allclose(recon[valid], img[valid], atol=1e-12)
@@ -86,9 +86,9 @@ class TestWarpImage:
             valid=np.zeros_like(dm.valid),
             opacity=np.zeros_like(dm.opacity),
         )
-        ctx = make_warp_context(b.rig, "temporal", (0, 0), (0, 1))
+        pose = relative_pose("temporal", b.rig, 0, 0, 0, 1)
         intr = b.rig.cameras[0].intrinsics
-        recon, valid, drecon = warp_image(img, empty, ctx, intr, intr)
+        recon, valid, drecon = warp_image(img, empty, pose, intr, intr)
         assert not valid.any()
         assert np.all(recon == 0.0) and np.all(drecon == 0.0)
 
@@ -114,8 +114,8 @@ class TestWarpImage:
             valid=np.ones((h, w), dtype=bool),
             opacity=np.ones((h, w)),
         )
-        ctx = make_warp_context(rig, "temporal", (0, 0), (0, 1))
-        recon, valid, _ = warp_image(src, depth, ctx, intr, intr)
+        pose = relative_pose("temporal", rig, 0, 0, 0, 1)
+        recon, valid, _ = warp_image(src, depth, pose, intr, intr)
         scale = (d_plane - advance) / d_plane
         u_src = (us - intr.cx) * scale + intr.cx
         v_src = (vs - intr.cy) * scale + intr.cy
@@ -130,16 +130,16 @@ class TestWarpImage:
         b = build_scene(5, spec, "boxes", num_cameras=2, image_size=(16, 24))
         src, ref = b.images[(0, 0)], b.images[(0, 1)]
         dm = b.gt_depths[(0, 1)]
-        ctx = make_warp_context(b.rig, "temporal", (0, 0), (0, 1))
+        pose = relative_pose("temporal", b.rig, 0, 0, 0, 1)
         intr = b.rig.cameras[0].intrinsics
-        recon, valid, drecon = warp_image(src, dm, ctx, intr, intr)
+        recon, valid, drecon = warp_image(src, dm, pose, intr, intr)
         _, gl = photometric_loss(ref, recon, valid, CFG)
         gdepth = np.sum(gl * drecon, axis=2)
 
         def f(dvec):
             dm2 = DepthMap(depth=dvec.reshape(dm.depth.shape), valid=dm.valid,
                            opacity=dm.opacity)
-            r2, v2, _ = warp_image(src, dm2, ctx, intr, intr)
+            r2, v2, _ = warp_image(src, dm2, pose, intr, intr)
             return photometric_loss(ref, r2, v2, CFG)[0]
 
         assert grad_check(f, dm.depth.ravel(), gdepth.ravel(), eps=1e-6) < 1e-4
@@ -246,16 +246,6 @@ class TestPhotometricLoss:
         assert grad_check(f, recon.ravel(), g.ravel(), eps=1e-6) < 1e-4
 
 
-class TestWarpContext:
-    def test_kind_consistency(self):
-        with pytest.raises(ValueError):
-            WarpContext("temporal", (0, 0), (1, 1), Pose.identity())
-        with pytest.raises(ValueError):
-            WarpContext("spatial", (0, 0), (1, 1), Pose.identity())
-        with pytest.raises(ValueError):
-            WarpContext("nearby", (0, 0), (0, 1), Pose.identity())
-
-
 class TestCastLoss:
     def _static_bundle(self):
         # two cameras with IDENTICAL pose and no ego motion: every context
@@ -277,7 +267,7 @@ class TestCastLoss:
 
     def test_static_scene_all_terms_zero(self):
         rig, images, depths = self._static_bundle()
-        total, bd, _ = cast_loss(rig, images, depths, CFG)
+        total, bd, _ = cast_loss(ContextPlan(rig, (24, 40)), images, depths, CFG)
         assert bd["L_t"] == pytest.approx(0.0, abs=1e-6)
         assert bd["L_sp"] == pytest.approx(0.0, abs=1e-6)
         assert bd["L_spt"] == pytest.approx(0.0, abs=1e-6)
@@ -287,7 +277,7 @@ class TestCastLoss:
         b = boxes_bundle(seed=6)
         depths = [b.gt_depths[(i, 1)] for i in range(2)]
         cfg = PhotometricConfig(lambda_sp=0.0, lambda_spt=0.0)
-        total, bd, _ = cast_loss(b.rig, b.images, depths, cfg)
+        total, bd, _ = cast_loss(ContextPlan(b.rig, (36, 64)), b.images, depths, cfg)
         assert total == pytest.approx(cfg.lambda_t * bd["L_t"], abs=1e-15)
 
     def test_breakdown_is_json_ready(self):
@@ -295,7 +285,7 @@ class TestCastLoss:
 
         b = boxes_bundle(seed=6)
         depths = [b.gt_depths[(i, 1)] for i in range(2)]
-        _, bd, _ = cast_loss(b.rig, b.images, depths, CFG)
+        _, bd, _ = cast_loss(ContextPlan(b.rig, (36, 64)), b.images, depths, CFG)
         parsed = json.loads(json.dumps(bd))
         assert set(parsed) == {
             "L_t", "L_sp", "L_spt", "total", "active_pairs", "empty_pairs",
@@ -309,11 +299,12 @@ class TestCastLoss:
             Camera(b.rig.cameras[i].intrinsics, camera_pose_at(b.rig, i, 1))
             for i in range(2)
         ]
+        plan = ContextPlan(b.rig, (36, 64))
 
         def loss_of(sig):
             fld = DensityField(sig, spec)
             depths = [render_view(fld, v, (36, 64), 1.0, 16.0, 64) for v in views]
-            return cast_loss(b.rig, b.images, depths, CFG)[0]
+            return cast_loss(plan, b.images, depths, CFG)[0]
 
         base = loss_of(b.density_gt.sigma)
         rng = np.random.default_rng(99)
@@ -326,7 +317,7 @@ class TestCastLoss:
         # leaves all relative geometry, hence the loss, unchanged
         b = boxes_bundle(seed=13)
         depths = [b.gt_depths[(i, 1)] for i in range(2)]
-        base = cast_loss(b.rig, b.images, depths, CFG)[0]
+        base = cast_loss(ContextPlan(b.rig, (36, 64)), b.images, depths, CFG)[0]
         from helpers import rotation_from_angles
 
         g = Pose(rotation_from_angles(0.7, 0.2, -0.4), np.array([5.0, -3.0, 2.0]))
@@ -334,7 +325,7 @@ class TestCastLoss:
             b.rig.cameras,
             {t: g.compose(p) for t, p in b.rig.ego_poses.items()},
         )
-        after = cast_loss(moved, b.images, depths, CFG)[0]
+        after = cast_loss(ContextPlan(moved, (36, 64)), b.images, depths, CFG)[0]
         assert after == pytest.approx(base, abs=1e-9)
 
     def test_single_camera_spatial_terms_inactive(self):
@@ -342,7 +333,8 @@ class TestCastLoss:
         intr = b.rig.cameras[0].intrinsics
         rig1 = CameraRig((b.rig.cameras[0],), dict(b.rig.ego_poses))
         images = {(0, t): b.images[(0, t)] for t in (0, 1)}
-        total, bd, _ = cast_loss(rig1, images, [b.gt_depths[(0, 1)]], CFG)
+        plan = ContextPlan(rig1, (36, 64))
+        total, bd, _ = cast_loss(plan, images, [b.gt_depths[(0, 1)]], CFG)
         assert bd["L_sp"] == 0.0 and bd["L_spt"] == 0.0
         assert total == pytest.approx(bd["L_t"] * CFG.lambda_t)
 
@@ -351,8 +343,9 @@ class TestCastLoss:
         # total, context terms and depth gradients are cast_loss's, bit for bit
         b = boxes_bundle(seed=6)
         depths = [b.gt_depths[(i, 1)] for i in range(2)]
-        t1, bd1, g1 = cast_loss(b.rig, b.images, depths, CFG)
-        t2, bd2, g2 = pretrain_loss(b.rig, b.images, depths, [None, None], CFG)
+        plan = ContextPlan(b.rig, (36, 64))
+        t1, bd1, g1 = cast_loss(plan, b.images, depths, CFG)
+        t2, bd2, g2 = pretrain_loss(plan, b.images, depths, [None, None], CFG)
         assert t1 == t2 == bd2["L_cast"] and bd2["L_rd"] == 0.0
         assert {k: bd2[k] for k in bd1} == bd1
         assert len(g1) == len(g2) == 2 and g1[0].shape == depths[0].depth.shape
@@ -371,7 +364,7 @@ class TestPretrainLoss:
         nearest = np.argmin(np.abs(dm.depth[..., None] - bins), axis=-1)
         np.put_along_axis(probs, nearest[..., None], 1.0, axis=-1)
         dists = [DepthDistribution(bins, probs), None]
-        total, bd, _ = pretrain_loss(rig, images, depths, [pts, None], CFG)
+        total, bd, _ = pretrain_loss(ContextPlan(rig, (h, w)), images, depths, [pts, None], CFG)
         assert depth_bin_cross_entropy(dists, [pts, None]) == pytest.approx(0.0, abs=1e-12)
         assert bd["L_rd"] == pytest.approx(0.0, abs=1e-12)
         assert total == pytest.approx(0.0, abs=1e-6)
@@ -381,15 +374,17 @@ class TestPretrainLoss:
         dm = b.gt_depths[(0, 1)]
         pts = sparse_lidar(dm, 100, seed=1)
         shifted = DepthMap(depth=dm.depth + 1.0, valid=dm.valid, opacity=dm.opacity)
+        plan = ContextPlan(b.rig, (36, 64))
         total, bd, _ = pretrain_loss(
-            b.rig, b.images, [shifted, b.gt_depths[(1, 1)]], [pts, None], CFG
+            plan, b.images, [shifted, b.gt_depths[(1, 1)]], [pts, None], CFG
         )
         assert bd["L_rd"] == pytest.approx(1.0, abs=1e-9)
 
     def test_empty_sparse_set(self):
         b = boxes_bundle(seed=6)
         depths = [b.gt_depths[(i, 1)] for i in range(2)]
-        _, bd, _ = pretrain_loss(b.rig, b.images, depths, [None, None], CFG)
+        plan = ContextPlan(b.rig, (36, 64))
+        _, bd, _ = pretrain_loss(plan, b.images, depths, [None, None], CFG)
         assert bd["L_rd"] == 0.0
         assert depth_bin_cross_entropy([None, None], [None, None]) == 0.0
 
@@ -452,11 +447,12 @@ class TestPretrainLoss:
             b.density_gt.sigma + rng.uniform(-5, 5, spec.dims), 0.0, None
         )
         plans = [RayPlan(spec, v, (24, 40), 1.0, 16.0, 32) for v in views]
+        ctx_plan = ContextPlan(b.rig, (24, 40))
         losses = []
         for step in range(21):
             fld = DensityField(sigma, spec)
             depths = [render_view(fld, v, (24, 40), 1.0, 16.0, 32) for v in views]
-            total, _, grads = pretrain_loss(b.rig, b.images, depths, sparse, CFG)
+            total, _, grads = pretrain_loss(ctx_plan, b.images, depths, sparse, CFG)
             losses.append(total)
             g = np.zeros_like(sigma)
             for i, plan in enumerate(plans):
@@ -469,13 +465,13 @@ class TestPretrainLoss:
 # -- context plan: equivalence with the full-image warp ----------------------
 
 
-def reference_warp(src_img, dm, ctx, k_src, k_tgt):
+def reference_warp(src_img, dm, pose, k_src, k_tgt):
     """Warp every target pixel, sample and differentiate the whole image,
     then mask with np.where: the arithmetic the context plan must reproduce
     bit for bit."""
     h, w = dm.depth.shape
     units = unit_camera_rays(k_tgt, pixel_grid(h, w))[0]
-    inv = ctx.pose.inverse()
+    inv = pose.inverse()
     p_src = inv.apply(dm.depth.ravel()[:, None] * units)
     z = p_src[:, 2]
     front = z > 1e-9
@@ -591,10 +587,10 @@ def reference_cast(rig, images, depths, cfg):
     grads = [np.zeros_like(dm.depth) for dm in depths]
     active = 0
     for kind, src, tgt in pairs:
-        ctx = make_warp_context(rig, kind, src, tgt)
+        pose = relative_pose(kind, rig, src[0], tgt[0], src[1], tgt[1])
         k_src = rig.cameras[src[0]].intrinsics
         k_tgt = rig.cameras[tgt[0]].intrinsics
-        recon, valid, drecon = reference_warp(images[src], depths[tgt[0]], ctx, k_src, k_tgt)
+        recon, valid, drecon = reference_warp(images[src], depths[tgt[0]], pose, k_src, k_tgt)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # an empty pair warns no more
             pair_loss, gl = full_photometric_loss(images[tgt], recon, valid, cfg)
@@ -656,14 +652,12 @@ class TestContextPlan:
         # 4-camera ring: 17 of 20 pairs overlap and the spatial terms count
         b = boxes_bundle(seed=11, n_cams=n_cams)
         depths = [b.gt_depths[(i, 1)] for i in range(n_cams)]
-        plan = cast.ContextPlan(b.rig, (36, 64))
+        plan = ContextPlan(b.rig, (36, 64))
         want = reference_cast(b.rig, b.images, depths, CFG)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # an empty pair is counted, not warned
-            got = cast_loss(b.rig, b.images, depths, CFG, plan=plan)
-            one_shot = cast_loss(b.rig, b.images, depths, CFG)
+            got = cast_loss(plan, b.images, depths, CFG)
         assert_same_part(got, want, part)
-        assert_same_part(one_shot, want, part)
         assert got[1]["active_pairs"] == active
         assert got[1]["empty_pairs"] == len(plan.pairs) - active
         if n_cams == 4:
@@ -672,13 +666,13 @@ class TestContextPlan:
     @PARTS
     def test_one_plan_reused_on_three_depth_sets(self, part):
         b = boxes_bundle(seed=11, n_cams=4)
-        plan = cast.ContextPlan(b.rig, (36, 64))
+        plan = ContextPlan(b.rig, (36, 64))
         sparse = [sparse_lidar(b.gt_depths[(i, 1)], 100, seed=i) for i in range(4)]
         for seed in (1, 2, 3):
             depths = rendered_depths(b, seed, 4)
             cast_ref = reference_cast(b.rig, b.images, depths, CFG)
             l_rd, rd_grads = depth_l1_loss(depths, sparse)
-            got = pretrain_loss(b.rig, b.images, depths, sparse, CFG, plan=plan)
+            got = pretrain_loss(plan, b.images, depths, sparse, CFG)
             if part == "loss":
                 assert got[1]["L_rd"] == l_rd
                 assert got[1]["L_cast"] == cast_ref[0]
@@ -694,10 +688,10 @@ class TestContextPlan:
     def test_all_invalid_depths(self, part):
         b = boxes_bundle(seed=11)
         depths = [no_depth(b.gt_depths[(i, 1)]) for i in range(2)]
-        plan = cast.ContextPlan(b.rig, (36, 64))
+        plan = ContextPlan(b.rig, (36, 64))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = cast_loss(b.rig, b.images, depths, CFG, plan=plan)
+            got = cast_loss(plan, b.images, depths, CFG)
         assert_same_part(got, reference_cast(b.rig, b.images, depths, CFG), part)
         assert got[0] == 0.0
         assert got[1]["active_pairs"] == 0 and got[1]["empty_pairs"] == 6
@@ -729,32 +723,23 @@ class TestContextPlan:
 
     def test_rejects_wrong_resolution(self):
         b = boxes_bundle(seed=11)
-        plan = cast.ContextPlan(b.rig, (36, 64))
+        plan = ContextPlan(b.rig, (36, 64))
         small = DepthMap(depth=np.ones((24, 40)), valid=np.ones((24, 40), bool),
                          opacity=np.ones((24, 40)))
         depths = [b.gt_depths[(0, 1)], small]
         both_sides = r"camera 1: depth map is 40x24, the context plan is 64x36$"
         with pytest.raises(ValueError, match=both_sides):
-            cast_loss(b.rig, b.images, depths, CFG, plan=plan)
+            cast_loss(plan, b.images, depths, CFG)
         with pytest.raises(ValueError, match=r"camera 1: depth map is 40x24"):
-            pretrain_loss(b.rig, b.images, depths, [None, None], CFG, plan=plan)
+            pretrain_loss(plan, b.images, depths, [None, None], CFG)
 
     def test_rejects_wrong_depth_count(self):
         b = boxes_bundle(seed=11)
-        plan = cast.ContextPlan(b.rig, (36, 64))
+        plan = ContextPlan(b.rig, (36, 64))
         three = [b.gt_depths[(i % 2, 1)] for i in range(3)]
         for depths, n in ((three, 3), (three[:1], 1)):
             with pytest.raises(ValueError, match=rf"^{n} depth maps for 2 cameras$"):
-                cast_loss(b.rig, b.images, depths, CFG, plan=plan)
-            with pytest.raises(ValueError, match=rf"^{n} depth maps for 2 cameras$"):
-                cast_loss(b.rig, b.images, depths, CFG)
-
-    def test_rejects_plan_of_another_rig(self):
-        b = boxes_bundle(seed=11)
-        other = cast.ContextPlan(boxes_bundle(seed=12).rig, (36, 64))
-        depths = [b.gt_depths[(i, 1)] for i in range(2)]
-        with pytest.raises(ValueError, match="another rig"):
-            cast_loss(b.rig, b.images, depths, CFG, plan=other)
+                cast_loss(plan, b.images, depths, CFG)
 
 
 class TestSubsetWarp:
@@ -764,9 +749,9 @@ class TestSubsetWarp:
     H, W = 9, 11
     INTR = Intrinsics(fx=8.0, fy=8.0, cx=5.0, cy=4.0, width=11, height=9)
 
-    def check(self, src, dm, ctx, k_src):
-        want = reference_warp(src, dm, ctx, k_src, self.INTR)
-        got = warp_image(src, dm, ctx, k_src, self.INTR)
+    def check(self, src, dm, pose, k_src):
+        want = reference_warp(src, dm, pose, k_src, self.INTR)
+        got = warp_image(src, dm, pose, k_src, self.INTR)
         for g, r in zip(got, want):
             assert np.array_equal(g, r)
         return want[1]
@@ -790,10 +775,10 @@ class TestSubsetWarp:
         from helpers import rotation_from_angles
 
         rot = rotation_from_angles(0.0, yaw)  # about the camera's y axis
-        ctx = WarpContext("spatial", (1, 0), (0, 0), Pose(rot, np.array(offset)))
+        pose = Pose(rot, np.array(offset))
         src = smooth_image(self.H, self.W)
         dm = self.depth()
-        p_src = ctx.pose.inverse().apply(
+        p_src = pose.inverse().apply(
             dm.depth.ravel()[:, None] * unit_camera_rays(self.INTR, pixel_grid(self.H, self.W))[0]
         )
         behind = p_src[:, 2] <= 1e-9
@@ -801,7 +786,7 @@ class TestSubsetWarp:
         u = self.INTR.fx * p_src[:, 0] + self.INTR.cx
         v = self.INTR.fy * p_src[:, 1] + self.INTR.cy
         assert np.any(behind & (u >= 0) & (u <= self.W - 1) & (v >= 0) & (v <= self.H - 1))
-        valid = self.check(src, dm, ctx, self.INTR)
+        valid = self.check(src, dm, pose, self.INTR)
         assert not np.any(valid.ravel() & behind)
 
     @pytest.mark.parametrize("cx, cy", [(10.0, 8.0), (0.0, 0.0), (10.0, 0.0)])
@@ -810,8 +795,7 @@ class TestSubsetWarp:
         # ray offset, so they project exactly onto the source principal
         # point, put on u = W-1 / v = H-1 (or 0)
         k_src = Intrinsics(fx=8.0, fy=8.0, cx=cx, cy=cy, width=self.W, height=self.H)
-        ctx = WarpContext("spatial", (1, 0), (0, 0), Pose.identity())
-        valid = self.check(smooth_image(self.H, self.W), self.depth(), ctx, k_src)
+        valid = self.check(smooth_image(self.H, self.W), self.depth(), Pose.identity(), k_src)
         col, row = int(self.INTR.cx), int(self.INTR.cy)
         assert valid[:, col].any() and valid[row, :].any()
         assert valid[row, col]  # exactly on the corner (cx, cy)
@@ -824,10 +808,9 @@ class TestSubsetWarp:
         rng = np.random.default_rng(3)
         holes = rng.uniform(size=(self.H, self.W)) < 0.4
         dm = self.depth(valid=~holes)
-        ctx = WarpContext("spatial", (1, 0), (0, 0),
-                          Pose(np.eye(3), np.array([0.3, -0.2, 0.1])))
-        valid = self.check(smooth_image(self.H, self.W), dm, ctx, self.INTR)
+        pose = Pose(np.eye(3), np.array([0.3, -0.2, 0.1]))
+        valid = self.check(smooth_image(self.H, self.W), dm, pose, self.INTR)
         assert valid.any()
         assert not np.any(valid & holes)
         full = self.depth()
-        assert np.any(self.check(smooth_image(self.H, self.W), full, ctx, self.INTR) & holes)
+        assert np.any(self.check(smooth_image(self.H, self.W), full, pose, self.INTR) & holes)

@@ -391,6 +391,22 @@ class TestMain:
         payload = json.loads(err.strip().splitlines()[-1])
         assert "error" in payload and "message" in payload
 
+    @pytest.mark.parametrize("out", [False, True], ids=["no-out", "out"])
+    @pytest.mark.parametrize("extra", [[], ["scene.seed=3"]], ids=["bare", "override"])
+    def test_config_top_level_must_be_an_object(self, tmp_path, monkeypatch, capsys, out, extra):
+        # the file is checked before an override or --out is applied to it
+        monkeypatch.chdir(tmp_path)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text("[]")
+        flags = ["--out", str(tmp_path / "x")] if out else []
+        assert main(["--config", str(cfg_path), *flags, "gen", *extra]) == 1
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload == {
+            "error": "ValueError",
+            "message": f"{cfg_path}: the top level must be an object, got []",
+        }
+        assert list(tmp_path.iterdir()) == [cfg_path]
+
     @pytest.mark.parametrize(
         "edit, key",
         [

@@ -20,7 +20,7 @@ from occgeom.view_transform import OccupancyFeature, VoxelGridSpec
 def feat_of(data):
     data = np.asarray(data, dtype=np.float64)
     spec = VoxelGridSpec(data.shape[1:], np.zeros(3), 1.0)
-    return OccupancyFeature(data, spec, "fused")
+    return OccupancyFeature(data, spec)
 
 
 def params_of(window, d, wq=None, wk=None, wv=None, bias=None):
@@ -335,7 +335,7 @@ class TestDecodeStack:
         rng = np.random.default_rng(15)
         c = 4
         spec = VoxelGridSpec((8, 8, 4), np.zeros(3), 1.0)
-        feat = OccupancyFeature(rng.normal(size=(c, 8, 8, 4)), spec, "fused")
+        feat = OccupancyFeature(rng.normal(size=(c, 8, 8, 4)), spec)
         w = rng.normal(size=(c, c, 3, 3, 3)) * 0.1
         levels = encode(feat, params_of((2, 2, 2), c), [w, w])
         qs = query_set(

@@ -8,8 +8,8 @@ import pytest
 from helpers import _erode, covisibility_mask
 
 from occgeom import formats, synthscene
-from occgeom.camera import Camera, _box_span, camera_pose_at, view_rays
-from occgeom.cast import PhotometricConfig, make_warp_context, photometric_loss, warp_image
+from occgeom.camera import Camera, _box_span, camera_pose_at, relative_pose, view_rays
+from occgeom.cast import PhotometricConfig, photometric_loss, warp_image
 from occgeom.renderer import render_view
 from occgeom.synthscene import (
     _traverse,
@@ -671,15 +671,15 @@ class TestCrossModuleConsistency:
             checked = 0
             for i in range(6):
                 j = (i + 1) % 6
-                ctx = make_warp_context(b.rig, "spatial", (j, 1), (i, 1))
+                pose = relative_pose("spatial", b.rig, j, i, 1, 1)
                 recon, valid, _ = warp_image(
                     b.images[(j, 1)],
                     b.gt_depths[(i, 1)],
-                    ctx,
+                    pose,
                     b.rig.cameras[j].intrinsics,
                     b.rig.cameras[i].intrinsics,
                 )
-                covis = covisibility_mask(b, (j, 1), (i, 1), ctx.pose, valid)
+                covis = covisibility_mask(b, (j, 1), (i, 1), pose, valid)
                 if covis.sum() < 50:
                     continue
                 checked += 1

@@ -161,7 +161,6 @@ class TestVoxelPool:
     def test_single_point_at_center(self):
         f = np.array([[2.0, -1.0]])
         out = voxel_pool(np.array([[1.5, 2.5, 0.5]]), f, self.SPEC)
-        assert out.provenance == "explicit"
         np.testing.assert_allclose(out.data[:, 1, 2, 0], f[0])
         assert np.sum(out.data != 0) == 2
 
@@ -245,7 +244,6 @@ class TestIdmSample:
     def test_single_exact_pixel(self):
         spec, rig, feats, queries = self._single_voxel_setup()
         out = idm_sample(spec, queries, feats, rig, np.zeros((1, 2)), np.zeros(1))
-        assert out.provenance == "implicit"
         np.testing.assert_allclose(out.data[:, 0, 0, 0], feats[0][3, 4], atol=1e-12)
 
     def test_masked_weight_equals_single_offset(self):
@@ -371,13 +369,13 @@ class TestFuseAndCompress:
     def _pair(self, c=2, dims=(4, 4, 2), seed=9):
         rng = np.random.default_rng(seed)
         spec = VoxelGridSpec(dims, np.zeros(3), 0.5)
-        oe = OccupancyFeature(rng.normal(size=(c, *dims)), spec, "explicit")
-        oi = OccupancyFeature(rng.normal(size=(c, *dims)), spec, "implicit")
+        oe = OccupancyFeature(rng.normal(size=(c, *dims)), spec)
+        oi = OccupancyFeature(rng.normal(size=(c, *dims)), spec)
         return oe, oi, spec
 
     def test_identity_channel_select_subsamples(self):
         oe, oi, spec = self._pair()
-        oi = OccupancyFeature(np.zeros_like(oi.data), spec, "implicit")
+        oi = OccupancyFeature(np.zeros_like(oi.data), spec)
         c = 2
         w = np.zeros((c, 2 * c, 1, 1, 1))
         for i in range(c):
@@ -392,7 +390,6 @@ class TestFuseAndCompress:
         assert out.data.shape == (3, 4, 4, 2)
         assert out.spec.dims == (4, 4, 2)
         assert out.spec.voxel_size == pytest.approx(1.0)
-        assert out.provenance == "compressed"
 
     def test_matches_concat_then_conv_oracle(self):
         oe, oi, _ = self._pair(c=3, dims=(4, 6, 2), seed=11)
@@ -404,35 +401,30 @@ class TestFuseAndCompress:
     def test_spec_mismatch(self):
         oe, oi, _ = self._pair()
         other = VoxelGridSpec((4, 4, 4), np.zeros(3), 0.5)
-        bad = OccupancyFeature(np.zeros((2, 4, 4, 4)), other, "implicit")
+        bad = OccupancyFeature(np.zeros((2, 4, 4, 4)), other)
         with pytest.raises(ValueError):
             fuse_and_compress(oe, bad, np.zeros((1, 4, 1, 1, 1)))
 
     def test_odd_dims_rejected(self):
         spec = VoxelGridSpec((3, 4, 2), np.zeros(3), 0.5)
-        oe = OccupancyFeature(np.zeros((1, 3, 4, 2)), spec, "explicit")
-        oi = OccupancyFeature(np.zeros((1, 3, 4, 2)), spec, "implicit")
+        oe = OccupancyFeature(np.zeros((1, 3, 4, 2)), spec)
+        oi = OccupancyFeature(np.zeros((1, 3, 4, 2)), spec)
         with pytest.raises(ValueError):
             fuse_and_compress(oe, oi, np.zeros((1, 2, 1, 1, 1)))
 
 
 class TestOccupancyFeature:
-    def test_provenance_checked(self):
-        spec = VoxelGridSpec((2, 2, 2), np.zeros(3), 1.0)
-        with pytest.raises(ValueError):
-            OccupancyFeature(np.zeros((1, 2, 2, 2)), spec, "guessed")
-
     def test_shape_checked(self):
         spec = VoxelGridSpec((2, 2, 2), np.zeros(3), 1.0)
         with pytest.raises(ValueError):
-            OccupancyFeature(np.zeros((1, 2, 2, 3)), spec, "fused")
+            OccupancyFeature(np.zeros((1, 2, 2, 3)), spec)
 
 
 class TestUpsample:
     def test_constant_preserved(self):
         half = VoxelGridSpec((2, 2, 1), np.zeros(3), 1.0)
         full = VoxelGridSpec((4, 4, 2), np.zeros(3), 0.5)
-        feat = OccupancyFeature(np.full((3, 2, 2, 1), 2.5), half, "implicit")
+        feat = OccupancyFeature(np.full((3, 2, 2, 1), 2.5), half)
         up = upsample_trilinear(feat, full)
         assert up.data.shape == (3, 4, 4, 2)
         np.testing.assert_allclose(up.data, 2.5)
@@ -441,7 +433,7 @@ class TestUpsample:
         half = VoxelGridSpec((4, 1, 1), np.zeros(3), 1.0)
         full = VoxelGridSpec((8, 1, 1), np.zeros(3), 0.5)
         data = np.arange(4.0).reshape(1, 4, 1, 1)
-        up = upsample_trilinear(OccupancyFeature(data, half, "implicit"), full)
+        up = upsample_trilinear(OccupancyFeature(data, half), full)
         # interior full-res centers sit a quarter/three-quarter of the way
         # between coarse centers
         np.testing.assert_allclose(
