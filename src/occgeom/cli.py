@@ -114,20 +114,13 @@ def _write_report(path, report: dict):
 
 def cmd_gen(cfg: ExperimentConfig) -> str:
     """Build a scene bundle, persist it, and print occupancy statistics."""
-    bundle = synthscene.build_scene(
-        cfg.scene.seed,
-        cfg.scene.spec(),
-        cfg.scene.preset,
-        num_cameras=cfg.scene.num_cameras,
-        image_size=tuple(cfg.scene.image_size),
-        sigma_occ=cfg.scene.sigma_occ,
-    )
+    bundle = synthscene.build_scene(cfg.scene)
     out = cfg.output_dir
     synthscene.save_scene(bundle, out)
     labels = bundle.grid.labels
     total = labels.size
     occupied = int(np.sum(labels != bundle.grid.num_classes))
-    print(f"scene: preset={bundle.preset} seed={bundle.seed} dims={bundle.spec.dims}")
+    print(f"scene: preset={cfg.scene.preset} seed={cfg.scene.seed} dims={bundle.spec.dims}")
     print(f"occupied voxels: {occupied} / {total} ({occupied / total:.9g})")
     for c in range(bundle.grid.num_classes):
         n = int(np.sum(labels == c))
@@ -146,16 +139,16 @@ def _latest_views(bundle: synthscene.SceneBundle) -> list[Camera]:
     ]
 
 
+def _depth_errors(depths, references) -> np.ndarray:
+    """|depth - reference| over the pixels valid in both, all views concatenated."""
+    errs = [np.abs(d.depth - r.depth)[d.valid & r.valid] for d, r in zip(depths, references)]
+    return np.concatenate(errs + [np.array([])])
+
+
 def _depth_error_stats(rendered, oracles):
-    errs = []
-    valid_px = 0
-    total_px = 0
-    for rd, oc in zip(rendered, oracles):
-        both = rd.valid & oc.valid
-        errs.append(np.abs(rd.depth - oc.depth)[both])
-        valid_px += int(rd.valid.sum())
-        total_px += rd.valid.size
-    errs = np.concatenate(errs) if errs else np.array([])
+    errs = _depth_errors(rendered, oracles)
+    valid_px = sum(int(rd.valid.sum()) for rd in rendered)
+    total_px = sum(rd.valid.size for rd in rendered)
     return {
         "mean_abs_err": float(errs.mean()) if errs.size else 0.0,
         "p95_err": float(np.percentile(errs, 95)) if errs.size else 0.0,
@@ -169,9 +162,10 @@ def cmd_render(cfg: ExperimentConfig, scene_dir: str) -> dict:
     bundle = synthscene.load_scene(scene_dir)
     res = tuple(cfg.render.resolution)
     views = _latest_views(bundle)
+    density = bundle.density_gt
     rendered = [
         renderer.render_view(
-            bundle.density_gt, cam, res, cfg.render.t_near, cfg.render.t_far,
+            density, cam, res, cfg.render.t_near, cfg.render.t_far,
             cfg.render.samples,
         )
         for cam in views
@@ -198,14 +192,15 @@ def cmd_render(cfg: ExperimentConfig, scene_dir: str) -> dict:
 
 def _init_sigma(cfg: ExperimentConfig, bundle: synthscene.SceneBundle) -> np.ndarray:
     gt = bundle.density_gt.sigma
+    sigma_occ = bundle.scene.sigma_occ
     rng = np.random.default_rng(cfg.scene.seed + 7919)
     if cfg.optimize.init == "zeros":
         return np.zeros_like(gt)
     if cfg.optimize.init == "random":
-        return rng.uniform(0.0, 0.25 * bundle.sigma_occ, size=gt.shape)
+        return rng.uniform(0.0, 0.25 * sigma_occ, size=gt.shape)
     noise = rng.uniform(
-        -cfg.optimize.perturbation * bundle.sigma_occ,
-        cfg.optimize.perturbation * bundle.sigma_occ,
+        -cfg.optimize.perturbation * sigma_occ,
+        cfg.optimize.perturbation * sigma_occ,
         size=gt.shape,
     )
     return np.clip(gt + noise, 0.0, None)
@@ -224,18 +219,17 @@ def cmd_selftrain(cfg: ExperimentConfig, scene_dir: str) -> dict:
     """
     bundle = synthscene.load_scene(scene_dir)
     res = tuple(cfg.render.resolution)
-    if res != tuple(bundle.image_size):
+    if res != bundle.scene.image_size:
         raise ValueError(
             f"selftrain needs render.resolution == scene image size; "
-            f"got {res} vs {tuple(bundle.image_size)}"
+            f"got {res} vs {bundle.scene.image_size}"
         )
     rig = bundle.rig
     t_ref = rig.timestamps()[-1]
     views = _latest_views(bundle)
-    n_cam = len(views)
+    gt_views = [bundle.gt_depths[(i, t_ref)] for i in range(len(views))]
     sparse = []
-    for i in range(n_cam):
-        gt_dm = bundle.gt_depths[(i, t_ref)]
+    for i, gt_dm in enumerate(gt_views):
         n = min(cfg.optimize.lidar_samples, int(gt_dm.valid.sum()))
         if n > 0:
             sparse.append(synthscene.sparse_lidar(gt_dm, n, cfg.scene.seed * 100 + i))
@@ -260,14 +254,9 @@ def cmd_selftrain(cfg: ExperimentConfig, scene_dir: str) -> dict:
         return [dm for dm, _ in rendered], [jac for _, jac in rendered]
 
     def gt_depth_error(depths):
-        errs = []
-        for i in range(n_cam):
-            gt_dm = bundle.gt_depths[(i, t_ref)]
-            both = depths[i].valid & gt_dm.valid
-            if np.any(both):
-                errs.append(np.abs(depths[i].depth - gt_dm.depth)[both])
+        errs = _depth_errors(depths, gt_views)
         # None when no pixel is valid in both (e.g. a from-zeros init)
-        return float(np.concatenate(errs).mean()) if errs else None
+        return float(errs.mean()) if errs.size else None
 
     rows = []
     moving: list[float] = []
@@ -345,6 +334,12 @@ def cmd_eval(cfg: ExperimentConfig, pred_path: str, scene_dir: str, visible: boo
         raise ValueError(
             f"prediction {pred_path} holds {raw.size} voxels but the scene grid "
             f"is {dims[0]}x{dims[1]}x{dims[2]} = {expected}"
+        )
+    bad = np.flatnonzero(raw > bundle.grid.num_classes)
+    if bad.size:
+        raise ValueError(
+            f"prediction {pred_path}: voxel {bad[0]} has label {raw[bad[0]]}, above the "
+            f"scene's free label {bundle.grid.num_classes}"
         )
     pred = SemanticOccupancy.from_labels(
         raw.reshape(dims).astype(np.int64), bundle.grid.num_classes

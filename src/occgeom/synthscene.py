@@ -58,26 +58,6 @@ _MOUNT_HEIGHT = 0.053
 
 
 @dataclass(frozen=True)
-class SceneBundle:
-    """A synthetic world plus everything the tests need to probe it."""
-
-    grid: SemanticOccupancy
-    density_gt: DensityField
-    rig: CameraRig
-    images: dict[tuple[int, int], np.ndarray]
-    gt_depths: dict[tuple[int, int], DepthMap]
-    visible: np.ndarray
-    seed: int
-    preset: str
-    sigma_occ: float
-    image_size: tuple[int, int]
-
-    @property
-    def spec(self) -> VoxelGridSpec:
-        return self.density_gt.spec
-
-
-@dataclass
 class SceneConfig:
     """A scene's parameters: the config's `scene` section, and scene.json's."""
 
@@ -109,6 +89,33 @@ class SceneConfig:
 
     def spec(self) -> VoxelGridSpec:
         return VoxelGridSpec(tuple(self.dims), np.array(self.origin), self.voxel_size)
+
+
+@dataclass(frozen=True)
+class SceneBundle:
+    """A synthetic world plus everything the tests need to probe it.
+
+    `scene` is the description the world was built from (or read back from
+    scene.json); the grid geometry and the ground-truth density are derived
+    from it and the labels, so they cannot disagree with either.
+    """
+
+    scene: SceneConfig
+    grid: SemanticOccupancy
+    rig: CameraRig
+    images: dict[tuple[int, int], np.ndarray]
+    gt_depths: dict[tuple[int, int], DepthMap]
+    visible: np.ndarray
+
+    @property
+    def spec(self) -> VoxelGridSpec:
+        return self.scene.spec()
+
+    @property
+    def density_gt(self) -> DensityField:
+        """`scene.sigma_occ` on every occupied voxel, 0 on free ones."""
+        grid = self.grid
+        return DensityField(self.scene.sigma_occ * (grid.labels != grid.num_classes), self.spec)
 
 
 def _hash01(ix, iy, iz, salt: int) -> np.ndarray:
@@ -430,27 +437,19 @@ def _build_blobs(rng: np.random.Generator, dims: tuple[int, int, int]) -> np.nda
     return labels
 
 
-def build_scene(
-    seed: int,
-    spec: VoxelGridSpec,
-    preset: str,
-    num_cameras: int = 4,
-    image_size: tuple[int, int] = (48, 80),
-    sigma_occ: float = 50.0,
-) -> SceneBundle:
-    """Generate a deterministic scene bundle.
+def build_scene(scene: SceneConfig) -> SceneBundle:
+    """Generate the deterministic scene bundle that `scene` describes.
 
-    The arguments must pass `SceneConfig`'s checks: among others, the grid
-    must be desk scale (every extent <= 64). The ego sits inside the scene
-    on a free column, moves 0.5-2 m with <= 5 degrees of yaw
-    between the two timestamps, and carries `num_cameras` cameras in a ring.
-    sigma_occ is the density written on occupied voxels; at the default 50/m
-    and 0.4 m voxels a single voxel is effectively opaque, which is the
-    regime where the first-hit oracle comparison is meaningful.
+    `scene` has passed its own checks: among others, the grid is desk scale
+    (every extent <= 64). The ego sits inside the scene on a free column,
+    moves 0.5-2 m with <= 5 degrees of yaw between the two timestamps, and
+    carries `scene.num_cameras` cameras in a ring. `scene.sigma_occ` is the
+    density on occupied voxels; at the default 50/m and 0.4 m voxels a single
+    voxel is effectively opaque, which is the regime where the first-hit
+    oracle comparison is meaningful.
     """
-    SceneConfig(seed, preset, spec.dims, spec.voxel_size, spec.origin, num_cameras, image_size,
-                sigma_occ)
-    rng = np.random.default_rng(seed)
+    preset, image_size, spec = scene.preset, scene.image_size, scene.spec()
+    rng = np.random.default_rng(scene.seed)
     x, y, z = spec.dims
     if preset == "corridor":
         labels = _build_corridor(rng, spec.dims)
@@ -476,14 +475,13 @@ def build_scene(
             gx = (pos[0] - spec.origin[0]) / spec.voxel_size
             gy = (pos[1] - spec.origin[1]) / spec.voxel_size
             _clear_column(labels, gx, gy, clear_r, spec.voxel_size)
-    rig = _make_rig(preset, num_cameras, image_size, ego_base, forward, advance, yaw)
+    rig = _make_rig(preset, scene.num_cameras, image_size, ego_base, forward, advance, yaw)
     grid = SemanticOccupancy.from_labels(labels, NUM_CLASSES)
-    density = DensityField(sigma_occ * (labels != NUM_CLASSES), spec)
     # every view's rays, timestamp by timestamp, go through one traversal;
     # each ray's result depends only on its own origin and direction
     keys, origins, dirs = [], [], []
     for t in rig.timestamps():
-        for ci in range(num_cameras):
+        for ci in range(scene.num_cameras):
             cam = Camera(rig.cameras[ci].intrinsics, camera_pose_at(rig, ci, t))
             origin, view_dirs = view_rays(cam, image_size)
             keys.append((ci, t))
@@ -510,32 +508,23 @@ def build_scene(
         images[key] = _shade(
             grid.labels, origins[view], dirs[view], depth[view], hit[view], hit_idx[view]
         ).reshape(h, w, 3)
-    return SceneBundle(
-        grid=grid,
-        density_gt=density,
-        rig=rig,
-        images=images,
-        gt_depths=gt_depths,
-        visible=visible,
-        seed=int(seed),
-        preset=preset,
-        sigma_occ=float(sigma_occ),
-        image_size=tuple(image_size),
-    )
+    return SceneBundle(scene, grid, rig, images, gt_depths, visible)
 
 
 def save_scene(bundle: SceneBundle, directory) -> None:
     """Persist a bundle: scene.json, raw label/visibility grids, PPM images,
-    PFM depths with PGM validity masks. Byte-deterministic."""
+    PFM depths with PGM validity masks. Byte-deterministic: scene.json
+    holds `bundle.scene`, its grid geometry under `spec` and cameras under
+    `rig`, with floats written as floats even where the config gave `50`."""
     os.makedirs(os.path.join(directory, "images"), exist_ok=True)
     os.makedirs(os.path.join(directory, "depths"), exist_ok=True)
-    spec = bundle.spec
+    scene, spec = bundle.scene, bundle.spec
     meta = {
-        "seed": bundle.seed,
-        "preset": bundle.preset,
+        "seed": scene.seed,
+        "preset": scene.preset,
         "num_classes": bundle.grid.num_classes,
-        "sigma_occ": bundle.sigma_occ,
-        "image_size": list(bundle.image_size),
+        "sigma_occ": float(scene.sigma_occ),
+        "image_size": list(scene.image_size),
         "spec": {
             "dims": list(spec.dims),
             "origin": [float(v) for v in spec.origin],
@@ -570,13 +559,14 @@ def load_scene(directory) -> SceneBundle:
     """Load a persisted bundle.
 
     scene.json is read like the config, with `formats.read_fields`, and
-    passes the checks of `SceneConfig` and the camera classes. Images come
-    back 8-bit quantized and depths float32-rounded; opacity is
+    passes the checks of `SceneConfig` and the camera classes; the bundle
+    keeps that `SceneConfig`, with `num_cameras` the length of `rig.cameras`.
+    Images come back 8-bit quantized and depths float32-rounded; opacity is
     reconstructed as the validity indicator. Raises ValueError naming the
     file (in scene.json also the key, e.g. `rig.cameras[1].fx`) on a bad
-    value, a raw grid whose byte count differs from the voxel count, an
-    image or depth map that differs from `image_size`, or a label above
-    `num_classes` (the free label).
+    value, a `num_classes` other than `NUM_CLASSES`, a raw grid whose byte
+    count differs from the voxel count, an image or depth map that differs
+    from `image_size`, or a label above `num_classes` (the free label).
     """
     path = os.path.join(directory, "scene.json")
     hints = typing.get_type_hints(SceneConfig)
@@ -589,6 +579,8 @@ def load_scene(directory) -> SceneBundle:
         spec = formats.read_fields(meta.pop("spec"), spec_hints, "spec")
         rig = rig_from_json(meta.pop("rig"))
         num_classes = meta.pop("num_classes")
+        if num_classes != NUM_CLASSES:
+            raise ValueError(f"num_classes: {num_classes}, expected {NUM_CLASSES}")
         scene = SceneConfig(**meta, **spec, num_cameras=len(rig.cameras))
     spec = scene.spec()
     labels = _read_raw_grid(directory, "grid.raw", spec.dims).astype(np.int64)
@@ -599,7 +591,6 @@ def load_scene(directory) -> SceneBundle:
         )
     visible = _read_raw_grid(directory, "visible.raw", spec.dims).astype(bool)
     grid = SemanticOccupancy.from_labels(labels, num_classes)
-    density = DensityField(scene.sigma_occ * (labels != num_classes), spec)
     images = {}
     gt_depths = {}
     for t in rig.timestamps():
@@ -613,15 +604,4 @@ def load_scene(directory) -> SceneBundle:
             gt_depths[(ci, t)] = DepthMap(
                 depth=depth, valid=valid, opacity=valid.astype(np.float64)
             )
-    return SceneBundle(
-        grid=grid,
-        density_gt=density,
-        rig=rig,
-        images=images,
-        gt_depths=gt_depths,
-        visible=visible,
-        seed=scene.seed,
-        preset=scene.preset,
-        sigma_occ=scene.sigma_occ,
-        image_size=scene.image_size,
-    )
+    return SceneBundle(scene, grid, rig, images, gt_depths, visible)

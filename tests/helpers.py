@@ -195,7 +195,7 @@ def covisibility_mask(
     """
     k_tgt = bundle.rig.cameras[target[0]].intrinsics
     k_src = bundle.rig.cameras[source[0]].intrinsics
-    h, w = bundle.image_size
+    h, w = bundle.scene.image_size
     units, _ = unit_camera_rays(k_tgt, pixel_grid(h, w))
     p_tgt = bundle.gt_depths[target].depth.ravel()[:, None] * units
     p_src = source_to_target.inverse().apply(p_tgt)

@@ -12,7 +12,7 @@ from occgeom.camera import Camera, CameraRig, Intrinsics, Pose, camera_pose_at, 
 from occgeom.cast import ContextPlan, PhotometricConfig, cast_loss, photometric_loss, warp_image
 from occgeom.occ_encdec import SemanticOccupancy, SemanticQuerySet, WindowedAttentionParams, masked_decode, windowed_attention
 from occgeom.renderer import DensityField, render_view
-from occgeom.synthscene import build_scene, raymarch_depth_oracle
+from occgeom.synthscene import SceneConfig, build_scene, raymarch_depth_oracle
 from occgeom.tensor import softmax
 from occgeom.metrics import evaluate
 from occgeom.view_transform import (
@@ -35,8 +35,7 @@ def report(num, name, detail):
 
 @pytest.fixture(scope="module")
 def corridor():
-    spec = VoxelGridSpec((32, 32, 8), np.zeros(3), 0.4)
-    return build_scene(0, spec, "corridor", num_cameras=2, image_size=(48, 80))
+    return build_scene(SceneConfig(seed=0, preset="corridor", num_cameras=2, image_size=(48, 80)))
 
 
 def test_01_rendering_correctness(corridor):
@@ -109,7 +108,9 @@ def test_04_photometric_identity():
     worst = 0.0
     checked = 0
     for preset in ("boxes", "corridor", "random_blobs"):
-        b = build_scene(2, spec, preset, num_cameras=2, image_size=(24, 40))
+        b = build_scene(
+            SceneConfig(seed=2, preset=preset, dims=spec.dims, num_cameras=2, image_size=(24, 40))
+        )
         for (ci, t), img in b.images.items():
             pose = relative_pose("temporal", b.rig, ci, ci, t, t)
             intr = b.rig.cameras[ci].intrinsics
@@ -126,8 +127,8 @@ def test_04_photometric_identity():
 
 def test_05_self_supervision_discriminates():
     """Ground-truth density beats 100 seeded 10% perturbations."""
-    spec = VoxelGridSpec((32, 32, 8), np.zeros(3), 0.4)
-    b = build_scene(10, spec, "boxes", num_cameras=2, image_size=(36, 64))
+    b = build_scene(SceneConfig(seed=10, preset="boxes", num_cameras=2, image_size=(36, 64)))
+    spec = b.spec
     cfg = PhotometricConfig()
     views = [
         Camera(b.rig.cameras[i].intrinsics, camera_pose_at(b.rig, i, 1))
@@ -144,7 +145,7 @@ def test_05_self_supervision_discriminates():
     rng = np.random.default_rng(1010)
     margin = np.inf
     for _ in range(100):
-        noise = rng.uniform(-0.1 * b.sigma_occ, 0.1 * b.sigma_occ, spec.dims)
+        noise = rng.uniform(-0.1 * b.scene.sigma_occ, 0.1 * b.scene.sigma_occ, spec.dims)
         perturbed = loss_of(np.clip(b.density_gt.sigma + noise, 0.0, None))
         assert perturbed > base
         margin = min(margin, perturbed / base)

@@ -29,7 +29,7 @@ from occgeom.cast import (
     warp_image,
 )
 from occgeom.renderer import DensityField, DepthMap, RayPlan, render_view
-from occgeom.synthscene import build_scene, sparse_lidar
+from occgeom.synthscene import SceneConfig, build_scene, sparse_lidar
 from occgeom.tensor import bilinear_sample, bilinear_sample_grad
 from occgeom.view_transform import DepthDistribution, VoxelGridSpec, uniform_depth_bins
 
@@ -45,8 +45,9 @@ def smooth_image(h, w, shift=0.0):
 
 
 def boxes_bundle(seed=11, n_cams=2, image_size=(36, 64)):
-    spec = VoxelGridSpec((32, 32, 8), np.zeros(3), 0.4)
-    return build_scene(seed, spec, "boxes", num_cameras=n_cams, image_size=image_size)
+    return build_scene(
+        SceneConfig(seed=seed, preset="boxes", num_cameras=n_cams, image_size=image_size)
+    )
 
 
 class TestConfig:
@@ -127,7 +128,9 @@ class TestWarpImage:
         # cells, L1 sign), so the check runs where no coordinate straddles
         # a kink
         spec = VoxelGridSpec((24, 24, 8), np.zeros(3), 0.4)
-        b = build_scene(5, spec, "boxes", num_cameras=2, image_size=(16, 24))
+        b = build_scene(
+            SceneConfig(seed=5, preset="boxes", dims=spec.dims, num_cameras=2, image_size=(16, 24))
+        )
         src, ref = b.images[(0, 0)], b.images[(0, 1)]
         dm = b.gt_depths[(0, 1)]
         pose = relative_pose("temporal", b.rig, 0, 0, 0, 1)
@@ -251,7 +254,9 @@ class TestCastLoss:
         # two cameras with IDENTICAL pose and no ego motion: every context
         # warp is the identity, so all terms must vanish
         spec = VoxelGridSpec((24, 24, 8), np.zeros(3), 0.4)
-        b = build_scene(4, spec, "boxes", num_cameras=2, image_size=(24, 40))
+        b = build_scene(
+            SceneConfig(seed=4, preset="boxes", dims=spec.dims, num_cameras=2, image_size=(24, 40))
+        )
         intr = b.rig.cameras[0].intrinsics
         mount = b.rig.cameras[0].pose
         rig = CameraRig(
@@ -309,7 +314,7 @@ class TestCastLoss:
         base = loss_of(b.density_gt.sigma)
         rng = np.random.default_rng(99)
         for _ in range(10):
-            noise = rng.uniform(-0.1 * b.sigma_occ, 0.1 * b.sigma_occ, spec.dims)
+            noise = rng.uniform(-0.1 * b.scene.sigma_occ, 0.1 * b.scene.sigma_occ, spec.dims)
             assert loss_of(np.clip(b.density_gt.sigma + noise, 0, None)) > base
 
     def test_gauge_invariance(self):

@@ -128,7 +128,7 @@ class TestGen:
         captured = capsys.readouterr().out
         assert "occupied voxels" in captured
         b = load_scene(out)
-        assert b.preset == "boxes"
+        assert b.scene.preset == "boxes"
         stats = int(np.sum(b.grid.labels != b.grid.num_classes))
         assert f"occupied voxels: {stats}" in captured
 
@@ -137,6 +137,17 @@ class TestGen:
         cmd_gen(make_cfg(tmp_path, "b"))
         a = tree_bytes(tmp_path / "a")
         b = tree_bytes(tmp_path / "b")
+        assert a.keys() == b.keys() and all(a[k] == b[k] for k in a)
+
+    def test_integer_valued_floats_write_the_same_scene(self, tmp_path):
+        # read_fields passes a JSON integer through for a float field; the
+        # scene must still come out as it does from the float spelling
+        ints = {"scene.sigma_occ": 50, "scene.voxel_size": 1, "scene.origin": [0, -1, 0]}
+        floats = {"scene.sigma_occ": 50.0, "scene.voxel_size": 1.0,
+                  "scene.origin": [0.0, -1.0, 0.0]}
+        cmd_gen(make_cfg(tmp_path, "ints", **ints))
+        cmd_gen(make_cfg(tmp_path, "floats", **floats))
+        a, b = tree_bytes(tmp_path / "ints"), tree_bytes(tmp_path / "floats")
         assert a.keys() == b.keys() and all(a[k] == b[k] for k in a)
 
     def test_corridor_reports_classes(self, tmp_path, capsys):
@@ -164,17 +175,16 @@ class TestRender:
         import dataclasses
 
         from occgeom.occ_encdec import SemanticOccupancy
-        from occgeom.renderer import DensityField
         from occgeom.synthscene import build_scene, save_scene
 
         cfg = make_cfg(tmp_path, "render")
-        b = build_scene(0, cfg.scene.spec(), "boxes", 2, (24, 40))
+        b = build_scene(dataclasses.replace(cfg.scene, seed=0))
         free = np.full(b.spec.dims, b.grid.num_classes)
+        # the ground-truth density follows the grid: all free, all zero
         empty = dataclasses.replace(
-            b,
-            grid=SemanticOccupancy.from_labels(free, b.grid.num_classes),
-            density_gt=DensityField(np.zeros(b.spec.dims), b.spec),
+            b, grid=SemanticOccupancy.from_labels(free, b.grid.num_classes)
         )
+        assert not empty.density_gt.sigma.any()
         save_scene(empty, tmp_path / "scene")
         rep = cmd_render(cfg, str(tmp_path / "scene"))
         assert rep["valid_fraction"] == 0.0
@@ -187,9 +197,9 @@ class TestRender:
         from helpers import level_camera_mount
         from occgeom.camera import Camera, CameraRig, Intrinsics, Pose, camera_pose_at
         from occgeom.occ_encdec import SemanticOccupancy
-        from occgeom.renderer import DensityField
         from occgeom.synthscene import (
             SceneBundle,
+            SceneConfig,
             raymarch_depth_oracle,
             save_scene,
             synthesize_image,
@@ -204,7 +214,6 @@ class TestRender:
         labels = np.full((64, 64, 16), 4, dtype=np.int64)
         labels[ix >= 20 + 0.268 * iy + 0.171 * iz] = 0
         grid = SemanticOccupancy.from_labels(labels, 4)
-        field = DensityField(50.0 * (labels != 4), spec)
         intr = Intrinsics(fx=210.0, fy=210.0, cx=79.5, cy=31.5, width=160, height=64)
         pos = np.array([1.53, 32.07, 8.53]) * vs
         mount = level_camera_mount(0.0, pos)
@@ -221,11 +230,11 @@ class TestRender:
                     grid, spec, cam, (64, 160), visible
                 )
                 images[(ci, t)] = synthesize_image(grid, spec, cam, (64, 160))
-        bundle = SceneBundle(
-            grid=grid, density_gt=field, rig=rig, images=images,
-            gt_depths=depths, visible=visible, seed=0, preset="boxes",
-            sigma_occ=50.0, image_size=(64, 160),
+        scene = SceneConfig(
+            seed=0, preset="boxes", dims=spec.dims, voxel_size=vs, num_cameras=2,
+            image_size=(64, 160), sigma_occ=50.0,
         )
+        bundle = SceneBundle(scene, grid, rig, images, depths, visible)
         save_scene(bundle, tmp_path / "wall")
         errs = {}
         for s in (76, 152):
@@ -348,6 +357,16 @@ class TestEval:
         with pytest.raises(ValueError, match="100 voxels.*16x16x8"):
             cmd_eval(cfg, str(pred), scene, visible=False)
 
+    def test_label_above_free_names_file_voxel_and_label(self, tmp_path):
+        cfg, scene = self._scene(tmp_path)
+        pred = tmp_path / "pred.raw"
+        raw = bytearray([4]) * (16 * 16 * 8)
+        raw[37], raw[90] = 9, 5
+        pred.write_bytes(bytes(raw))
+        message = f"prediction {pred}: voxel 37 has label 9, above the scene's free label 4"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            cmd_eval(cfg, str(pred), scene, visible=False)
+
 
 class TestMain:
     def test_gen_render_eval_pipeline(self, tmp_path, capsys):
@@ -381,7 +400,7 @@ class TestMain:
         )
         assert code == 0
         b = load_scene(scene_dir)
-        assert b.seed == 5 and b.spec.dims == (16, 16, 8)
+        assert b.scene.seed == 5 and b.spec.dims == (16, 16, 8)
 
     def test_failure_emits_structured_error(self, tmp_path, capsys):
         code = main(["--out", str(tmp_path / "x"), "render", "--scene-dir",

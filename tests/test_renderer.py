@@ -27,7 +27,7 @@ from occgeom.tensor import (
     _trilinear_in_box,
     trilinear_sample,
 )
-from occgeom.synthscene import build_scene
+from occgeom.synthscene import SceneConfig, build_scene
 from occgeom.view_transform import VoxelGridSpec
 
 
@@ -469,8 +469,8 @@ class TestRayPlan:
             RayPlan(self.SPEC, self.camera(), self.RES, 5.0, 0.5, 24)
         # the two rig cameras of the boxes scene: their blocks differ, in
         # number or in shape, and either is rejected
-        spec = VoxelGridSpec((32, 32, 8), np.zeros(3), 0.4)
-        scene = build_scene(11, spec, "boxes", num_cameras=2, image_size=(36, 64))
+        scene = build_scene(SceneConfig(seed=11, preset="boxes", image_size=(36, 64)))
+        spec = scene.spec
         t = scene.rig.timestamps()[-1]
         plans = [RayPlan(spec, Camera(c.intrinsics, camera_pose_at(scene.rig, i, t)), (36, 64),
                          1.0, 16.0, 64) for i, c in enumerate(scene.rig.cameras)]
@@ -711,8 +711,8 @@ class TestOneShotRender:
         # rays enter the box at different depths, and the rig's own cameras
         # inside it, whose first sample is already in the box; most samples
         # read free space
-        spec = VoxelGridSpec((32, 32, 8), np.zeros(3), 0.4)
-        scene = build_scene(3, spec, "boxes", num_cameras=2, image_size=(24, 40))
+        scene = build_scene(SceneConfig(seed=3, preset="boxes", image_size=(24, 40)))
+        spec = scene.spec
         cams = [self.camera(yaw, offset, (24, 40), pitch) for yaw, offset, pitch in (
             (0.2, [-2.0, 5.0, 4.0], 0.35), (-0.1, [-9.0, 7.0, 1.5], 0.0),
             (2.5, [16.0, -4.0, 6.0], 0.5))]

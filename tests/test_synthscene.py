@@ -12,6 +12,7 @@ from occgeom.camera import Camera, _box_span, camera_pose_at, relative_pose, vie
 from occgeom.cast import PhotometricConfig, photometric_loss, warp_image
 from occgeom.renderer import render_view
 from occgeom.synthscene import (
+    SceneConfig,
     _traverse,
     build_scene,
     load_scene,
@@ -26,8 +27,9 @@ from occgeom.view_transform import VoxelGridSpec
 SPEC = VoxelGridSpec((32, 32, 8), np.zeros(3), 0.4)
 
 
-def bundle(seed=0, preset="corridor", n=2, size=(24, 40), spec=SPEC):
-    return build_scene(seed, spec, preset, num_cameras=n, image_size=size)
+def bundle(**scene):
+    """A scene at this file's image size; `scene` overrides other SceneConfig fields."""
+    return build_scene(SceneConfig(**{"image_size": (24, 40), **scene}))
 
 
 class TestBuildScene:
@@ -69,11 +71,11 @@ class TestBuildScene:
         b = bundle(seed=5, preset="random_blobs")
         occ = b.grid.labels != b.grid.num_classes
         assert np.all((b.density_gt.sigma > 0) == occ)
-        assert np.all(b.density_gt.sigma[occ] == b.sigma_occ)
+        assert np.all(b.density_gt.sigma[occ] == b.scene.sigma_occ)
 
     def test_corridor_center_pixel_hits_end_wall(self):
         b = bundle(seed=6)
-        h, w = b.image_size
+        h, w = b.scene.image_size
         for t in (0, 1):
             dm = b.gt_depths[(0, t)]
             cam_pose = camera_pose_at(b.rig, 0, t)
@@ -85,19 +87,18 @@ class TestBuildScene:
 
     def test_unknown_preset(self):
         with pytest.raises(ValueError):
-            build_scene(0, SPEC, "city")
+            build_scene(SceneConfig(preset="city"))
 
     def test_desk_scale_enforced(self):
-        big = VoxelGridSpec((128, 32, 8), np.zeros(3), 0.4)
         with pytest.raises(ValueError):
-            build_scene(0, big, "boxes")
+            build_scene(SceneConfig(preset="boxes", dims=(128, 32, 8)))
 
     @pytest.mark.parametrize(
         "preset, dims", [("boxes", (2, 2, 3)), ("corridor", (1, 1, 1)), ("random_blobs", (6, 6, 1))]
     )
     def test_smallest_grid_of_each_preset_builds(self, preset, dims):
         for seed in range(4):
-            b = bundle(seed, preset, spec=VoxelGridSpec(dims, np.zeros(3), 0.4))
+            b = bundle(seed=seed, preset=preset, dims=dims)
             assert b.grid.labels.shape == dims
 
     @pytest.mark.parametrize(
@@ -111,10 +112,9 @@ class TestBuildScene:
         ],
     )
     def test_grid_too_small_for_preset_rejected(self, preset, dims):
-        spec = VoxelGridSpec(dims, np.zeros(3), 0.4)
         message = f"preset '{preset}' needs dims >= {synthscene._MIN_DIMS[preset]}, got {dims}"
         with pytest.raises(ValueError, match=re.escape(message)):
-            build_scene(0, spec, preset)
+            build_scene(SceneConfig(preset=preset, dims=dims))
 
 
 class TestRaymarchOracle:
@@ -155,7 +155,7 @@ class TestRaymarchOracle:
     def test_gt_depths_are_oracle_outputs(self):
         b = bundle(seed=1, preset="boxes")
         cam = Camera(b.rig.cameras[1].intrinsics, camera_pose_at(b.rig, 1, 0))
-        dm = raymarch_depth_oracle(b.grid, SPEC, cam, b.image_size)
+        dm = raymarch_depth_oracle(b.grid, SPEC, cam, b.scene.image_size)
         assert np.array_equal(dm.depth, b.gt_depths[(1, 0)].depth)
         assert np.array_equal(dm.valid, b.gt_depths[(1, 0)].valid)
 
@@ -245,7 +245,7 @@ class TestCompactedTraversal:
     @pytest.mark.parametrize("preset", ["corridor", "boxes", "random_blobs"])
     @pytest.mark.parametrize("shared", [True, False])
     def test_rig_cameras(self, preset, shared):
-        b = bundle(seed=5, preset=preset, n=3)
+        b = bundle(seed=5, preset=preset, num_cameras=3)
         occ = b.grid.labels != b.grid.num_classes
         hits = 0
         for ci in range(3):
@@ -315,7 +315,7 @@ class TestCompactedTraversal:
         # several views with different origins, rays starting inside
         # occupied voxels and axis-parallel rays, all in one call, must give
         # each group what its own call gives
-        b = bundle(seed=9, preset="random_blobs", n=3)
+        b = bundle(seed=9, preset="random_blobs", num_cameras=3)
         occ = b.grid.labels != b.grid.num_classes
         groups = []
         for t in b.rig.timestamps():
@@ -560,7 +560,7 @@ class TestVisibility:
         # recomputing the traversal marks a subset of the stored mask
         fresh = np.zeros(SPEC.dims, dtype=bool)
         cam = Camera(b.rig.cameras[0].intrinsics, camera_pose_at(b.rig, 0, 1))
-        raymarch_depth_oracle(b.grid, SPEC, cam, b.image_size, fresh)
+        raymarch_depth_oracle(b.grid, SPEC, cam, b.scene.image_size, fresh)
         assert np.all(~fresh | b.visible)
 
 
@@ -574,13 +574,13 @@ class TestBatchedBuildScene:
         [("corridor", 2), ("boxes", 2), ("boxes", 6), ("random_blobs", 3)],
     )
     def test_equals_per_view_oracle_and_image(self, preset, n):
-        b = bundle(seed=2, preset=preset, n=n, size=(20, 36))
+        b = bundle(seed=2, preset=preset, num_cameras=n, image_size=(20, 36))
         union = np.zeros(SPEC.dims, dtype=bool)
         for t in b.rig.timestamps():
             for ci in range(n):
                 cam = Camera(b.rig.cameras[ci].intrinsics, camera_pose_at(b.rig, ci, t))
-                dm = raymarch_depth_oracle(b.grid, SPEC, cam, b.image_size, union)
-                img = synthesize_image(b.grid, SPEC, cam, b.image_size)
+                dm = raymarch_depth_oracle(b.grid, SPEC, cam, b.scene.image_size, union)
+                img = synthesize_image(b.grid, SPEC, cam, b.scene.image_size)
                 got = b.gt_depths[(ci, t)]
                 for want, have in (
                     (img, b.images[(ci, t)]),
@@ -600,7 +600,7 @@ class TestBatchedBuildScene:
             return _traverse(*args, **kwargs)
 
         monkeypatch.setattr(synthscene, "_traverse", counted)
-        bundle(seed=3, preset="boxes", n=6, size=(12, 20))
+        bundle(seed=3, preset="boxes", num_cameras=6, image_size=(12, 20))
         assert calls == [2 * 6 * 12 * 20]
 
 
@@ -666,7 +666,7 @@ class TestCrossModuleConsistency:
         # the pixels both cameras actually see
         cfg = PhotometricConfig()
         for preset in ("boxes", "random_blobs"):
-            b = bundle(seed=8, preset=preset, n=6, size=(64, 112))
+            b = bundle(seed=8, preset=preset, num_cameras=6, image_size=(64, 112))
             worst = 0.0
             checked = 0
             for i in range(6):
@@ -692,14 +692,14 @@ class TestCrossModuleConsistency:
 
 class TestPersistence:
     def test_roundtrip(self, tmp_path):
-        b = bundle(seed=9, preset="boxes", n=3)
+        b = bundle(seed=9, preset="boxes", num_cameras=3)
         save_scene(b, tmp_path / "scene")
         back = load_scene(tmp_path / "scene")
         assert np.array_equal(back.grid.labels, b.grid.labels)
         assert np.array_equal(back.visible, b.visible)
         assert back.spec.dims == b.spec.dims
         assert back.spec.voxel_size == b.spec.voxel_size
-        assert back.preset == b.preset and back.seed == b.seed
+        assert back.scene == b.scene
         assert len(back.rig.cameras) == 3
         for t in b.rig.timestamps():
             np.testing.assert_allclose(
@@ -757,6 +757,16 @@ class TestPersistence:
         labels[5] = 7
         (saved / "grid.raw").write_bytes(labels.tobytes())
         with pytest.raises(ValueError, match="grid.raw: label 7 above num_classes 4"):
+            load_scene(saved)
+
+    @pytest.mark.parametrize("num_classes", [5, 300])
+    def test_num_classes_other_than_synthetic_rejected(self, saved, num_classes):
+        # 5 would read the free label 4 as a class, and 300 would size the
+        # logits by it; build_scene writes only NUM_CLASSES
+        meta = json.loads((saved / "scene.json").read_text())
+        meta["num_classes"] = num_classes
+        (saved / "scene.json").write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match=rf"scene\.json: num_classes: {num_classes}, expected 4"):
             load_scene(saved)
 
     @pytest.mark.parametrize(
@@ -876,8 +886,7 @@ class TestSceneJsonFuzz:
         # an object holding it (a range error); never a TypeError, an
         # OSError, a bool taken for a number or a truncated non-integer
         scene = tmp_path / "scene"
-        save_scene(bundle(seed=5, preset="boxes", size=(8, 12),
-                          spec=VoxelGridSpec((8, 8, 4), np.zeros(3), 0.4)), scene)
+        save_scene(bundle(seed=5, preset="boxes", image_size=(8, 12), dims=(8, 8, 4)), scene)
         saved = json.loads((scene / "scene.json").read_text())
         assert len(saved["rig"]["cameras"]) == len(saved["rig"]["ego_poses"]) == 2
         problems, loaded = [], set()
