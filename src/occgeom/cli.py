@@ -119,7 +119,7 @@ def cmd_gen(cfg: ExperimentConfig) -> str:
     synthscene.save_scene(bundle, out)
     labels = bundle.grid.labels
     total = labels.size
-    occupied = int(np.sum(labels != bundle.grid.num_classes))
+    occupied = int(np.sum(bundle.grid.occupied))
     print(f"scene: preset={cfg.scene.preset} seed={cfg.scene.seed} dims={bundle.spec.dims}")
     print(f"occupied voxels: {occupied} / {total} ({occupied / total:.9g})")
     for c in range(bundle.grid.num_classes):
@@ -193,7 +193,7 @@ def cmd_render(cfg: ExperimentConfig, scene_dir: str) -> dict:
 def _init_sigma(cfg: ExperimentConfig, bundle: synthscene.SceneBundle) -> np.ndarray:
     gt = bundle.density_gt.sigma
     sigma_occ = bundle.scene.sigma_occ
-    rng = np.random.default_rng(cfg.scene.seed + 7919)
+    rng = np.random.default_rng(bundle.scene.seed + 7919)
     if cfg.optimize.init == "zeros":
         return np.zeros_like(gt)
     if cfg.optimize.init == "random":
@@ -232,7 +232,7 @@ def cmd_selftrain(cfg: ExperimentConfig, scene_dir: str) -> dict:
     for i, gt_dm in enumerate(gt_views):
         n = min(cfg.optimize.lidar_samples, int(gt_dm.valid.sum()))
         if n > 0:
-            sparse.append(synthscene.sparse_lidar(gt_dm, n, cfg.scene.seed * 100 + i))
+            sparse.append(synthscene.sparse_lidar(gt_dm, n, bundle.scene.seed * 100 + i))
         else:
             sparse.append(None)
     sigma = _init_sigma(cfg, bundle)
@@ -341,9 +341,7 @@ def cmd_eval(cfg: ExperimentConfig, pred_path: str, scene_dir: str, visible: boo
             f"prediction {pred_path}: voxel {bad[0]} has label {raw[bad[0]]}, above the "
             f"scene's free label {bundle.grid.num_classes}"
         )
-    pred = SemanticOccupancy.from_labels(
-        raw.reshape(dims).astype(np.int64), bundle.grid.num_classes
-    )
+    pred = SemanticOccupancy(raw.reshape(dims), bundle.grid.num_classes)
     mask = bundle.visible if visible else None
     result = metrics_mod.evaluate(pred, bundle.grid, mask)
     os.makedirs(cfg.output_dir, exist_ok=True)

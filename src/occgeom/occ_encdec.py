@@ -5,7 +5,9 @@ The encoder applies window-divided self-attention (softmax(Q K^T / sqrt(d)
 convolutions; the decoder runs masked cross-attention from semantic queries
 onto the voxel tokens, with -inf logits on masked voxels, followed by
 per-query class and mask heads. The decoder attention is intentionally
-unscaled (no 1/sqrt(d)); only the encoder uses the scale.
+unscaled (no 1/sqrt(d)); only the encoder uses the scale. The heads'
+outputs become one label per voxel (`assemble_semantics`), held with the
+class count in a `SemanticOccupancy`.
 """
 
 from __future__ import annotations
@@ -107,36 +109,31 @@ class SemanticQuerySet:
 
 @dataclass(frozen=True)
 class SemanticOccupancy:
-    """Per-voxel class labels (0..K, K = free) with backing logits."""
+    """Per-voxel class labels 0..K, K = `num_classes` meaning free: the
+    ground truth and the decoder's output alike, as in Occ3D."""
 
     labels: np.ndarray  # [X x Y x Z] int
-    logits: np.ndarray  # [(K+1) x X x Y x Z]
+    num_classes: int  # K
 
     def __post_init__(self):
-        labels = np.asarray(self.labels, dtype=np.int64)
-        logits = as_tensor(self.logits)
-        if logits.ndim != 4 or logits.shape[1:] != labels.shape:
-            raise ValueError(f"logits {logits.shape} vs labels {labels.shape}")
-        if logits.shape[0] < 2:
-            raise ValueError("need at least one semantic class plus free")
-        if not np.array_equal(np.argmax(logits, axis=0), labels):
-            raise ValueError("labels must equal the argmax of logits")
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "logits", logits)
+        labels = np.asarray(self.labels)
+        if labels.ndim != 3 or not np.issubdtype(labels.dtype, np.integer):
+            raise ValueError(f"need a 3-D integer label grid, got {labels.dtype} {labels.shape}")
+        if self.num_classes < 1:
+            raise ValueError(f"num_classes {self.num_classes}: need at least one plus free")
+        if labels.min() < 0 or labels.max() > self.num_classes:
+            raise ValueError(f"labels outside 0..{self.num_classes}")
+        object.__setattr__(self, "labels", labels.astype(np.int64, copy=False))
 
     @property
-    def num_classes(self) -> int:
-        """Number of semantic classes K (label K itself means free)."""
-        return self.logits.shape[0] - 1
+    def occupied(self) -> np.ndarray:
+        """[X x Y x Z] bool: the voxels whose label is not free."""
+        return self.labels != self.num_classes
 
     @staticmethod
     def from_labels(labels: np.ndarray, num_classes: int) -> "SemanticOccupancy":
-        labels = np.asarray(labels, dtype=np.int64)
-        if labels.min() < 0 or labels.max() > num_classes:
-            raise ValueError(f"labels outside 0..{num_classes}")
-        logits = np.zeros((num_classes + 1,) + labels.shape)
-        np.put_along_axis(logits, labels[None], 1.0, axis=0)
-        return SemanticOccupancy(labels, logits)
+        """The constructor under its old name, which `bench/pipeline.py` still calls."""
+        return SemanticOccupancy(labels, num_classes)
 
 
 def _partition_windows(data: np.ndarray, window: tuple[int, int, int]):
@@ -288,7 +285,8 @@ def assemble_semantics(
     mask logit; the per-voxel class score is the max over that class's
     queries, free keeps a zero baseline, and argmax breaks ties toward the
     lower class index. Voxels no query covers (all mask logits negative)
-    therefore decay to free.
+    therefore decay to free. The grid's `num_classes` is K, one less than
+    the class head's width.
     """
     class_logits = as_tensor(class_logits)
     mask_logits = as_tensor(mask_logits)
@@ -305,5 +303,4 @@ def assemble_semantics(
     for q in range(nq):
         cls = assigned[q]
         scores[cls] = np.maximum(scores[cls], conf[q] * mask_logits[q])
-    labels = np.argmax(scores, axis=0).reshape(spec.dims)
-    return SemanticOccupancy(labels, scores.reshape(kp1, *spec.dims))
+    return SemanticOccupancy(np.argmax(scores, axis=0).reshape(spec.dims), k)

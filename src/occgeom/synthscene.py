@@ -114,8 +114,7 @@ class SceneBundle:
     @property
     def density_gt(self) -> DensityField:
         """`scene.sigma_occ` on every occupied voxel, 0 on free ones."""
-        grid = self.grid
-        return DensityField(self.scene.sigma_occ * (grid.labels != grid.num_classes), self.spec)
+        return DensityField(self.scene.sigma_occ * self.grid.occupied, self.spec)
 
 
 def _hash01(ix, iy, iz, salt: int) -> np.ndarray:
@@ -250,9 +249,8 @@ def raymarch_depth_oracle(
     visible: np.ndarray | None = None,
 ) -> DepthMap:
     """Exact first-hit depth by DDA voxel traversal (the rendering oracle)."""
-    occ = grid.labels != grid.num_classes
     origin, dirs = view_rays(cam, resolution)
-    depth, hit, _ = _traverse(occ, spec, origin, dirs, visible)
+    depth, hit, _ = _traverse(grid.occupied, spec, origin, dirs, visible)
     h, w = resolution
     return DepthMap(
         depth=depth.reshape(h, w),
@@ -274,9 +272,8 @@ def synthesize_image(
     sky gradient from the ray elevation. View-independent except for the
     mild attenuation, which keeps cross-camera photometric residuals small.
     """
-    occ = grid.labels != grid.num_classes
     origin, dirs = view_rays(cam, resolution)
-    traversal = _traverse(occ, spec, origin, dirs)
+    traversal = _traverse(grid.occupied, spec, origin, dirs)
     origins = np.broadcast_to(origin, dirs.shape)
     return _shade(grid.labels, origins, dirs, *traversal).reshape(*resolution, 3)
 
@@ -476,7 +473,7 @@ def build_scene(scene: SceneConfig) -> SceneBundle:
             gy = (pos[1] - spec.origin[1]) / spec.voxel_size
             _clear_column(labels, gx, gy, clear_r, spec.voxel_size)
     rig = _make_rig(preset, scene.num_cameras, image_size, ego_base, forward, advance, yaw)
-    grid = SemanticOccupancy.from_labels(labels, NUM_CLASSES)
+    grid = SemanticOccupancy(labels, NUM_CLASSES)
     # every view's rays, timestamp by timestamp, go through one traversal;
     # each ray's result depends only on its own origin and direction
     keys, origins, dirs = [], [], []
@@ -489,9 +486,7 @@ def build_scene(scene: SceneConfig) -> SceneBundle:
             dirs.append(view_dirs)
     origins, dirs = np.concatenate(origins), np.concatenate(dirs)
     visible = np.zeros(spec.dims, dtype=bool)
-    depth, hit, hit_idx = _traverse(
-        grid.labels != grid.num_classes, spec, origins, dirs, visible
-    )
+    depth, hit, hit_idx = _traverse(grid.occupied, spec, origins, dirs, visible)
     h, w = image_size
     images: dict[tuple[int, int], np.ndarray] = {}
     gt_depths: dict[tuple[int, int], DepthMap] = {}
@@ -583,14 +578,14 @@ def load_scene(directory) -> SceneBundle:
             raise ValueError(f"num_classes: {num_classes}, expected {NUM_CLASSES}")
         scene = SceneConfig(**meta, **spec, num_cameras=len(rig.cameras))
     spec = scene.spec()
-    labels = _read_raw_grid(directory, "grid.raw", spec.dims).astype(np.int64)
+    labels = _read_raw_grid(directory, "grid.raw", spec.dims)
     if labels.max() > num_classes:
         raise ValueError(
             f"{os.path.join(directory, 'grid.raw')}: label {labels.max()} "
             f"above num_classes {num_classes} of {path}"
         )
     visible = _read_raw_grid(directory, "visible.raw", spec.dims).astype(bool)
-    grid = SemanticOccupancy.from_labels(labels, num_classes)
+    grid = SemanticOccupancy(labels, num_classes)
     images = {}
     gt_depths = {}
     for t in rig.timestamps():

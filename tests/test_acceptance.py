@@ -78,7 +78,7 @@ def _tilted_wall_scene():
     )
     labels = np.full((64, 64, 16), 4, dtype=np.int64)
     labels[ix >= 20 + 0.268 * iy + 0.171 * iz] = 0
-    grid = SemanticOccupancy.from_labels(labels, 4)
+    grid = SemanticOccupancy(labels, 4)
     field = DensityField(50.0 * (labels != 4), spec)
     intr = Intrinsics(fx=210.0, fy=210.0, cx=79.5, cy=31.5, width=160, height=64)
     pos = np.array([1.53, 32.07, 8.53]) * vs

@@ -129,7 +129,7 @@ class TestGen:
         assert "occupied voxels" in captured
         b = load_scene(out)
         assert b.scene.preset == "boxes"
-        stats = int(np.sum(b.grid.labels != b.grid.num_classes))
+        stats = int(np.sum(b.grid.occupied))
         assert f"occupied voxels: {stats}" in captured
 
     def test_gen_deterministic_bytes(self, tmp_path):
@@ -182,7 +182,7 @@ class TestRender:
         free = np.full(b.spec.dims, b.grid.num_classes)
         # the ground-truth density follows the grid: all free, all zero
         empty = dataclasses.replace(
-            b, grid=SemanticOccupancy.from_labels(free, b.grid.num_classes)
+            b, grid=SemanticOccupancy(free, b.grid.num_classes)
         )
         assert not empty.density_gt.sigma.any()
         save_scene(empty, tmp_path / "scene")
@@ -213,7 +213,7 @@ class TestRender:
         )
         labels = np.full((64, 64, 16), 4, dtype=np.int64)
         labels[ix >= 20 + 0.268 * iy + 0.171 * iz] = 0
-        grid = SemanticOccupancy.from_labels(labels, 4)
+        grid = SemanticOccupancy(labels, 4)
         intr = Intrinsics(fx=210.0, fy=210.0, cx=79.5, cy=31.5, width=160, height=64)
         pos = np.array([1.53, 32.07, 8.53]) * vs
         mount = level_camera_mount(0.0, pos)
@@ -315,6 +315,39 @@ class TestSelftrain:
         header = rows[0]
         l_rd = [float(r[header.index("L_rd")]) for r in rows[1:]]
         assert l_rd[-1] <= 0.5 * l_rd[0]
+
+    def test_seeds_come_from_the_scene(self, tmp_path, capsys):
+        # `--seed` changes only `gen`: selftrain draws its sparse LiDAR and
+        # its initial density from the loaded scene's seed
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**SMALL, "optimize": {**SMALL["optimize"], "steps": 3}}))
+        scene_dir = str(tmp_path / "scene")
+        assert main(["--config", str(cfg_path), "--out", scene_dir, "gen"]) == 0
+        for name, extra in (("t1", []), ("t2", ["--seed", "7"])):
+            args = ["--config", str(cfg_path), "--out", str(tmp_path / name), *extra]
+            assert main(args + ["selftrain", "--scene-dir", scene_dir]) == 0
+        a, b = tree_bytes(tmp_path / "t1"), tree_bytes(tmp_path / "t2")
+        assert a.keys() == b.keys() and all(a[k] == b[k] for k in a)
+
+    @pytest.mark.parametrize("init", cli._INITS)
+    def test_init_sigma(self, tmp_path, capsys, init):
+        cfg = make_cfg(tmp_path, "scene", **{"optimize.init": init})
+        bundle = load_scene(cmd_gen(cfg))
+        sigma = cli._init_sigma(cfg, bundle)
+        # the same bits again, and under a config naming another scene seed
+        other = make_cfg(tmp_path, "scene", **{"optimize.init": init, "scene.seed": 8})
+        for again in (cli._init_sigma(cfg, bundle), cli._init_sigma(other, bundle)):
+            assert again.tobytes() == sigma.tobytes()
+        assert sigma.shape == bundle.spec.dims
+        sigma_occ = bundle.scene.sigma_occ
+        if init == "zeros":
+            assert np.all(sigma == 0.0) and not np.any(np.signbit(sigma))
+        elif init == "random":
+            assert sigma.min() >= 0.0 and sigma.max() < 0.25 * sigma_occ
+        else:
+            assert sigma.min() >= 0.0
+            bound = cfg.optimize.perturbation * sigma_occ
+            assert np.abs(sigma - bundle.density_gt.sigma).max() <= bound
 
 
 class TestEval:

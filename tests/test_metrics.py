@@ -12,7 +12,7 @@ K = 4  # semantic classes; label 4 means free
 
 
 def occ_of(labels):
-    return SemanticOccupancy.from_labels(np.asarray(labels, dtype=np.int64), K)
+    return SemanticOccupancy(np.asarray(labels, dtype=np.int64), K)
 
 
 def random_grid(rng, shape=(8, 8, 8)):

@@ -286,13 +286,6 @@ class TestAssemble:
         occ = assemble_semantics(class_logits, mask_logits, self.SPEC)
         assert np.all(occ.labels == 0)
 
-    def test_labels_equal_argmax(self):
-        rng = np.random.default_rng(12)
-        occ = assemble_semantics(
-            rng.normal(size=(5, 4)), rng.normal(size=(5, 8)), self.SPEC
-        )
-        assert np.array_equal(occ.labels, np.argmax(occ.logits, axis=0))
-
     def test_against_per_voxel_oracle(self):
         rng = np.random.default_rng(13)
         spec = VoxelGridSpec((4, 4, 4), np.zeros(3), 1.0)
@@ -316,14 +309,27 @@ class TestSemanticOccupancy:
     def test_from_labels_roundtrip(self):
         rng = np.random.default_rng(14)
         labels = rng.integers(0, 5, size=(3, 3, 2))
-        occ = SemanticOccupancy.from_labels(labels, 4)
+        occ = SemanticOccupancy(labels, 4)
         assert np.array_equal(occ.labels, labels)
         assert occ.num_classes == 4
+        assert occ.occupied.dtype == bool
+        assert np.array_equal(occ.occupied, labels != 4)
+        alias = SemanticOccupancy.from_labels(labels, 4)
+        assert np.array_equal(alias.labels, labels) and alias.num_classes == 4
 
-    def test_label_argmax_enforced(self):
-        logits = np.zeros((3, 2, 2, 2))
+    @pytest.mark.parametrize(
+        "labels, num_classes",
+        [
+            (np.full((2, 2, 2), 5), 4),  # above the free label
+            (np.full((2, 2, 2), -1), 4),
+            (np.zeros((2, 2), dtype=np.int64), 4),
+            (np.zeros((2, 2, 2), dtype=np.int64), 0),
+        ],
+        ids=["above-free", "negative", "2-D", "no-classes"],
+    )
+    def test_rejects_bad_grid(self, labels, num_classes):
         with pytest.raises(ValueError):
-            SemanticOccupancy(np.ones((2, 2, 2), dtype=int), logits)
+            SemanticOccupancy(labels, num_classes)
 
     def test_label_range_checked(self):
         with pytest.raises(ValueError):
@@ -348,4 +354,3 @@ class TestDecodeStack:
         cls, mlog = decode(levels, qs)
         occ = assemble_semantics(cls, mlog, spec)
         assert occ.labels.shape == (8, 8, 4)
-        assert np.array_equal(occ.labels, np.argmax(occ.logits, axis=0))

@@ -54,7 +54,7 @@ class TestBuildScene:
     def test_boxes_occupancy_fraction(self):
         for seed in range(6):
             b = bundle(seed=seed, preset="boxes")
-            frac = np.mean(b.grid.labels != b.grid.num_classes)
+            frac = np.mean(b.grid.occupied)
             assert 0.01 <= frac <= 0.30, (seed, frac)
 
     def test_all_presets_have_two_classes_and_motion(self):
@@ -119,7 +119,7 @@ class TestBuildScene:
 
 class TestRaymarchOracle:
     def test_empty_grid_all_invalid(self):
-        grid = SemanticOccupancy.from_labels(np.full(SPEC.dims, 4), 4)
+        grid = SemanticOccupancy(np.full(SPEC.dims, 4), 4)
         b = bundle()
         cam = Camera(b.rig.cameras[0].intrinsics, camera_pose_at(b.rig, 0, 0))
         dm = raymarch_depth_oracle(grid, SPEC, cam, (24, 40))
@@ -128,7 +128,7 @@ class TestRaymarchOracle:
     def test_single_voxel_on_axis_exact_face_distance(self):
         labels = np.full((9, 9, 9), 4)
         labels[7, 4, 4] = 0
-        grid = SemanticOccupancy.from_labels(labels, 4)
+        grid = SemanticOccupancy(labels, 4)
         spec = VoxelGridSpec((9, 9, 9), np.zeros(3), 0.5)
         from helpers import level_camera_mount
         from occgeom.camera import Intrinsics
@@ -162,7 +162,7 @@ class TestRaymarchOracle:
     @pytest.mark.parametrize("preset", ["corridor", "boxes", "random_blobs"])
     def test_shared_origin_traverses_like_per_ray_origins(self, preset):
         b = bundle(seed=4, preset=preset)
-        occ = b.grid.labels != b.grid.num_classes
+        occ = b.grid.occupied
         cam = Camera(b.rig.cameras[0].intrinsics, camera_pose_at(b.rig, 0, 1))
         origin, dirs = view_rays(cam, (30, 50))
         runs = []
@@ -246,7 +246,7 @@ class TestCompactedTraversal:
     @pytest.mark.parametrize("shared", [True, False])
     def test_rig_cameras(self, preset, shared):
         b = bundle(seed=5, preset=preset, num_cameras=3)
-        occ = b.grid.labels != b.grid.num_classes
+        occ = b.grid.occupied
         hits = 0
         for ci in range(3):
             cam = Camera(b.rig.cameras[ci].intrinsics, camera_pose_at(b.rig, ci, 1))
@@ -261,7 +261,7 @@ class TestCompactedTraversal:
         # from outside the grid: half the rays point away from it, and rays
         # parallel to a face run beside it
         b = bundle(seed=6, preset="boxes")
-        occ = b.grid.labels != b.grid.num_classes
+        occ = b.grid.occupied
         rng = np.random.default_rng(17)
         dirs = rng.normal(size=(400, 3))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
@@ -276,7 +276,7 @@ class TestCompactedTraversal:
         # origins inside occupied voxels hit at depth 0; others start in
         # free space inside the grid
         b = bundle(seed=7, preset="random_blobs")
-        occ = b.grid.labels != b.grid.num_classes
+        occ = b.grid.occupied
         rng = np.random.default_rng(18)
         cells = np.argwhere(occ)[rng.choice(int(occ.sum()), 60, replace=False)]
         free = np.argwhere(~occ)[rng.choice(int((~occ).sum()), 60, replace=False)]
@@ -292,7 +292,7 @@ class TestCompactedTraversal:
         # whose start coordinates agree on x and y (or on all three axes)
         # tie exactly at every step, where the lowest axis must step
         b = bundle(seed=8, preset="random_blobs")
-        occ = b.grid.labels != b.grid.num_classes
+        occ = b.grid.occupied
         rng = np.random.default_rng(19)
         s2, s3 = 1 / np.sqrt(2), 1 / np.sqrt(3)
         dirs = np.repeat(
@@ -316,7 +316,7 @@ class TestCompactedTraversal:
         # occupied voxels and axis-parallel rays, all in one call, must give
         # each group what its own call gives
         b = bundle(seed=9, preset="random_blobs", num_cameras=3)
-        occ = b.grid.labels != b.grid.num_classes
+        occ = b.grid.occupied
         groups = []
         for t in b.rig.timestamps():
             for ci in range(3):
@@ -478,7 +478,7 @@ class TestTraverseVisible:
         b = bundle(seed=11, preset="boxes")
         cam = Camera(b.rig.cameras[0].intrinsics, camera_pose_at(b.rig, 0, 1))
         origin, dirs = view_rays(cam, (20, 30))
-        return b.grid.labels != b.grid.num_classes, origin, dirs
+        return b.grid.occupied, origin, dirs
 
     def test_marks_are_or_ed_into_visible(self):
         occ, origin, dirs = self.rays()
@@ -510,7 +510,7 @@ class TestTraverseVisible:
 class TestSynthesizeImage:
     def test_empty_grid_pure_sky(self):
         labels = np.full(SPEC.dims, 4)
-        grid = SemanticOccupancy.from_labels(labels, 4)
+        grid = SemanticOccupancy(labels, 4)
         b = bundle()
         intr = b.rig.cameras[0].intrinsics
         pose = camera_pose_at(b.rig, 0, 0)
@@ -551,7 +551,7 @@ class TestSynthesizeImage:
 class TestVisibility:
     def test_visible_matches_traversed_voxels(self):
         b = bundle(seed=3, preset="boxes")
-        occ = b.grid.labels != b.grid.num_classes
+        occ = b.grid.occupied
         # crossed free space and struck surfaces are both visible
         assert (b.visible & ~occ).sum() > 0
         assert (b.visible & occ).sum() > 0
@@ -761,8 +761,9 @@ class TestPersistence:
 
     @pytest.mark.parametrize("num_classes", [5, 300])
     def test_num_classes_other_than_synthetic_rejected(self, saved, num_classes):
-        # 5 would read the free label 4 as a class, and 300 would size the
-        # logits by it; build_scene writes only NUM_CLASSES
+        # either would read the free label 4 as a semantic class, and 300
+        # would add 295 classes no voxel holds; build_scene writes only
+        # NUM_CLASSES
         meta = json.loads((saved / "scene.json").read_text())
         meta["num_classes"] = num_classes
         (saved / "scene.json").write_text(json.dumps(meta))
