@@ -194,6 +194,7 @@ def photometric_loss(
 ) -> tuple[float, np.ndarray]:
     """Mean over valid pixels of alpha/2 * (1 - SSIM) + (1 - alpha) * L1,
     and its gradient d(loss)/d(recon) [H x W x C], zero where invalid.
+    Raises ValueError unless both images are [H x W x C] and `valid` [H x W].
 
     Both images are masked by `valid` before the SSIM statistics so that
     identical images give exactly zero regardless of the mask; invalid
@@ -214,6 +215,10 @@ def photometric_loss(
     if ref.shape != recon.shape:
         raise ValueError(f"shape mismatch: {ref.shape} vs {recon.shape}")
     mask = np.asarray(valid, dtype=bool)
+    if ref.ndim != 3 or mask.shape != ref.shape[:2]:
+        raise ValueError(
+            f"valid mask {mask.shape} vs images {ref.shape}: need [H x W] and [H x W x C]"
+        )
     n = int(mask.sum()) * ref.shape[2]
     if n == 0:
         return 0.0, np.zeros_like(recon)
@@ -375,19 +380,19 @@ def depth_l1_loss(
     cameras, and its gradient per camera, each [H x W]. The raw
     accumulated depth is compared ungated, so a from-empty density field
     still produces a usable objective."""
-    _check_sparse_count(len(depths), sparse)
+    _check_sparse(len(depths), sparse)
     grads = [np.zeros_like(d.depth) for d in depths]
     count = 0
     for pts in sparse:
         if pts is not None and len(pts) > 0:
-            count += as_tensor(pts).reshape(-1, 3).shape[0]
+            count += len(pts)
     if count == 0:
         return 0.0, grads
     total = 0.0
     for ci, (dm, pts) in enumerate(zip(depths, sparse)):
         if pts is None or len(pts) == 0:
             continue
-        pts = as_tensor(pts).reshape(-1, 3)
+        pts = as_tensor(pts)
         us, vs = _sparse_pixels(pts, dm.depth.shape, ci)
         diff = dm.depth[vs, us] - pts[:, 2]
         total += float(np.sum(np.abs(diff)))
@@ -403,13 +408,13 @@ def depth_bin_cross_entropy(
     The target is the one-hot nearest bin; samples pool across cameras.
     Returns 0 when no camera carries both a distribution and samples.
     """
-    _check_sparse_count(len(dists), sparse)
+    _check_sparse(len(dists), sparse)
     total = 0.0
     count = 0
     for ci, (dist, pts) in enumerate(zip(dists, sparse)):
         if dist is None or pts is None or len(pts) == 0:
             continue
-        pts = as_tensor(pts).reshape(-1, 3)
+        pts = as_tensor(pts)
         us, vs = _sparse_pixels(pts, dist.probs.shape[:2], ci)
         target = np.argmin(np.abs(pts[:, 2][:, None] - dist.bins[None, :]), axis=1)
         p = dist.probs[vs, us, target]
@@ -440,10 +445,15 @@ def pretrain_loss(
     return total, breakdown, [rd + cg for rd, cg in zip(rd_grads, cast_grads)]
 
 
-def _check_sparse_count(cameras: int, sparse: Sequence[np.ndarray | None]) -> None:
-    """Sparse depth comes one entry per camera: raise on any other count."""
+def _check_sparse(cameras: int, sparse: Sequence[np.ndarray | None]) -> None:
+    """Sparse depth comes one entry per camera, each None, empty or [N x 3]
+    (u, v, depth) samples: raise on any other count, or naming the camera
+    on any other shape."""
     if len(sparse) != cameras:
         raise ValueError(f"{len(sparse)} sparse depth entries for {cameras} cameras")
+    for ci, pts in enumerate(sparse):
+        if pts is not None and len(pts) > 0 and (np.ndim(pts) != 2 or np.shape(pts)[1] != 3):
+            raise ValueError(f"camera {ci}: sparse depth is {np.shape(pts)}, not [N x 3]")
 
 
 def _sparse_pixels(

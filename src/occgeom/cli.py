@@ -248,11 +248,6 @@ def cmd_selftrain(cfg: ExperimentConfig, scene_dir: str) -> dict:
     # likewise the context pairs' warp geometry never depends on depth
     ctx_plan = cast_mod.ContextPlan(rig, res)
 
-    def forward(sig):
-        fld = DensityField(sig, spec)
-        rendered = [plan.render(fld) for plan in plans]
-        return [dm for dm, _ in rendered], [jac for _, jac in rendered]
-
     def gt_depth_error(depths):
         errs = _depth_errors(depths, gt_views)
         # None when no pixel is valid in both (e.g. a from-zeros init)
@@ -264,7 +259,8 @@ def cmd_selftrain(cfg: ExperimentConfig, scene_dir: str) -> dict:
     initial_err = None
 
     for step in range(cfg.optimize.steps + 1):
-        depths, jac_per_view = forward(sigma)
+        fld = DensityField(sigma, spec)
+        depths = [plan.render(fld) for plan in plans]
         if step == 0:
             initial_err = gt_depth_error(depths)
         total, parts, grads = cast_mod.pretrain_loss(
@@ -291,8 +287,8 @@ def cmd_selftrain(cfg: ExperimentConfig, scene_dir: str) -> dict:
         if step == cfg.optimize.steps:  # the final sigma gets no update
             break
         sig_grad = np.zeros_like(sigma)
-        for plan, jac, g in zip(plans, jac_per_view, grads):
-            sig_grad += plan.grad_sigma(jac, g)
+        for plan, g in zip(plans, grads):
+            sig_grad += plan.grad_sigma(g)
         if not np.all(np.isfinite(sig_grad)):
             raise RuntimeError(f"selftrain diverged at step {step}: non-finite gradient")
         sigma = np.clip(sigma - cfg.optimize.step_size * sig_grad, 0.0, None)

@@ -66,16 +66,15 @@ class DensityField:
 
 @dataclass
 class DepthMap:
-    """Per-pixel rendered ray distance with validity and opacity.
+    """Per-pixel ray distance with validity.
 
-    depth keeps the raw accumulated value even where opacity is low; valid
-    marks pixels whose accumulated opacity exceeds 0.5, and consumers mask
-    or zero invalid entries as appropriate.
+    A rendered depth keeps the raw accumulated value even where opacity is
+    low; valid marks pixels whose accumulated opacity exceeds 0.5 (the DDA
+    oracle's hits), and consumers mask or zero invalid entries.
     """
 
     depth: np.ndarray  # [H x W]
     valid: np.ndarray  # [H x W] bool
-    opacity: np.ndarray  # [H x W] in [0, 1]
 
 
 def _row_sums(x: np.ndarray, lo: int, s: int, a: int = 0):
@@ -392,8 +391,8 @@ def _render_rows(
     jac_out: list | None = None,
 ) -> DepthMap:
     """Forward render of the chunks' density rows, gathered from the flat
-    padded grid `sigma_pad`; appends each block's depth Jacobian rows to
-    `jac_out` when given."""
+    padded grid `sigma_pad`, valid where opacity > 0.5; appends each
+    block's depth Jacobian rows to `jac_out` when given."""
     h, w = resolution
     depth = np.empty(h * w)
     opacity = np.empty(h * w)
@@ -407,9 +406,7 @@ def _render_rows(
         opacity[chunk.start : chunk.stop] = o
         if jac_out is not None:
             jac_out.append(jac)
-    depth = depth.reshape(h, w)
-    opacity = opacity.reshape(h, w)
-    return DepthMap(depth=depth, valid=opacity > 0.5, opacity=opacity)
+    return DepthMap(depth=depth.reshape(h, w), valid=(opacity > 0.5).reshape(h, w))
 
 
 class RayPlan:
@@ -420,11 +417,11 @@ class RayPlan:
     render and adjoint of that view. It holds the corners and weights of
     every in-grid sample of the view (its builder's live mask is all
     true); the one-shot `render_view` streams the same builder's chunks of
-    its field's live samples only. `render` returns, per block, the depth
-    Jacobian over the block's window, and `grad_sigma` scatters it
-    weighted by the depth cotangent: the rendering equations are evaluated
-    once per render. Each render copies sigma into one padded grid the
-    plan keeps, so one plan must not render two fields at the same time.
+    its field's live samples only. `render` keeps, per block, the depth
+    Jacobian over the block's window, and `grad_sigma` scatters the last
+    render's rows weighted by the depth cotangent: the rendering equations
+    are evaluated once per render. Each render refills one padded sigma
+    grid and the rows, so one plan must not render two fields at a time.
     """
 
     def __init__(
@@ -442,40 +439,43 @@ class RayPlan:
         self._sigma_pad = np.zeros(tuple(d + 2 for d in spec.dims))  # sigma in a zero shell
         every = np.ones(self._sigma_pad.size, dtype=bool)
         self.chunks = tuple(_plan_chunks(spec, cam, self.resolution, self.t, every))
+        # the Jacobian rows of the last render that finished, per block
+        self._jac: list[np.ndarray] | None = None
 
-    def render(self, field: DensityField) -> tuple[DepthMap, list[np.ndarray]]:
-        """render_view through the plan, plus per block the d(depth)/d(sigma)
-        rows [rays x width] that `grad_sigma` needs."""
+    def render(self, field: DensityField) -> DepthMap:
+        """render_view through the plan; keeps per block the d(depth)/d(sigma)
+        rows [rays x width] that `grad_sigma` scatters."""
+        self._jac = None  # frees the last render's rows for this one's blocks
         grids = [(s.dims, s.voxel_size, tuple(s.origin)) for s in (field.spec, self.spec)]
         if grids[0] != grids[1]:
             raise ValueError(f"density field grid {grids[0]} differs from the plan's {grids[1]}")
         jac: list[np.ndarray] = []
         self._sigma_pad[1:-1, 1:-1, 1:-1] = field.sigma
         sigma_pad = self._sigma_pad.ravel()
-        return _render_rows(self.chunks, sigma_pad, self.resolution, self.t, self.deltas, jac), jac
+        dm = _render_rows(self.chunks, sigma_pad, self.resolution, self.t, self.deltas, jac)
+        self._jac = jac
+        return dm
 
-    def grad_sigma(self, jac: list[np.ndarray], grad_depth: np.ndarray) -> np.ndarray:
-        """Adjoint of render's depth output: given dL/d(depth) per pixel and
-        the Jacobian rows of this plan's forward render, accumulates
-        dL/d(sigma) on the density grid through the trilinear weights.
+    def grad_sigma(self, grad_depth: np.ndarray) -> np.ndarray:
+        """Adjoint of the last render's depth output: given dL/d(depth) per
+        pixel, accumulates dL/d(sigma) on the density grid from that
+        render's Jacobian rows through the trilinear weights. Raises
+        ValueError before the first render and after one that raised.
 
         The blocks are added in plan order, each as one corner-major sum
         per cell (PlanChunk.scatter), so the result depends on the plan
         and its inputs only, bit for bit.
         It is not np.add.at's sample-major order, which differs by a few
         ulps."""
-        if len(jac) != len(self.chunks):
-            raise ValueError(f"{len(jac)} Jacobian row blocks for {len(self.chunks)} chunks")
+        if self._jac is None:
+            raise ValueError("grad_sigma needs a render of this plan first")
         grad_depth = as_tensor(grad_depth)
         if grad_depth.shape != self.resolution:
             raise ValueError(f"grad_depth {grad_depth.shape} vs resolution {self.resolution}")
         gflat = grad_depth.ravel()
         out = np.zeros_like(self._sigma_pad)
         flat = out.ravel()
-        for i, (chunk, rows) in enumerate(zip(self.chunks, jac)):
-            shape = (chunk.stop - chunk.start, chunk.width)
-            if rows.shape != shape:
-                raise ValueError(f"Jacobian row block {i} is {rows.shape}, the plan's {shape}")
+        for chunk, rows in zip(self.chunks, self._jac):
             chunk.scatter(flat, rows * gflat[chunk.start : chunk.stop, None])
         return out[1:-1, 1:-1, 1:-1].copy()
 

@@ -251,12 +251,7 @@ def raymarch_depth_oracle(
     """Exact first-hit depth by DDA voxel traversal (the rendering oracle)."""
     origin, dirs = view_rays(cam, resolution)
     depth, hit, _ = _traverse(grid.occupied, spec, origin, dirs, visible)
-    h, w = resolution
-    return DepthMap(
-        depth=depth.reshape(h, w),
-        valid=hit.reshape(h, w),
-        opacity=hit.reshape(h, w).astype(np.float64),
-    )
+    return DepthMap(depth=depth.reshape(resolution), valid=hit.reshape(resolution))
 
 
 def synthesize_image(
@@ -494,12 +489,7 @@ def build_scene(scene: SceneConfig) -> SceneBundle:
     # as in `synthesize_image`: BLAS may round differently at another shape
     for k, key in enumerate(keys):
         view = slice(k * h * w, (k + 1) * h * w)
-        valid = hit[view].reshape(h, w)
-        gt_depths[key] = DepthMap(
-            depth=depth[view].reshape(h, w),
-            valid=valid,
-            opacity=valid.astype(np.float64),
-        )
+        gt_depths[key] = DepthMap(depth=depth[view].reshape(h, w), valid=hit[view].reshape(h, w))
         images[key] = _shade(
             grid.labels, origins[view], dirs[view], depth[view], hit[view], hit_idx[view]
         ).reshape(h, w, 3)
@@ -556,12 +546,12 @@ def load_scene(directory) -> SceneBundle:
     scene.json is read like the config, with `formats.read_fields`, and
     passes the checks of `SceneConfig` and the camera classes; the bundle
     keeps that `SceneConfig`, with `num_cameras` the length of `rig.cameras`.
-    Images come back 8-bit quantized and depths float32-rounded; opacity is
-    reconstructed as the validity indicator. Raises ValueError naming the
-    file (in scene.json also the key, e.g. `rig.cameras[1].fx`) on a bad
-    value, a `num_classes` other than `NUM_CLASSES`, a raw grid whose byte
-    count differs from the voxel count, an image or depth map that differs
-    from `image_size`, or a label above `num_classes` (the free label).
+    Images come back 8-bit quantized and depths float32-rounded. Raises
+    ValueError naming the file (in scene.json also the key, e.g.
+    `rig.cameras[1].fx`) on a bad value, a `num_classes` other than
+    `NUM_CLASSES`, a raw grid whose byte count differs from the voxel count,
+    an image or depth map that differs from `image_size`, or a label above
+    `num_classes` (the free label).
     """
     path = os.path.join(directory, "scene.json")
     hints = typing.get_type_hints(SceneConfig)
@@ -596,7 +586,5 @@ def load_scene(directory) -> SceneBundle:
             base = os.path.join(directory, "depths", f"cam{ci}_t{t}")
             depth = formats.read_pfm(base + ".pfm", scene.image_size)
             valid = formats.read_pgm(base + "_valid.pgm", scene.image_size) > 0
-            gt_depths[(ci, t)] = DepthMap(
-                depth=depth, valid=valid, opacity=valid.astype(np.float64)
-            )
+            gt_depths[(ci, t)] = DepthMap(depth=depth, valid=valid)
     return SceneBundle(scene, grid, rig, images, gt_depths, visible)

@@ -82,11 +82,7 @@ class TestWarpImage:
         b = boxes_bundle()
         img = b.images[(0, 1)]
         dm = b.gt_depths[(0, 1)]
-        empty = DepthMap(
-            depth=np.zeros_like(dm.depth),
-            valid=np.zeros_like(dm.valid),
-            opacity=np.zeros_like(dm.opacity),
-        )
+        empty = DepthMap(depth=np.zeros_like(dm.depth), valid=np.zeros_like(dm.valid))
         pose = relative_pose("temporal", b.rig, 0, 0, 0, 1)
         intr = b.rig.cameras[0].intrinsics
         recon, valid, drecon = warp_image(img, empty, pose, intr, intr)
@@ -113,7 +109,6 @@ class TestWarpImage:
         depth = DepthMap(
             depth=(d_plane - advance) * norm,  # ray distance to the plane
             valid=np.ones((h, w), dtype=bool),
-            opacity=np.ones((h, w)),
         )
         pose = relative_pose("temporal", rig, 0, 0, 0, 1)
         recon, valid, _ = warp_image(src, depth, pose, intr, intr)
@@ -140,8 +135,7 @@ class TestWarpImage:
         gdepth = np.sum(gl * drecon, axis=2)
 
         def f(dvec):
-            dm2 = DepthMap(depth=dvec.reshape(dm.depth.shape), valid=dm.valid,
-                           opacity=dm.opacity)
+            dm2 = DepthMap(depth=dvec.reshape(dm.depth.shape), valid=dm.valid)
             r2, v2, _ = warp_image(src, dm2, pose, intr, intr)
             return photometric_loss(ref, r2, v2, CFG)[0]
 
@@ -247,6 +241,22 @@ class TestPhotometricLoss:
             return photometric_loss(ref, x.reshape(7, 8, 3), valid, CFG)[0]
 
         assert grad_check(f, recon.ravel(), g.ravel(), eps=1e-6) < 1e-4
+
+    @pytest.mark.parametrize(
+        "image, mask, shapes",
+        [
+            ((4, 5, 3), (1, 5), r"\(1, 5\) vs images \(4, 5, 3\)"),  # would broadcast
+            ((4, 5, 3), (5, 4), r"\(5, 4\) vs images \(4, 5, 3\)"),
+            ((4, 5, 3), (4, 5, 3), r"\(4, 5, 3\) vs images \(4, 5, 3\)"),
+            ((4, 5), (4, 5), r"\(4, 5\) vs images \(4, 5\)"),
+        ],
+        ids=["one-row-mask", "transposed-mask", "3-D-mask", "2-D-images"],
+    )
+    def test_rejects_mask_not_of_the_images(self, image, mask, shapes):
+        rng = np.random.default_rng(5)
+        a, b = rng.uniform(size=image), rng.uniform(size=image)
+        with pytest.raises(ValueError, match=shapes):
+            photometric_loss(a, b, np.ones(mask, dtype=bool), CFG)
 
 
 class TestCastLoss:
@@ -378,7 +388,7 @@ class TestPretrainLoss:
         b = boxes_bundle(seed=6)
         dm = b.gt_depths[(0, 1)]
         pts = sparse_lidar(dm, 100, seed=1)
-        shifted = DepthMap(depth=dm.depth + 1.0, valid=dm.valid, opacity=dm.opacity)
+        shifted = DepthMap(depth=dm.depth + 1.0, valid=dm.valid)
         plan = ContextPlan(b.rig, (36, 64))
         total, bd, _ = pretrain_loss(
             plan, b.images, [shifted, b.gt_depths[(1, 1)]], [pts, None], CFG
@@ -408,7 +418,7 @@ class TestPretrainLoss:
     )
     def test_bad_sparse_pixel_rejected(self, u, v):
         h, w = 30, 40
-        dm = DepthMap(depth=np.ones((h, w)), valid=np.ones((h, w), bool), opacity=np.ones((h, w)))
+        dm = DepthMap(depth=np.ones((h, w)), valid=np.ones((h, w), bool))
         bins = uniform_depth_bins(4, 1.0, 9.0)
         dist = DepthDistribution(bins, np.full((h, w, 4), 0.25))
         pts = np.array([[1.0, 1.0, 2.0], [u, v, 2.0]])
@@ -417,11 +427,28 @@ class TestPretrainLoss:
         with pytest.raises(ValueError, match=r"camera 1: sparse depth sample 1 at pixel"):
             depth_bin_cross_entropy([None, dist], [None, pts])
 
+    @pytest.mark.parametrize(
+        "pts, shape",
+        [([[1.0, 1.0, 2.0, 2.0, 1.0, 3.0]], r"\(1, 6\)"), ([1.0, 1.0, 2.0], r"\(3,\)"),
+         ([[[1.0, 1.0, 2.0]]], r"\(1, 1, 3\)")],
+        ids=["1x6", "flat", "3-D"],
+    )
+    def test_sparse_not_n_by_3_rejected(self, pts, shape):
+        # a [1 x 6] entry is not two (u, v, depth) samples
+        h, w = 4, 6
+        dm = DepthMap(depth=np.ones((h, w)), valid=np.ones((h, w), bool))
+        dist = DepthDistribution(uniform_depth_bins(4, 1.0, 9.0), np.full((h, w, 4), 0.25))
+        error = rf"camera 1: sparse depth is {shape}, not \[N x 3\]"
+        with pytest.raises(ValueError, match=error):
+            depth_l1_loss([dm, dm], [None, np.array(pts)])
+        with pytest.raises(ValueError, match=error):
+            depth_bin_cross_entropy([None, dist], [None, np.array(pts)])
+
     def test_sparse_count_must_match_cameras(self):
         # three sparse entries for two cameras: the third must not be
         # counted, unpaired, into the mean, nor be dropped silently
         h, w = 4, 6
-        dm = DepthMap(depth=np.ones((h, w)), valid=np.ones((h, w), bool), opacity=np.ones((h, w)))
+        dm = DepthMap(depth=np.ones((h, w)), valid=np.ones((h, w), bool))
         pts = np.array([[1.0, 1.0, 2.0]])
         with pytest.raises(ValueError, match=r"3 sparse depth entries for 2 cameras"):
             depth_l1_loss([dm, dm], [pts, pts, pts])
@@ -461,7 +488,8 @@ class TestPretrainLoss:
             losses.append(total)
             g = np.zeros_like(sigma)
             for i, plan in enumerate(plans):
-                g += plan.grad_sigma(plan.render(fld)[1], grads[i])
+                plan.render(fld)
+                g += plan.grad_sigma(grads[i])
             sigma = np.clip(sigma - 1e-2 * g, 0.0, None)
         assert all(b2 <= a2 + 1e-12 for a2, b2 in zip(losses, losses[1:]))
         assert losses[-1] < losses[0]
@@ -640,8 +668,7 @@ def assert_same_part(got, want, part):
 
 
 def no_depth(dm):
-    return DepthMap(depth=np.zeros_like(dm.depth), valid=np.zeros_like(dm.valid),
-                    opacity=np.zeros_like(dm.opacity))
+    return DepthMap(depth=np.zeros_like(dm.depth), valid=np.zeros_like(dm.valid))
 
 
 PARTS = pytest.mark.parametrize("part", ["loss", "grad"])
@@ -729,8 +756,7 @@ class TestContextPlan:
     def test_rejects_wrong_resolution(self):
         b = boxes_bundle(seed=11)
         plan = ContextPlan(b.rig, (36, 64))
-        small = DepthMap(depth=np.ones((24, 40)), valid=np.ones((24, 40), bool),
-                         opacity=np.ones((24, 40)))
+        small = DepthMap(depth=np.ones((24, 40)), valid=np.ones((24, 40), bool))
         depths = [b.gt_depths[(0, 1)], small]
         both_sides = r"camera 1: depth map is 40x24, the context plan is 64x36$"
         with pytest.raises(ValueError, match=both_sides):
@@ -766,7 +792,6 @@ class TestSubsetWarp:
         return DepthMap(
             depth=np.full(shape, value) + np.linspace(0.0, 1.0, self.H * self.W).reshape(shape),
             valid=np.ones(shape, bool) if valid is None else valid,
-            opacity=np.ones(shape),
         )
 
     @pytest.mark.parametrize(

@@ -226,7 +226,7 @@ class TestRenderView:
                 sig, _ = trilinear_sample(field.sigma, spec.world_to_grid(origin + t[:, None] * d))
                 depth, opacity, _, _ = render_ray(sig, 0.5, 5.0)
                 assert abs(depth - dm.depth[r, c]) < 1e-12
-                assert abs(opacity - dm.opacity[r, c]) < 1e-12
+                assert dm.valid[r, c] == (opacity > 0.5)
 
     def test_doubling_samples_shrinks_error(self):
         field, cam, wall_x, res = wall_field()
@@ -244,7 +244,8 @@ class TestRenderView:
         cam = Camera(intr, level_camera_mount(0.2, [-0.3, 1.4, 0.9]))
         grad_map = rng.normal(size=(6, 8))
         plan = RayPlan(spec, cam, (6, 8), 0.4, 4.0, 20)
-        g = plan.grad_sigma(plan.render(field)[1], grad_map)
+        plan.render(field)
+        g = plan.grad_sigma(grad_map)
 
         def objective(sig):
             f = DensityField(sig.reshape(5, 5, 3), spec)
@@ -342,11 +343,10 @@ class TestRayPlan:
             )
             assert np.count_nonzero(opacity) > 100
             dm = render_view(field, cam, self.RES, 0.5, 5.0, 24)
-            pdm, jac = plan.render(field)
-            pg = plan.grad_sigma(jac, grad_map)
+            pdm = plan.render(field)
+            pg = plan.grad_sigma(grad_map)
             for got in (dm, pdm):
                 assert np.array_equal(got.depth, depth)
-                assert np.array_equal(got.opacity, opacity)
                 assert np.array_equal(got.valid, opacity > 0.5)
             assert np.array_equal(pg, grad)
 
@@ -373,14 +373,14 @@ class TestRayPlan:
         # and the window, rounded up to 8 samples, stops at S
         assert chunk.lo == 0 and rows.shape == (15, 6)
         assert not np.any(chunk.cols % 6 == 5)
-        dm, jac = plan.render(field)
-        assert jac[0].shape == (15, 6)
+        dm = plan.render(field)
+        assert plan._jac[0].shape == (15, 6)
         grad_map = np.random.default_rng(7).normal(size=(3, 5))
         depth, opacity, grad = dense_render(
             field, cam, (3, 5), t_near, t_near + s, s, grad_map, plan.chunks
         )
-        assert np.array_equal(dm.depth, depth) and np.array_equal(dm.opacity, opacity)
-        assert np.array_equal(plan.grad_sigma(jac, grad_map), grad)
+        assert np.array_equal(dm.depth, depth) and np.array_equal(dm.valid, opacity > 0.5)
+        assert np.array_equal(plan.grad_sigma(grad_map), grad)
 
     def test_camera_missing_the_grid(self):
         # looking away from the grid: no sample is ever inside the box
@@ -389,11 +389,11 @@ class TestRayPlan:
         plan = RayPlan(self.SPEC, cam, self.RES, 0.5, 5.0, 24)
         assert all(c.cols.size == 0 for c in plan.chunks)
         grad_map = np.random.default_rng(8).normal(size=self.RES)
-        pdm, jac = plan.render(field)
+        pdm = plan.render(field)
         for dm in (render_view(field, cam, self.RES, 0.5, 5.0, 24), pdm):
-            assert np.all(dm.depth == 0.0) and np.all(dm.opacity == 0.0)
+            assert np.all(dm.depth == 0.0)
             assert not dm.valid.any()
-        assert np.all(plan.grad_sigma(jac, grad_map) == 0.0)
+        assert np.all(plan.grad_sigma(grad_map) == 0.0)
 
     def test_corner_operator_adjoint_identity(self):
         # <gather(v), y> == <v, scatter(y)> for every chunk of the plan, with
@@ -412,12 +412,14 @@ class TestRayPlan:
             assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs))
 
     def test_jacobian_adjoint_identity(self):
-        # per block, <grad_sigma(J, g), v> == sum_r g_r sum_k J[r, k] gather(v)[r, k]
-        # with g zero off the block, and J equals the recomputing reference
+        # per block, <grad_sigma(g), v> == sum_r g_r sum_k J[r, k] gather(v)[r, k]
+        # with g zero off the block, where J are the rows the render kept,
+        # and J equals the recomputing reference
         rng = np.random.default_rng(22)
         plan = RayPlan(self.SPEC, self.camera(), self.RES, 0.5, 5.0, 24)
         field = DensityField(rng.uniform(0, 3, self.SPEC.dims), self.SPEC)
-        _, jac = plan.render(field)
+        plan.render(field)
+        jac = plan._jac
         sigma_pad = np.pad(field.sigma, 1).ravel()
         t, deltas = plan.t[None, :], plan.deltas[None, :]
         assert len(jac) == len(plan.chunks) > 1
@@ -426,7 +428,7 @@ class TestRayPlan:
             v = rng.normal(size=self.SPEC.dims)
             g = np.zeros(self.RES)
             g.reshape(-1)[chunk.start : chunk.stop] = rng.normal(size=chunk.stop - chunk.start)
-            lhs = float(np.sum(plan.grad_sigma(jac, g) * v))
+            lhs = float(np.sum(plan.grad_sigma(g) * v))
             gv = chunk.gather(np.pad(v, 1).ravel())
             rhs = float(np.sum(g.reshape(-1)[chunk.start : chunk.stop] * np.sum(rows * gv, axis=1)))
             assert chunk.width > 0
@@ -448,8 +450,8 @@ class TestRayPlan:
         eps = 1e-5
         fd = (objective(eps) - objective(-eps)) / (2 * eps)
         plan = RayPlan(self.SPEC, cam, self.RES, 0.5, 5.0, 24)
-        g = plan.grad_sigma(plan.render(DensityField(sigma, self.SPEC))[1], grad_map)
-        jvp = float(np.sum(g * v))
+        plan.render(DensityField(sigma, self.SPEC))
+        jvp = float(np.sum(plan.grad_sigma(grad_map) * v))
         assert abs(jvp) > 1.0
         assert abs(fd - jvp) <= 1e-8 * abs(jvp)
 
@@ -458,26 +460,42 @@ class TestRayPlan:
         other = VoxelGridSpec(self.SPEC.dims, np.ones(3), 0.5)
         with pytest.raises(ValueError, match="grid"):
             plan.render(DensityField(np.zeros(self.SPEC.dims), other))
-        _, jac = plan.render(DensityField(np.zeros(self.SPEC.dims), self.SPEC))
-        with pytest.raises(ValueError):
-            plan.grad_sigma(jac[:1], np.zeros(self.RES))
-        with pytest.raises(ValueError):
-            plan.grad_sigma(jac, np.zeros((2, 2)))
-        with pytest.raises(ValueError, match="block 2 is"):
-            plan.grad_sigma(jac[:2] + [jac[2][:-1]] + jac[3:], np.zeros(self.RES))
+        plan.render(DensityField(np.zeros(self.SPEC.dims), self.SPEC))
+        with pytest.raises(ValueError, match=r"grad_depth \(2, 2\) vs resolution"):
+            plan.grad_sigma(np.zeros((2, 2)))
         with pytest.raises(ValueError):
             RayPlan(self.SPEC, self.camera(), self.RES, 5.0, 0.5, 24)
-        # the two rig cameras of the boxes scene: their blocks differ, in
-        # number or in shape, and either is rejected
-        scene = build_scene(SceneConfig(seed=11, preset="boxes", image_size=(36, 64)))
-        spec = scene.spec
-        t = scene.rig.timestamps()[-1]
-        plans = [RayPlan(spec, Camera(c.intrinsics, camera_pose_at(scene.rig, i, t)), (36, 64),
-                         1.0, 16.0, 64) for i, c in enumerate(scene.rig.cameras)]
-        jacs = [p.render(scene.density_gt)[1] for p in plans]
-        for mine, theirs in ((0, 1), (1, 0)):
-            with pytest.raises(ValueError, match="Jacobian row block"):
-                plans[mine].grad_sigma(jacs[theirs], np.ones((36, 64)))
+
+    def test_grad_sigma_needs_a_render(self):
+        # no Jacobian rows before the first render, nor after a render that
+        # raised: the plan never scatters rows of an earlier field
+        plan = RayPlan(self.SPEC, self.camera(), self.RES, 0.5, 5.0, 24)
+        with pytest.raises(ValueError, match="needs a render"):
+            plan.grad_sigma(np.zeros(self.RES))
+        plan.render(DensityField(np.ones(self.SPEC.dims), self.SPEC))
+        assert np.any(plan.grad_sigma(np.ones(self.RES)) != 0.0)
+        other = VoxelGridSpec(self.SPEC.dims, np.ones(3), 0.5)
+        with pytest.raises(ValueError, match="grid"):
+            plan.render(DensityField(np.ones(self.SPEC.dims), other))
+        with pytest.raises(ValueError, match="needs a render"):
+            plan.grad_sigma(np.ones(self.RES))
+
+    def test_grad_sigma_reads_the_last_render(self):
+        # rendering field a and then field b leaves b's rows: the adjoint
+        # equals a fresh plan's after rendering b alone, bit for bit
+        rng = np.random.default_rng(23)
+        cam = self.camera()
+        a, b = (DensityField(rng.uniform(0, 3, self.SPEC.dims), self.SPEC) for _ in range(2))
+        grad_map = rng.normal(size=self.RES)
+        plan = RayPlan(self.SPEC, cam, self.RES, 0.5, 5.0, 24)
+        plan.render(a)
+        grad_a = plan.grad_sigma(grad_map)
+        plan.render(b)
+        fresh = RayPlan(self.SPEC, cam, self.RES, 0.5, 5.0, 24)
+        fresh.render(b)
+        want = fresh.grad_sigma(grad_map)
+        assert same_bits(plan.grad_sigma(grad_map), want)
+        assert not np.array_equal(grad_a, want)
 
 
 def unclipped_plan(spec, cam, res, t, live=None):
@@ -532,11 +550,11 @@ class TestRayClipping:
             field, cam, res, t_near, t_far, s, grad_map, plan.chunks
         )
         dm = render_view(field, cam, res, t_near, t_far, s)
-        pdm, jac = plan.render(field)
+        pdm = plan.render(field)
         for got in (dm, pdm):
             assert np.array_equal(got.depth, depth)
-            assert np.array_equal(got.opacity, opacity)
-        assert np.array_equal(plan.grad_sigma(jac, grad_map), grad)
+            assert np.array_equal(got.valid, opacity > 0.5)
+        assert np.array_equal(plan.grad_sigma(grad_map), grad)
         origin, dirs = view_rays(cam, res)
         first, stop = _box_sample_ranges(spec, origin, dirs, plan.t)
         # only the one-sample margin on each side is generated in vain
@@ -577,7 +595,7 @@ class TestRayClipping:
         dm = render_view(
             DensityField(np.ones(self.SPEC.dims), self.SPEC), cam, res, 0.5, 6.0, 30
         )
-        assert np.all(dm.opacity[4] > 0)
+        assert np.all(dm.depth[4] > 0)  # t > 0: some sample of each ray has weight
 
     def test_live_window_of_rays_that_exit_early(self):
         # inside the grid, just under its top face and pitched up: every ray
@@ -632,7 +650,7 @@ def same_bits(a, b):
 
 class TestOneShotRender:
     """render_view gathers each block's live samples through a chunk of
-    _plan_chunks that it drops after the block; depth and opacity must
+    _plan_chunks that it drops after the block; depth and validity must
     equal RayPlan.render's and the all-sample dense reference's bit for
     bit."""
 
@@ -647,8 +665,8 @@ class TestOneShotRender:
         depth, opacity, _ = dense_render(
             field, cam, res, t_near, t_far, s, np.zeros(res), plan.chunks
         )
-        for dm in (render_view(field, cam, res, t_near, t_far, s), plan.render(field)[0]):
-            assert same_bits(dm.depth, depth) and same_bits(dm.opacity, opacity)
+        for dm in (render_view(field, cam, res, t_near, t_far, s), plan.render(field)):
+            assert same_bits(dm.depth, depth)
             assert np.array_equal(dm.valid, opacity > 0.5)
         origin, dirs = view_rays(cam, res)
         coords = spec.world_to_grid(origin + plan.t[None, :, None] * dirs[:, None, :])
@@ -703,7 +721,7 @@ class TestOneShotRender:
                             (np.pi / 2, [center[0], -1.8, center[2]])):
             cam = self.camera(yaw, offset, pitch=0.05)
             dm = render_view(DensityField(sigma, self.SPEC), cam, self.RES, 0.3, 8.0, 40)
-            assert dm.opacity.max() > 0
+            assert dm.valid.any()
             self.check(sigma, cam)
 
     def test_boxes_scene(self):
@@ -880,11 +898,11 @@ class TestTileCulling:
         sigma = np.zeros(self.SPEC.dims)
         sigma[0, 0, 0] = 3.0
         ones = render_view(DensityField(np.ones(self.SPEC.dims), self.SPEC), cam, res, 0.3, 8.0, 40)
-        assert ones.opacity.min() > 0  # every ray crosses the box
+        assert ones.depth.min() > 0  # every ray crosses the box
         chunks = self.check(self.live(sigma), cam, res)
         assert all(c.lo == c.width == 0 and c.cols.size == 0 for c in chunks)
         dm = render_view(DensityField(sigma, self.SPEC), cam, res, 0.3, 8.0, 40)
-        assert same_bits(dm.depth, np.zeros(res)) and same_bits(dm.opacity, np.zeros(res))
+        assert same_bits(dm.depth, np.zeros(res))
         assert not dm.valid.any()
 
 
@@ -895,7 +913,7 @@ class TestExports:
 
         depth = np.array([[1.25, 0.4], [45.0, 2.0]])
         valid = np.array([[True, False], [True, True]])
-        dm = DepthMap(depth=depth, valid=valid, opacity=valid.astype(float))
+        dm = DepthMap(depth=depth, valid=valid)
         save_depth_pfm(dm, tmp_path / "d.pfm")
         back = read_pfm(tmp_path / "d.pfm")
         assert back[0, 1] == 0.0  # invalid pixels zeroed on export

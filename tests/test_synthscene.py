@@ -586,7 +586,6 @@ class TestBatchedBuildScene:
                     (img, b.images[(ci, t)]),
                     (dm.depth, got.depth),
                     (dm.valid, got.valid),
-                    (dm.opacity, got.opacity),
                 ):
                     assert have.dtype == want.dtype and have.shape == want.shape
                     assert have.tobytes() == want.tobytes()
