@@ -22,7 +22,7 @@ from .camera import Camera, CameraRig, Intrinsics, Pose
 from .cast import PhotometricConfig
 from .metrics import EvalResult
 from .occ_encdec import SemanticOccupancy, SemanticQuerySet, WindowedAttentionParams
-from .renderer import DensityField, DepthMap
+from .renderer import DensityField, DepthMap, RenderConfig
 from .synthscene import SceneBundle
 from .view_transform import DepthDistribution, OccupancyFeature, VoxelGridSpec
 
@@ -37,6 +37,7 @@ __all__ = [
     "OccupancyFeature",
     "PhotometricConfig",
     "Pose",
+    "RenderConfig",
     "SceneBundle",
     "SemanticOccupancy",
     "SemanticQuerySet",

@@ -4,10 +4,10 @@ A rendered target depth map turns a source image from another camera and/or
 timestamp into a reconstruction of the target view (inverse warping); an
 SSIM + L1 photometric loss compares reconstruction and reference, and the
 weighted sum over temporal, spatial and spatial-temporal context pairs is
-the self-training signal. A ContextPlan, built once per rig and
-resolution, holds each context pair as one record; cast_loss and
-pretrain_loss take it in place of the rig. Every loss returns its analytic
-gradient with respect to the rendered depth alongside its value.
+the self-training signal. A ContextPlan, built once per rig, holds each
+context pair as one record; cast_loss and pretrain_loss take it in place
+of the rig. Every loss returns its analytic gradient with respect to the
+rendered depth alongside its value.
 """
 
 from __future__ import annotations
@@ -278,21 +278,19 @@ class ContextPlan:
     """Depth-independent geometry of every context pair of a rig.
 
     The counterpart of renderer.RayPlan for the context loss: built once
-    from (rig, target resolution), it holds one record per pair of
-    context_pairs(rig): (kind, source, target, PairGeometry), the geometry
-    being the source intrinsics, the inverse of camera.relative_pose's
-    source->target pose, the unit target rays and their derivative in the
-    source frame. Each loss evaluation then only projects the new depths
-    and samples the pixels whose warp is valid.
+    from the rig, it holds one record per pair of context_pairs(rig):
+    (kind, source, target, PairGeometry), the geometry being the source
+    intrinsics, the inverse of camera.relative_pose's source->target pose,
+    the unit target rays at the target camera's native size and their
+    derivative in the source frame. Each loss evaluation then only projects
+    the new depths and samples the pixels whose warp is valid.
     """
 
-    def __init__(self, rig: CameraRig, resolution: tuple[int, int]):
-        h, w = (int(r) for r in resolution)
-        self.n_cameras = len(rig.cameras)
-        self.resolution = (h, w)
+    def __init__(self, rig: CameraRig):
+        self.sizes = [(c.intrinsics.height, c.intrinsics.width) for c in rig.cameras]
         units = [
-            cam_mod.unit_camera_rays(c.intrinsics, cam_mod.pixel_grid(h, w))[0]
-            for c in rig.cameras
+            cam_mod.unit_camera_rays(c.intrinsics, cam_mod.pixel_grid(*size))[0]
+            for c, size in zip(rig.cameras, self.sizes)
         ]
         self.pairs = [
             (kind, src, tgt, _pair_geometry(
@@ -305,17 +303,14 @@ class ContextPlan:
         self.n_pairs = {k: sum(p[0] == k for p in self.pairs) for k in KINDS}
 
     def check(self, depths: Sequence[DepthMap]) -> None:
-        """Raise ValueError unless `depths` holds one map per camera at the
-        plan's resolution."""
-        if len(depths) != self.n_cameras:
-            raise ValueError(f"{len(depths)} depth maps for {self.n_cameras} cameras")
-        h, w = self.resolution
-        for i, dm in enumerate(depths):
+        """Raise ValueError unless `depths` holds one map per camera, each
+        at its camera's native size."""
+        if len(depths) != len(self.sizes):
+            raise ValueError(f"{len(depths)} depth maps for {len(self.sizes)} cameras")
+        for i, (dm, (h, w)) in enumerate(zip(depths, self.sizes)):
             if dm.depth.shape != (h, w):
                 dh, dw = dm.depth.shape
-                raise ValueError(
-                    f"camera {i}: depth map is {dw}x{dh}, the context plan is {w}x{h}"
-                )
+                raise ValueError(f"camera {i}: depth map is {dw}x{dh}, the camera is {w}x{h}")
 
 
 def cast_loss(
@@ -327,11 +322,10 @@ def cast_loss(
     """Total context-aware self-training loss, its breakdown, and
     d(total)/d(rendered depth) per camera, each [H x W].
 
-    `plan` is the ContextPlan of the rig at the depth resolution, and
-    `depths` holds one rendered depth map per camera at the latest rig
-    timestamp. Each context term averages its pair losses; with a single
-    camera the spatial terms are zero and flagged inactive in the
-    breakdown. The breakdown dict is JSON-ready:
+    `plan` is the ContextPlan of the rig, and `depths` holds one rendered
+    depth map per camera, at its native size, at the latest rig timestamp.
+    Each context term averages its pair losses; with a single camera the
+    spatial terms are zero and flagged inactive in the breakdown. The breakdown dict is JSON-ready:
     {"L_t", "L_sp", "L_spt", "total", "active_pairs", "empty_pairs",
     "valid_px_t", "valid_px_sp", "valid_px_spt"}; a pair is empty when no
     target pixel warps validly, and valid_px_* sums the valid pixels over
@@ -447,13 +441,25 @@ def pretrain_loss(
 
 def _check_sparse(cameras: int, sparse: Sequence[np.ndarray | None]) -> None:
     """Sparse depth comes one entry per camera, each None, empty or [N x 3]
-    (u, v, depth) samples: raise on any other count, or naming the camera
-    on any other shape."""
+    (u, v, depth) samples with a finite depth >= 0 (0 being the oracle's
+    hit for a ray that starts inside an occupied voxel): raise on any other
+    count, or naming the camera on any other shape, and also the sample on
+    any other depth."""
     if len(sparse) != cameras:
         raise ValueError(f"{len(sparse)} sparse depth entries for {cameras} cameras")
     for ci, pts in enumerate(sparse):
-        if pts is not None and len(pts) > 0 and (np.ndim(pts) != 2 or np.shape(pts)[1] != 3):
+        if pts is None or len(pts) == 0:
+            continue
+        if np.ndim(pts) != 2 or np.shape(pts)[1] != 3:
             raise ValueError(f"camera {ci}: sparse depth is {np.shape(pts)}, not [N x 3]")
+        depth = np.asarray(pts)[:, 2]
+        bad = np.flatnonzero(~((depth >= 0) & (depth < np.inf)))  # NaN fails both
+        if bad.size:
+            k = bad[0]
+            raise ValueError(
+                f"camera {ci}: sparse depth sample {k} has depth {depth[k]!r}, "
+                f"not a finite distance >= 0"
+            )
 
 
 def _sparse_pixels(

@@ -25,25 +25,7 @@ from .camera import Camera, camera_pose_at
 from .cast import PhotometricConfig
 from .formats import naming, read_fields
 from .occ_encdec import SemanticOccupancy
-from .renderer import DensityField
-
-
-@dataclass
-class RenderConfig:
-    samples: int = 152  # config key "S"
-    t_near: float = 1.0
-    t_far: float = 45.0
-    resolution: tuple[int, int] = (180, 320)
-
-    def __post_init__(self):
-        if self.samples < 2:
-            raise ValueError("render.S must be at least 2")
-        if not 0 < self.t_near < self.t_far:
-            raise ValueError(
-                f"render range invalid: [{self.t_near}, {self.t_far}]"
-            )
-        if any(r < 1 for r in self.resolution):
-            raise ValueError(f"render.resolution invalid: {self.resolution}")
+from .renderer import DensityField, RenderConfig
 
 
 _INITS = ("zeros", "random", "perturbed_gt")
@@ -160,18 +142,10 @@ def cmd_render(cfg: ExperimentConfig, scene_dir: str) -> dict:
     """Render every camera at the latest timestamp and score it against the
     first-hit traversal oracle. Writes depth PFMs and report.json."""
     bundle = synthscene.load_scene(scene_dir)
-    res = tuple(cfg.render.resolution)
     views = _latest_views(bundle)
-    density = bundle.density_gt
-    rendered = [
-        renderer.render_view(
-            density, cam, res, cfg.render.t_near, cfg.render.t_far,
-            cfg.render.samples,
-        )
-        for cam in views
-    ]
+    rendered = [renderer.render_view(bundle.density_gt, cam, cfg.render) for cam in views]
     oracles = [
-        synthscene.raymarch_depth_oracle(bundle.grid, bundle.spec, cam, res)
+        synthscene.raymarch_depth_oracle(bundle.grid, bundle.spec, cam, cfg.render.resolution)
         for cam in views
     ]
     os.makedirs(cfg.output_dir, exist_ok=True)
@@ -181,7 +155,7 @@ def cmd_render(cfg: ExperimentConfig, scene_dir: str) -> dict:
         renderer.save_depth_pfm(oc, os.path.join(cfg.output_dir, f"oracle_cam{i}.pfm"))
     report = _depth_error_stats(rendered, oracles)
     report["S"] = cfg.render.samples
-    report["delta"] = (cfg.render.t_far - cfg.render.t_near) / cfg.render.samples
+    report["delta"] = cfg.render.step
     _write_report(os.path.join(cfg.output_dir, "report.json"), report)
     print(
         f"render: mean_abs_err={report['mean_abs_err']:.9g} "
@@ -218,11 +192,10 @@ def cmd_selftrain(cfg: ExperimentConfig, scene_dir: str) -> dict:
     maps, the final density grid, and report.json.
     """
     bundle = synthscene.load_scene(scene_dir)
-    res = tuple(cfg.render.resolution)
-    if res != bundle.scene.image_size:
+    if cfg.render.resolution != bundle.scene.image_size:
         raise ValueError(
             f"selftrain needs render.resolution == scene image size; "
-            f"got {res} vs {bundle.scene.image_size}"
+            f"got {cfg.render.resolution} vs {bundle.scene.image_size}"
         )
     rig = bundle.rig
     t_ref = rig.timestamps()[-1]
@@ -239,14 +212,9 @@ def cmd_selftrain(cfg: ExperimentConfig, scene_dir: str) -> dict:
     spec = bundle.spec
     # sample positions never depend on sigma: one plan per view serves
     # every forward render and adjoint of the run
-    plans = [
-        renderer.RayPlan(
-            spec, cam, res, cfg.render.t_near, cfg.render.t_far, cfg.render.samples
-        )
-        for cam in views
-    ]
+    plans = [renderer.RayPlan(spec, cam, cfg.render) for cam in views]
     # likewise the context pairs' warp geometry never depends on depth
-    ctx_plan = cast_mod.ContextPlan(rig, res)
+    ctx_plan = cast_mod.ContextPlan(rig)
 
     def gt_depth_error(depths):
         errs = _depth_errors(depths, gt_views)

@@ -64,6 +64,36 @@ class DensityField:
         object.__setattr__(self, "sigma", sigma)
 
 
+@dataclass(frozen=True)
+class RenderConfig:
+    """How a view's rays are sampled: `samples` midpoints of equal spacing
+    over [t_near, t_far] on each pixel's ray, at `resolution` (H, W)."""
+
+    samples: int = 152  # config key "S"
+    t_near: float = 1.0
+    t_far: float = 45.0
+    resolution: tuple[int, int] = (180, 320)
+
+    def __post_init__(self):
+        if self.samples < 2:
+            raise ValueError("render.S must be at least 2")
+        if not 0 < self.t_near < self.t_far:
+            raise ValueError(f"render range invalid: [{self.t_near}, {self.t_far}]")
+        if len(self.resolution) != 2 or any(r < 1 for r in self.resolution):
+            raise ValueError(f"render.resolution invalid: {self.resolution}")
+        object.__setattr__(self, "resolution", tuple(self.resolution))
+
+    @property
+    def step(self) -> float:
+        """The spacing of consecutive samples along a ray."""
+        return (self.t_far - self.t_near) / self.samples
+
+    def sample_distances(self) -> tuple[np.ndarray, np.ndarray]:
+        """Sample distances [S] and spacings [S], shared by every ray of a view."""
+        step = self.step
+        return self.t_near + (np.arange(self.samples) + 0.5) * step, np.full(self.samples, step)
+
+
 @dataclass
 class DepthMap:
     """Per-pixel ray distance with validity.
@@ -75,6 +105,17 @@ class DepthMap:
 
     depth: np.ndarray  # [H x W]
     valid: np.ndarray  # [H x W] bool
+
+    def __post_init__(self):
+        depth = self.depth = np.asarray(self.depth)
+        valid = self.valid = np.asarray(self.valid)
+        if depth.ndim != 2 or depth.dtype.kind != "f":
+            raise ValueError(f"depth must be a 2-D float array, got {depth.dtype} {depth.shape}")
+        if valid.dtype != bool or valid.shape != depth.shape:
+            raise ValueError(
+                f"valid must be a bool array of depth's shape {depth.shape}, "
+                f"got {valid.dtype} {valid.shape}"
+            )
 
 
 def _row_sums(x: np.ndarray, lo: int, s: int, a: int = 0):
@@ -134,19 +175,6 @@ def _render_batch(
         jac -= tail
         jac *= deltas_w
     return depth, opacity, weights, jac
-
-
-def _midpoint_samples(
-    t_near: float, t_far: float, samples: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Shared sample distances [S] and spacings [S] of every ray in a view."""
-    if not 0 < t_near < t_far:
-        raise ValueError(f"need 0 < t_near < t_far, got [{t_near}, {t_far}]")
-    if samples < 2:
-        raise ValueError(f"need at least 2 samples, got {samples}")
-    step = (t_far - t_near) / samples
-    t = t_near + (np.arange(samples) + 0.5) * step
-    return t, np.full(samples, step)
 
 
 @dataclass(frozen=True)
@@ -412,30 +440,22 @@ def _render_rows(
 class RayPlan:
     """Sparse sampling operator of one view, reusable across density fields.
 
-    Sample positions depend on the grid spec, camera, resolution, range and
-    sample count, never on sigma, so a plan built once serves every forward
-    render and adjoint of that view. It holds the corners and weights of
-    every in-grid sample of the view (its builder's live mask is all
-    true); the one-shot `render_view` streams the same builder's chunks of
-    its field's live samples only. `render` keeps, per block, the depth
-    Jacobian over the block's window, and `grad_sigma` scatters the last
-    render's rows weighted by the depth cotangent: the rendering equations
-    are evaluated once per render. Each render refills one padded sigma
-    grid and the rows, so one plan must not render two fields at a time.
+    Sample positions depend on the grid spec, camera and RenderConfig, never
+    on sigma, so a plan built once serves every forward render and adjoint
+    of that view. It holds the corners and weights of every in-grid sample
+    of the view (its builder's live mask is all true); the one-shot
+    `render_view` streams the same builder's chunks of its field's live
+    samples only. `render` keeps, per block, the depth Jacobian over the
+    block's window, and `grad_sigma` scatters the last render's rows
+    weighted by the depth cotangent: the rendering equations are evaluated
+    once per render. Each render refills one padded sigma grid and the
+    rows, so one plan must not render two fields at a time.
     """
 
-    def __init__(
-        self,
-        spec: VoxelGridSpec,
-        cam: Camera,
-        resolution: tuple[int, int],
-        t_near: float,
-        t_far: float,
-        samples: int,
-    ):
+    def __init__(self, spec: VoxelGridSpec, cam: Camera, cfg: RenderConfig):
         self.spec = spec
-        self.resolution = tuple(resolution)
-        self.t, self.deltas = _midpoint_samples(t_near, t_far, samples)
+        self.resolution = cfg.resolution
+        self.t, self.deltas = cfg.sample_distances()
         self._sigma_pad = np.zeros(tuple(d + 2 for d in spec.dims))  # sigma in a zero shell
         every = np.ones(self._sigma_pad.size, dtype=bool)
         self.chunks = tuple(_plan_chunks(spec, cam, self.resolution, self.t, every))
@@ -446,9 +466,8 @@ class RayPlan:
         """render_view through the plan; keeps per block the d(depth)/d(sigma)
         rows [rays x width] that `grad_sigma` scatters."""
         self._jac = None  # frees the last render's rows for this one's blocks
-        grids = [(s.dims, s.voxel_size, tuple(s.origin)) for s in (field.spec, self.spec)]
-        if grids[0] != grids[1]:
-            raise ValueError(f"density field grid {grids[0]} differs from the plan's {grids[1]}")
+        if field.spec != self.spec:
+            raise ValueError(f"density field grid {field.spec} differs from the plan's {self.spec}")
         jac: list[np.ndarray] = []
         self._sigma_pad[1:-1, 1:-1, 1:-1] = field.sigma
         sigma_pad = self._sigma_pad.ravel()
@@ -480,17 +499,10 @@ class RayPlan:
         return out[1:-1, 1:-1, 1:-1].copy()
 
 
-def render_view(
-    field: DensityField,
-    cam: Camera,
-    resolution: tuple[int, int],
-    t_near: float,
-    t_far: float,
-    samples: int,
-) -> DepthMap:
+def render_view(field: DensityField, cam: Camera, cfg: RenderConfig) -> DepthMap:
     """Render a full depth map: one midpoint-sampled ray per pixel.
 
-    Intrinsics are rescaled when `resolution` differs from their native
+    Intrinsics are rescaled when `cfg.resolution` differs from their native
     size. Pixels are processed in fixed-order blocks, so the result is
     deterministic and identical to per-ray rendering. No plan is stored:
     each block's chunk keeps only the samples whose low cell is live in
@@ -498,10 +510,10 @@ def render_view(
     before any per-ray test), is gathered and dropped, and the result
     equals RayPlan.render's bit for bit. The depth Jacobian is not formed.
     """
-    t, deltas = _midpoint_samples(t_near, t_far, samples)
+    t, deltas = cfg.sample_distances()
     sigma_pad = np.pad(field.sigma, 1)
-    chunks = _plan_chunks(field.spec, cam, resolution, t, _live_cells(sigma_pad))
-    return _render_rows(chunks, sigma_pad.ravel(), resolution, t, deltas)
+    chunks = _plan_chunks(field.spec, cam, cfg.resolution, t, _live_cells(sigma_pad))
+    return _render_rows(chunks, sigma_pad.ravel(), cfg.resolution, t, deltas)
 
 
 def save_depth_pfm(dm: DepthMap, path) -> None:

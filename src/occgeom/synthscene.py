@@ -32,7 +32,7 @@ from .camera import (
     view_rays,
 )
 from .occ_encdec import SemanticOccupancy
-from .renderer import DensityField, DepthMap
+from .renderer import DensityField, DepthMap, save_depth_pfm, save_valid_pgm
 from .view_transform import VoxelGridSpec
 
 PRESETS = ("boxes", "corridor", "random_blobs")
@@ -525,8 +525,8 @@ def save_scene(bundle: SceneBundle, directory) -> None:
         formats.write_ppm(os.path.join(directory, "images", f"cam{ci}_t{t}.ppm"), img)
     for (ci, t), dm in sorted(bundle.gt_depths.items()):
         base = os.path.join(directory, "depths", f"cam{ci}_t{t}")
-        formats.write_pfm(base + ".pfm", np.where(dm.valid, dm.depth, 0.0))
-        formats.write_pgm8(base + "_valid.pgm", np.where(dm.valid, 255, 0).astype(np.uint8))
+        save_depth_pfm(dm, base + ".pfm")
+        save_valid_pgm(dm, base + "_valid.pgm")
 
 
 def _read_raw_grid(directory, name: str, dims: tuple[int, int, int]) -> np.ndarray:

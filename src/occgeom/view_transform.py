@@ -27,7 +27,8 @@ class VoxelGridSpec:
     """Geometry of an X x Y x Z voxel lattice.
 
     origin is the world position of the grid's minimum corner; voxel (i,j,k)
-    spans origin + [i,i+1) * voxel_size along x and likewise for y, z.
+    spans origin + [i,i+1) * voxel_size along x and likewise for y, z. Two
+    specs are equal when their dims, voxel size and origin are.
     """
 
     dims: tuple[int, int, int]
@@ -50,6 +51,15 @@ class VoxelGridSpec:
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "origin", origin)
         object.__setattr__(self, "voxel_size", voxel_size)
+
+    def _key(self) -> tuple:
+        return self.dims, self.voxel_size, tuple(self.origin)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, VoxelGridSpec) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @staticmethod
     def default_full_scale() -> "VoxelGridSpec":
@@ -298,8 +308,8 @@ def fuse_and_compress(
     convolution; output dims are exactly halved and the output grid's
     voxels are twice as large.
     """
-    if oe.spec.dims != oi.spec.dims or oe.spec.voxel_size != oi.spec.voxel_size:
-        raise ValueError(f"grid specs differ: {oe.spec.dims} vs {oi.spec.dims}")
+    if oe.spec != oi.spec:
+        raise ValueError(f"grid specs differ: {oe.spec} vs {oi.spec}")
     if oe.data.shape[0] != oi.data.shape[0]:
         raise ValueError(
             f"channel counts differ: {oe.data.shape[0]} vs {oi.data.shape[0]}"

@@ -18,7 +18,7 @@ from occgeom.camera import (
     project_points,
     unit_camera_rays,
 )
-from occgeom.renderer import _midpoint_samples, _render_batch
+from occgeom.renderer import RenderConfig, _render_batch
 from occgeom.synthscene import SceneBundle
 from occgeom.tensor import as_tensor
 
@@ -126,7 +126,7 @@ def render_ray(
     """Render one midpoint-sampled ray of densities sigma [S] through the
     renderer's batch core. Returns (depth, opacity, weights [S],
     d(depth)/d(sigma) [S])."""
-    t, deltas = _midpoint_samples(t_near, t_far, len(sigma))
+    t, deltas = RenderConfig(samples=len(sigma), t_near=t_near, t_far=t_far).sample_distances()
     rows = as_tensor(sigma)[None, :]
     depth, opacity, weights, jac = _render_batch(rows, t[None, :], deltas[None, :])
     return float(depth[0]), float(opacity[0]), weights[0], jac[0]

@@ -11,7 +11,7 @@ from occgeom import cli
 from occgeom.camera import Camera, CameraRig, Intrinsics, Pose, camera_pose_at, relative_pose
 from occgeom.cast import ContextPlan, PhotometricConfig, cast_loss, photometric_loss, warp_image
 from occgeom.occ_encdec import SemanticOccupancy, SemanticQuerySet, WindowedAttentionParams, masked_decode, windowed_attention
-from occgeom.renderer import DensityField, render_view
+from occgeom.renderer import DensityField, RenderConfig, render_view
 from occgeom.synthscene import SceneConfig, build_scene, raymarch_depth_oracle
 from occgeom.tensor import softmax
 from occgeom.metrics import evaluate
@@ -43,7 +43,7 @@ def test_01_rendering_correctness(corridor):
     b = corridor
     cam = Camera(b.rig.cameras[0].intrinsics, camera_pose_at(b.rig, 0, 1))
     oracle = raymarch_depth_oracle(b.grid, b.spec, cam, (180, 320))
-    rendered = render_view(b.density_gt, cam, (180, 320), 1.0, 45.0, 152)
+    rendered = render_view(b.density_gt, cam, RenderConfig(resolution=(180, 320)))
     both = rendered.valid & oracle.valid
     assert both.sum() > 10000
     err = np.abs(rendered.depth - oracle.depth)[both]
@@ -92,7 +92,8 @@ def test_03_convergence_order():
     oracle = raymarch_depth_oracle(grid, spec, cam, (64, 160))
     means = []
     for s in (76, 152):
-        rendered = render_view(field, cam, (64, 160), 1.0, 32.0, s)
+        cfg = RenderConfig(samples=s, t_near=1.0, t_far=32.0, resolution=(64, 160))
+        rendered = render_view(field, cam, cfg)
         both = rendered.valid & oracle.valid
         means.append(np.abs(rendered.depth - oracle.depth)[both].mean())
     ratio = means[0] / means[1]
@@ -134,11 +135,12 @@ def test_05_self_supervision_discriminates():
         Camera(b.rig.cameras[i].intrinsics, camera_pose_at(b.rig, i, 1))
         for i in range(2)
     ]
-    plan = ContextPlan(b.rig, (36, 64))
+    plan = ContextPlan(b.rig)
+    render = RenderConfig(samples=64, t_near=1.0, t_far=16.0, resolution=(36, 64))
 
     def loss_of(sigma):
         fld = DensityField(sigma, spec)
-        depths = [render_view(fld, v, (36, 64), 1.0, 16.0, 64) for v in views]
+        depths = [render_view(fld, v, render) for v in views]
         return cast_loss(plan, b.images, depths, cfg)[0]
 
     base = loss_of(b.density_gt.sigma)

@@ -28,12 +28,14 @@ from occgeom.cast import (
     ssim,
     warp_image,
 )
-from occgeom.renderer import DensityField, DepthMap, RayPlan, render_view
+from occgeom.renderer import DensityField, DepthMap, RayPlan, RenderConfig, render_view
 from occgeom.synthscene import SceneConfig, build_scene, sparse_lidar
 from occgeom.tensor import bilinear_sample, bilinear_sample_grad
 from occgeom.view_transform import DepthDistribution, VoxelGridSpec, uniform_depth_bins
 
 CFG = PhotometricConfig()
+# the boxes bundles' 36 x 64 views, out to 16 m
+RENDER = RenderConfig(samples=64, t_near=1.0, t_far=16.0, resolution=(36, 64))
 
 
 def smooth_image(h, w, shift=0.0):
@@ -282,7 +284,7 @@ class TestCastLoss:
 
     def test_static_scene_all_terms_zero(self):
         rig, images, depths = self._static_bundle()
-        total, bd, _ = cast_loss(ContextPlan(rig, (24, 40)), images, depths, CFG)
+        total, bd, _ = cast_loss(ContextPlan(rig), images, depths, CFG)
         assert bd["L_t"] == pytest.approx(0.0, abs=1e-6)
         assert bd["L_sp"] == pytest.approx(0.0, abs=1e-6)
         assert bd["L_spt"] == pytest.approx(0.0, abs=1e-6)
@@ -292,7 +294,7 @@ class TestCastLoss:
         b = boxes_bundle(seed=6)
         depths = [b.gt_depths[(i, 1)] for i in range(2)]
         cfg = PhotometricConfig(lambda_sp=0.0, lambda_spt=0.0)
-        total, bd, _ = cast_loss(ContextPlan(b.rig, (36, 64)), b.images, depths, cfg)
+        total, bd, _ = cast_loss(ContextPlan(b.rig), b.images, depths, cfg)
         assert total == pytest.approx(cfg.lambda_t * bd["L_t"], abs=1e-15)
 
     def test_breakdown_is_json_ready(self):
@@ -300,7 +302,7 @@ class TestCastLoss:
 
         b = boxes_bundle(seed=6)
         depths = [b.gt_depths[(i, 1)] for i in range(2)]
-        _, bd, _ = cast_loss(ContextPlan(b.rig, (36, 64)), b.images, depths, CFG)
+        _, bd, _ = cast_loss(ContextPlan(b.rig), b.images, depths, CFG)
         parsed = json.loads(json.dumps(bd))
         assert set(parsed) == {
             "L_t", "L_sp", "L_spt", "total", "active_pairs", "empty_pairs",
@@ -314,11 +316,11 @@ class TestCastLoss:
             Camera(b.rig.cameras[i].intrinsics, camera_pose_at(b.rig, i, 1))
             for i in range(2)
         ]
-        plan = ContextPlan(b.rig, (36, 64))
+        plan = ContextPlan(b.rig)
 
         def loss_of(sig):
             fld = DensityField(sig, spec)
-            depths = [render_view(fld, v, (36, 64), 1.0, 16.0, 64) for v in views]
+            depths = [render_view(fld, v, RENDER) for v in views]
             return cast_loss(plan, b.images, depths, CFG)[0]
 
         base = loss_of(b.density_gt.sigma)
@@ -332,7 +334,7 @@ class TestCastLoss:
         # leaves all relative geometry, hence the loss, unchanged
         b = boxes_bundle(seed=13)
         depths = [b.gt_depths[(i, 1)] for i in range(2)]
-        base = cast_loss(ContextPlan(b.rig, (36, 64)), b.images, depths, CFG)[0]
+        base = cast_loss(ContextPlan(b.rig), b.images, depths, CFG)[0]
         from helpers import rotation_from_angles
 
         g = Pose(rotation_from_angles(0.7, 0.2, -0.4), np.array([5.0, -3.0, 2.0]))
@@ -340,7 +342,7 @@ class TestCastLoss:
             b.rig.cameras,
             {t: g.compose(p) for t, p in b.rig.ego_poses.items()},
         )
-        after = cast_loss(ContextPlan(moved, (36, 64)), b.images, depths, CFG)[0]
+        after = cast_loss(ContextPlan(moved), b.images, depths, CFG)[0]
         assert after == pytest.approx(base, abs=1e-9)
 
     def test_single_camera_spatial_terms_inactive(self):
@@ -348,7 +350,7 @@ class TestCastLoss:
         intr = b.rig.cameras[0].intrinsics
         rig1 = CameraRig((b.rig.cameras[0],), dict(b.rig.ego_poses))
         images = {(0, t): b.images[(0, t)] for t in (0, 1)}
-        plan = ContextPlan(rig1, (36, 64))
+        plan = ContextPlan(rig1)
         total, bd, _ = cast_loss(plan, images, [b.gt_depths[(0, 1)]], CFG)
         assert bd["L_sp"] == 0.0 and bd["L_spt"] == 0.0
         assert total == pytest.approx(bd["L_t"] * CFG.lambda_t)
@@ -358,7 +360,7 @@ class TestCastLoss:
         # total, context terms and depth gradients are cast_loss's, bit for bit
         b = boxes_bundle(seed=6)
         depths = [b.gt_depths[(i, 1)] for i in range(2)]
-        plan = ContextPlan(b.rig, (36, 64))
+        plan = ContextPlan(b.rig)
         t1, bd1, g1 = cast_loss(plan, b.images, depths, CFG)
         t2, bd2, g2 = pretrain_loss(plan, b.images, depths, [None, None], CFG)
         assert t1 == t2 == bd2["L_cast"] and bd2["L_rd"] == 0.0
@@ -379,7 +381,7 @@ class TestPretrainLoss:
         nearest = np.argmin(np.abs(dm.depth[..., None] - bins), axis=-1)
         np.put_along_axis(probs, nearest[..., None], 1.0, axis=-1)
         dists = [DepthDistribution(bins, probs), None]
-        total, bd, _ = pretrain_loss(ContextPlan(rig, (h, w)), images, depths, [pts, None], CFG)
+        total, bd, _ = pretrain_loss(ContextPlan(rig), images, depths, [pts, None], CFG)
         assert depth_bin_cross_entropy(dists, [pts, None]) == pytest.approx(0.0, abs=1e-12)
         assert bd["L_rd"] == pytest.approx(0.0, abs=1e-12)
         assert total == pytest.approx(0.0, abs=1e-6)
@@ -389,7 +391,7 @@ class TestPretrainLoss:
         dm = b.gt_depths[(0, 1)]
         pts = sparse_lidar(dm, 100, seed=1)
         shifted = DepthMap(depth=dm.depth + 1.0, valid=dm.valid)
-        plan = ContextPlan(b.rig, (36, 64))
+        plan = ContextPlan(b.rig)
         total, bd, _ = pretrain_loss(
             plan, b.images, [shifted, b.gt_depths[(1, 1)]], [pts, None], CFG
         )
@@ -398,7 +400,7 @@ class TestPretrainLoss:
     def test_empty_sparse_set(self):
         b = boxes_bundle(seed=6)
         depths = [b.gt_depths[(i, 1)] for i in range(2)]
-        plan = ContextPlan(b.rig, (36, 64))
+        plan = ContextPlan(b.rig)
         _, bd, _ = pretrain_loss(plan, b.images, depths, [None, None], CFG)
         assert bd["L_rd"] == 0.0
         assert depth_bin_cross_entropy([None, None], [None, None]) == 0.0
@@ -425,6 +427,19 @@ class TestPretrainLoss:
         with pytest.raises(ValueError, match=r"camera 1: sparse depth sample 1 at pixel"):
             depth_l1_loss([dm, dm], [None, pts])
         with pytest.raises(ValueError, match=r"camera 1: sparse depth sample 1 at pixel"):
+            depth_bin_cross_entropy([None, dist], [None, pts])
+
+    @pytest.mark.parametrize("depth", [np.nan, -5.0, np.inf])
+    def test_bad_sparse_depth_rejected(self, depth):
+        # a NaN depth would make the L1 NaN, and -5 m is no distance
+        h, w = 4, 6
+        dm = DepthMap(depth=np.ones((h, w)), valid=np.ones((h, w), bool))
+        dist = DepthDistribution(uniform_depth_bins(4, 1.0, 9.0), np.full((h, w, 4), 0.25))
+        pts = np.array([[1.0, 1.0, 2.0], [1.0, 1.0, depth]])
+        error = r"camera 1: sparse depth sample 1 has depth .*, not a finite distance >= 0"
+        with pytest.raises(ValueError, match=error):
+            depth_l1_loss([dm, dm], [None, pts])
+        with pytest.raises(ValueError, match=error):
             depth_bin_cross_entropy([None, dist], [None, pts])
 
     @pytest.mark.parametrize(
@@ -478,12 +493,13 @@ class TestPretrainLoss:
         sigma = np.clip(
             b.density_gt.sigma + rng.uniform(-5, 5, spec.dims), 0.0, None
         )
-        plans = [RayPlan(spec, v, (24, 40), 1.0, 16.0, 32) for v in views]
-        ctx_plan = ContextPlan(b.rig, (24, 40))
+        render = RenderConfig(samples=32, t_near=1.0, t_far=16.0, resolution=(24, 40))
+        plans = [RayPlan(spec, v, render) for v in views]
+        ctx_plan = ContextPlan(b.rig)
         losses = []
         for step in range(21):
             fld = DensityField(sigma, spec)
-            depths = [render_view(fld, v, (24, 40), 1.0, 16.0, 32) for v in views]
+            depths = [render_view(fld, v, render) for v in views]
             total, _, grads = pretrain_loss(ctx_plan, b.images, depths, sparse, CFG)
             losses.append(total)
             g = np.zeros_like(sigma)
@@ -651,7 +667,7 @@ def rendered_depths(b, seed, n_cams):
     fld = DensityField(sigma, b.spec)
     views = [Camera(b.rig.cameras[i].intrinsics, camera_pose_at(b.rig, i, 1))
              for i in range(n_cams)]
-    return [render_view(fld, v, (36, 64), 1.0, 16.0, 64) for v in views]
+    return [render_view(fld, v, RENDER) for v in views]
 
 
 def assert_same_part(got, want, part):
@@ -684,7 +700,7 @@ class TestContextPlan:
         # 4-camera ring: 17 of 20 pairs overlap and the spatial terms count
         b = boxes_bundle(seed=11, n_cams=n_cams)
         depths = [b.gt_depths[(i, 1)] for i in range(n_cams)]
-        plan = ContextPlan(b.rig, (36, 64))
+        plan = ContextPlan(b.rig)
         want = reference_cast(b.rig, b.images, depths, CFG)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # an empty pair is counted, not warned
@@ -698,7 +714,7 @@ class TestContextPlan:
     @PARTS
     def test_one_plan_reused_on_three_depth_sets(self, part):
         b = boxes_bundle(seed=11, n_cams=4)
-        plan = ContextPlan(b.rig, (36, 64))
+        plan = ContextPlan(b.rig)
         sparse = [sparse_lidar(b.gt_depths[(i, 1)], 100, seed=i) for i in range(4)]
         for seed in (1, 2, 3):
             depths = rendered_depths(b, seed, 4)
@@ -720,7 +736,7 @@ class TestContextPlan:
     def test_all_invalid_depths(self, part):
         b = boxes_bundle(seed=11)
         depths = [no_depth(b.gt_depths[(i, 1)]) for i in range(2)]
-        plan = ContextPlan(b.rig, (36, 64))
+        plan = ContextPlan(b.rig)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = cast_loss(plan, b.images, depths, CFG)
@@ -755,18 +771,42 @@ class TestContextPlan:
 
     def test_rejects_wrong_resolution(self):
         b = boxes_bundle(seed=11)
-        plan = ContextPlan(b.rig, (36, 64))
+        plan = ContextPlan(b.rig)
         small = DepthMap(depth=np.ones((24, 40)), valid=np.ones((24, 40), bool))
         depths = [b.gt_depths[(0, 1)], small]
-        both_sides = r"camera 1: depth map is 40x24, the context plan is 64x36$"
+        both_sides = r"camera 1: depth map is 40x24, the camera is 64x36$"
         with pytest.raises(ValueError, match=both_sides):
             cast_loss(plan, b.images, depths, CFG)
         with pytest.raises(ValueError, match=r"camera 1: depth map is 40x24"):
             pretrain_loss(plan, b.images, depths, [None, None], CFG)
 
+    @PARTS
+    def test_cameras_of_different_sizes(self, part):
+        # each camera's target rays are built at its own native size: camera
+        # 1 is the same lens resampled to 40 x 24
+        from occgeom.synthscene import raymarch_depth_oracle, synthesize_image
+        b = boxes_bundle(seed=11)
+        big, small = b.rig.cameras
+        small = Camera(small.intrinsics.scaled(40, 24), small.pose)
+        rig = CameraRig((big, small), b.rig.ego_poses)
+        images, depths = {}, []
+        for i, cam in enumerate(rig.cameras):
+            size = (cam.intrinsics.height, cam.intrinsics.width)
+            views = [Camera(cam.intrinsics, camera_pose_at(rig, i, t)) for t in (0, 1)]
+            for t, view in enumerate(views):
+                images[(i, t)] = synthesize_image(b.grid, b.spec, view, size)
+            depths.append(raymarch_depth_oracle(b.grid, b.spec, views[1], size))
+        plan = ContextPlan(rig)
+        got = cast_loss(plan, images, depths, CFG)
+        assert_same_part(got, reference_cast(rig, images, depths, CFG), part)
+        assert got[1]["valid_px_t"] > 0
+        swapped = r"camera 0: depth map is 40x24, the camera is 64x36$"
+        with pytest.raises(ValueError, match=swapped):
+            cast_loss(plan, images, depths[::-1], CFG)
+
     def test_rejects_wrong_depth_count(self):
         b = boxes_bundle(seed=11)
-        plan = ContextPlan(b.rig, (36, 64))
+        plan = ContextPlan(b.rig)
         three = [b.gt_depths[(i % 2, 1)] for i in range(3)]
         for depths, n in ((three, 3), (three[:1], 1)):
             with pytest.raises(ValueError, match=rf"^{n} depth maps for 2 cameras$"):

@@ -14,7 +14,7 @@ from occgeom.renderer import (
     DensityField,
     DepthMap,
     RayPlan,
-    _midpoint_samples,
+    RenderConfig,
     _render_batch,
     _row_sums,
     render_view,
@@ -50,20 +50,26 @@ def render_oracle(sigma, t, delta):
 
 class TestSampleRay:
     def test_midpoint_two_samples(self):
-        t, deltas = _midpoint_samples(0.0 + 1e-12, 2.0, 2)
+        t, deltas = RenderConfig(samples=2, t_near=0.0 + 1e-12, t_far=2.0).sample_distances()
         np.testing.assert_allclose(t, [0.5, 1.5], atol=1e-9)
         np.testing.assert_allclose(deltas, [1.0, 1.0], atol=1e-9)
 
     def test_paper_sample_count_spacing(self):
-        t, deltas = _midpoint_samples(1.0, 45.0, 152)
+        cfg = RenderConfig(samples=152, t_near=1.0, t_far=45.0)
+        t, deltas = cfg.sample_distances()
         assert t.size == 152
         np.testing.assert_allclose(deltas, 44.0 / 152)
+        assert np.all(deltas == cfg.step)
 
     def test_invalid_range(self):
-        with pytest.raises(ValueError):
-            _midpoint_samples(3.0, 2.0, 8)
-        with pytest.raises(ValueError):
-            _midpoint_samples(1.0, 2.0, 1)
+        with pytest.raises(ValueError, match="range invalid"):
+            RenderConfig(samples=8, t_near=3.0, t_far=2.0)
+        with pytest.raises(ValueError, match="range invalid"):
+            RenderConfig(samples=8, t_near=0.0, t_far=2.0)
+        with pytest.raises(ValueError, match="at least 2"):
+            RenderConfig(samples=1, t_near=1.0, t_far=2.0)
+        with pytest.raises(ValueError, match="resolution invalid"):
+            RenderConfig(resolution=(0, 4))
 
 
 class TestSampleDensity:
@@ -98,7 +104,7 @@ class TestRenderDepth:
         assert np.all(w == 0.0)
 
     def test_opaque_first_sample(self):
-        t, _ = _midpoint_samples(1.0, 5.0, 8)
+        t, _ = RenderConfig(samples=8, t_near=1.0, t_far=5.0).sample_distances()
         sig = np.zeros(8)
         sig[0] = 1e6
         depth, opacity, _, _ = render_ray(sig, 1.0, 5.0)
@@ -106,7 +112,7 @@ class TestRenderDepth:
         assert opacity == pytest.approx(1.0, abs=1e-9)
 
     def test_constant_density_geometric_weights(self):
-        t, deltas = _midpoint_samples(1.0, 9.0, 16)
+        t, deltas = RenderConfig(samples=16, t_near=1.0, t_far=9.0).sample_distances()
         c = 0.37
         depth, opacity, w, _ = render_ray(np.full(16, c), 1.0, 9.0)
         step = deltas[0]
@@ -119,7 +125,7 @@ class TestRenderDepth:
 
     def test_weight_invariants_random(self):
         rng = np.random.default_rng(1)
-        t, _ = _midpoint_samples(1.0, 9.0, 32)
+        t, _ = RenderConfig(samples=32, t_near=1.0, t_far=9.0).sample_distances()
         for _ in range(25):
             sig = rng.uniform(0, 3.0, 32)
             depth, opacity, w, _ = render_ray(sig, 1.0, 9.0)
@@ -131,7 +137,7 @@ class TestRenderDepth:
 
 class TestDepthGradSigma:
     def test_zero_density_first_order(self):
-        t, deltas = _midpoint_samples(1.0, 5.0, 8)
+        t, deltas = RenderConfig(samples=8, t_near=1.0, t_far=5.0).sample_distances()
         g = render_ray(np.zeros(8), 1.0, 5.0)[3]
         np.testing.assert_allclose(g, deltas * t, atol=1e-12)
 
@@ -184,7 +190,8 @@ def wall_field(dist_vox=12, dims=(24, 12, 12), vs=0.2, sigma=50.0):
 
 
 def wall_errors(field, cam, wall_x, res, t_near, t_far, s):
-    dm = render_view(field, cam, res, t_near, t_far, s)
+    cfg = RenderConfig(samples=s, t_near=t_near, t_far=t_far, resolution=res)
+    dm = render_view(field, cam, cfg)
     errs = []
     for r in range(res[0]):
         for c in range(res[1]):
@@ -201,7 +208,8 @@ class TestRenderView:
         spec = VoxelGridSpec((4, 4, 4), np.zeros(3), 0.5)
         field = DensityField(np.zeros((4, 4, 4)), spec)
         intr = Intrinsics(fx=10.0, fy=10.0, cx=4.5, cy=3.5, width=10, height=8)
-        dm = render_view(field, Camera(intr, Pose.identity()), (8, 10), 0.5, 5.0, 16)
+        cfg = RenderConfig(samples=16, t_near=0.5, t_far=5.0, resolution=(8, 10))
+        dm = render_view(field, Camera(intr, Pose.identity()), cfg)
         assert not dm.valid.any()
         assert np.all(dm.depth == 0.0)
 
@@ -218,8 +226,9 @@ class TestRenderView:
         field = DensityField(rng.uniform(0, 3, (6, 6, 4)), spec)
         intr = Intrinsics(fx=8.0, fy=8.0, cx=2.5, cy=1.5, width=6, height=4)
         cam = Camera(intr, level_camera_mount(0.3, [-0.4, 1.5, 1.0]))
-        dm = render_view(field, cam, (4, 6), 0.5, 5.0, 24)
-        t, _ = _midpoint_samples(0.5, 5.0, 24)
+        cfg = RenderConfig(samples=24, t_near=0.5, t_far=5.0, resolution=(4, 6))
+        dm = render_view(field, cam, cfg)
+        t, _ = cfg.sample_distances()
         for r in range(4):
             for c in range(6):
                 origin, d = ray(cam, [c, r])
@@ -243,13 +252,14 @@ class TestRenderView:
         intr = Intrinsics(fx=10.0, fy=10.0, cx=3.5, cy=2.5, width=8, height=6)
         cam = Camera(intr, level_camera_mount(0.2, [-0.3, 1.4, 0.9]))
         grad_map = rng.normal(size=(6, 8))
-        plan = RayPlan(spec, cam, (6, 8), 0.4, 4.0, 20)
+        cfg = RenderConfig(samples=20, t_near=0.4, t_far=4.0, resolution=(6, 8))
+        plan = RayPlan(spec, cam, cfg)
         plan.render(field)
         g = plan.grad_sigma(grad_map)
 
         def objective(sig):
             f = DensityField(sig.reshape(5, 5, 3), spec)
-            dm = render_view(f, cam, (6, 8), 0.4, 4.0, 20)
+            dm = render_view(f, cam, cfg)
             return float(np.sum(dm.depth * grad_map))
 
         err = grad_check(objective, field.sigma.ravel(), g.ravel(), eps=1e-6)
@@ -276,7 +286,7 @@ def depth_grad_reference(sigma, t, deltas):
     return deltas * (transmittance * np.exp(-a) * t - tail)
 
 
-def dense_render(field, cam, res, t_near, t_far, s, grad_map, blocks):
+def dense_render(field, cam, cfg, grad_map, blocks):
     """Reference: trilinear-sample all S samples of every ray, render with
     np.sum over the full [N x S] rows, and scatter the adjoint over the
     corners of every in-box sample into a zero-padded grid that is then
@@ -288,9 +298,10 @@ def dense_render(field, cam, res, t_near, t_far, s, grad_map, blocks):
 
     Returns (depth, opacity, dL/dsigma) for the depth cotangent grad_map.
     """
+    res, s = cfg.resolution, cfg.samples
     origin, dirs = view_rays(cam, res)
-    step = (t_far - t_near) / s
-    t = t_near + (np.arange(s) + 0.5) * step
+    step = (cfg.t_far - cfg.t_near) / s
+    t = cfg.t_near + (np.arange(s) + 0.5) * step
     deltas = np.full(s, step)
     pos = origin + t[None, :, None] * dirs[:, None, :]
     coords = field.spec.world_to_grid(pos.reshape(-1, 3))
@@ -322,6 +333,7 @@ class TestRayPlan:
     SPEC = VoxelGridSpec((6, 6, 4), np.zeros(3), 0.5)
     # 4608 rays, more than one block holds
     RES = (48, 96)
+    CFG = RenderConfig(samples=24, t_near=0.5, t_far=5.0, resolution=RES)
 
     def camera(self, yaw=0.3, offset=(-0.4, 1.5, 1.0)):
         h, w = self.RES
@@ -333,16 +345,14 @@ class TestRayPlan:
         assert rays > _BLOCK_RAYS
         rng = np.random.default_rng(5)
         cam = self.camera()
-        plan = RayPlan(self.SPEC, cam, self.RES, 0.5, 5.0, 24)
+        plan = RayPlan(self.SPEC, cam, self.CFG)
         assert len(plan.chunks) > 1 and check_blocks(plan.chunks, rays)
         for _ in range(2):  # one plan, two different density fields
             field = DensityField(rng.uniform(0, 3, self.SPEC.dims), self.SPEC)
             grad_map = rng.normal(size=self.RES)
-            depth, opacity, grad = dense_render(
-                field, cam, self.RES, 0.5, 5.0, 24, grad_map, plan.chunks
-            )
+            depth, opacity, grad = dense_render(field, cam, self.CFG, grad_map, plan.chunks)
             assert np.count_nonzero(opacity) > 100
-            dm = render_view(field, cam, self.RES, 0.5, 5.0, 24)
+            dm = render_view(field, cam, self.CFG)
             pdm = plan.render(field)
             pg = plan.grad_sigma(grad_map)
             for got in (dm, pdm):
@@ -359,7 +369,8 @@ class TestRayPlan:
         sigma = np.random.default_rng(6).uniform(1, 2, spec.dims)
         field = DensityField(sigma, spec)
         t_near, s = 1.5, 6  # unit spacing: t = 2, 3, ..., 7
-        plan = RayPlan(spec, cam, (3, 5), t_near, t_near + s, s)
+        cfg = RenderConfig(samples=s, t_near=t_near, t_far=t_near + s, resolution=(3, 5))
+        plan = RayPlan(spec, cam, cfg)
         center = 1 * 5 + 2
         origin, dirs = view_rays(cam, (3, 5))
         coords = spec.world_to_grid(origin + plan.t[:, None] * dirs[center])
@@ -376,9 +387,7 @@ class TestRayPlan:
         dm = plan.render(field)
         assert plan._jac[0].shape == (15, 6)
         grad_map = np.random.default_rng(7).normal(size=(3, 5))
-        depth, opacity, grad = dense_render(
-            field, cam, (3, 5), t_near, t_near + s, s, grad_map, plan.chunks
-        )
+        depth, opacity, grad = dense_render(field, cam, cfg, grad_map, plan.chunks)
         assert np.array_equal(dm.depth, depth) and np.array_equal(dm.valid, opacity > 0.5)
         assert np.array_equal(plan.grad_sigma(grad_map), grad)
 
@@ -386,11 +395,11 @@ class TestRayPlan:
         # looking away from the grid: no sample is ever inside the box
         cam = self.camera(yaw=np.pi, offset=(-1.0, 1.5, 1.0))
         field = DensityField(np.full(self.SPEC.dims, 5.0), self.SPEC)
-        plan = RayPlan(self.SPEC, cam, self.RES, 0.5, 5.0, 24)
+        plan = RayPlan(self.SPEC, cam, self.CFG)
         assert all(c.cols.size == 0 for c in plan.chunks)
         grad_map = np.random.default_rng(8).normal(size=self.RES)
         pdm = plan.render(field)
-        for dm in (render_view(field, cam, self.RES, 0.5, 5.0, 24), pdm):
+        for dm in (render_view(field, cam, self.CFG), pdm):
             assert np.all(dm.depth == 0.0)
             assert not dm.valid.any()
         assert np.all(plan.grad_sigma(grad_map) == 0.0)
@@ -399,7 +408,7 @@ class TestRayPlan:
         # <gather(v), y> == <v, scatter(y)> for every chunk of the plan, with
         # v on the whole padded grid, its zero shell included
         rng = np.random.default_rng(9)
-        plan = RayPlan(self.SPEC, self.camera(), self.RES, 0.5, 5.0, 24)
+        plan = RayPlan(self.SPEC, self.camera(), self.CFG)
         padded = int(np.prod([d + 2 for d in self.SPEC.dims]))
         for chunk in plan.chunks:
             v = rng.normal(size=padded)
@@ -416,7 +425,7 @@ class TestRayPlan:
         # with g zero off the block, where J are the rows the render kept,
         # and J equals the recomputing reference
         rng = np.random.default_rng(22)
-        plan = RayPlan(self.SPEC, self.camera(), self.RES, 0.5, 5.0, 24)
+        plan = RayPlan(self.SPEC, self.camera(), self.CFG)
         field = DensityField(rng.uniform(0, 3, self.SPEC.dims), self.SPEC)
         plan.render(field)
         jac = plan._jac
@@ -445,31 +454,29 @@ class TestRayPlan:
 
         def objective(eps):
             field = DensityField(sigma + eps * v, self.SPEC)
-            return float(np.sum(render_view(field, cam, self.RES, 0.5, 5.0, 24).depth * grad_map))
+            return float(np.sum(render_view(field, cam, self.CFG).depth * grad_map))
 
         eps = 1e-5
         fd = (objective(eps) - objective(-eps)) / (2 * eps)
-        plan = RayPlan(self.SPEC, cam, self.RES, 0.5, 5.0, 24)
+        plan = RayPlan(self.SPEC, cam, self.CFG)
         plan.render(DensityField(sigma, self.SPEC))
         jvp = float(np.sum(plan.grad_sigma(grad_map) * v))
         assert abs(jvp) > 1.0
         assert abs(fd - jvp) <= 1e-8 * abs(jvp)
 
     def test_rejects_mismatched_inputs(self):
-        plan = RayPlan(self.SPEC, self.camera(), self.RES, 0.5, 5.0, 24)
+        plan = RayPlan(self.SPEC, self.camera(), self.CFG)
         other = VoxelGridSpec(self.SPEC.dims, np.ones(3), 0.5)
         with pytest.raises(ValueError, match="grid"):
             plan.render(DensityField(np.zeros(self.SPEC.dims), other))
         plan.render(DensityField(np.zeros(self.SPEC.dims), self.SPEC))
         with pytest.raises(ValueError, match=r"grad_depth \(2, 2\) vs resolution"):
             plan.grad_sigma(np.zeros((2, 2)))
-        with pytest.raises(ValueError):
-            RayPlan(self.SPEC, self.camera(), self.RES, 5.0, 0.5, 24)
 
     def test_grad_sigma_needs_a_render(self):
         # no Jacobian rows before the first render, nor after a render that
         # raised: the plan never scatters rows of an earlier field
-        plan = RayPlan(self.SPEC, self.camera(), self.RES, 0.5, 5.0, 24)
+        plan = RayPlan(self.SPEC, self.camera(), self.CFG)
         with pytest.raises(ValueError, match="needs a render"):
             plan.grad_sigma(np.zeros(self.RES))
         plan.render(DensityField(np.ones(self.SPEC.dims), self.SPEC))
@@ -487,11 +494,11 @@ class TestRayPlan:
         cam = self.camera()
         a, b = (DensityField(rng.uniform(0, 3, self.SPEC.dims), self.SPEC) for _ in range(2))
         grad_map = rng.normal(size=self.RES)
-        plan = RayPlan(self.SPEC, cam, self.RES, 0.5, 5.0, 24)
+        plan = RayPlan(self.SPEC, cam, self.CFG)
         plan.render(a)
         grad_a = plan.grad_sigma(grad_map)
         plan.render(b)
-        fresh = RayPlan(self.SPEC, cam, self.RES, 0.5, 5.0, 24)
+        fresh = RayPlan(self.SPEC, cam, self.CFG)
         fresh.render(b)
         want = fresh.grad_sigma(grad_map)
         assert same_bits(plan.grad_sigma(grad_map), want)
@@ -531,7 +538,8 @@ class TestRayClipping:
         """Assert the plan and both render paths equal the unclipped
         reference bitwise; returns the number of kept samples."""
         rng = np.random.default_rng(seed)
-        plan = RayPlan(spec, cam, res, t_near, t_far, s)
+        cfg = RenderConfig(samples=s, t_near=t_near, t_far=t_far, resolution=res)
+        plan = RayPlan(spec, cam, cfg)
         cols, base, wgt = unclipped_plan(spec, cam, res, plan.t)
         # kept samples sit in each block's [R x width] window: back to [N x S]
         got_cols = np.concatenate(
@@ -546,10 +554,8 @@ class TestRayClipping:
         assert np.array_equal(np.concatenate([c.wgt for c in plan.chunks], axis=1), wgt)
         field = DensityField(rng.uniform(0.2, 3.0, spec.dims), spec)
         grad_map = rng.normal(size=res)
-        depth, opacity, grad = dense_render(
-            field, cam, res, t_near, t_far, s, grad_map, plan.chunks
-        )
-        dm = render_view(field, cam, res, t_near, t_far, s)
+        depth, opacity, grad = dense_render(field, cam, cfg, grad_map, plan.chunks)
+        dm = render_view(field, cam, cfg)
         pdm = plan.render(field)
         for got in (dm, pdm):
             assert np.array_equal(got.depth, depth)
@@ -592,9 +598,8 @@ class TestRayClipping:
     def test_origin_one_ulp_outside_keeps_the_face_samples(self):
         res = (9, 11)
         cam = self.camera(0.0, [-1.0, 0.9, np.nextafter(0.1, -1.0)], res)
-        dm = render_view(
-            DensityField(np.ones(self.SPEC.dims), self.SPEC), cam, res, 0.5, 6.0, 30
-        )
+        cfg = RenderConfig(samples=30, t_near=0.5, t_far=6.0, resolution=res)
+        dm = render_view(DensityField(np.ones(self.SPEC.dims), self.SPEC), cam, cfg)
         assert np.all(dm.depth[4] > 0)  # t > 0: some sample of each ray has weight
 
     def test_live_window_of_rays_that_exit_early(self):
@@ -606,7 +611,7 @@ class TestRayClipping:
         mount = level_camera_mount(0.3, [1.4, 1.5, 1.9])
         tilt = rotation_from_angles(0.0, -0.6)
         cam = Camera(intr, Pose(tilt @ mount.rotation, mount.translation))
-        plan = RayPlan(spec, cam, res, 0.2, 6.0, s)
+        plan = RayPlan(spec, cam, RenderConfig(samples=s, t_near=0.2, t_far=6.0, resolution=res))
         assert [(c.lo, c.width) for c in plan.chunks] == [(0, 24)]
         assert self.check(spec, cam, res, 0.2, 6.0, s, 16) > 0
 
@@ -661,11 +666,10 @@ class TestOneShotRender:
         that each block's rows hold the reference densities up to its
         window, with zero density past it; returns the block widths."""
         field = DensityField(sigma, spec)
-        plan = RayPlan(spec, cam, res, t_near, t_far, s)
-        depth, opacity, _ = dense_render(
-            field, cam, res, t_near, t_far, s, np.zeros(res), plan.chunks
-        )
-        for dm in (render_view(field, cam, res, t_near, t_far, s), plan.render(field)):
+        cfg = RenderConfig(samples=s, t_near=t_near, t_far=t_far, resolution=res)
+        plan = RayPlan(spec, cam, cfg)
+        depth, opacity, _ = dense_render(field, cam, cfg, np.zeros(res), plan.chunks)
+        for dm in (render_view(field, cam, cfg), plan.render(field)):
             assert same_bits(dm.depth, depth)
             assert np.array_equal(dm.valid, opacity > 0.5)
         origin, dirs = view_rays(cam, res)
@@ -716,11 +720,12 @@ class TestOneShotRender:
         center = self.SPEC.origin + (np.array(voxel) + 0.5) * self.SPEC.voxel_size
         live = _live_cells(np.pad(sigma, 1))
         assert live.sum() == 8
+        cfg = RenderConfig(samples=40, t_near=0.3, t_far=8.0, resolution=self.RES)
         for yaw, offset in ((0.0, [-1.5, center[1], center[2]]),
                             (np.pi, [5.0, center[1], center[2]]),
                             (np.pi / 2, [center[0], -1.8, center[2]])):
             cam = self.camera(yaw, offset, pitch=0.05)
-            dm = render_view(DensityField(sigma, self.SPEC), cam, self.RES, 0.3, 8.0, 40)
+            dm = render_view(DensityField(sigma, self.SPEC), cam, cfg)
             assert dm.valid.any()
             self.check(sigma, cam)
 
@@ -796,7 +801,7 @@ class TestRowSums:
 
     def test_jacobian_free_render_matches(self):
         rng = np.random.default_rng(25)
-        t, deltas = _midpoint_samples(0.5, 9.0, 150)
+        t, deltas = RenderConfig(samples=150, t_near=0.5, t_far=9.0).sample_distances()
         sigma = rng.uniform(0.0, 2.0, (7, 40))
         with_jac = _render_batch(sigma, t[None, :], deltas[None, :], 104)
         without = _render_batch(sigma, t[None, :], deltas[None, :], 104, with_jac=False)
@@ -817,7 +822,7 @@ class TestTileCulling:
     def check(self, live, cam, res=RES, t_near=0.3, t_far=8.0, s=40):
         """Assert the kept (ray, k) pairs, their cells and weights equal
         those of a test of every sample; returns the chunks."""
-        t, _ = _midpoint_samples(t_near, t_far, s)
+        t, _ = RenderConfig(samples=s, t_near=t_near, t_far=t_far).sample_distances()
         chunks = list(_plan_chunks(self.SPEC, cam, res, t, live))
         ray = np.concatenate([c.start + c.cols // max(c.width, 1) for c in chunks])
         k = np.concatenate([c.lo + c.cols % max(c.width, 1) for c in chunks])
@@ -897,11 +902,12 @@ class TestTileCulling:
         cam = Camera(intr, level_camera_mount(np.pi, [5.0, 2.05, 1.85]))
         sigma = np.zeros(self.SPEC.dims)
         sigma[0, 0, 0] = 3.0
-        ones = render_view(DensityField(np.ones(self.SPEC.dims), self.SPEC), cam, res, 0.3, 8.0, 40)
+        cfg = RenderConfig(samples=40, t_near=0.3, t_far=8.0, resolution=res)
+        ones = render_view(DensityField(np.ones(self.SPEC.dims), self.SPEC), cam, cfg)
         assert ones.depth.min() > 0  # every ray crosses the box
         chunks = self.check(self.live(sigma), cam, res)
         assert all(c.lo == c.width == 0 and c.cols.size == 0 for c in chunks)
-        dm = render_view(DensityField(sigma, self.SPEC), cam, res, 0.3, 8.0, 40)
+        dm = render_view(DensityField(sigma, self.SPEC), cam, cfg)
         assert same_bits(dm.depth, np.zeros(res))
         assert not dm.valid.any()
 
@@ -929,3 +935,17 @@ class TestTypes:
             DensityField(-np.ones((2, 2, 2)), spec)
         with pytest.raises(ValueError):
             DensityField(np.zeros((3, 2, 2)), spec)
+
+    @pytest.mark.parametrize(
+        "depth, valid, error",
+        [
+            (np.ones((4, 6)), np.ones((1, 6), bool), r"valid must be a bool array of depth's shape"),
+            (np.ones((4, 6)), np.ones((4, 6)), r"valid must be a bool array"),
+            (np.ones((4, 6), dtype=np.int64), np.ones((4, 6), bool), r"depth must be a 2-D float"),
+            (np.ones(6), np.ones(6, bool), r"depth must be a 2-D float"),
+        ],
+        ids=["one-row-mask", "float-mask", "int-depth", "1-D"],
+    )
+    def test_depth_map_validation(self, depth, valid, error):
+        with pytest.raises(ValueError, match=error):
+            DepthMap(depth=depth, valid=valid)

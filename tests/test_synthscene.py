@@ -10,7 +10,7 @@ from helpers import _erode, covisibility_mask
 from occgeom import formats, synthscene
 from occgeom.camera import Camera, _box_span, camera_pose_at, relative_pose, view_rays
 from occgeom.cast import PhotometricConfig, photometric_loss, warp_image
-from occgeom.renderer import render_view
+from occgeom.renderer import RenderConfig, render_view
 from occgeom.synthscene import (
     SceneConfig,
     _traverse,
@@ -145,7 +145,7 @@ class TestRaymarchOracle:
         b = bundle(seed=0)
         cam = Camera(b.rig.cameras[0].intrinsics, camera_pose_at(b.rig, 0, 1))
         oracle = raymarch_depth_oracle(b.grid, SPEC, cam, (60, 100))
-        rendered = render_view(b.density_gt, cam, (60, 100), 1.0, 45.0, 152)
+        rendered = render_view(b.density_gt, cam, RenderConfig(resolution=(60, 100)))
         both = oracle.valid & rendered.valid
         assert both.mean() > 0.9
         err = np.abs(oracle.depth - rendered.depth)[both]

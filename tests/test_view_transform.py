@@ -68,6 +68,17 @@ class TestSpec:
         with pytest.raises(ValueError, match="origin must be finite"):
             VoxelGridSpec((2, 2, 2), np.array([0.0, bad, 0.0]), 0.4)
 
+    def test_value_equality_and_hash(self):
+        # specs compare by dims, voxel size and origin, never by identity
+        spec = VoxelGridSpec((4, 3, 2), np.array([0.0, -1.0, 2.0]), 0.4)
+        same = VoxelGridSpec((4, 3, 2), [0, -1, 2], 0.4)
+        assert spec == same and hash(spec) == hash(same) and len({spec, same}) == 1
+        for other in (VoxelGridSpec((4, 3, 4), spec.origin, 0.4),
+                      VoxelGridSpec((4, 3, 2), spec.origin, 0.5),
+                      VoxelGridSpec((4, 3, 2), spec.origin + [5.0, 0.0, 0.0], 0.4)):
+            assert spec != other
+        assert spec != (spec.dims, spec.voxel_size, tuple(spec.origin))
+
 
 class TestDepthDistribution:
     def test_probs_must_normalize(self):
@@ -404,6 +415,14 @@ class TestFuseAndCompress:
         bad = OccupancyFeature(np.zeros((2, 4, 4, 4)), other)
         with pytest.raises(ValueError):
             fuse_and_compress(oe, bad, np.zeros((1, 4, 1, 1, 1)))
+
+    def test_shifted_origin_rejected(self):
+        # same dims and voxel size on a grid 5 m along x: the features do
+        # not describe the same voxels
+        oe, oi, spec = self._pair()
+        shifted = VoxelGridSpec(spec.dims, np.array([5.0, 0.0, 0.0]), spec.voxel_size)
+        with pytest.raises(ValueError, match="grid specs differ"):
+            fuse_and_compress(oe, OccupancyFeature(oi.data, shifted), np.zeros((1, 4, 1, 1, 1)))
 
     def test_odd_dims_rejected(self):
         spec = VoxelGridSpec((3, 4, 2), np.zeros(3), 0.5)
