@@ -26,6 +26,10 @@ from .formats import naming, read_fields
 from .tensor import as_tensor
 
 _ORTHO_TOL = 1e-9
+# consecutive pixels whose rays a full-view pass (the renderer's plan
+# builder, the DDA depth oracle) builds and walks at a time, which bounds
+# its working memory at any resolution
+_RAY_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -71,7 +75,7 @@ class Intrinsics:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Pose:
     """Rigid transform: p_out = rotation @ p_in + translation."""
 
@@ -122,7 +126,7 @@ class Camera(NamedTuple):
     pose: Pose  # camera -> rig anchor
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CameraRig:
     """A set of rigidly mounted cameras plus a timestamped ego trajectory."""
 
@@ -187,10 +191,16 @@ def project_points(
     return uv, cam_pts[:, 2], visible
 
 
-def pixel_grid(h: int, w: int) -> np.ndarray:
-    """(u, v) of every pixel of an h x w image, [h*w x 2] in row-major order."""
-    us, vs = np.meshgrid(np.arange(w, dtype=np.float64), np.arange(h, dtype=np.float64))
-    return np.stack([us.ravel(), vs.ravel()], axis=1)
+def pixel_grid(h: int, w: int, start: int = 0, stop: int | None = None) -> np.ndarray:
+    """(u, v) of the pixels [start, stop) of an h x w image in row-major
+    order (every pixel by default), [(stop - start) x 2]: pixel i is
+    (i % w, i // w)."""
+    stop = h * w if stop is None else stop
+    first = start // w  # the rows the range spans
+    us, vs = np.meshgrid(
+        np.arange(w, dtype=np.float64), np.arange(first, -(-stop // w), dtype=np.float64)
+    )
+    return np.stack([us.ravel(), vs.ravel()], axis=1)[start - first * w : stop - first * w]
 
 
 def camera_rays(intr: Intrinsics, uvs: np.ndarray) -> np.ndarray:
@@ -221,15 +231,26 @@ def pixel_directions(intr: Intrinsics, pose: Pose, uvs: np.ndarray) -> tuple[np.
     return units @ pose.rotation.T, norms
 
 
-def view_rays(cam: Camera, resolution: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """The origin [3] and the unit world directions [H*W x 3] of every
-    pixel of a view at resolution (H, W), in row-major order. Intrinsics
-    are rescaled when the resolution differs from their native size."""
+def view_rays(
+    cam: Camera, resolution: tuple[int, int], start: int = 0, stop: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The origin [3] and the unit world directions [(stop - start) x 3] of
+    the pixels [start, stop) of a view at resolution (H, W), in row-major
+    order; every pixel by default. Each ray depends only on its pixel, so
+    the rays of consecutive ranges concatenate to the whole view's bit for
+    bit, and a pass over a view can hold one _RAY_BLOCK of rays at a time.
+    Intrinsics are rescaled when the resolution differs from their native
+    size."""
     intr, pose = cam
     h, w = resolution
     if (intr.height, intr.width) != (h, w):
         intr = intr.scaled(w, h)
-    dirs, _ = pixel_directions(intr, pose, pixel_grid(h, w))
+    uvs = pixel_grid(h, w, start, stop)
+    if uvs.shape[0] == 1 < h * w:
+        # numpy multiplies a lone row through BLAS's matrix-vector product,
+        # which can round differently from the matrix product of the view
+        return pose.translation.copy(), pixel_directions(intr, pose, np.repeat(uvs, 2, 0))[0][:1]
+    dirs, _ = pixel_directions(intr, pose, uvs)
     return pose.translation.copy(), dirs
 
 

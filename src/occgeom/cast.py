@@ -48,7 +48,7 @@ class PhotometricConfig:
                 raise ValueError(f"{name} must be nonnegative")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PairGeometry:
     """The depth-independent part of one context warp."""
 

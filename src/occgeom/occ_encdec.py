@@ -23,7 +23,7 @@ from .view_transform import OccupancyFeature, VoxelGridSpec
 _NO_SCORE = -1e30  # finite stand-in for "no query of this class"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WindowedAttentionParams:
     """Shared projections and bias for window-divided self-attention.
 
@@ -58,7 +58,7 @@ class WindowedAttentionParams:
         object.__setattr__(self, "bias", bias)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SemanticQuerySet:
     """Query features plus the linear maps used by the masked decoder.
 
@@ -107,7 +107,7 @@ class SemanticQuerySet:
             object.__setattr__(self, "ffn_w2", w2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SemanticOccupancy:
     """Per-voxel class labels 0..K, K = `num_classes` meaning free: the
     ground truth and the decoder's output alike, as in Occ3D."""

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .camera import Camera, _box_span, view_rays
+from .camera import _RAY_BLOCK, Camera, _box_span, view_rays
 from .formats import write_pfm, write_pgm8
 from .tensor import (
     _corner_offsets,
@@ -32,21 +32,19 @@ from .view_transform import VoxelGridSpec
 # A chunk's plan temporaries scale with its pairs, its adjoint's [8 x M]
 # corner index and products with its kept samples, and its render
 # temporaries with its [rays x width] window. At 12288 pairs `selftrain` and `render` at
-# the bench configs peak at 51.4 and 51.0 MB RSS; 16384 pairs or 1024-ray
+# the bench configs peak at 49.3 and 38.7 MB RSS; 16384 pairs or 1024-ray
 # chunks raised selftrain's by 1-5 MB, and 8192 pairs render's by 0.5 MB.
 # A chunk of all S samples of every ray holds 12288 // S rays; where tiles
 # are culled it holds more.
 _BLOCK_SAMPLES = 12288
 _BLOCK_RAYS = 4096
 # consecutive pixels per tile: the unit whose samples _plan_chunks culls
-# against the live cells before testing each ray's samples
+# against the live cells before testing each ray's samples; camera._RAY_BLOCK,
+# the rays whose tiles are culled together, is a multiple of it
 _TILE_RAYS = 32
-# consecutive pixels whose tiles are culled together, which bounds the
-# culling's temporaries; a multiple of _TILE_RAYS
-_CULL_RAYS = 2 * _BLOCK_RAYS
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityField:
     """Nonnegative per-voxel extinction density (1/m) on a grid."""
 
@@ -94,7 +92,7 @@ class RenderConfig:
         return self.t_near + (np.arange(self.samples) + 0.5) * step, np.full(self.samples, step)
 
 
-@dataclass
+@dataclass(eq=False)
 class DepthMap:
     """Per-pixel ray distance with validity.
 
@@ -177,7 +175,7 @@ def _render_batch(
     return depth, opacity, weights, jac
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PlanChunk:
     """The live ray samples of one block of consecutive pixels.
 
@@ -322,34 +320,33 @@ def _plan_chunks(
     samples inside the trilinear sampling box whose low cell is marked in
     `live`, a flat bool mask over the padded grid.
 
-    Tiles of rays are culled first, _CULL_RAYS rays at a time
-    (_live_tile_samples). A block is a run of whole tiles with about
-    _BLOCK_SAMPLES candidate (ray, sample) pairs and at most _BLOCK_RAYS
-    rays: every ray of a tile takes the tile's kept samples, and these
-    pairs, in ray-major order, go on to the exact in-box and live tests,
-    with the arithmetic of spec.world_to_grid(origin + t * dir). A sample
-    that a tile drops fails one of those tests, so the kept set, and its
-    order, are the ones a test of every sample would give. A sample whose
-    low cell is not live has eight zero corners and reads +0.0 through any
-    plan (densities are >= 0, -0.0 included, and weights >= 0 and finite),
-    and a zero density of either sign gets render weight +0.0; so with
-    `live` from _live_cells of a field the chunks render that field as a
-    plan of every in-box sample does.
+    The view is taken in groups of camera._RAY_BLOCK rays, and each group
+    builds only its own rays, box ranges and direction columns. A group's
+    tiles of rays are culled first (_live_tile_samples). A block is a run
+    of whole tiles with about _BLOCK_SAMPLES candidate (ray, sample) pairs
+    and at most _BLOCK_RAYS rays: every ray of a tile takes the tile's kept
+    samples, and these pairs, in ray-major order, go on to the exact in-box
+    and live tests, with the arithmetic of spec.world_to_grid(origin +
+    t * dir). A sample that a tile drops fails one of those tests, so the
+    kept set, and its order, are the ones a test of every sample would
+    give. A sample whose low cell is not live has eight zero corners and
+    reads +0.0 through any plan (densities are >= 0, -0.0 included, and
+    weights >= 0 and finite), and a zero density of either sign gets render
+    weight +0.0; so with `live` from _live_cells of a field the chunks
+    render that field as a plan of every in-box sample does.
     """
-    origin, dirs = view_rays(cam, resolution)
-    first, stop = _box_sample_ranges(spec, origin, dirs, t)
-    n, s = dirs.shape[0], t.size
+    n, s = resolution[0] * resolution[1], t.size
     hi = np.asarray(spec.dims) - 0.5
     offsets = _corner_offsets(spec.dims)
     table = _live_box_table(live, spec.dims).ravel()
-    dirs = dirs.T.copy()  # per-axis direction columns
     none = np.empty(0, dtype=np.intp)
     empty = (0, 0, none, none, np.empty((8, 0)), offsets)
-    for group in range(0, n, _CULL_RAYS):
-        end = min(group + _CULL_RAYS, n)
-        tiles, ks = _live_tile_samples(
-            spec, origin, dirs[:, group:end], first[group:end], stop[group:end], t, table
-        )
+    for group in range(0, n, _RAY_BLOCK):
+        end = min(group + _RAY_BLOCK, n)
+        origin, dirs = view_rays(cam, resolution, group, end)
+        first, stop = _box_sample_ranges(spec, origin, dirs, t)
+        dirs = dirs.T.copy()  # per-axis direction columns
+        tiles, ks = _live_tile_samples(spec, origin, dirs, first, stop, t, table)
         # a block is a run of whole tiles: a new one starts where the
         # candidate pairs before a tile pass a multiple of _BLOCK_SAMPLES,
         # and every _BLOCK_RAYS rays
@@ -376,7 +373,9 @@ def _plan_chunks(
             ray = np.repeat(np.arange(stop_ - start), per_ray)
             k = k[np.arange(ray.size) + np.repeat(shift, per_ray)]
             tk = t[k]
-            x, y, z = (_grid_axis(spec, origin, a, tk, dirs[a, start + ray]) for a in range(3))
+            x, y, z = (
+                _grid_axis(spec, origin, a, tk, dirs[a, start - group + ray]) for a in range(3)
+            )
             keep = (x >= -0.5) & (x <= hi[0])
             keep &= y >= -0.5
             keep &= y <= hi[1]
@@ -423,7 +422,7 @@ def _render_rows(
     block's depth Jacobian rows to `jac_out` when given."""
     h, w = resolution
     depth = np.empty(h * w)
-    opacity = np.empty(h * w)
+    valid = np.empty(h * w, dtype=bool)
     for chunk in chunks:
         # a zero-width window gathers [R x 0] rows: +0.0 depth and opacity
         d, o, _, jac = _render_batch(
@@ -431,10 +430,10 @@ def _render_rows(
             with_jac=jac_out is not None,
         )
         depth[chunk.start : chunk.stop] = d
-        opacity[chunk.start : chunk.stop] = o
+        valid[chunk.start : chunk.stop] = o > 0.5
         if jac_out is not None:
             jac_out.append(jac)
-    return DepthMap(depth=depth.reshape(h, w), valid=(opacity > 0.5).reshape(h, w))
+    return DepthMap(depth=depth.reshape(h, w), valid=valid.reshape(h, w))
 
 
 class RayPlan:

@@ -21,6 +21,7 @@ import numpy as np
 
 from . import formats
 from .camera import (
+    _RAY_BLOCK,
     Camera,
     CameraRig,
     _box_span,
@@ -91,7 +92,7 @@ class SceneConfig:
         return VoxelGridSpec(tuple(self.dims), np.array(self.origin), self.voxel_size)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SceneBundle:
     """A synthetic world plus everything the tests need to probe it.
 
@@ -248,10 +249,20 @@ def raymarch_depth_oracle(
     resolution: tuple[int, int],
     visible: np.ndarray | None = None,
 ) -> DepthMap:
-    """Exact first-hit depth by DDA voxel traversal (the rendering oracle)."""
-    origin, dirs = view_rays(cam, resolution)
-    depth, hit, _ = _traverse(grid.occupied, spec, origin, dirs, visible)
-    return DepthMap(depth=depth.reshape(resolution), valid=hit.reshape(resolution))
+    """Exact first-hit depth by DDA voxel traversal (the rendering oracle).
+
+    The view is traversed _RAY_BLOCK rays at a time, so its working memory
+    does not grow with the resolution; every ray's result depends only on
+    its own origin and direction, and the visible marks are an OR, so the
+    result is that of one traversal of the whole view."""
+    h, w = resolution
+    occupied = grid.occupied
+    depth, hit = np.empty(h * w), np.empty(h * w, dtype=bool)
+    for start in range(0, h * w, _RAY_BLOCK):
+        stop = min(start + _RAY_BLOCK, h * w)
+        origin, dirs = view_rays(cam, resolution, start, stop)
+        depth[start:stop], hit[start:stop], _ = _traverse(occupied, spec, origin, dirs, visible)
+    return DepthMap(depth=depth.reshape(h, w), valid=hit.reshape(h, w))
 
 
 def synthesize_image(

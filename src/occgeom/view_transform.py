@@ -93,7 +93,7 @@ def uniform_depth_bins(count: int = 8, near: float = 1.0, far: float = 45.0) -> 
     return near + (np.arange(count) + 0.5) * step
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DepthDistribution:
     """Per-pixel categorical distribution over metric depth bins."""
 
@@ -122,7 +122,7 @@ class DepthDistribution:
         object.__setattr__(self, "probs", probs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OccupancyFeature:
     """A C x X x Y x Z feature volume tied to its grid geometry."""
 

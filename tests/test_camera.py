@@ -150,6 +150,22 @@ class TestRay:
         assert np.array_equal(dirs, pixel_directions(intr, pose, grid)[0])
         assert np.array_equal(origin, pose.translation)
 
+    @pytest.mark.parametrize("resolution", [(101, 101), (7, 130)])
+    def test_view_ray_ranges_concatenate_to_the_view(self, resolution):
+        # a 1-pixel block, blocks that end mid-row and at a row's end, and a
+        # partial last block: bit for bit the whole view's rays, in order
+        h, w = resolution
+        n = h * w
+        cam = Camera(INTR, random_pose(np.random.default_rng(9)))
+        origin, dirs = view_rays(cam, resolution)
+        cuts = [0, 1, w // 2, w, 3 * w + 5, n // 2 + 1, n]
+        parts = [view_rays(cam, resolution, a, b) for a, b in zip(cuts, cuts[1:])]
+        assert all(o.tobytes() == origin.tobytes() for o, _ in parts)
+        assert np.concatenate([d for _, d in parts]).tobytes() == dirs.tobytes()
+        grids = [pixel_grid(h, w, a, b) for a, b in zip(cuts, cuts[1:])]
+        assert np.concatenate(grids).tobytes() == pixel_grid(h, w).tobytes()
+        assert view_rays(cam, resolution, n - 1)[1].tobytes() == dirs[n - 1 :].tobytes()
+
 
 class TestRelativePose:
     def test_temporal_same_time_identity(self):

@@ -1,10 +1,12 @@
 """Tests for depth volume rendering and its density gradient."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from helpers import grad_check, level_camera_mount, ray, render_ray, rotation_from_angles
 
-from occgeom.camera import Camera, Intrinsics, Pose, camera_pose_at, view_rays
+from occgeom.camera import _RAY_BLOCK, Camera, Intrinsics, Pose, camera_pose_at, view_rays
 from occgeom.renderer import (
     _BLOCK_RAYS,
     _TILE_RAYS,
@@ -335,24 +337,37 @@ class TestRayPlan:
     RES = (48, 96)
     CFG = RenderConfig(samples=24, t_near=0.5, t_far=5.0, resolution=RES)
 
-    def camera(self, yaw=0.3, offset=(-0.4, 1.5, 1.0)):
-        h, w = self.RES
-        intr = Intrinsics(fx=40.0, fy=40.0, cx=(w - 1) / 2, cy=(h - 1) / 2, width=w, height=h)
+    def camera(self, yaw=0.3, offset=(-0.4, 1.5, 1.0), res=RES):
+        h, w = res
+        f = 40.0 * w / self.RES[1]  # the same field of view at any resolution
+        intr = Intrinsics(fx=f, fy=f, cx=(w - 1) / 2, cy=(h - 1) / 2, width=w, height=h)
         return Camera(intr, level_camera_mount(yaw, offset))
 
     def test_matches_dense_reference_bitwise(self):
-        rays = self.RES[0] * self.RES[1]
+        self.check_dense_reference(self.RES)
+
+    def test_matches_dense_reference_over_ray_groups(self):
+        # three groups of camera._RAY_BLOCK rays, the last one partial
+        res = (96, 192)
+        assert 2 * _RAY_BLOCK < res[0] * res[1] < 3 * _RAY_BLOCK
+        self.check_dense_reference(res)
+
+    def check_dense_reference(self, res):
+        """render_view, RayPlan.render and grad_sigma at `res` equal
+        dense_render bit for bit, for two fields through one plan."""
+        rays = res[0] * res[1]
         assert rays > _BLOCK_RAYS
         rng = np.random.default_rng(5)
-        cam = self.camera()
-        plan = RayPlan(self.SPEC, cam, self.CFG)
+        cam = self.camera(res=res)
+        cfg = replace(self.CFG, resolution=res)
+        plan = RayPlan(self.SPEC, cam, cfg)
         assert len(plan.chunks) > 1 and check_blocks(plan.chunks, rays)
         for _ in range(2):  # one plan, two different density fields
             field = DensityField(rng.uniform(0, 3, self.SPEC.dims), self.SPEC)
-            grad_map = rng.normal(size=self.RES)
-            depth, opacity, grad = dense_render(field, cam, self.CFG, grad_map, plan.chunks)
+            grad_map = rng.normal(size=res)
+            depth, opacity, grad = dense_render(field, cam, cfg, grad_map, plan.chunks)
             assert np.count_nonzero(opacity) > 100
-            dm = render_view(field, cam, self.CFG)
+            dm = render_view(field, cam, cfg)
             pdm = plan.render(field)
             pg = plan.grad_sigma(grad_map)
             for got in (dm, pdm):

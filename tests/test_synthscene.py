@@ -2,13 +2,21 @@
 
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from helpers import _erode, covisibility_mask
 
 from occgeom import formats, synthscene
-from occgeom.camera import Camera, _box_span, camera_pose_at, relative_pose, view_rays
+from occgeom.camera import (
+    _RAY_BLOCK,
+    Camera,
+    _box_span,
+    camera_pose_at,
+    relative_pose,
+    view_rays,
+)
 from occgeom.cast import PhotometricConfig, photometric_loss, warp_image
 from occgeom.renderer import RenderConfig, render_view
 from occgeom.synthscene import (
@@ -158,6 +166,54 @@ class TestRaymarchOracle:
         dm = raymarch_depth_oracle(b.grid, SPEC, cam, b.scene.image_size)
         assert np.array_equal(dm.depth, b.gt_depths[(1, 0)].depth)
         assert np.array_equal(dm.valid, b.gt_depths[(1, 0)].valid)
+
+    @pytest.mark.parametrize("preset", ["corridor", "boxes"])
+    def test_oracle_streams_the_view_in_ray_blocks(self, preset):
+        # three blocks of _RAY_BLOCK rays, the last one partial: depth, hit
+        # and the visible marks are those of one traversal of the whole
+        # view's rays, and of the uncompacted reference loop
+        res = (120, 200)
+        assert 2 * _RAY_BLOCK < res[0] * res[1] < 3 * _RAY_BLOCK
+        b = bundle(seed=2, preset=preset)
+        cam = Camera(b.rig.cameras[0].intrinsics, camera_pose_at(b.rig, 0, 1))
+        visible = np.zeros(SPEC.dims, dtype=bool)
+        dm = raymarch_depth_oracle(b.grid, SPEC, cam, res, visible)
+        assert dm.valid.any() and visible.any()
+        origin, dirs = view_rays(cam, res)
+        for traverse in (_traverse, reference_traverse):
+            seen = np.zeros(SPEC.dims, dtype=bool)
+            depth, hit, _ = traverse(b.grid.occupied, SPEC, origin, dirs, seen)
+            assert dm.depth.tobytes() == depth.reshape(res).tobytes()
+            assert dm.valid.tobytes() == hit.reshape(res).tobytes()
+            assert visible.tobytes() == seen.tobytes()
+
+    def test_full_view_passes_hold_one_ray_block(self):
+        # the traced peak of the oracle and of render_view, less their
+        # outputs, does not grow with the resolution: both build and walk
+        # the view's rays one block at a time (4x the pixels here). A short
+        # corridor keeps the walks, and the test, short
+        b = bundle(dims=(12, 8, 8))
+        cam = Camera(b.rig.cameras[0].intrinsics, camera_pose_at(b.rig, 0, 1))
+        field = b.density_gt
+        visible = np.zeros(b.spec.dims, dtype=bool)
+        passes = (
+            lambda res: raymarch_depth_oracle(b.grid, b.spec, cam, res, visible),
+            lambda res: render_view(field, cam, RenderConfig(resolution=res)),
+        )
+
+        def working_bytes(run, res):
+            tracemalloc.start()
+            try:
+                dm = run(res)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert dm.valid.any()
+            return peak - dm.depth.nbytes - dm.valid.nbytes
+
+        for run in passes:
+            small, large = working_bytes(run, (180, 320)), working_bytes(run, (360, 640))
+            assert large <= small + 1_000_000, (small, large)
 
     @pytest.mark.parametrize("preset", ["corridor", "boxes", "random_blobs"])
     def test_shared_origin_traverses_like_per_ray_origins(self, preset):
