@@ -114,12 +114,6 @@ class Pose:
         p = as_tensor(points)
         return p @ self.rotation.T + self.translation
 
-    def matrix(self) -> np.ndarray:
-        m = np.eye(4)
-        m[:3, :3] = self.rotation
-        m[:3, 3] = self.translation
-        return m
-
 
 class Camera(NamedTuple):
     intrinsics: Intrinsics

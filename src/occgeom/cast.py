@@ -58,14 +58,11 @@ class PairGeometry:
     dp_dd: np.ndarray  # d(p_src)/d(depth) per pixel, [H*W x 3]
 
 
-def _pair_geometry(pose: Pose, k_src: Intrinsics, units: np.ndarray) -> PairGeometry:
-    inv = pose.inverse()
-    return PairGeometry(k_src, inv, units, units @ inv.rotation.T)
-
-
 def _warp_core(src_img: np.ndarray, target_depth: DepthMap, geom: PairGeometry):
     """(recon, valid, drecon): every target pixel is projected, but sampled
-    and differentiated only where the warp is valid; other pixels stay 0.
+    and differentiated only where the warp is valid, its target depth valid
+    and its source projection in front of the camera and in bounds; other
+    pixels stay 0.
 
     The validity test repeats bilinear_sample_grad's bound comparisons, and
     each kept pixel sees the same float operations as a full-image warp, so
@@ -99,30 +96,6 @@ def _warp_core(src_img: np.ndarray, target_depth: DepthMap, geom: PairGeometry):
     return recon.reshape(h, w, c), valid.reshape(h, w), drecon.reshape(h, w, c)
 
 
-def warp_image(
-    src_img: np.ndarray,
-    target_depth: DepthMap,
-    pose: Pose,
-    k_src: Intrinsics,
-    k_tgt: Intrinsics,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Inverse-warp a source image into the target view.
-
-    `pose` maps source-camera into target-camera coordinates, as
-    camera.relative_pose gives it. Each valid target pixel is lifted to 3D
-    with its rendered ray distance, mapped into the source camera by the
-    inverse pose, projected, and bilinearly sampled. A pixel is valid iff
-    the target depth is valid AND the source projection lands in front of
-    the camera and in bounds.
-
-    Returns:
-        (recon [H x W x C], valid [H x W] bool,
-         d(recon)/d(target depth) [H x W x C], zero where invalid)
-    """
-    units = cam_mod.unit_camera_rays(k_tgt, cam_mod.pixel_grid(*target_depth.depth.shape))[0]
-    return _warp_core(src_img, target_depth, _pair_geometry(pose, k_src, units))
-
-
 def _box_mean(x: np.ndarray, window: int) -> np.ndarray:
     """Zero-padded box mean with constant divisor window^2 (self-adjoint)."""
     h, w = x.shape[:2]
@@ -154,23 +127,10 @@ def _ssim_stats(a: np.ndarray, b: np.ndarray, window: int):
     return mu_a, mu_b, a1, a2, b1, b2
 
 
-def ssim(a: np.ndarray, b: np.ndarray, window: int = 3) -> np.ndarray:
-    """Per-pixel, per-channel structural similarity on [0, 1] intensities.
-
-    Local statistics use a zero-padded box window; output lies in [-1, 1].
-    """
-    a = as_tensor(a)
-    b = as_tensor(b)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    _, _, a1, a2, b1, b2 = _ssim_stats(a, b, window)
-    return (a1 * a2) / (b1 * b2)
-
-
 def _ssim_backward(
     a: np.ndarray, b: np.ndarray, grad_map: np.ndarray, window: int, stats, s
 ) -> np.ndarray:
-    """Adjoint of ssim() w.r.t. its second argument.
+    """Adjoint of the SSIM map w.r.t. its second argument.
 
     grad_map is dL/d(ssim map); returns dL/db. `stats` is
     _ssim_stats(a, b, window) and `s` the ssim map made from them, both
@@ -292,14 +252,12 @@ class ContextPlan:
             cam_mod.unit_camera_rays(c.intrinsics, cam_mod.pixel_grid(*size))[0]
             for c, size in zip(rig.cameras, self.sizes)
         ]
-        self.pairs = [
-            (kind, src, tgt, _pair_geometry(
-                cam_mod.relative_pose(kind, rig, src[0], tgt[0], src[1], tgt[1]),
-                rig.cameras[src[0]].intrinsics,
-                units[tgt[0]],
-            ))
-            for kind, src, tgt in context_pairs(rig)
-        ]
+        self.pairs = []
+        for kind, src, tgt in context_pairs(rig):
+            inv = cam_mod.relative_pose(kind, rig, src[0], tgt[0], src[1], tgt[1]).inverse()
+            u = units[tgt[0]]
+            geom = PairGeometry(rig.cameras[src[0]].intrinsics, inv, u, u @ inv.rotation.T)
+            self.pairs.append((kind, src, tgt, geom))
         self.n_pairs = {k: sum(p[0] == k for p in self.pairs) for k in KINDS}
 
     def check(self, depths: Sequence[DepthMap]) -> None:
@@ -395,22 +353,33 @@ def depth_l1_loss(
 
 
 def depth_bin_cross_entropy(
-    dists: Sequence[DepthDistribution | None], sparse: Sequence[np.ndarray | None]
+    dists: Sequence[DepthDistribution | None],
+    intrinsics: Sequence[Intrinsics],
+    sparse: Sequence[np.ndarray | None],
 ) -> float:
     """Cross-entropy of per-pixel depth distributions vs binned sparse depth.
 
-    The target is the one-hot nearest bin; samples pool across cameras.
-    Returns 0 when no camera carries both a distribution and samples.
+    Bins are camera-frame z, as `lift` places them, and a sample's depth a
+    ray distance: the target is the one-hot bin nearest depth / |camera_rays|
+    at its pixel; samples pool across cameras. Returns 0 when no camera
+    carries both a distribution and samples.
     """
     _check_sparse(len(dists), sparse)
+    if len(intrinsics) != len(dists):
+        raise ValueError(f"{len(intrinsics)} intrinsics for {len(dists)} cameras")
     total = 0.0
     count = 0
-    for ci, (dist, pts) in enumerate(zip(dists, sparse)):
+    for ci, (dist, intr, pts) in enumerate(zip(dists, intrinsics, sparse)):
         if dist is None or pts is None or len(pts) == 0:
             continue
+        if dist.probs.shape[:2] != (intr.height, intr.width):
+            h, w = dist.probs.shape[:2]
+            raise ValueError(f"camera {ci}: depth distribution is {w}x{h}, "
+                             f"the intrinsics are {intr.width}x{intr.height}")
         pts = as_tensor(pts)
         us, vs = _sparse_pixels(pts, dist.probs.shape[:2], ci)
-        target = np.argmin(np.abs(pts[:, 2][:, None] - dist.bins[None, :]), axis=1)
+        z = pts[:, 2] / cam_mod.unit_camera_rays(intr, pts[:, :2])[1]
+        target = np.argmin(np.abs(z[:, None] - dist.bins[None, :]), axis=1)
         p = dist.probs[vs, us, target]
         total += float(np.sum(-np.log(np.clip(p, 1e-12, None))))
         count += pts.shape[0]

@@ -1,10 +1,10 @@
 """File formats: PFM, PGM and PPM images, and typed JSON objects.
 
 PFM is written little-endian (scale -1.0) with rows bottom-to-top per the
-format convention; PGM/PPM are the binary (P5/P6) variants, big-endian for
-16-bit PGM. All writers are byte-deterministic. Readers check the header,
-its size against `shape` if given, and that the payload holds exactly the
-pixels it declares, and raise a ValueError naming the file otherwise.
+format convention; PGM/PPM are the binary 8-bit (P5/P6) variants. Writers
+are byte-deterministic, and each reader takes only what its writer writes:
+it checks the header, the size against `shape` if given, and that the
+payload holds exactly the pixels it declares, naming the file otherwise.
 
 `read_fields` checks every JSON object the program reads, the config's and
 scene.json's, against its fields' annotations, naming the key on error.
@@ -69,10 +69,9 @@ def read_pfm(path, shape=None) -> np.ndarray:
             raise ValueError(f"{path} is not a grayscale PFM")
         w, h = _read_size(f, path, shape)
         scale = _read_number(f, path, float, "scale")
-        if not (np.isfinite(scale) and scale != 0.0):
-            raise ValueError(f"{path}: PFM scale must be finite and nonzero, got {scale}")
-        dtype = "<f4" if scale < 0 else ">f4"
-        data = np.frombuffer(_read_payload(f, path, 4 * w * h), dtype=dtype).reshape(h, w)
+        if not (np.isfinite(scale) and scale < 0.0):
+            raise ValueError(f"{path}: PFM scale must be negative (little-endian), got {scale}")
+        data = np.frombuffer(_read_payload(f, path, 4 * w * h), dtype="<f4").reshape(h, w)
     return data[::-1].astype(np.float64)
 
 
@@ -92,11 +91,10 @@ def read_pgm(path, shape=None) -> np.ndarray:
             raise ValueError(f"{path} is not a binary PGM")
         w, h = _read_size(f, path, shape)
         maxval = _read_number(f, path, int, "maxval")
-        if not 0 < maxval <= 65535:
-            raise ValueError(f"{path}: PGM maxval must be in 1..65535, got {maxval}")
-        dtype = np.dtype(">u2" if maxval > 255 else np.uint8)
-        data = _read_payload(f, path, dtype.itemsize * w * h)
-    return np.frombuffer(data, dtype=dtype).reshape(h, w).astype(np.int64)
+        if maxval != 255:
+            raise ValueError(f"{path}: PGM maxval must be 255 (8-bit), got {maxval}")
+        data = _read_payload(f, path, w * h)
+    return np.frombuffer(data, dtype=np.uint8).reshape(h, w).astype(np.int64)
 
 
 def write_ppm(path, rgb: np.ndarray) -> None:

@@ -91,16 +91,15 @@ def confusion(
     return np.bincount(flat, minlength=n * n).reshape(n, n)
 
 
-def write_csv(result: EvalResult, path, class_names: dict[int, str] | None = None) -> None:
-    """One row per semantic class (name, TP, FP, FN, IoU; blank IoU when
+def write_csv(result: EvalResult, path) -> None:
+    """One row per semantic class (classC, TP, FP, FN, IoU; blank IoU when
     undefined) plus summary rows for binary IoU and mIoU."""
-    names = class_names or {}
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["class", "tp", "fp", "fn", "iou"])
         for c, (tp, fp, fn) in sorted(result.counts.items()):
             iou = f"{result.per_class_iou[c]:.9g}" if c in result.per_class_iou else ""
-            w.writerow([names.get(c, f"class{c}"), tp, fp, fn, iou])
+            w.writerow([f"class{c}", tp, fp, fn, iou])
         tp, fp, fn = result.binary_counts
         w.writerow(["IoU", tp, fp, fn, f"{result.iou:.9g}"])
         w.writerow(["mIoU", "", "", "", f"{result.miou:.9g}"])

@@ -39,8 +39,8 @@ from .view_transform import VoxelGridSpec
 PRESETS = ("boxes", "corridor", "random_blobs")
 # the smallest dims each preset's random draws are defined on: boxes draws
 # box heights from [1, z - 1) and corners from [0, x - width), blobs draw
-# radii from [1, min(x, y) / 6]
-_MIN_DIMS = {"boxes": (2, 2, 3), "corridor": (1, 1, 1), "random_blobs": (6, 6, 1)}
+# radii from [1, min(x, y) / 6] and clear the cameras' column over z = 1..z-2
+_MIN_DIMS = {"boxes": (2, 2, 3), "corridor": (1, 1, 1), "random_blobs": (6, 6, 3)}
 NUM_CLASSES = 4  # semantic classes 0..3; label 4 means free
 
 _CLASS_COLORS = np.array(
@@ -449,7 +449,8 @@ def build_scene(scene: SceneConfig) -> SceneBundle:
     carries `scene.num_cameras` cameras in a ring. `scene.sigma_occ` is the
     density on occupied voxels; at the default 50/m and 0.4 m voxels a single
     voxel is effectively opaque, which is the regime where the first-hit
-    oracle comparison is meaningful.
+    oracle comparison is meaningful. A camera centre in an occupied voxel,
+    at either timestamp, is a ValueError that names the camera and voxel.
     """
     preset, image_size, spec = scene.preset, scene.image_size, scene.spec()
     rng = np.random.default_rng(scene.seed)
@@ -486,6 +487,12 @@ def build_scene(scene: SceneConfig) -> SceneBundle:
     for t in rig.timestamps():
         for ci in range(scene.num_cameras):
             cam = Camera(rig.cameras[ci].intrinsics, camera_pose_at(rig, ci, t))
+            # a camera inside a solid would see every pixel at depth 0
+            idx = tuple(int(i) for i in np.floor(spec.world_to_grid(cam.pose.translation) + 0.5))
+            if all(0 <= i < d for i, d in zip(idx, spec.dims)) and grid.occupied[idx]:
+                raise ValueError(
+                    f"scene: camera {ci} at timestamp {t} sits in occupied voxel {idx}"
+                )
             origin, view_dirs = view_rays(cam, image_size)
             keys.append((ci, t))
             origins.append(np.broadcast_to(origin, view_dirs.shape))

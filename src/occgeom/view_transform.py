@@ -61,11 +61,6 @@ class VoxelGridSpec:
     def __hash__(self) -> int:
         return hash(self._key())
 
-    @staticmethod
-    def default_full_scale() -> "VoxelGridSpec":
-        """The 200 x 200 x 16 grid of 0.4 m voxels covering +-40 m, z in [-1, 5.4]."""
-        return VoxelGridSpec((200, 200, 16), np.array([-40.0, -40.0, -1.0]), 0.4)
-
     def voxel_centers(self) -> np.ndarray:
         """World coordinates of all voxel centers, [X*Y*Z x 3] in C order."""
         x, y, z = self.dims
@@ -221,14 +216,14 @@ def idm_sample(
     rig: CameraRig,
     offsets: np.ndarray,
     weights: np.ndarray,
-    timestamp: int | None = None,
+    timestamp: int,
 ) -> OccupancyFeature:
     """Implicit projection-based sampling of image features onto query voxels.
 
-    Every query voxel center is projected into every camera; visible
-    projections are bilinearly sampled at the projection plus each learned
-    pixel offset, the samples are combined with softmax(weights), and the
-    per-camera results are averaged over the cameras that see the voxel;
+    Every query voxel center is projected into every camera at `timestamp`;
+    visible projections are bilinearly sampled at the projection plus each
+    learned pixel offset, the samples are combined with softmax(weights),
+    and the per-camera results are averaged over the cameras that see the voxel;
     the other cameras' features, finite or not, never reach it. Voxels
     visible in no camera come out zero. -inf weights receive exactly
     zero attention (mask semantics); queries fix the grid shape only, since
@@ -251,7 +246,6 @@ def idm_sample(
         raise ValueError(
             f"{len(image_feats)} feature maps for {len(rig.cameras)} cameras"
         )
-    ts = timestamp if timestamp is not None else rig.timestamps()[0]
     attn = softmax(weights, axis=0)
     centers = query_spec.voxel_centers()
     n = centers.shape[0]
@@ -266,7 +260,7 @@ def idm_sample(
                 f"camera {ci} features {feat.shape[:2]} vs intrinsics "
                 f"{(intr.height, intr.width)}"
             )
-        pose = cam_mod.camera_pose_at(rig, ci, ts)
+        pose = cam_mod.camera_pose_at(rig, ci, timestamp)
         uv, _, visible = cam_mod.project_points(intr, pose, centers)
         rows = np.flatnonzero(visible)
         if rows.size == 0:

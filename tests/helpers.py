@@ -18,7 +18,8 @@ from occgeom.camera import (
     project_points,
     unit_camera_rays,
 )
-from occgeom.renderer import RenderConfig, _render_batch
+from occgeom.cast import PairGeometry, _warp_core
+from occgeom.renderer import DepthMap, RenderConfig, _render_batch
 from occgeom.synthscene import SceneBundle
 from occgeom.tensor import as_tensor
 
@@ -211,12 +212,9 @@ def covisibility_mask(
     return _erode(np.asarray(warp_valid, dtype=bool) & ok.reshape(h, w))
 
 
-def write_pgm16(path, data: np.ndarray) -> None:
-    """Binary 16-bit PGM (big-endian), the other half of read_pgm's 16-bit path."""
-    data = np.asarray(data, dtype=np.uint16)
-    if data.ndim != 2:
-        raise ValueError(f"PGM writer expects a 2-D map, got {data.shape}")
-    h, w = data.shape
-    with open(path, "wb") as f:
-        f.write(f"P5\n{w} {h}\n65535\n".encode())
-        f.write(data.astype(">u2").tobytes())
+def warp(src_img, target_depth: DepthMap, pose: Pose, k_src: Intrinsics, k_tgt: Intrinsics):
+    """cast._warp_core on ContextPlan's geometry for the source->target `pose`."""
+    inv = pose.inverse()
+    units = unit_camera_rays(k_tgt, pixel_grid(*target_depth.depth.shape))[0]
+    geom = PairGeometry(k_src, inv, units, units @ inv.rotation.T)
+    return _warp_core(src_img, target_depth, geom)

@@ -9,7 +9,7 @@ import pytest
 
 from occgeom import cli
 from occgeom.camera import Camera, CameraRig, Intrinsics, Pose, camera_pose_at, relative_pose
-from occgeom.cast import ContextPlan, PhotometricConfig, cast_loss, photometric_loss, warp_image
+from occgeom.cast import ContextPlan, PhotometricConfig, cast_loss, photometric_loss
 from occgeom.occ_encdec import SemanticOccupancy, SemanticQuerySet, WindowedAttentionParams, masked_decode, windowed_attention
 from occgeom.renderer import DensityField, RenderConfig, render_view
 from occgeom.synthscene import SceneConfig, build_scene, raymarch_depth_oracle
@@ -26,7 +26,7 @@ from occgeom.view_transform import (
     upsample_trilinear,
     voxel_pool,
 )
-from helpers import grad_check, level_camera_mount, render_ray
+from helpers import grad_check, level_camera_mount, render_ray, warp
 
 
 def report(num, name, detail):
@@ -115,7 +115,7 @@ def test_04_photometric_identity():
         for (ci, t), img in b.images.items():
             pose = relative_pose("temporal", b.rig, ci, ci, t, t)
             intr = b.rig.cameras[ci].intrinsics
-            recon, valid, _ = warp_image(img, b.gt_depths[(ci, t)], pose, intr, intr)
+            recon, valid, _ = warp(img, b.gt_depths[(ci, t)], pose, intr, intr)
             if not valid.any():
                 continue
             worst = max(worst, abs(photometric_loss(img, recon, valid, cfg)[0]))
@@ -321,7 +321,7 @@ def test_10_pipeline_shape_contract():
     rig = CameraRig((Camera(intr, pose),), {0: Pose.identity()})
     queries = rng.normal(size=(cf, *half.dims))
     implicit_half = idm_sample(
-        half, queries, [feats], rig, offsets=np.zeros((2, 2)), weights=np.zeros(2)
+        half, queries, [feats], rig, offsets=np.zeros((2, 2)), weights=np.zeros(2), timestamp=0
     )
     assert implicit_half.data.shape == (cf, 8, 8, 4)
     implicit = upsample_trilinear(implicit_half, full)

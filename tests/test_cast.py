@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from helpers import grad_check, level_camera_mount
+from helpers import grad_check, level_camera_mount, warp
 
 from occgeom import cast
 from occgeom.camera import (
@@ -25,8 +25,6 @@ from occgeom.cast import (
     depth_l1_loss,
     photometric_loss,
     pretrain_loss,
-    ssim,
-    warp_image,
 )
 from occgeom.renderer import DensityField, DepthMap, RayPlan, RenderConfig, render_view
 from occgeom.synthscene import SceneConfig, build_scene, sparse_lidar
@@ -44,6 +42,18 @@ def smooth_image(h, w, shift=0.0):
     g = 0.5 + 0.2 * np.sin(0.05 * (us + vs))
     b = 0.5 + 0.15 * np.cos(0.08 * us - 0.06 * vs)
     return np.clip(np.stack([r, g, b], axis=-1), 0.0, 1.0)
+
+
+INTR_4x6 = Intrinsics(fx=10.0, fy=10.0, cx=0.0, cy=0.0, width=6, height=4)
+
+
+def one_hot_at_z(dm: DepthMap, intr: Intrinsics, bins: np.ndarray) -> DepthDistribution:
+    """Depth distributions one-hot at each pixel's camera-frame z bin."""
+    h, w = dm.depth.shape
+    z = dm.depth / unit_camera_rays(intr, pixel_grid(h, w))[1].reshape(h, w)
+    probs = np.zeros((h, w, bins.size))
+    np.put_along_axis(probs, np.argmin(np.abs(z[..., None] - bins), axis=-1)[..., None], 1.0, -1)
+    return DepthDistribution(bins, probs)
 
 
 def boxes_bundle(seed=11, n_cams=2, image_size=(36, 64)):
@@ -75,7 +85,7 @@ class TestWarpImage:
         dm = b.gt_depths[(0, 1)]
         pose = relative_pose("temporal", b.rig, 0, 0, 1, 1)
         intr = b.rig.cameras[0].intrinsics
-        recon, valid, _ = warp_image(img, dm, pose, intr, intr)
+        recon, valid, _ = warp(img, dm, pose, intr, intr)
         assert valid.sum() > 100
         assert np.array_equal(valid, dm.valid)
         np.testing.assert_allclose(recon[valid], img[valid], atol=1e-12)
@@ -87,7 +97,7 @@ class TestWarpImage:
         empty = DepthMap(depth=np.zeros_like(dm.depth), valid=np.zeros_like(dm.valid))
         pose = relative_pose("temporal", b.rig, 0, 0, 0, 1)
         intr = b.rig.cameras[0].intrinsics
-        recon, valid, drecon = warp_image(img, empty, pose, intr, intr)
+        recon, valid, drecon = warp(img, empty, pose, intr, intr)
         assert not valid.any()
         assert np.all(recon == 0.0) and np.all(drecon == 0.0)
 
@@ -113,7 +123,7 @@ class TestWarpImage:
             valid=np.ones((h, w), dtype=bool),
         )
         pose = relative_pose("temporal", rig, 0, 0, 0, 1)
-        recon, valid, _ = warp_image(src, depth, pose, intr, intr)
+        recon, valid, _ = warp(src, depth, pose, intr, intr)
         scale = (d_plane - advance) / d_plane
         u_src = (us - intr.cx) * scale + intr.cx
         v_src = (vs - intr.cy) * scale + intr.cy
@@ -132,13 +142,13 @@ class TestWarpImage:
         dm = b.gt_depths[(0, 1)]
         pose = relative_pose("temporal", b.rig, 0, 0, 0, 1)
         intr = b.rig.cameras[0].intrinsics
-        recon, valid, drecon = warp_image(src, dm, pose, intr, intr)
+        recon, valid, drecon = warp(src, dm, pose, intr, intr)
         _, gl = photometric_loss(ref, recon, valid, CFG)
         gdepth = np.sum(gl * drecon, axis=2)
 
         def f(dvec):
             dm2 = DepthMap(depth=dvec.reshape(dm.depth.shape), valid=dm.valid)
-            r2, v2, _ = warp_image(src, dm2, pose, intr, intr)
+            r2, v2, _ = warp(src, dm2, pose, intr, intr)
             return photometric_loss(ref, r2, v2, CFG)[0]
 
         assert grad_check(f, dm.depth.ravel(), gdepth.ravel(), eps=1e-6) < 1e-4
@@ -149,6 +159,12 @@ def smooth_image_at(u, v):
     g = 0.5 + 0.2 * np.sin(0.05 * (u + v))
     b = 0.5 + 0.15 * np.cos(0.08 * u - 0.06 * v)
     return np.clip(np.stack([r, g, b], axis=-1), 0.0, 1.0)
+
+
+def ssim(a, b, window=3):
+    """The per-pixel SSIM map from the loss's own windowed statistics."""
+    _, _, a1, a2, b1, b2 = cast._ssim_stats(a, b, window)
+    return (a1 * a2) / (b1 * b2)
 
 
 class TestSsim:
@@ -178,8 +194,9 @@ class TestSsim:
         np.testing.assert_allclose(ssim(a, b), ssim(b, a), atol=1e-12)
 
     def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            ssim(np.zeros((3, 3, 1)), np.zeros((3, 4, 1)))
+        valid = np.ones((3, 3), bool)
+        with pytest.raises(ValueError, match="shape mismatch"):
+            photometric_loss(np.zeros((3, 3, 1)), np.zeros((3, 4, 1)), valid, CFG)
 
     @pytest.mark.parametrize("window", [1, 3, 5, 7])
     def test_box_mean_self_adjoint(self, window):
@@ -374,15 +391,11 @@ class TestPretrainLoss:
         rig, images, depths = TestCastLoss()._static_bundle()
         dm = depths[0]
         pts = sparse_lidar(dm, 50, seed=0)
-        bins = uniform_depth_bins(16, 1.0, 16.0)
-        h, w = dm.depth.shape
-        probs = np.zeros((h, w, 16))
+        intrs = [c.intrinsics for c in rig.cameras]
         # one-hot at each pixel's nearest bin: the cross entropy minimum
-        nearest = np.argmin(np.abs(dm.depth[..., None] - bins), axis=-1)
-        np.put_along_axis(probs, nearest[..., None], 1.0, axis=-1)
-        dists = [DepthDistribution(bins, probs), None]
+        dists = [one_hot_at_z(dm, intrs[0], uniform_depth_bins(16, 1.0, 16.0)), None]
         total, bd, _ = pretrain_loss(ContextPlan(rig), images, depths, [pts, None], CFG)
-        assert depth_bin_cross_entropy(dists, [pts, None]) == pytest.approx(0.0, abs=1e-12)
+        assert depth_bin_cross_entropy(dists, intrs, [pts, None]) == pytest.approx(0.0, abs=1e-12)
         assert bd["L_rd"] == pytest.approx(0.0, abs=1e-12)
         assert total == pytest.approx(0.0, abs=1e-6)
 
@@ -403,15 +416,16 @@ class TestPretrainLoss:
         plan = ContextPlan(b.rig)
         _, bd, _ = pretrain_loss(plan, b.images, depths, [None, None], CFG)
         assert bd["L_rd"] == 0.0
-        assert depth_bin_cross_entropy([None, None], [None, None]) == 0.0
+        assert depth_bin_cross_entropy([None, None], [INTR_4x6] * 2, [None, None]) == 0.0
 
     def test_cross_entropy_prefers_correct_bin(self):
         bins = uniform_depth_bins(4, 1.0, 9.0)
-        probs = np.zeros((1, 1, 4))
-        probs[0, 0, 2] = 1.0
+        probs = np.zeros((4, 6, 4))
+        probs[:, :, 2] = 1.0
         dist = DepthDistribution(bins, probs)
-        right = depth_bin_cross_entropy([dist], [np.array([[0, 0, bins[2]]])])
-        wrong = depth_bin_cross_entropy([dist], [np.array([[0, 0, bins[0]]])])
+        # pixel (0, 0) is on INTR_4x6's optical axis: its ray distance is its z
+        right = depth_bin_cross_entropy([dist], [INTR_4x6], [np.array([[0, 0, bins[2]]])])
+        wrong = depth_bin_cross_entropy([dist], [INTR_4x6], [np.array([[0, 0, bins[0]]])])
         assert right == pytest.approx(0.0, abs=1e-12)
         assert wrong > 10.0
 
@@ -427,7 +441,7 @@ class TestPretrainLoss:
         with pytest.raises(ValueError, match=r"camera 1: sparse depth sample 1 at pixel"):
             depth_l1_loss([dm, dm], [None, pts])
         with pytest.raises(ValueError, match=r"camera 1: sparse depth sample 1 at pixel"):
-            depth_bin_cross_entropy([None, dist], [None, pts])
+            depth_bin_cross_entropy([None, dist], [INTR_4x6.scaled(w, h)] * 2, [None, pts])
 
     @pytest.mark.parametrize("depth", [np.nan, -5.0, np.inf])
     def test_bad_sparse_depth_rejected(self, depth):
@@ -440,7 +454,7 @@ class TestPretrainLoss:
         with pytest.raises(ValueError, match=error):
             depth_l1_loss([dm, dm], [None, pts])
         with pytest.raises(ValueError, match=error):
-            depth_bin_cross_entropy([None, dist], [None, pts])
+            depth_bin_cross_entropy([None, dist], [INTR_4x6] * 2, [None, pts])
 
     @pytest.mark.parametrize(
         "pts, shape",
@@ -457,7 +471,7 @@ class TestPretrainLoss:
         with pytest.raises(ValueError, match=error):
             depth_l1_loss([dm, dm], [None, np.array(pts)])
         with pytest.raises(ValueError, match=error):
-            depth_bin_cross_entropy([None, dist], [None, np.array(pts)])
+            depth_bin_cross_entropy([None, dist], [INTR_4x6] * 2, [None, np.array(pts)])
 
     def test_sparse_count_must_match_cameras(self):
         # three sparse entries for two cameras: the third must not be
@@ -474,10 +488,29 @@ class TestPretrainLoss:
         h, w = 4, 6
         dist = DepthDistribution(uniform_depth_bins(4, 1.0, 9.0), np.full((h, w, 4), 0.25))
         pts = np.array([[1.0, 1.0, 2.0]])
+        intrs = [INTR_4x6] * 2
         with pytest.raises(ValueError, match=r"3 sparse depth entries for 2 cameras"):
-            depth_bin_cross_entropy([dist, None], [pts, pts, pts])
+            depth_bin_cross_entropy([dist, None], intrs, [pts, pts, pts])
         with pytest.raises(ValueError, match=r"1 sparse depth entries for 2 cameras"):
-            depth_bin_cross_entropy([dist, dist], [pts])
+            depth_bin_cross_entropy([dist, dist], intrs, [pts])
+        with pytest.raises(ValueError, match=r"^1 intrinsics for 2 cameras$"):
+            depth_bin_cross_entropy([dist, dist], intrs[:1], [pts, pts])
+        big = Intrinsics(fx=10.0, fy=10.0, cx=0.0, cy=0.0, width=8, height=4)
+        sizes = r"^camera 1: depth distribution is 6x4, the intrinsics are 8x4$"
+        with pytest.raises(ValueError, match=sizes):
+            depth_bin_cross_entropy([dist, dist], [INTR_4x6, big], [pts, pts])
+
+    def test_cross_entropy_bins_camera_z(self):
+        # lift puts bin b at camera-frame z = bins[b], a sparse depth is a ray
+        # distance: here about half the samples fall in another bin by ray
+        # distance than by z, so distributions one-hot at z must score 0
+        b = boxes_bundle(seed=11)
+        bins = uniform_depth_bins(8, 1.0, 16.0)
+        intrs = [c.intrinsics for c in b.rig.cameras]
+        dms = [b.gt_depths[(ci, 1)] for ci in range(2)]
+        sparse = [sparse_lidar(dm, 300, seed=ci) for ci, dm in enumerate(dms)]
+        dists = [one_hot_at_z(dm, intr, bins) for dm, intr in zip(dms, intrs)]
+        assert depth_bin_cross_entropy(dists, intrs, sparse) == pytest.approx(0.0, abs=1e-12)
 
     def test_gradient_descent_reduces_loss(self):
         # small optimization through the full chain with a tiny step size:
@@ -822,7 +855,7 @@ class TestSubsetWarp:
 
     def check(self, src, dm, pose, k_src):
         want = reference_warp(src, dm, pose, k_src, self.INTR)
-        got = warp_image(src, dm, pose, k_src, self.INTR)
+        got = warp(src, dm, pose, k_src, self.INTR)
         for g, r in zip(got, want):
             assert np.array_equal(g, r)
         return want[1]

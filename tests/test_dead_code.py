@@ -1,11 +1,15 @@
 """Dead-code guard, standing in for a linter.
 
 Fails on an import that its module never uses, in src/occgeom and in
-tests/, and on a private module-level function, class or constant, or a
-private method, that no module of the package references.
+tests/; on a private module-level function, class or constant, or a
+private method, that no module of the package references; and on a public
+module-level function or class, or a public method, that no module of the
+package or of bench/ references and README does not name: tests reach
+what the program does not call through its private kernels.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -55,43 +59,47 @@ def test_no_unused_imports(name):
     assert not unused, f"{name}: unused imports {unused}"
 
 
-def _private(name: str) -> bool:
-    return name.startswith("_") and not name.startswith("__")
+def _definitions(tree: ast.Module):
+    """(kind, name) of each module-level function, class and assigned
+    constant of a module, and of each method of its classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield ("function" if isinstance(node, ast.FunctionDef) else "class"), node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from (("constant", t.id) for t in targets if isinstance(t, ast.Name))
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef):
+            yield from (("method", f.name) for f in cls.body if isinstance(f, ast.FunctionDef))
+
+
+def _unreferenced(kinds: set[str], private: bool, used: set[str]) -> list[str]:
+    """The package's private (or public, dunders aside) `kinds` not in `used`."""
+    return [
+        f"{name}: {definition}"
+        for name, tree in TREES.items()
+        for kind, definition in _definitions(tree)
+        if kind in kinds and definition not in used and not definition.startswith("__")
+        and definition.startswith("_") == private
+    ]
+
+
+PACKAGE_USED = set().union(*(_used_names(tree) for tree in TREES.values()))
 
 
 def test_no_unreferenced_private_functions():
-    used = set().union(*(_used_names(tree) for tree in TREES.values()))
-    dead = [
-        f"{name}: {node.name}"
-        for name, tree in TREES.items()
-        for node in tree.body
-        if isinstance(node, ast.FunctionDef) and _private(node.name) and node.name not in used
-    ]
+    dead = _unreferenced({"function"}, True, PACKAGE_USED)
     assert not dead, f"unreferenced private functions: {dead}"
 
 
-def _private_classes_constants_methods(tree: ast.Module) -> list[str]:
-    """The private module-level classes and assigned constants of a
-    module, and the private methods of its classes."""
-    names = []
-    for node in tree.body:
-        if isinstance(node, ast.ClassDef):
-            names.append(node.name)
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            names += [t.id for t in targets if isinstance(t, ast.Name)]
-    for cls in ast.walk(tree):
-        if isinstance(cls, ast.ClassDef):
-            names += [f.name for f in cls.body if isinstance(f, ast.FunctionDef)]
-    return [n for n in names if _private(n)]
-
-
 def test_no_unreferenced_private_classes_constants_or_methods():
-    used = set().union(*(_used_names(tree) for tree in TREES.values()))
-    dead = [
-        f"{name}: {definition}"
-        for name, tree in TREES.items()
-        for definition in _private_classes_constants_methods(tree)
-        if definition not in used
-    ]
+    dead = _unreferenced({"class", "constant", "method"}, True, PACKAGE_USED)
     assert not dead, f"unreferenced private classes, constants or methods: {dead}"
+
+
+def test_no_unreferenced_public_api():
+    bench = [ast.parse(path.read_text()) for path in (ROOT / "bench").glob("*.py")]
+    readme = re.findall(r"\w+", (ROOT / "README.md").read_text())
+    used = PACKAGE_USED.union(*(_used_names(tree) for tree in bench), readme)
+    dead = _unreferenced({"function", "class", "method"}, False, used)
+    assert not dead, f"public API that no program module, bench/ or README uses: {dead}"

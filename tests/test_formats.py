@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-from helpers import write_pgm16
 
 from occgeom import formats
 
@@ -28,14 +27,6 @@ class TestPfm:
 
 
 class TestPgm:
-    def test_pgm16_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(1)
-        data = rng.integers(0, 65536, size=(7, 9)).astype(np.uint16)
-        p = tmp_path / "d.pgm"
-        write_pgm16(p, data)
-        back = formats.read_pgm(p)
-        assert np.array_equal(back, data)
-
     def test_pgm8_roundtrip(self, tmp_path):
         data = np.array([[0, 128], [255, 7]], dtype=np.uint8)
         p = tmp_path / "m.pgm"
@@ -62,7 +53,6 @@ class TestPpm:
 
 WRITERS = {
     "pfm": (formats.write_pfm, formats.read_pfm, np.zeros((5, 7)), 4 * 35),
-    "pgm16": (write_pgm16, formats.read_pgm, np.zeros((5, 7), np.uint16), 2 * 35),
     "pgm8": (formats.write_pgm8, formats.read_pgm, np.zeros((5, 7), np.uint8), 35),
     "ppm": (formats.write_ppm, formats.read_ppm, np.zeros((5, 7, 3)), 3 * 35),
 }
@@ -95,9 +85,11 @@ class TestMalformed:
             (b"Pf\n3 -2\n-1.0\n", formats.read_pfm, "width and height must be positive"),
             (b"Pf\n3\n-1.0\n", formats.read_pfm, "bad size line"),
             (b"Pf\n3 2\nabc\n", formats.read_pfm, "bad scale line"),
-            (b"Pf\n3 2\n0.0\n", formats.read_pfm, "PFM scale must be finite and nonzero"),
-            (b"P5\n3 2\n0\n", formats.read_pgm, "PGM maxval must be in 1..65535"),
-            (b"P5\n3 2\n70000\n", formats.read_pgm, "PGM maxval must be in 1..65535"),
+            (b"Pf\n3 2\n0.0\n", formats.read_pfm, "PFM scale must be negative"),
+            (b"Pf\n3 2\n1.0\n", formats.read_pfm, "PFM scale must be negative"),
+            (b"P5\n3 2\n0\n", formats.read_pgm, "PGM maxval must be 255"),
+            (b"P5\n3 2\n70000\n", formats.read_pgm, "PGM maxval must be 255"),
+            (b"P5\n3 2\n65535\n", formats.read_pgm, "PGM maxval must be 255"),
             (b"P6\n3 2\n65535\n", formats.read_ppm, "only 8-bit PPM"),
             (b"P6\n3 x\n255\n", formats.read_ppm, "bad size line"),
         ],

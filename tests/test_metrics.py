@@ -179,11 +179,11 @@ class TestCsvExport:
         rng = np.random.default_rng(9)
         r = evaluate(random_grid(rng), random_grid(rng))
         path = tmp_path / "metrics.csv"
-        write_csv(r, path, class_names={0: "crate"})
+        write_csv(r, path)
         with open(path, newline="") as f:
             rows = list(csv.reader(f))
         assert rows[0] == ["class", "tp", "fp", "fn", "iou"]
-        assert rows[1][0] == "crate"
+        assert [row[0] for row in rows[1:-2]] == [f"class{c}" for c in sorted(r.counts)]
         assert rows[-2][0] == "IoU"
         assert float(rows[-2][-1]) == pytest.approx(r.iou, rel=1e-8)
         assert rows[-1][0] == "mIoU"

@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import _erode, covisibility_mask
+from helpers import _erode, covisibility_mask, warp
 
 from occgeom import formats, synthscene
 from occgeom.camera import (
@@ -17,7 +17,7 @@ from occgeom.camera import (
     relative_pose,
     view_rays,
 )
-from occgeom.cast import PhotometricConfig, photometric_loss, warp_image
+from occgeom.cast import PhotometricConfig, photometric_loss
 from occgeom.renderer import RenderConfig, render_view
 from occgeom.synthscene import (
     SceneConfig,
@@ -50,9 +50,9 @@ class TestBuildScene:
             assert np.array_equal(a.images[key], b.images[key])
             assert np.array_equal(a.gt_depths[key].depth, b.gt_depths[key].depth)
         for t in a.rig.timestamps():
-            assert np.array_equal(
-                a.rig.ego_poses[t].matrix(), b.rig.ego_poses[t].matrix()
-            )
+            pa, pb = a.rig.ego_poses[t], b.rig.ego_poses[t]
+            assert np.array_equal(pa.rotation, pb.rotation)
+            assert np.array_equal(pa.translation, pb.translation)
 
     def test_seeds_differ(self):
         a = bundle(seed=1, preset="boxes")
@@ -102,7 +102,7 @@ class TestBuildScene:
             build_scene(SceneConfig(preset="boxes", dims=(128, 32, 8)))
 
     @pytest.mark.parametrize(
-        "preset, dims", [("boxes", (2, 2, 3)), ("corridor", (1, 1, 1)), ("random_blobs", (6, 6, 1))]
+        "preset, dims", [("boxes", (2, 2, 3)), ("corridor", (1, 1, 1)), ("random_blobs", (6, 6, 3))]
     )
     def test_smallest_grid_of_each_preset_builds(self, preset, dims):
         for seed in range(4):
@@ -117,12 +117,20 @@ class TestBuildScene:
             ("boxes", (64, 64, 2)),
             ("random_blobs", (5, 64, 64)),
             ("random_blobs", (64, 5, 64)),
+            ("random_blobs", (6, 6, 2)),
         ],
     )
     def test_grid_too_small_for_preset_rejected(self, preset, dims):
         message = f"preset '{preset}' needs dims >= {synthscene._MIN_DIMS[preset]}, got {dims}"
         with pytest.raises(ValueError, match=re.escape(message)):
             build_scene(SceneConfig(preset=preset, dims=dims))
+
+    def test_camera_inside_a_solid_rejected(self):
+        # a corridor 3 voxels wide: the side-looking cameras of a 4-camera
+        # ring sit in its walls, where every pixel would be valid at depth 0
+        message = "scene: camera 1 at timestamp 0 sits in occupied voxel (2, 2, 4)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build_scene(SceneConfig(preset="corridor", dims=(32, 3, 8), num_cameras=4))
 
 
 class TestRaymarchOracle:
@@ -727,7 +735,7 @@ class TestCrossModuleConsistency:
             for i in range(6):
                 j = (i + 1) % 6
                 pose = relative_pose("spatial", b.rig, j, i, 1, 1)
-                recon, valid, _ = warp_image(
+                recon, valid, _ = warp(
                     b.images[(j, 1)],
                     b.gt_depths[(i, 1)],
                     pose,
@@ -757,9 +765,9 @@ class TestPersistence:
         assert back.scene == b.scene
         assert len(back.rig.cameras) == 3
         for t in b.rig.timestamps():
-            np.testing.assert_allclose(
-                back.rig.ego_poses[t].matrix(), b.rig.ego_poses[t].matrix()
-            )
+            pa, pb = back.rig.ego_poses[t], b.rig.ego_poses[t]
+            np.testing.assert_allclose(pa.rotation, pb.rotation)
+            np.testing.assert_allclose(pa.translation, pb.translation)
         for key in b.images:
             assert np.max(np.abs(back.images[key] - b.images[key])) <= 0.5 / 255
             dm0, dm1 = b.gt_depths[key], back.gt_depths[key]

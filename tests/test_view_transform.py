@@ -38,14 +38,6 @@ def scatter_oracle(pts, feats, spec):
 
 
 class TestSpec:
-    def test_full_scale_default(self):
-        spec = VoxelGridSpec.default_full_scale()
-        assert spec.dims == (200, 200, 16)
-        assert spec.voxel_size == 0.4
-        np.testing.assert_allclose(spec.origin, [-40.0, -40.0, -1.0])
-        top = spec.origin + np.array(spec.dims) * spec.voxel_size
-        np.testing.assert_allclose(top, [40.0, 40.0, 5.4])
-
     def test_validation(self):
         with pytest.raises(ValueError):
             VoxelGridSpec((0, 2, 2), np.zeros(3), 0.4)
@@ -254,25 +246,25 @@ class TestIdmSample:
 
     def test_single_exact_pixel(self):
         spec, rig, feats, queries = self._single_voxel_setup()
-        out = idm_sample(spec, queries, feats, rig, np.zeros((1, 2)), np.zeros(1))
+        out = idm_sample(spec, queries, feats, rig, np.zeros((1, 2)), np.zeros(1), 0)
         np.testing.assert_allclose(out.data[:, 0, 0, 0], feats[0][3, 4], atol=1e-12)
 
     def test_masked_weight_equals_single_offset(self):
         spec, rig, feats, queries = self._single_voxel_setup()
         offsets = np.array([[0.7, -0.4], [5.0, 5.0]])
-        a = idm_sample(spec, queries, feats, rig, offsets, np.array([0.0, -np.inf]))
-        b = idm_sample(spec, queries, feats, rig, offsets[:1], np.zeros(1))
+        a = idm_sample(spec, queries, feats, rig, offsets, np.array([0.0, -np.inf]), 0)
+        b = idm_sample(spec, queries, feats, rig, offsets[:1], np.zeros(1), 0)
         np.testing.assert_allclose(a.data, b.data, atol=1e-15)
 
     def test_weight_validation(self):
         spec, rig, feats, queries = self._single_voxel_setup()
         with pytest.raises(ValueError):
-            idm_sample(spec, queries, feats, rig, np.zeros((0, 2)), np.zeros(0))
+            idm_sample(spec, queries, feats, rig, np.zeros((0, 2)), np.zeros(0), 0)
         with pytest.raises(ValueError):
-            idm_sample(spec, queries, feats, rig, np.zeros((2, 2)), np.zeros(3))
+            idm_sample(spec, queries, feats, rig, np.zeros((2, 2)), np.zeros(3), 0)
         with pytest.raises(ValueError):
             idm_sample(
-                spec, queries, feats, rig, np.zeros((1, 2)), np.array([np.nan])
+                spec, queries, feats, rig, np.zeros((1, 2)), np.array([np.nan]), 0
             )
 
     def test_voxel_behind_all_cameras_zero(self):
@@ -281,7 +273,7 @@ class TestIdmSample:
         cams = (Camera(intr, level_camera_mount(0.0, [0.0, 0.0, 0.0])),)
         rig = CameraRig(cams, {0: Pose.identity()})
         feats = [np.ones((7, 9, 2))]
-        out = idm_sample(spec, np.zeros((2, 1, 1, 1)), feats, rig, np.zeros((1, 2)), np.zeros(1))
+        out = idm_sample(spec, np.zeros((2, 1, 1, 1)), feats, rig, np.zeros((1, 2)), np.zeros(1), 0)
         assert np.all(out.data == 0.0)
 
     def test_zero_exactly_on_invisible_set(self):
@@ -291,7 +283,7 @@ class TestIdmSample:
         feats = [rng.uniform(0.5, 1.0, size=(h, w, 3)) for _ in range(2)]
         spec = VoxelGridSpec((6, 6, 2), np.array([-2.0, -2.0, -0.5]), 0.7)
         out = idm_sample(spec, np.zeros((3, 6, 6, 2)), feats, rig,
-                         np.zeros((1, 2)), np.zeros(1))
+                         np.zeros((1, 2)), np.zeros(1), 0)
         centers = spec.voxel_centers()
         seen = np.zeros(len(centers), dtype=bool)
         for ci in range(2):
@@ -318,7 +310,9 @@ class TestIdmSample:
         rng = np.random.default_rng(12)
         feats = [rng.normal(size=(7, 9, 3)) for _ in range(2)]
         feats[1][0, 0] = np.nan
-        out = idm_sample(spec, np.zeros((3, *spec.dims)), feats, rig, np.zeros((1, 2)), np.zeros(1))
+        out = idm_sample(
+            spec, np.zeros((3, *spec.dims)), feats, rig, np.zeros((1, 2)), np.zeros(1), 0
+        )
         centers = spec.voxel_centers()
         uv, _, vis_a = project_points(intr, camera_pose_at(rig, 0, 0), centers)
         _, z_b, vis_b = project_points(intr, camera_pose_at(rig, 1, 0), centers)
