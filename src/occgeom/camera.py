@@ -4,9 +4,9 @@ Conventions, fixed once and used everywhere:
   * camera frame: x right, y down, z forward; depth is the camera-frame z.
   * pixel coordinates: u along columns (x), v along rows (y); pixel centers
     at integer coordinates.
-  * pixel rays (pixel_grid, camera_rays, view_rays), the pinhole
-    projection (pinhole) and the ray-box slab test (_box_span) are written
-    once here; other modules call them.
+  * pixel rays (pixel_grid, camera_rays, view_rays, ray_blocks), the
+    pinhole projection (pinhole), the ray-box slab test (_box_span) and
+    relative poses (relative_pose) are written once here; others call them.
   * Camera.pose maps camera coordinates into the rig anchor frame (the ego
     body); with an identity ego pose that anchor IS the world frame.
   * CameraRig.ego_poses[t] maps ego coordinates at timestamp t into world
@@ -23,12 +23,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .formats import naming, read_fields
-from .tensor import as_tensor
+from .tensor import _in_image, as_tensor
 
 _ORTHO_TOL = 1e-9
-# consecutive pixels whose rays a full-view pass (the renderer's plan
-# builder, the DDA depth oracle) builds and walks at a time, which bounds
-# its working memory at any resolution
+# consecutive pixels per block of ray_blocks: the rays a full-view pass (the
+# renderer's plan builder, the DDA depth oracle) builds and walks at a time,
+# which bounds its working memory at any resolution
 _RAY_BLOCK = 8192
 
 
@@ -95,10 +95,6 @@ class Pose:
             raise ValueError("rotation determinant is not +1 within 1e-9")
         object.__setattr__(self, "rotation", r)
         object.__setattr__(self, "translation", t)
-
-    @staticmethod
-    def identity() -> "Pose":
-        return Pose(np.eye(3), np.zeros(3))
 
     def compose(self, other: "Pose") -> "Pose":
         """self after other: (self.compose(other)).apply(p) == self.apply(other.apply(p))."""
@@ -175,13 +171,7 @@ def project_points(
     cam_pts = pose.inverse().apply(p)
     u, v, front = pinhole(intr, cam_pts)
     uv = np.stack([np.where(front, u, 0.0), np.where(front, v, 0.0)], axis=1)
-    visible = (
-        front
-        & (uv[:, 0] >= 0.0)
-        & (uv[:, 0] <= intr.width - 1.0)
-        & (uv[:, 1] >= 0.0)
-        & (uv[:, 1] <= intr.height - 1.0)
-    )
+    visible = front & _in_image(uv[:, 0], uv[:, 1], intr.height, intr.width)
     return uv, cam_pts[:, 2], visible
 
 
@@ -220,8 +210,14 @@ def unit_camera_rays(intr: Intrinsics, uvs: np.ndarray) -> tuple[np.ndarray, np.
 
 def pixel_directions(intr: Intrinsics, pose: Pose, uvs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Unit world-frame ray directions for [N x 2] pixel coords, plus the
-    camera-frame direction norms |h| (needed to convert z-depth to ray length)."""
+    camera-frame direction norms |h| (needed to convert z-depth to ray length).
+    Each direction depends only on its pixel: a lone pixel's equals its row
+    of any call over many pixels bit for bit."""
     units, norms = unit_camera_rays(intr, uvs)
+    if units.shape[0] == 1:
+        # numpy multiplies a lone row through BLAS's matrix-vector product,
+        # which can round differently from the matrix product of many rows
+        return (np.repeat(units, 2, 0) @ pose.rotation.T)[:1], norms
     return units @ pose.rotation.T, norms
 
 
@@ -232,20 +228,24 @@ def view_rays(
     the pixels [start, stop) of a view at resolution (H, W), in row-major
     order; every pixel by default. Each ray depends only on its pixel, so
     the rays of consecutive ranges concatenate to the whole view's bit for
-    bit, and a pass over a view can hold one _RAY_BLOCK of rays at a time.
-    Intrinsics are rescaled when the resolution differs from their native
-    size."""
+    bit (see ray_blocks). Intrinsics are rescaled when the resolution
+    differs from their native size."""
     intr, pose = cam
     h, w = resolution
     if (intr.height, intr.width) != (h, w):
         intr = intr.scaled(w, h)
-    uvs = pixel_grid(h, w, start, stop)
-    if uvs.shape[0] == 1 < h * w:
-        # numpy multiplies a lone row through BLAS's matrix-vector product,
-        # which can round differently from the matrix product of the view
-        return pose.translation.copy(), pixel_directions(intr, pose, np.repeat(uvs, 2, 0))[0][:1]
-    dirs, _ = pixel_directions(intr, pose, uvs)
-    return pose.translation.copy(), dirs
+    return pose.translation.copy(), pixel_directions(intr, pose, pixel_grid(h, w, start, stop))[0]
+
+
+def ray_blocks(cam: Camera, resolution: tuple[int, int]):
+    """The rays of a view at resolution (H, W), _RAY_BLOCK consecutive
+    row-major pixels at a time: (start, stop, origin [3], dirs
+    [(stop - start) x 3]) per block, from view_rays. A full-view pass that
+    takes one block at a time holds one block of rays at any resolution."""
+    n = resolution[0] * resolution[1]
+    for start in range(0, n, _RAY_BLOCK):
+        stop = min(start + _RAY_BLOCK, n)
+        yield (start, stop, *view_rays(cam, resolution, start, stop))
 
 
 def _box_span(lo, hi, origins, dirs):
@@ -270,35 +270,20 @@ def _box_span(lo, hi, origins, dirs):
     return t_enter, t_exit
 
 
-def relative_pose(
-    kind: str, rig: CameraRig, i: int, j: int, t: int, t2: int
-) -> Pose:
+def relative_pose(rig: CameraRig, i: int, j: int, t: int, t2: int) -> Pose:
     """Composite transform mapping camera-i coordinates at time t into
-    camera-j coordinates at time t2.
-
-    kind selects which motion components participate:
-      temporal          same camera across time (requires j == i)
-      spatial           adjacent cameras at one time (requires t2 == t)
-      spatial_temporal  adjacent cameras across time
-    The ego motion is conjugated into the camera frame by the mountings, so
-    spatial_temporal equals spatial composed with temporal exactly.
+    camera-j coordinates at time t2:
+        mount_j^-1 . (ego_poses[t2]^-1 . ego_poses[t]) . mount_i,
+    the ego motion conjugated into the camera frames by the mountings. At
+    one time (t2 == t) the ego term is left out, so the pose is
+    mount_j^-1 . mount_i exactly.
     """
     for c, ts in ((i, t), (j, t2)):
         camera_pose_at(rig, c, ts)  # raises on a camera or timestamp the rig lacks
-    mount_i = rig.cameras[i].pose
-    mount_j = rig.cameras[j].pose
-    ego_motion = rig.ego_poses[t2].inverse().compose(rig.ego_poses[t])
-    if kind == "temporal":
-        if j != i:
-            raise ValueError(f"temporal context requires j == i, got i={i} j={j}")
-        return mount_i.inverse().compose(ego_motion).compose(mount_i)
-    if kind == "spatial":
-        if t2 != t:
-            raise ValueError(f"spatial context requires t2 == t, got t={t} t2={t2}")
-        return mount_j.inverse().compose(mount_i)
-    if kind == "spatial_temporal":
-        return mount_j.inverse().compose(ego_motion).compose(mount_i)
-    raise ValueError(f"unknown relative pose kind {kind!r}")
+    rel = rig.cameras[j].pose.inverse()
+    if t2 != t:
+        rel = rel.compose(rig.ego_poses[t2].inverse().compose(rig.ego_poses[t]))
+    return rel.compose(rig.cameras[i].pose)
 
 
 def _pose_to_json(pose: Pose) -> dict:

@@ -20,7 +20,7 @@ import numpy as np
 from . import camera as cam_mod
 from .camera import CameraRig, Intrinsics, Pose
 from .renderer import DepthMap
-from .tensor import as_tensor, bilinear_sample_grad
+from .tensor import _in_image, as_tensor, bilinear_sample_grad
 from .view_transform import DepthDistribution
 
 _SSIM_C1 = 0.01 ** 2
@@ -64,7 +64,7 @@ def _warp_core(src_img: np.ndarray, target_depth: DepthMap, geom: PairGeometry):
     and its source projection in front of the camera and in bounds; other
     pixels stay 0.
 
-    The validity test repeats bilinear_sample_grad's bound comparisons, and
+    The validity test is bilinear_sample_grad's own (tensor._in_image), and
     each kept pixel sees the same float operations as a full-image warp, so
     the result is bit-identical to sampling everything and masking
     afterwards.
@@ -77,10 +77,7 @@ def _warp_core(src_img: np.ndarray, target_depth: DepthMap, geom: PairGeometry):
     k = geom.k_src
     p_src = geom.inv.apply(target_depth.depth.ravel()[:, None] * geom.units)
     u, v, front = cam_mod.pinhole(k, p_src)
-    valid = (
-        target_depth.valid.ravel() & front
-        & (u >= 0.0) & (u <= sw - 1.0) & (v >= 0.0) & (v <= sh - 1.0)
-    )
+    valid = target_depth.valid.ravel() & front & _in_image(u, v, sh, sw)
     idx = np.flatnonzero(valid)
     recon = np.zeros((h * w, c))
     drecon = np.zeros((h * w, c))
@@ -254,7 +251,7 @@ class ContextPlan:
         ]
         self.pairs = []
         for kind, src, tgt in context_pairs(rig):
-            inv = cam_mod.relative_pose(kind, rig, src[0], tgt[0], src[1], tgt[1]).inverse()
+            inv = cam_mod.relative_pose(rig, src[0], tgt[0], src[1], tgt[1]).inverse()
             u = units[tgt[0]]
             geom = PairGeometry(rig.cameras[src[0]].intrinsics, inv, u, u @ inv.rotation.T)
             self.pairs.append((kind, src, tgt, geom))

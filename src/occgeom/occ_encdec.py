@@ -145,10 +145,10 @@ def _partition_windows(data: np.ndarray, window: tuple[int, int, int]):
     nx, ny, nz = padded.shape[1] // wx, padded.shape[2] // wy, padded.shape[3] // wz
     win = padded.reshape(c, nx, wx, ny, wy, nz, wz)
     win = win.transpose(1, 3, 5, 2, 4, 6, 0)  # nx, ny, nz, wx, wy, wz, c
-    return win.reshape(nx * ny * nz, wx * wy * wz, c), (nx, ny, nz), (px, py, pz)
+    return win.reshape(nx * ny * nz, wx * wy * wz, c), (nx, ny, nz)
 
 
-def _merge_windows(win, counts, pads, window, dims):
+def _merge_windows(win, counts, window, dims):
     nx, ny, nz = counts
     wx, wy, wz = window
     c = win.shape[2]
@@ -165,14 +165,14 @@ def windowed_attention(
     d = data.shape[0]
     if params.wq.shape[0] != d:
         raise ValueError(f"attention dim {params.wq.shape[0]} vs {d} feature channels")
-    win, counts, pads = _partition_windows(data, params.window)
+    win, counts = _partition_windows(data, params.window)
     q = win @ params.wq
     k = win @ params.wk
     v = win @ params.wv
     logits = q @ k.transpose(0, 2, 1) / np.sqrt(d) + params.bias
     attn = softmax(logits, axis=-1)
     out = attn @ v
-    merged = _merge_windows(out, counts, pads, params.window, feat.spec.dims)
+    merged = _merge_windows(out, counts, params.window, feat.spec.dims)
     return OccupancyFeature(merged, feat.spec)
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .camera import _RAY_BLOCK, Camera, _box_span, view_rays
+from .camera import Camera, _box_span, ray_blocks
 from .formats import write_pfm, write_pgm8
 from .tensor import (
     _corner_offsets,
@@ -39,8 +39,9 @@ from .view_transform import VoxelGridSpec
 _BLOCK_SAMPLES = 12288
 _BLOCK_RAYS = 4096
 # consecutive pixels per tile: the unit whose samples _plan_chunks culls
-# against the live cells before testing each ray's samples; camera._RAY_BLOCK,
-# the rays whose tiles are culled together, is a multiple of it
+# against the live cells before testing each ray's samples; a block of
+# camera.ray_blocks, the rays whose tiles are culled together, is a
+# multiple of it
 _TILE_RAYS = 32
 
 
@@ -320,7 +321,7 @@ def _plan_chunks(
     samples inside the trilinear sampling box whose low cell is marked in
     `live`, a flat bool mask over the padded grid.
 
-    The view is taken in groups of camera._RAY_BLOCK rays, and each group
+    The view is taken in the blocks of camera.ray_blocks, and each group
     builds only its own rays, box ranges and direction columns. A group's
     tiles of rays are culled first (_live_tile_samples). A block is a run
     of whole tiles with about _BLOCK_SAMPLES candidate (ray, sample) pairs
@@ -341,9 +342,7 @@ def _plan_chunks(
     table = _live_box_table(live, spec.dims).ravel()
     none = np.empty(0, dtype=np.intp)
     empty = (0, 0, none, none, np.empty((8, 0)), offsets)
-    for group in range(0, n, _RAY_BLOCK):
-        end = min(group + _RAY_BLOCK, n)
-        origin, dirs = view_rays(cam, resolution, group, end)
+    for group, end, origin, dirs in ray_blocks(cam, resolution):
         first, stop = _box_sample_ranges(spec, origin, dirs, t)
         dirs = dirs.T.copy()  # per-axis direction columns
         tiles, ks = _live_tile_samples(spec, origin, dirs, first, stop, t, table)

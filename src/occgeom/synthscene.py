@@ -21,13 +21,13 @@ import numpy as np
 
 from . import formats
 from .camera import (
-    _RAY_BLOCK,
     Camera,
     CameraRig,
     _box_span,
     Intrinsics,
     Pose,
     camera_pose_at,
+    ray_blocks,
     rig_from_json,
     rig_to_json,
     view_rays,
@@ -184,7 +184,7 @@ def _traverse(
         if origins.ndim == 2:
             origins = origins[ids]
     start = origins + (t_entry + 1e-9)[:, None] * dirs
-    cell = np.clip(np.floor((start - lo) / vs).astype(np.int64), 0, dims - 1)
+    cell = np.clip(spec.voxel_index(start), 0, dims - 1)
     step = np.sign(dirs).astype(np.int64)
     with np.errstate(divide="ignore", invalid="ignore"):
         boundary = lo + (cell + (step > 0)) * vs
@@ -247,21 +247,18 @@ def raymarch_depth_oracle(
     spec: VoxelGridSpec,
     cam: Camera,
     resolution: tuple[int, int],
-    visible: np.ndarray | None = None,
 ) -> DepthMap:
     """Exact first-hit depth by DDA voxel traversal (the rendering oracle).
 
-    The view is traversed _RAY_BLOCK rays at a time, so its working memory
-    does not grow with the resolution; every ray's result depends only on
-    its own origin and direction, and the visible marks are an OR, so the
-    result is that of one traversal of the whole view."""
+    The view is traversed one block of camera.ray_blocks at a time, so its
+    working memory does not grow with the resolution; every ray's result
+    depends only on its own origin and direction, so the result is that of
+    one traversal of the whole view."""
     h, w = resolution
     occupied = grid.occupied
     depth, hit = np.empty(h * w), np.empty(h * w, dtype=bool)
-    for start in range(0, h * w, _RAY_BLOCK):
-        stop = min(start + _RAY_BLOCK, h * w)
-        origin, dirs = view_rays(cam, resolution, start, stop)
-        depth[start:stop], hit[start:stop], _ = _traverse(occupied, spec, origin, dirs, visible)
+    for start, stop, origin, dirs in ray_blocks(cam, resolution):
+        depth[start:stop], hit[start:stop], _ = _traverse(occupied, spec, origin, dirs)
     return DepthMap(depth=depth.reshape(h, w), valid=hit.reshape(h, w))
 
 
@@ -488,7 +485,7 @@ def build_scene(scene: SceneConfig) -> SceneBundle:
         for ci in range(scene.num_cameras):
             cam = Camera(rig.cameras[ci].intrinsics, camera_pose_at(rig, ci, t))
             # a camera inside a solid would see every pixel at depth 0
-            idx = tuple(int(i) for i in np.floor(spec.world_to_grid(cam.pose.translation) + 0.5))
+            idx = tuple(int(i) for i in spec.voxel_index(cam.pose.translation))
             if all(0 <= i < d for i, d in zip(idx, spec.dims)) and grid.occupied[idx]:
                 raise ValueError(
                     f"scene: camera {ci} at timestamp {t} sits in occupied voxel {idx}"

@@ -43,6 +43,13 @@ def softmax(x: Array, axis: int = -1) -> Array:
     return np.divide(e, s, out=np.zeros_like(e), where=s > 0)
 
 
+def _in_image(u: Array, v: Array, h: int, w: int) -> Array:
+    """[N] bool: pixel coordinates (u, v) inside the sampleable region
+    [0, w-1] x [0, h-1] of an h x w image, the one rule of the bilinear
+    sampler, camera.project_points and the context warp."""
+    return (u >= 0.0) & (u <= w - 1.0) & (v >= 0.0) & (v <= h - 1.0)
+
+
 def _bilinear_corners(img: Array, uv: Array):
     """The kernel of bilinear_sample and bilinear_sample_grad: validates
     img [H x W x C] and uv [N x 2], and returns (valid [N], fu [N x 1],
@@ -58,7 +65,7 @@ def _bilinear_corners(img: Array, uv: Array):
         raise ValueError(f"bilinear sampling expects N x 2 coordinates, got {uv.shape}")
     h, w = img.shape[:2]
     u, v = uv[:, 0], uv[:, 1]
-    valid = (u >= 0.0) & (u <= w - 1.0) & (v >= 0.0) & (v <= h - 1.0)
+    valid = _in_image(u, v, h, w)
     u0 = np.floor(u)
     v0 = np.floor(v)
     u0i = np.clip(u0.astype(np.int64), 0, w - 1)

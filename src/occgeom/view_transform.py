@@ -68,6 +68,13 @@ class VoxelGridSpec:
         idx = np.stack([ix, iy, iz], axis=-1).reshape(-1, 3)
         return self.origin + (idx + 0.5) * self.voxel_size
 
+    def voxel_index(self, points: np.ndarray) -> np.ndarray:
+        """int64 index [... x 3] of the voxel that holds each point: the
+        floor of (p - origin) / voxel_size, so a point on a face between two
+        voxels is in the higher-index one. Points off the grid get indices
+        outside [0, dims)."""
+        return np.floor((as_tensor(points) - self.origin) / self.voxel_size).astype(np.int64)
+
     def world_to_grid(self, points: np.ndarray) -> np.ndarray:
         """Continuous grid coordinates where integer values are cell centers."""
         return (as_tensor(points) - self.origin) / self.voxel_size - 0.5
@@ -169,11 +176,11 @@ def voxel_pool(
 ) -> OccupancyFeature:
     """Scatter-mean point features into the voxel grid.
 
-    Each point's feature accumulates into the voxel containing it (floor
-    indexing; boundary points belong to the lower-index voxel), points
-    outside the grid are dropped, and occupied voxels are divided by their
-    point count. Accumulation follows the input point order, so results are
-    deterministic and bit-reproducible.
+    Each point's feature accumulates into the voxel containing it
+    (spec.voxel_index: a point on a face between two voxels belongs to the
+    higher-index one), points outside the grid are dropped, and occupied
+    voxels are divided by their point count. Accumulation follows the input
+    point order, so results are deterministic and bit-reproducible.
     """
     pts = as_tensor(points_world).reshape(-1, 3)
     feats = as_tensor(feats)
@@ -184,7 +191,7 @@ def voxel_pool(
     if not np.all(np.isfinite(pts)):
         raise ValueError("point coordinates must be finite")
     x, y, z = spec.dims
-    idx = np.floor((pts - spec.origin) / spec.voxel_size).astype(np.int64)
+    idx = spec.voxel_index(pts)
     keep = (
         (idx[:, 0] >= 0) & (idx[:, 0] < x)
         & (idx[:, 1] >= 0) & (idx[:, 1] < y)

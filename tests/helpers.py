@@ -34,6 +34,10 @@ def rotation_from_angles(yaw: float, pitch: float = 0.0, roll: float = 0.0) -> n
     return rz @ ry @ rx
 
 
+def identity_pose() -> Pose:
+    return Pose(np.eye(3), np.zeros(3))
+
+
 def random_pose(rng: np.random.Generator, scale: float = 2.0) -> Pose:
     angles = rng.uniform(-np.pi, np.pi, 3)
     return Pose(
@@ -57,9 +61,9 @@ def simple_rig(n_cameras: int = 2, with_motion: bool = True) -> CameraRig:
     if with_motion:
         yaw = 0.04
         rot = rotation_from_angles(yaw)
-        ego = {0: Pose.identity(), 1: Pose(rot, np.array([0.8, 0.15, 0.0]))}
+        ego = {0: identity_pose(), 1: Pose(rot, np.array([0.8, 0.15, 0.0]))}
     else:
-        ego = {0: Pose.identity(), 1: Pose.identity()}
+        ego = {0: identity_pose(), 1: identity_pose()}
     return CameraRig(cams, ego)
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from occgeom import cli
-from occgeom.camera import Camera, CameraRig, Intrinsics, Pose, camera_pose_at, relative_pose
+from occgeom.camera import Camera, CameraRig, Intrinsics, camera_pose_at, relative_pose
 from occgeom.cast import ContextPlan, PhotometricConfig, cast_loss, photometric_loss
 from occgeom.occ_encdec import SemanticOccupancy, SemanticQuerySet, WindowedAttentionParams, masked_decode, windowed_attention
 from occgeom.renderer import DensityField, RenderConfig, render_view
@@ -26,7 +26,7 @@ from occgeom.view_transform import (
     upsample_trilinear,
     voxel_pool,
 )
-from helpers import grad_check, level_camera_mount, render_ray, warp
+from helpers import grad_check, identity_pose, level_camera_mount, render_ray, warp
 
 
 def report(num, name, detail):
@@ -113,7 +113,7 @@ def test_04_photometric_identity():
             SceneConfig(seed=2, preset=preset, dims=spec.dims, num_cameras=2, image_size=(24, 40))
         )
         for (ci, t), img in b.images.items():
-            pose = relative_pose("temporal", b.rig, ci, ci, t, t)
+            pose = relative_pose(b.rig, ci, ci, t, t)
             intr = b.rig.cameras[ci].intrinsics
             recon, valid, _ = warp(img, b.gt_depths[(ci, t)], pose, intr, intr)
             if not valid.any():
@@ -318,7 +318,7 @@ def test_10_pipeline_shape_contract():
     explicit = voxel_pool(pose.apply(pos_cam), lifted, full)
     assert explicit.data.shape == (cf, 16, 16, 8)
 
-    rig = CameraRig((Camera(intr, pose),), {0: Pose.identity()})
+    rig = CameraRig((Camera(intr, pose),), {0: identity_pose()})
     queries = rng.normal(size=(cf, *half.dims))
     implicit_half = idm_sample(
         half, queries, [feats], rig, offsets=np.zeros((2, 2)), weights=np.zeros(2), timestamp=0

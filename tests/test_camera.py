@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from helpers import project, random_pose, ray, simple_rig, unproject
+from helpers import identity_pose, project, random_pose, ray, simple_rig, unproject
 
 from occgeom.camera import (
     Camera,
@@ -61,29 +61,29 @@ class TestPose:
 
 class TestProjectUnproject:
     def test_optical_axis(self):
-        cam = Camera(INTR, Pose.identity())
+        cam = Camera(INTR, identity_pose())
         uv, depth, vis = project(cam, [0.0, 0.0, 7.0])
         assert vis
         assert depth == pytest.approx(7.0)
         np.testing.assert_allclose(uv, [50.0, 50.0])
 
     def test_point_behind(self):
-        cam = Camera(INTR, Pose.identity())
+        cam = Camera(INTR, identity_pose())
         _, _, vis = project(cam, [0.0, 0.0, -3.0])
         assert not vis
 
     def test_hand_projection(self):
-        cam = Camera(INTR, Pose.identity())
+        cam = Camera(INTR, identity_pose())
         uv, depth, vis = project(cam, [1.0, 0.0, 2.0])
         assert vis and depth == pytest.approx(2.0)
         np.testing.assert_allclose(uv, [100.0, 50.0])
 
     def test_unproject_axis(self):
-        cam = Camera(INTR, Pose.identity())
+        cam = Camera(INTR, identity_pose())
         np.testing.assert_allclose(unproject(cam, [50.0, 50.0], 5.0), [0, 0, 5.0])
 
     def test_unproject_hand(self):
-        cam = Camera(INTR, Pose.identity())
+        cam = Camera(INTR, identity_pose())
         np.testing.assert_allclose(unproject(cam, [100.0, 50.0], 2.0), [1.0, 0, 2.0])
 
     def test_roundtrip_random_poses(self):
@@ -115,7 +115,7 @@ class TestProjectUnproject:
         assert np.all(np.isfinite(u)) and np.all(np.isfinite(v))
 
     def test_unproject_nonpositive_depth(self):
-        cam = Camera(INTR, Pose.identity())
+        cam = Camera(INTR, identity_pose())
         with pytest.raises(ValueError):
             unproject(cam, [50.0, 50.0], 0.0)
 
@@ -171,30 +171,43 @@ class TestRay:
         assert np.concatenate(grids).tobytes() == pixel_grid(h, w).tobytes()
         assert view_rays(cam, resolution, n - 1)[1].tobytes() == dirs[n - 1 :].tobytes()
 
+    def test_lone_pixel_direction_is_its_row_of_the_view(self):
+        # a single pixel's direction, as a sparse-depth or test ray asks for
+        # it, is bit for bit its row of the whole view's rays
+        h, w = 36, 64
+        intr = INTR.scaled(w, h)
+        rng = np.random.default_rng(10)
+        for _ in range(20):
+            pose = random_pose(rng)
+            _, dirs = view_rays(Camera(INTR, pose), (h, w))
+            for i in range(0, h * w, 7):
+                one, _ = pixel_directions(intr, pose, pixel_grid(h, w, i, i + 1))
+                assert one.tobytes() == dirs[i].tobytes(), i
+
 
 class TestRelativePose:
     def test_temporal_same_time_identity(self):
         rig = simple_rig()
-        p = relative_pose("temporal", rig, 0, 0, 1, 1)
+        p = relative_pose(rig, 0, 0, 1, 1)
         np.testing.assert_allclose(_matrix(p), np.eye(4), atol=1e-12)
 
     def test_spatial_same_camera_identity(self):
         rig = simple_rig()
-        p = relative_pose("spatial", rig, 1, 1, 0, 0)
+        p = relative_pose(rig, 1, 1, 0, 0)
         np.testing.assert_allclose(_matrix(p), np.eye(4), atol=1e-12)
 
     def test_spatial_temporal_composition(self):
         rig = simple_rig()
-        spt = relative_pose("spatial_temporal", rig, 0, 1, 0, 1)
-        sp = relative_pose("spatial", rig, 0, 1, 1, 1)
-        t = relative_pose("temporal", rig, 0, 0, 0, 1)
+        spt = relative_pose(rig, 0, 1, 0, 1)
+        sp = relative_pose(rig, 0, 1, 1, 1)
+        t = relative_pose(rig, 0, 0, 0, 1)
         np.testing.assert_allclose(
             _matrix(spt), _matrix(sp) @ _matrix(t), atol=1e-12
         )
 
     def test_matches_hand_composed_matrices(self):
         rig = simple_rig()
-        spt = relative_pose("spatial_temporal", rig, 0, 1, 0, 1)
+        spt = relative_pose(rig, 0, 1, 0, 1)
         m0 = _matrix(rig.cameras[0].pose)
         m1 = _matrix(rig.cameras[1].pose)
         e0 = _matrix(rig.ego_poses[0])
@@ -205,28 +218,19 @@ class TestRelativePose:
     def test_maps_points_between_camera_frames(self):
         # the composite must agree with going through world coordinates
         rig = simple_rig()
-        rel = relative_pose("spatial_temporal", rig, 0, 1, 0, 1)
+        rel = relative_pose(rig, 0, 1, 0, 1)
         w0 = camera_pose_at(rig, 0, 0)
         w1 = camera_pose_at(rig, 1, 1)
         pts = np.random.default_rng(6).normal(size=(4, 3)) + [0, 0, 3.0]
         expect = w1.inverse().apply(w0.apply(pts))
         np.testing.assert_allclose(rel.apply(pts), expect, atol=1e-12)
 
-    def test_kind_constraints(self):
-        rig = simple_rig()
-        with pytest.raises(ValueError):
-            relative_pose("temporal", rig, 0, 1, 0, 1)
-        with pytest.raises(ValueError):
-            relative_pose("spatial", rig, 0, 1, 0, 1)
-        with pytest.raises(ValueError):
-            relative_pose("sideways", rig, 0, 0, 0, 0)
-
     def test_unknown_indices(self):
         rig = simple_rig()
         with pytest.raises(IndexError):
-            relative_pose("spatial", rig, 0, 5, 0, 0)
+            relative_pose(rig, 0, 5, 0, 0)
         with pytest.raises(KeyError):
-            relative_pose("temporal", rig, 0, 0, 0, 9)
+            relative_pose(rig, 0, 0, 0, 9)
 
 
 class TestIntrinsics:
@@ -251,13 +255,13 @@ class TestIntrinsics:
 class TestRigValidation:
     def test_needs_cameras(self):
         with pytest.raises(ValueError):
-            CameraRig((), {0: Pose.identity()})
+            CameraRig((), {0: identity_pose()})
 
     def test_timestamps_increasing(self):
         intr = INTR
-        cams = (Camera(intr, Pose.identity()),)
+        cams = (Camera(intr, identity_pose()),)
         with pytest.raises(ValueError):
-            CameraRig(cams, {1: Pose.identity(), 0: Pose.identity()})
+            CameraRig(cams, {1: identity_pose(), 0: identity_pose()})
 
 
 class TestSerialization:

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from helpers import grad_check, level_camera_mount, warp
+from helpers import grad_check, identity_pose, level_camera_mount, warp
 
 from occgeom import cast
 from occgeom.camera import (
@@ -83,11 +83,15 @@ class TestWarpImage:
         b = boxes_bundle()
         img = b.images[(0, 1)]
         dm = b.gt_depths[(0, 1)]
-        pose = relative_pose("temporal", b.rig, 0, 0, 1, 1)
+        pose = relative_pose(b.rig, 0, 0, 1, 1)
         intr = b.rig.cameras[0].intrinsics
         recon, valid, _ = warp(img, dm, pose, intr, intr)
         assert valid.sum() > 100
-        assert np.array_equal(valid, dm.valid)
+        # the identity's round trip can put a border pixel an ulp outside
+        # [0, W-1] x [0, H-1] (pixel (u, v) = (0, 20) lands at u = -3.6e-15);
+        # every other pixel with a depth warps validly
+        assert not np.any(valid & ~dm.valid)
+        assert np.array_equal(valid[1:-1, 1:-1], dm.valid[1:-1, 1:-1])
         np.testing.assert_allclose(recon[valid], img[valid], atol=1e-12)
 
     def test_all_invalid_depth(self):
@@ -95,7 +99,7 @@ class TestWarpImage:
         img = b.images[(0, 1)]
         dm = b.gt_depths[(0, 1)]
         empty = DepthMap(depth=np.zeros_like(dm.depth), valid=np.zeros_like(dm.valid))
-        pose = relative_pose("temporal", b.rig, 0, 0, 0, 1)
+        pose = relative_pose(b.rig, 0, 0, 0, 1)
         intr = b.rig.cameras[0].intrinsics
         recon, valid, drecon = warp(img, empty, pose, intr, intr)
         assert not valid.any()
@@ -111,7 +115,7 @@ class TestWarpImage:
         mount = level_camera_mount(0.0, [0.0, 0.0, 0.0])
         rig = CameraRig(
             (Camera(intr, mount),),
-            {0: Pose.identity(), 1: Pose(np.eye(3), np.array([advance, 0.0, 0.0]))},
+            {0: identity_pose(), 1: Pose(np.eye(3), np.array([advance, 0.0, 0.0]))},
         )
         src = smooth_image(h, w)
         us, vs = np.meshgrid(np.arange(w, dtype=float), np.arange(h, dtype=float))
@@ -122,7 +126,7 @@ class TestWarpImage:
             depth=(d_plane - advance) * norm,  # ray distance to the plane
             valid=np.ones((h, w), dtype=bool),
         )
-        pose = relative_pose("temporal", rig, 0, 0, 0, 1)
+        pose = relative_pose(rig, 0, 0, 0, 1)
         recon, valid, _ = warp(src, depth, pose, intr, intr)
         scale = (d_plane - advance) / d_plane
         u_src = (us - intr.cx) * scale + intr.cx
@@ -140,7 +144,7 @@ class TestWarpImage:
         )
         src, ref = b.images[(0, 0)], b.images[(0, 1)]
         dm = b.gt_depths[(0, 1)]
-        pose = relative_pose("temporal", b.rig, 0, 0, 0, 1)
+        pose = relative_pose(b.rig, 0, 0, 0, 1)
         intr = b.rig.cameras[0].intrinsics
         recon, valid, drecon = warp(src, dm, pose, intr, intr)
         _, gl = photometric_loss(ref, recon, valid, CFG)
@@ -290,7 +294,7 @@ class TestCastLoss:
         mount = b.rig.cameras[0].pose
         rig = CameraRig(
             (Camera(intr, mount), Camera(intr, mount)),
-            {0: Pose.identity(), 1: Pose.identity()},
+            {0: identity_pose(), 1: identity_pose()},
         )
         cam = Camera(intr, camera_pose_at(rig, 0, 1))
         from occgeom.synthscene import raymarch_depth_oracle, synthesize_image
@@ -669,7 +673,7 @@ def reference_cast(rig, images, depths, cfg):
     grads = [np.zeros_like(dm.depth) for dm in depths]
     active = 0
     for kind, src, tgt in pairs:
-        pose = relative_pose(kind, rig, src[0], tgt[0], src[1], tgt[1])
+        pose = relative_pose(rig, src[0], tgt[0], src[1], tgt[1])
         k_src = rig.cameras[src[0]].intrinsics
         k_tgt = rig.cameras[tgt[0]].intrinsics
         recon, valid, drecon = reference_warp(images[src], depths[tgt[0]], pose, k_src, k_tgt)
@@ -898,7 +902,7 @@ class TestSubsetWarp:
         # ray offset, so they project exactly onto the source principal
         # point, put on u = W-1 / v = H-1 (or 0)
         k_src = Intrinsics(fx=8.0, fy=8.0, cx=cx, cy=cy, width=self.W, height=self.H)
-        valid = self.check(smooth_image(self.H, self.W), self.depth(), Pose.identity(), k_src)
+        valid = self.check(smooth_image(self.H, self.W), self.depth(), identity_pose(), k_src)
         col, row = int(self.INTR.cx), int(self.INTR.cy)
         assert valid[:, col].any() and valid[row, :].any()
         assert valid[row, col]  # exactly on the corner (cx, cy)

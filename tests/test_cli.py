@@ -194,12 +194,13 @@ class TestRender:
         # persisted two-axis tilted wall (depth phases spread across the
         # sample grid, no occlusion edges): doubling S reduces the reported
         # mean error by at least 1.5x
-        from helpers import level_camera_mount
-        from occgeom.camera import Camera, CameraRig, Intrinsics, Pose, camera_pose_at
+        from helpers import identity_pose, level_camera_mount
+        from occgeom.camera import Camera, CameraRig, Intrinsics, camera_pose_at, view_rays
         from occgeom.occ_encdec import SemanticOccupancy
         from occgeom.synthscene import (
             SceneBundle,
             SceneConfig,
+            _traverse,
             raymarch_depth_oracle,
             save_scene,
             synthesize_image,
@@ -219,16 +220,15 @@ class TestRender:
         mount = level_camera_mount(0.0, pos)
         rig = CameraRig(
             (Camera(intr, mount), Camera(intr, mount)),
-            {0: Pose.identity(), 1: Pose.identity()},
+            {0: identity_pose(), 1: identity_pose()},
         )
         images, depths = {}, {}
         visible = np.zeros(spec.dims, dtype=bool)
         for ci in range(2):
             for t in (0, 1):
                 cam = Camera(intr, camera_pose_at(rig, ci, t))
-                depths[(ci, t)] = raymarch_depth_oracle(
-                    grid, spec, cam, (64, 160), visible
-                )
+                depths[(ci, t)] = raymarch_depth_oracle(grid, spec, cam, (64, 160))
+                _traverse(grid.occupied, spec, *view_rays(cam, (64, 160)), visible)
                 images[(ci, t)] = synthesize_image(grid, spec, cam, (64, 160))
         scene = SceneConfig(
             seed=0, preset="boxes", dims=spec.dims, voxel_size=vs, num_cameras=2,

@@ -2,10 +2,12 @@
 
 Fails on an import that its module never uses, in src/occgeom and in
 tests/; on a private module-level function, class or constant, or a
-private method, that no module of the package references; and on a public
+private method, that no module of the package references; on a public
 module-level function or class, or a public method, that no module of the
-package or of bench/ references and README does not name: tests reach
-what the program does not call through its private kernels.
+package or of bench/ references and no code span of README names: tests
+reach what the program does not call through its private kernels; and on
+a parameter default of the package that no call in the package or in
+bench/ overrides, since a value no caller sets is a constant.
 """
 
 import ast
@@ -97,9 +99,73 @@ def test_no_unreferenced_private_classes_constants_or_methods():
     assert not dead, f"unreferenced private classes, constants or methods: {dead}"
 
 
+BENCH_TREES = [ast.parse(path.read_text()) for path in sorted((ROOT / "bench").glob("*.py"))]
+
+
+def _readme_code_words() -> list[str]:
+    """The words inside README's code spans and fenced code blocks."""
+    text = (ROOT / "README.md").read_text()
+    fenced = re.findall(r"```.*?```", text, re.S)
+    inline = re.findall(r"`([^`]+)`", re.sub(r"```.*?```", "", text, flags=re.S))
+    return re.findall(r"\w+", " ".join(fenced + inline))
+
+
 def test_no_unreferenced_public_api():
-    bench = [ast.parse(path.read_text()) for path in (ROOT / "bench").glob("*.py")]
-    readme = re.findall(r"\w+", (ROOT / "README.md").read_text())
-    used = PACKAGE_USED.union(*(_used_names(tree) for tree in bench), readme)
+    used = PACKAGE_USED.union(*(_used_names(tree) for tree in BENCH_TREES), _readme_code_words())
     dead = _unreferenced({"function", "class", "method"}, False, used)
-    assert not dead, f"public API that no program module, bench/ or README uses: {dead}"
+    assert not dead, f"public API that no program module, bench/ or README code uses: {dead}"
+
+
+# defaults that tests override to stand in for what the program reads itself
+TEST_SEAMS = {"_malloc.py: fix_thresholds(environ)"}
+
+
+def _defaulted_parameters(tree: ast.Module):
+    """(called name, parameter, positional index at the call or None) of
+    each parameter with a default of a module-level function, or of a
+    method (called by its name, or by its class's for __init__)."""
+    scopes = [(None, tree.body)] + [
+        (node, node.body) for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+    ]
+    for cls, body in scopes:
+        for f in body:
+            if not isinstance(f, ast.FunctionDef):
+                continue
+            bound = cls is not None and not any(
+                isinstance(d, ast.Name) and d.id == "staticmethod" for d in f.decorator_list
+            )
+            called = cls.name if f.name == "__init__" else f.name
+            positional = f.args.posonlyargs + f.args.args
+            first = len(positional) - len(f.args.defaults)
+            for k in range(first, len(positional)):
+                yield called, positional[k].arg, k - bound
+            for arg, default in zip(f.args.kwonlyargs, f.args.kw_defaults):
+                if default is not None:
+                    yield called, arg.arg, None
+
+
+def _passes(call: ast.Call, param: str, index: int | None) -> bool:
+    """Whether a call may set the parameter: by keyword, by **kwargs, at
+    its position or through *args."""
+    if any(kw.arg in (param, None) for kw in call.keywords):
+        return True
+    starred = any(isinstance(a, ast.Starred) for a in call.args)
+    return index is not None and (len(call.args) > index or starred)
+
+
+def test_no_default_that_no_call_overrides():
+    calls: dict[str, list[ast.Call]] = {}
+    for tree in [*TREES.values(), *BENCH_TREES]:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                calls.setdefault(name, []).append(node)
+    constant = [
+        f"{module}: {called}({param})"
+        for module, tree in TREES.items()
+        for called, param, index in _defaulted_parameters(tree)
+        if not any(_passes(call, param, index) for call in calls.get(called, []))
+    ]
+    dead = sorted(set(constant) - TEST_SEAMS)
+    assert not dead, f"defaults that no call in the package or bench/ overrides: {dead}"

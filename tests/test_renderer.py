@@ -4,7 +4,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from helpers import grad_check, level_camera_mount, ray, render_ray, rotation_from_angles
+from helpers import (
+    grad_check,
+    identity_pose,
+    level_camera_mount,
+    ray,
+    render_ray,
+    rotation_from_angles,
+)
 
 from occgeom.camera import _RAY_BLOCK, Camera, Intrinsics, Pose, camera_pose_at, view_rays
 from occgeom.renderer import (
@@ -211,7 +218,7 @@ class TestRenderView:
         field = DensityField(np.zeros((4, 4, 4)), spec)
         intr = Intrinsics(fx=10.0, fy=10.0, cx=4.5, cy=3.5, width=10, height=8)
         cfg = RenderConfig(samples=16, t_near=0.5, t_far=5.0, resolution=(8, 10))
-        dm = render_view(field, Camera(intr, Pose.identity()), cfg)
+        dm = render_view(field, Camera(intr, identity_pose()), cfg)
         assert not dm.valid.any()
         assert np.all(dm.depth == 0.0)
 

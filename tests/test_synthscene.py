@@ -177,23 +177,20 @@ class TestRaymarchOracle:
 
     @pytest.mark.parametrize("preset", ["corridor", "boxes"])
     def test_oracle_streams_the_view_in_ray_blocks(self, preset):
-        # three blocks of _RAY_BLOCK rays, the last one partial: depth, hit
-        # and the visible marks are those of one traversal of the whole
-        # view's rays, and of the uncompacted reference loop
+        # three blocks of _RAY_BLOCK rays, the last one partial: depth and
+        # hit are those of one traversal of the whole view's rays, and of
+        # the uncompacted reference loop
         res = (120, 200)
         assert 2 * _RAY_BLOCK < res[0] * res[1] < 3 * _RAY_BLOCK
         b = bundle(seed=2, preset=preset)
         cam = Camera(b.rig.cameras[0].intrinsics, camera_pose_at(b.rig, 0, 1))
-        visible = np.zeros(SPEC.dims, dtype=bool)
-        dm = raymarch_depth_oracle(b.grid, SPEC, cam, res, visible)
-        assert dm.valid.any() and visible.any()
+        dm = raymarch_depth_oracle(b.grid, SPEC, cam, res)
+        assert dm.valid.any()
         origin, dirs = view_rays(cam, res)
         for traverse in (_traverse, reference_traverse):
-            seen = np.zeros(SPEC.dims, dtype=bool)
-            depth, hit, _ = traverse(b.grid.occupied, SPEC, origin, dirs, seen)
+            depth, hit, _ = traverse(b.grid.occupied, SPEC, origin, dirs)
             assert dm.depth.tobytes() == depth.reshape(res).tobytes()
             assert dm.valid.tobytes() == hit.reshape(res).tobytes()
-            assert visible.tobytes() == seen.tobytes()
 
     def test_full_view_passes_hold_one_ray_block(self):
         # the traced peak of the oracle and of render_view, less their
@@ -203,9 +200,8 @@ class TestRaymarchOracle:
         b = bundle(dims=(12, 8, 8))
         cam = Camera(b.rig.cameras[0].intrinsics, camera_pose_at(b.rig, 0, 1))
         field = b.density_gt
-        visible = np.zeros(b.spec.dims, dtype=bool)
         passes = (
-            lambda res: raymarch_depth_oracle(b.grid, b.spec, cam, res, visible),
+            lambda res: raymarch_depth_oracle(b.grid, b.spec, cam, res),
             lambda res: render_view(field, cam, RenderConfig(resolution=res)),
         )
 
@@ -624,14 +620,14 @@ class TestVisibility:
         # recomputing the traversal marks a subset of the stored mask
         fresh = np.zeros(SPEC.dims, dtype=bool)
         cam = Camera(b.rig.cameras[0].intrinsics, camera_pose_at(b.rig, 0, 1))
-        raymarch_depth_oracle(b.grid, SPEC, cam, b.scene.image_size, fresh)
+        _traverse(occ, SPEC, *view_rays(cam, b.scene.image_size), fresh)
         assert np.all(~fresh | b.visible)
 
 
 
 class TestBatchedBuildScene:
     """build_scene traverses all its views at once; every output must equal
-    the per-view oracle and image bit for bit."""
+    the per-view oracle, image and traversal marks bit for bit."""
 
     @pytest.mark.parametrize(
         "preset, n",
@@ -643,7 +639,8 @@ class TestBatchedBuildScene:
         for t in b.rig.timestamps():
             for ci in range(n):
                 cam = Camera(b.rig.cameras[ci].intrinsics, camera_pose_at(b.rig, ci, t))
-                dm = raymarch_depth_oracle(b.grid, SPEC, cam, b.scene.image_size, union)
+                dm = raymarch_depth_oracle(b.grid, SPEC, cam, b.scene.image_size)
+                _traverse(b.grid.occupied, SPEC, *view_rays(cam, b.scene.image_size), union)
                 img = synthesize_image(b.grid, SPEC, cam, b.scene.image_size)
                 got = b.gt_depths[(ci, t)]
                 for want, have in (
@@ -734,7 +731,7 @@ class TestCrossModuleConsistency:
             checked = 0
             for i in range(6):
                 j = (i + 1) % 6
-                pose = relative_pose("spatial", b.rig, j, i, 1, 1)
+                pose = relative_pose(b.rig, j, i, 1, 1)
                 recon, valid, _ = warp(
                     b.images[(j, 1)],
                     b.gt_depths[(i, 1)],

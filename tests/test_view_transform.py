@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from helpers import level_camera_mount, simple_rig
+from helpers import identity_pose, level_camera_mount, simple_rig
 
 from occgeom.camera import Camera, CameraRig, Intrinsics, Pose, camera_pose_at, project_points
 from occgeom.tensor import bilinear_sample, conv3d, softmax
@@ -177,8 +177,11 @@ class TestVoxelPool:
         out = voxel_pool(np.array([[-1.0, 0.0, 0.0]]), np.array([[5.0]]), self.SPEC)
         assert np.all(out.data == 0)
 
-    def test_boundary_point_lower_voxel(self):
-        out = voxel_pool(np.array([[1.0, 0.5, 0.5]]), np.array([[1.0]]), self.SPEC)
+    def test_face_point_joins_the_voxel_of_its_low_face(self):
+        # x = 1.0 is the face between voxels 0 and 1, and voxel 1's low face
+        point = np.array([[1.0, 0.5, 0.5]])
+        assert self.SPEC.voxel_index(point).tolist() == [[1, 0, 0]]
+        out = voxel_pool(point, np.array([[1.0]]), self.SPEC)
         assert out.data[0, 1, 0, 0] == 1.0
 
     def test_matches_scatter_oracle_bitwise(self):
@@ -238,7 +241,7 @@ class TestIdmSample:
             Camera(intr, level_camera_mount(0.0, [0.0, 0.0, 0.0])),
             Camera(intr, level_camera_mount(np.pi, [0.0, 0.0, 0.0])),
         )
-        rig = CameraRig(cams, {0: Pose.identity()})
+        rig = CameraRig(cams, {0: identity_pose()})
         rng = np.random.default_rng(7)
         feats = [rng.uniform(size=(7, 9, 5)) for _ in range(2)]
         queries = np.zeros((5, 1, 1, 1))
@@ -271,7 +274,7 @@ class TestIdmSample:
         spec = VoxelGridSpec((1, 1, 1), np.array([-3.0, -0.5, -0.5]), 1.0)
         intr = Intrinsics(fx=10.0, fy=10.0, cx=4.0, cy=3.0, width=9, height=7)
         cams = (Camera(intr, level_camera_mount(0.0, [0.0, 0.0, 0.0])),)
-        rig = CameraRig(cams, {0: Pose.identity()})
+        rig = CameraRig(cams, {0: identity_pose()})
         feats = [np.ones((7, 9, 2))]
         out = idm_sample(spec, np.zeros((2, 1, 1, 1)), feats, rig, np.zeros((1, 2)), np.zeros(1), 0)
         assert np.all(out.data == 0.0)
@@ -306,7 +309,7 @@ class TestIdmSample:
             Camera(intr, level_camera_mount(0.0, [0.0, 0.0, 0.0])),
             Camera(intr, level_camera_mount(np.pi, [0.0, 0.0, 0.0])),
         )
-        rig = CameraRig(cams, {0: Pose.identity()})
+        rig = CameraRig(cams, {0: identity_pose()})
         rng = np.random.default_rng(12)
         feats = [rng.normal(size=(7, 9, 3)) for _ in range(2)]
         feats[1][0, 0] = np.nan
@@ -333,7 +336,7 @@ class TestIdmSample:
             Camera(intr, level_camera_mount(yaw, [0.0, 0.2 * k, 0.0]))
             for k, yaw in enumerate((0.0, 0.5, -0.6))
         )
-        ego = {0: Pose.identity(), 1: Pose(np.eye(3), np.array([0.3, 0.1, 0.0]))}
+        ego = {0: identity_pose(), 1: Pose(np.eye(3), np.array([0.3, 0.1, 0.0]))}
         rig = CameraRig(cams, ego)
         rng = np.random.default_rng(13)
         feats = [rng.normal(size=(intr.height, intr.width, 4)) for _ in range(3)]
