@@ -43,11 +43,15 @@ def softmax(x: Array, axis: int = -1) -> Array:
     return np.divide(e, s, out=np.zeros_like(e), where=s > 0)
 
 
+_EDGE_TOL = 1e-9  # px past an edge still on it: a pose round trip rounds
+
+
 def _in_image(u: Array, v: Array, h: int, w: int) -> Array:
     """[N] bool: pixel coordinates (u, v) inside the sampleable region
-    [0, w-1] x [0, h-1] of an h x w image, the one rule of the bilinear
-    sampler, camera.project_points and the context warp."""
-    return (u >= 0.0) & (u <= w - 1.0) & (v >= 0.0) & (v <= h - 1.0)
+    [0, w-1] x [0, h-1] of an h x w image widened by _EDGE_TOL, the one rule
+    of the bilinear sampler, camera.project_points and the context warp."""
+    t = _EDGE_TOL
+    return (u >= -t) & (u <= w - 1.0 + t) & (v >= -t) & (v <= h - 1.0 + t)
 
 
 def _bilinear_corners(img: Array, uv: Array):
@@ -55,7 +59,7 @@ def _bilinear_corners(img: Array, uv: Array):
     img [H x W x C] and uv [N x 2], and returns (valid [N], fu [N x 1],
     fv [N x 1], corners, values), where corners are the four neighbor
     values (i00, i01, i10, i11) [N x C] at rows v0, v0, v1, v1 and columns
-    u0, u1, u0, u1, clipped into the image, and values [N x C] their
+    u0, u1, u0, u1 of uv clipped into the image, and values [N x C] their
     bilinear blend, out-of-bounds samples included."""
     img = as_tensor(img)
     uv = as_tensor(uv)
@@ -64,12 +68,11 @@ def _bilinear_corners(img: Array, uv: Array):
     if uv.ndim != 2 or uv.shape[1] != 2:
         raise ValueError(f"bilinear sampling expects N x 2 coordinates, got {uv.shape}")
     h, w = img.shape[:2]
-    u, v = uv[:, 0], uv[:, 1]
-    valid = _in_image(u, v, h, w)
-    u0 = np.floor(u)
-    v0 = np.floor(v)
-    u0i = np.clip(u0.astype(np.int64), 0, w - 1)
-    v0i = np.clip(v0.astype(np.int64), 0, h - 1)
+    valid = _in_image(uv[:, 0], uv[:, 1], h, w)
+    # a sample within _EDGE_TOL outside an edge is taken on the edge
+    u, v = np.clip(uv[:, 0], 0.0, w - 1.0), np.clip(uv[:, 1], 0.0, h - 1.0)
+    u0, v0 = np.floor(u), np.floor(v)
+    u0i, v0i = u0.astype(np.int64), v0.astype(np.int64)
     u1i = np.minimum(u0i + 1, w - 1)
     v1i = np.minimum(v0i + 1, h - 1)
     i00, i01, i10, i11 = img[v0i, u0i], img[v0i, u1i], img[v1i, u0i], img[v1i, u1i]
@@ -84,8 +87,8 @@ def bilinear_sample(img: Array, uv: Array) -> tuple[Array, Array]:
 
     uv[:, 0] is the column coordinate u (x), uv[:, 1] the row coordinate v
     (y); pixel centers sit at integer coordinates, so the sampleable region
-    is [0, W-1] x [0, H-1]. Out-of-bounds samples return zeros and are
-    flagged invalid.
+    is [0, W-1] x [0, H-1], widened by _EDGE_TOL. Out-of-bounds samples
+    return zeros and are flagged invalid.
 
     Returns:
         (values [N x C], valid [N] bool)

@@ -60,6 +60,25 @@ class TestBilinearSample:
         assert not ok[0]
         assert vals[0, 0] == 0.0
 
+    @pytest.mark.parametrize("fn", [tensor.bilinear_sample, tensor.bilinear_sample_grad])
+    def test_rounding_outside_an_edge_samples_the_edge(self, fn):
+        # a coordinate an ulp outside the image is the edge pixel; one a
+        # micro-pixel outside is a miss
+        rng = np.random.default_rng(4)
+        img = rng.uniform(size=(5, 6, 2))
+        just_out = [
+            [-3.6e-15, 2.0], [np.nextafter(5.0, 6.0), 2.0],
+            [3.0, -1e-15], [3.0, np.nextafter(4.0, 5.0)],
+        ]
+        edge = np.array([img[2, 0], img[2, 5], img[0, 3], img[4, 3]])
+        vals = fn(img, np.array(just_out))[0]
+        assert np.array_equal(vals, edge)
+        _, ok = tensor.bilinear_sample(img, np.array(just_out))
+        assert ok.all()
+        far = np.array([[-1e-6, 2.0], [5.0 + 1e-6, 2.0], [3.0, -1e-6], [3.0, 4.0 + 1e-6]])
+        vals, ok = tensor.bilinear_sample(img, far)
+        assert not ok.any() and np.all(vals == 0.0)
+
     def test_linear_along_axis(self):
         rng = np.random.default_rng(2)
         img = rng.uniform(size=(5, 6, 3))
